@@ -151,12 +151,16 @@ def idem_max(n: int, e: int) -> Uninorm:
     return make(FamilySpec("umax-idempotent", ChainScale(n), e))
 
 
-def luk_upper(n: int, e: int) -> Uninorm:
-    """Bounded sum min(n, x+y-e) on [e,n]^2, min everywhere else."""
+def _luk_upper_spec(n: int, e: int) -> FamilySpec:
     scale = ChainScale(n)
     s = Uninorm(OpTable(ChainScale(n - e), _tconorm_rows("lukasiewicz-tconorm", n - e)), 0)
     t = Uninorm(OpTable(ChainScale(e), _tnorm_rows("min", e)), e)
-    return make(FamilySpec("umin-of", scale, e, t=t, s=s))
+    return FamilySpec("umin-of", scale, e, t=t, s=s)
+
+
+def luk_upper(n: int, e: int) -> Uninorm:
+    """Bounded sum min(n, x+y-e) on [e,n]^2, min everywhere else."""
+    return make(_luk_upper_spec(n, e))
 
 
 def min_tnorm(n: int) -> Uninorm:
@@ -332,9 +336,7 @@ def parse_family_spec(text: str) -> FamilySpec:
         e = ints["e"]
         if not 0 < e < n:
             raise ConstructionError(f"luk-upper needs 0 < e < n, got e={e}, n={n}")
-        s = Uninorm(OpTable(ChainScale(n - e), _tconorm_rows("lukasiewicz-tconorm", n - e)), 0)
-        t = Uninorm(OpTable(ChainScale(e), _tnorm_rows("min", e)), e)
-        return FamilySpec("umin-of", scale, e, t=t, s=s)
+        return _luk_upper_spec(n, e)
 
     if family in _TNORM_FAMILIES:
         e = ints.get("e", n)

@@ -10,24 +10,33 @@ theorem divergence, which is a reportable finding, never silently dropped.
 Index-range conventions used by the case predicates (all bounds inclusive
 unless marked strict):
 
-    equal   (e1 = e2 = e):  off-diagonal region = {x < e < y} and mirror
-    greater (e2 < e1):      hypothesis  T2 = min on [0,e2]^2, u2 internal on A(e2)
-                            clause i    x in [0,e2), y in [e2,n]
-                            side cond.  x0 in [0,e2), y0 in [e1,n]
-                            clause ii   x in [0,e2), y in [e2,e1]
-                            clause iii  upper block [e2,n]^2, inner neutral e1-e2
-    less    (e1 < e2):      hypothesis  S2 = max on [e2,n]^2, u2 internal on A(e2)
-                            clause i    x in (e2,n], y in [0,e2]
-                            side cond.  x0 in (e2,n], y0 in [0,e1]
-                            clause ii   x in (e2,n], y in [e1,e2]
-                            clause iii  lower block [0,e2]^2, inner neutral e1
+    equal (e1 = e2 = e):  off-diagonal region = {x < e < y} and mirror
+
+    unequal: one geometry, drawn for e1 > e2.  The case e1 < e2 is its
+    reflection x -> n - x, which swaps min and max, t-norm and t-conorm,
+    upper and lower; every range is still scanned upwards.
+
+                                     e1 > e2      e1 < e2 (reflected)
+        block [lo, hi] of u1 (e1)    [e2,n]       [0,e2]
+        square of u2 (min / max)     [0,e2]^2     [e2,n]^2
+        strip (outside the block)    [0,e2)       (e2,n]
+        near                         [e2,e1]      [e1,e2]
+        far                          [e1,n]       [0,e1]
+
+    hypothesis  u2 = min / max on its square, u2 internal on A(e2)
+    clause i    x in strip, y in block
+    side cond.  x0 in strip, y0 in far
+    clause ii   x in strip, y in near
+    clause iii  u1 closed on the block, inner neutral e1 - lo, distributing
+                over u2's restriction to the block (T2 or S2 shifted by -lo)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -148,13 +157,121 @@ def equal_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False)
     return log.report()
 
 
-def _upper_inner(u1: Uninorm, e2: int) -> Uninorm:
-    # block [e2,n]^2 shifted down by e2; closure must be checked first
-    return _restriction(u1, e2, u1.n, u1.e - e2)
+@dataclass(frozen=True)
+class _Geometry:
+    """Where the clauses of one unequal-neutral case look on L_n.
+
+    Written for e1 > e2; for e1 < e2 every region is its reflection under
+    x -> n - x, with min and max (t-norm and t-conorm) swapped.  Ranges stay
+    ascending either way, which is the order witnesses are reported in.
+    """
+
+    case: TheoremCase
+    lo: int                 # u1's block [lo, hi] holds e1; clause iii restricts u1 to it
+    hi: int
+    side: range             # u2's min/max square is side x side
+    strip: range            # the points outside the block
+    near: range             # y from e2 to e1
+    far: range              # y from e1 outwards
+    op: Callable            # min or max
+    unit: str               # law suffix of the square: "tnorm-min" or "tconorm-max"
+    boundary: Callable      # u2 restricted to the block
+    boundary_kind: str
+    leak: str               # details and messages that name the side
+    subchain: str
+    forced: str
+
+    @cached_property
+    def block(self) -> range:
+        return range(self.lo, self.hi + 1)
+
+    @cached_property
+    def square(self) -> tuple:
+        """(x, y, op(x, y)) over u2's square, x <= y."""
+        return tuple((x, y, self.op(x, y)) for x in self.side for y in range(x, self.side.stop))
+
+    @cached_property
+    def domain(self) -> tuple:
+        """The off-diagonal strip a decomposition's selection covers."""
+        return tuple((x, y) for x in self.strip for y in self.block)
 
 
-def _lower_inner(u1: Uninorm, e2: int) -> Uninorm:
-    return _restriction(u1, 0, e2, u1.e)
+@lru_cache(maxsize=None)
+def _geometry(n: int, e1: int, e2: int) -> _Geometry:
+    # the boundary lambdas look underlying_tconorm/underlying_tnorm up at call
+    # time, so a wrapper installed on this module sees every call
+    if e1 > e2:
+        return _Geometry(
+            TheoremCase.GREATER_NEUTRAL, lo=e2, hi=n, side=range(e2 + 1), strip=range(e2),
+            near=range(e2, e1 + 1), far=range(e1, n + 1), op=min, unit="tnorm-min",
+            boundary=lambda u: underlying_tconorm(u), boundary_kind="t-conorm",
+            leak="upper block leaks below e2, no inner uninorm exists",
+            subchain="indices shifted by -e2 onto the upper subchain",
+            forced="strip up to e1 is forced to min",
+        )
+    return _Geometry(
+        TheoremCase.LESS_NEUTRAL, lo=0, hi=e2, side=range(e2, n + 1), strip=range(e2 + 1, n + 1),
+        near=range(e1, e2 + 1), far=range(e1 + 1), op=max, unit="tconorm-max",
+        boundary=lambda u: underlying_tnorm(u), boundary_kind="t-norm",
+        leak="lower block leaks above e2, no inner uninorm exists",
+        subchain="restricted to the lower subchain",
+        forced="strip down to e1 is forced to max",
+    )
+
+
+def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
+    e1, e2, n = u1.e, u2.e, u1.n
+    g = _geometry(n, e1, e2)
+    log = WitnessLog(verbose)
+
+    for x, y, v in g.square:
+        if u2(x, y) != v:
+            log.add(Violation(f"hypothesis-{g.unit}", (x, y), lhs=u2(x, y), rhs=v, subject="u2"))
+    for x in range(e2):
+        for y in range(e2 + 1, n + 1):
+            if u2(x, y) not in (x, y):
+                log.add(Violation("hypothesis-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
+
+    for x in g.strip:
+        for y in g.block:
+            a, b = u1(x, y), u2(x, y)
+            if a != b:
+                log.add(Violation("clause-i-agreement", (x, y), lhs=a, rhs=b))
+            elif a not in (x, y):
+                log.add(Violation("clause-i-choice", (x, y), lhs=a))
+    for x0 in g.strip:
+        for y0 in g.far:
+            if u2(x0, y0) == y0 and u2(y0, y0) != y0:
+                log.add(Violation("clause-i-side-condition", (x0, y0),
+                                  lhs=u2(y0, y0), rhs=y0, subject="u2",
+                                  detail="second argument picked at a non-idempotent point"))
+
+    law = f"clause-ii-{g.op.__name__}"
+    for x in g.strip:  # op(x, y) = x across the near strip
+        for y in g.near:
+            if u1(x, y) != x:
+                log.add(Violation(law, (x, y), lhs=u1(x, y), rhs=x, subject="u1"))
+            if u2(x, y) != x:
+                log.add(Violation(law, (x, y), lhs=u2(x, y), rhs=x, subject="u2"))
+
+    lo, hi = g.lo, g.hi
+    closed = True
+    for x in g.block:
+        for y in range(x, hi + 1):
+            if not lo <= u1(x, y) <= hi:
+                closed = False
+                log.add(Violation("clause-iii-closure", (x, y), lhs=u1(x, y), rhs=e2, subject="u1",
+                                  detail=g.leak))
+    if closed:
+        inner = _restriction(u1, lo, hi, e1 - lo)
+        inner_report = validate_uninorm(inner.table, inner.e, verbose=verbose)
+        if not inner_report.verdict:
+            for v in inner_report.violations:
+                log.add(replace(v, law=f"clause-iii-inner-{v.law}", subject="u1", detail=g.subchain))
+        else:
+            for v in check_distributivity(inner, g.boundary(u2), verbose=verbose).violations:
+                log.add(replace(v, law="clause-iii-distributivity", detail=g.subchain))
+    return log.report()
 
 
 def greater_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
@@ -167,213 +284,65 @@ def greater_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = Fals
     vacuous and for e2 = 0 the inner block is the whole table.
     """
     _same_scale(u1, u2)
-    e1, e2, n = u1.e, u2.e, u1.n
-    if e1 <= e2:
-        raise WrongCaseError(f"greater-neutral conditions need e1 > e2, got {e1} and {e2}")
-    log = WitnessLog(verbose)
-
-    for x in range(e2 + 1):
-        for y in range(x, e2 + 1):
-            if u2(x, y) != x:  # min(x, y) with x <= y
-                log.add(Violation("hypothesis-tnorm-min", (x, y), lhs=u2(x, y), rhs=x, subject="u2"))
-    for x in range(e2):
-        for y in range(e2 + 1, n + 1):
-            if u2(x, y) not in (x, y):
-                log.add(Violation("hypothesis-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
-
-    for x in range(e2):
-        for y in range(e2, n + 1):
-            a, b = u1(x, y), u2(x, y)
-            if a != b:
-                log.add(Violation("clause-i-agreement", (x, y), lhs=a, rhs=b))
-            elif a not in (x, y):
-                log.add(Violation("clause-i-choice", (x, y), lhs=a))
-    for x0 in range(e2):
-        for y0 in range(e1, n + 1):
-            if u2(x0, y0) == y0 and u2(y0, y0) != y0:
-                log.add(Violation("clause-i-side-condition", (x0, y0),
-                                  lhs=u2(y0, y0), rhs=y0, subject="u2",
-                                  detail="second argument picked at a non-idempotent point"))
-
-    for x in range(e2):
-        for y in range(e2, e1 + 1):
-            if u1(x, y) != x:
-                log.add(Violation("clause-ii-min", (x, y), lhs=u1(x, y), rhs=x, subject="u1"))
-            if u2(x, y) != x:
-                log.add(Violation("clause-ii-min", (x, y), lhs=u2(x, y), rhs=x, subject="u2"))
-
-    closed = True
-    for x in range(e2, n + 1):
-        for y in range(x, n + 1):
-            if u1(x, y) < e2:
-                closed = False
-                log.add(Violation("clause-iii-closure", (x, y), lhs=u1(x, y), rhs=e2, subject="u1",
-                                  detail="upper block leaks below e2, no inner uninorm exists"))
-    if closed:
-        inner = _upper_inner(u1, e2)
-        inner_report = validate_uninorm(inner.table, inner.e, verbose=verbose)
-        if not inner_report.verdict:
-            for v in inner_report.violations:
-                log.add(replace(v, law=f"clause-iii-inner-{v.law}", subject="u1",
-                                detail="indices shifted by -e2 onto the upper subchain"))
-        else:
-            s2 = underlying_tconorm(u2)
-            for v in check_distributivity(inner, s2, verbose=verbose).violations:
-                log.add(replace(v, law="clause-iii-distributivity",
-                                detail="indices shifted by -e2 onto the upper subchain"))
-    return log.report()
+    if u1.e <= u2.e:
+        raise WrongCaseError(f"greater-neutral conditions need e1 > e2, got {u1.e} and {u2.e}")
+    return _unequal_conditions(u1, u2, verbose)
 
 
 def less_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
     """Structural conditions for distributivity when e1 < e2.
 
-    Mirror of the greater case under order reversal: u2 must have
-    underlying t-conorm = max and be locally internal, both operations
-    agree (returning an argument) below e2, equal max on the middle strip,
-    and the lower block of u1 forms an inner uninorm distributing over the
-    underlying t-norm of u2.
+    The greater case reflected: u2 must have underlying t-conorm = max and
+    be locally internal, both operations agree (returning an argument)
+    below e2, equal max on the middle strip, and the lower block of u1
+    forms an inner uninorm distributing over the underlying t-norm of u2.
     """
     _same_scale(u1, u2)
-    e1, e2, n = u1.e, u2.e, u1.n
-    if e1 >= e2:
-        raise WrongCaseError(f"less-neutral conditions need e1 < e2, got {e1} and {e2}")
-    log = WitnessLog(verbose)
-
-    for x in range(e2, n + 1):
-        for y in range(x, n + 1):
-            if u2(x, y) != y:  # max(x, y) with x <= y
-                log.add(Violation("hypothesis-tconorm-max", (x, y), lhs=u2(x, y), rhs=y, subject="u2"))
-    for x in range(e2):
-        for y in range(e2 + 1, n + 1):
-            if u2(x, y) not in (x, y):
-                log.add(Violation("hypothesis-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
-
-    for x in range(e2 + 1, n + 1):
-        for y in range(e2 + 1):
-            a, b = u1(x, y), u2(x, y)
-            if a != b:
-                log.add(Violation("clause-i-agreement", (x, y), lhs=a, rhs=b))
-            elif a not in (x, y):
-                log.add(Violation("clause-i-choice", (x, y), lhs=a))
-    for x0 in range(e2 + 1, n + 1):
-        for y0 in range(0, e1 + 1):
-            if u2(x0, y0) == y0 and u2(y0, y0) != y0:
-                log.add(Violation("clause-i-side-condition", (x0, y0),
-                                  lhs=u2(y0, y0), rhs=y0, subject="u2",
-                                  detail="second argument picked at a non-idempotent point"))
-
-    for x in range(e2 + 1, n + 1):
-        for y in range(e1, e2 + 1):
-            if u1(x, y) != x:
-                log.add(Violation("clause-ii-max", (x, y), lhs=u1(x, y), rhs=x, subject="u1"))
-            if u2(x, y) != x:
-                log.add(Violation("clause-ii-max", (x, y), lhs=u2(x, y), rhs=x, subject="u2"))
-
-    closed = True
-    for x in range(e2 + 1):
-        for y in range(x, e2 + 1):
-            if u1(x, y) > e2:
-                closed = False
-                log.add(Violation("clause-iii-closure", (x, y), lhs=u1(x, y), rhs=e2, subject="u1",
-                                  detail="lower block leaks above e2, no inner uninorm exists"))
-    if closed:
-        inner = _lower_inner(u1, e2)
-        inner_report = validate_uninorm(inner.table, inner.e, verbose=verbose)
-        if not inner_report.verdict:
-            for v in inner_report.violations:
-                log.add(replace(v, law=f"clause-iii-inner-{v.law}", subject="u1",
-                                detail="restricted to the lower subchain"))
-        else:
-            t2 = underlying_tnorm(u2)
-            for v in check_distributivity(inner, t2, verbose=verbose).violations:
-                log.add(replace(v, law="clause-iii-distributivity",
-                                detail="restricted to the lower subchain"))
-    return log.report()
-
-
-def greater_necessity_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
-    """Necessary consequences of distributivity when e1 > e2.
-
-    Narrower than the full case conditions: only the strip equalities, the
-    agreement block (y >= e1 rather than y >= e2), the side-condition and
-    the local internality of u2.  Every brute-force-distributive pair must
-    satisfy all of them.
-    """
-    _same_scale(u1, u2)
-    e1, e2, n = u1.e, u2.e, u1.n
-    if e1 <= e2:
-        raise WrongCaseError(f"necessity battery for e1 > e2, got {e1} and {e2}")
-    log = WitnessLog(verbose)
-    for x in range(e2 + 1):
-        for y in range(x, e2 + 1):
-            if u2(x, y) != x:
-                log.add(Violation("necessity-i-tnorm-min", (x, y), lhs=u2(x, y), rhs=x, subject="u2"))
-    for x in range(e2 + 1):  # closed x-range for u1
-        for y in range(e2, e1 + 1):
-            if u1(x, y) != min(x, y):
-                log.add(Violation("necessity-ii-u1-min", (x, y), lhs=u1(x, y), rhs=min(x, y), subject="u1"))
-    for x in range(e2):  # strict x-range for u2
-        for y in range(e2, e1 + 1):
-            if u2(x, y) != x:
-                log.add(Violation("necessity-iii-u2-min", (x, y), lhs=u2(x, y), rhs=x, subject="u2"))
-    for x in range(e2):
-        for y in range(e1, n + 1):
-            a, b = u1(x, y), u2(x, y)
-            if a != b:
-                log.add(Violation("necessity-iv-agreement", (x, y), lhs=a, rhs=b))
-            elif a not in (x, y):
-                log.add(Violation("necessity-iv-choice", (x, y), lhs=a))
-            if b == y and u2(y, y) != y:
-                log.add(Violation("necessity-iv-side-condition", (x, y), lhs=u2(y, y), rhs=y, subject="u2"))
-    for x in range(e2):
-        for y in range(e2 + 1, n + 1):
-            if u2(x, y) not in (x, y):
-                log.add(Violation("necessity-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
-    return log.report()
-
-
-def less_necessity_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
-    """Necessary consequences of distributivity when e1 < e2 (order-reversed mirror)."""
-    _same_scale(u1, u2)
-    e1, e2, n = u1.e, u2.e, u1.n
-    if e1 >= e2:
-        raise WrongCaseError(f"necessity battery for e1 < e2, got {e1} and {e2}")
-    log = WitnessLog(verbose)
-    for x in range(e2, n + 1):
-        for y in range(x, n + 1):
-            if u2(x, y) != y:
-                log.add(Violation("necessity-i-tconorm-max", (x, y), lhs=u2(x, y), rhs=y, subject="u2"))
-    for x in range(e2, n + 1):  # closed x-range for u1
-        for y in range(e1, e2 + 1):
-            if u1(x, y) != max(x, y):
-                log.add(Violation("necessity-ii-u1-max", (x, y), lhs=u1(x, y), rhs=max(x, y), subject="u1"))
-    for x in range(e2 + 1, n + 1):  # strict x-range for u2
-        for y in range(e1, e2 + 1):
-            if u2(x, y) != x:
-                log.add(Violation("necessity-iii-u2-max", (x, y), lhs=u2(x, y), rhs=x, subject="u2"))
-    for x in range(e2 + 1, n + 1):
-        for y in range(e1 + 1):
-            a, b = u1(x, y), u2(x, y)
-            if a != b:
-                log.add(Violation("necessity-iv-agreement", (x, y), lhs=a, rhs=b))
-            elif a not in (x, y):
-                log.add(Violation("necessity-iv-choice", (x, y), lhs=a))
-            if b == y and u2(y, y) != y:
-                log.add(Violation("necessity-iv-side-condition", (x, y), lhs=u2(y, y), rhs=y, subject="u2"))
-    for x in range(e2):
-        for y in range(e2 + 1, n + 1):
-            if u2(x, y) not in (x, y):
-                log.add(Violation("necessity-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
-    return log.report()
+    if u1.e >= u2.e:
+        raise WrongCaseError(f"less-neutral conditions need e1 < e2, got {u1.e} and {u2.e}")
+    return _unequal_conditions(u1, u2, verbose)
 
 
 def necessity_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
-    """Dispatch the necessity battery on the order of the neutral elements."""
-    if u1.e > u2.e:
-        return greater_necessity_conditions(u1, u2, verbose=verbose)
-    if u1.e < u2.e:
-        return less_necessity_conditions(u1, u2, verbose=verbose)
-    raise WrongCaseError("necessity batteries apply to pairs with e1 != e2")
+    """Necessary consequences of distributivity when e1 != e2.
+
+    Narrower than the full case conditions: only the strip equalities, the
+    agreement block (y from e1 outwards rather than the whole block), the
+    side-condition and the local internality of u2.  Every
+    brute-force-distributive pair must satisfy all of them.
+    """
+    if u1.e == u2.e:
+        raise WrongCaseError("necessity batteries apply to pairs with e1 != e2")
+    _same_scale(u1, u2)
+    e2, n = u2.e, u1.n
+    g = _geometry(n, u1.e, e2)
+    log = WitnessLog(verbose)
+    for x, y, v in g.square:
+        if u2(x, y) != v:
+            log.add(Violation(f"necessity-i-{g.unit}", (x, y), lhs=u2(x, y), rhs=v, subject="u2"))
+    for x in g.side:  # closed x-range for u1
+        for y in g.near:
+            if u1(x, y) != g.op(x, y):
+                log.add(Violation(f"necessity-ii-u1-{g.op.__name__}", (x, y),
+                                  lhs=u1(x, y), rhs=g.op(x, y), subject="u1"))
+    for x in g.strip:  # strict x-range for u2
+        for y in g.near:
+            if u2(x, y) != x:
+                log.add(Violation(f"necessity-iii-u2-{g.op.__name__}", (x, y), lhs=u2(x, y), rhs=x, subject="u2"))
+    for x in g.strip:
+        for y in g.far:
+            a, b = u1(x, y), u2(x, y)
+            if a != b:
+                log.add(Violation("necessity-iv-agreement", (x, y), lhs=a, rhs=b))
+            elif a not in (x, y):
+                log.add(Violation("necessity-iv-choice", (x, y), lhs=a))
+            if b == y and u2(y, y) != y:
+                log.add(Violation("necessity-iv-side-condition", (x, y), lhs=u2(y, y), rhs=y, subject="u2"))
+    for x in range(e2):
+        for y in range(e2 + 1, n + 1):
+            if u2(x, y) not in (x, y):
+                log.add(Violation("necessity-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
+    return log.report()
 
 
 _CONDITIONS = {
@@ -452,14 +421,6 @@ class Decomposition:
         return {(x, y): pick for x, y, pick in self.selection}
 
 
-def _greater_selection_domain(n: int, e2: int):
-    return [(x, y) for x in range(e2) for y in range(e2, n + 1)]
-
-
-def _less_selection_domain(n: int, e2: int):
-    return [(x, y) for x in range(e2 + 1, n + 1) for y in range(e2 + 1)]
-
-
 def decompose(u1: Uninorm, u2: Uninorm) -> Decomposition:
     """Split a distributive pair with unequal proper neutrals into its blocks.
 
@@ -479,23 +440,23 @@ def decompose(u1: Uninorm, u2: Uninorm) -> Decomposition:
         raise WrongCaseError(
             f"decomposition needs proper neutral elements, got e1={e1}, e2={e2} on L_{n}"
         )
-    if result.case is TheoremCase.GREATER_NEUTRAL:
-        inner = _upper_inner(u1, e2)
-        boundary = underlying_tconorm(u2)
-        domain = _greater_selection_domain(n, e2)
-    else:
-        inner = _lower_inner(u1, e2)
-        boundary = underlying_tnorm(u2)
-        domain = _less_selection_domain(n, e2)
+    g = _geometry(n, e1, e2)
+    inner = _restriction(u1, g.lo, g.hi, e1 - g.lo)
     selection = tuple(
-        (x, y, Pick.FIRST if u1(x, y) == x else Pick.SECOND) for x, y in domain
+        (x, y, Pick.FIRST if u1(x, y) == x else Pick.SECOND) for x, y in g.domain
     )
-    return Decomposition(result.case, inner, boundary, selection)
+    return Decomposition(result.case, inner, g.boundary(u2), selection)
 
 
 def _reject(law: str, witness: tuple, message: str, **kw) -> CompositionInvalid:
     violation = Violation(law, witness, **kw)
     return CompositionInvalid(CheckReport.from_violations([violation]), f"{message}: {violation.describe()}")
+
+
+_SHAPES = {
+    TheoremCase.GREATER_NEUTRAL: "greater case needs 0 < e2 < e1 < n",
+    TheoremCase.LESS_NEUTRAL: "less case needs 0 < e1 < e2 < n",
+}
 
 
 def compose(d: Decomposition, scale: ChainScale, e1: int, e2: int):
@@ -510,96 +471,49 @@ def compose(d: Decomposition, scale: ChainScale, e1: int, e2: int):
     not idempotent is rejected before assembly.
     """
     n = scale.n
-    greater = d.case is TheoremCase.GREATER_NEUTRAL
-    if greater:
-        if not 0 < e2 < e1 < n:
-            raise _reject("shape", (e1, e2), "greater case needs 0 < e2 < e1 < n")
-        m = n - e2
-        if d.inner.n != m or d.inner.e != e1 - e2:
-            raise _reject("shape", (d.inner.n, d.inner.e),
-                          f"inner must live on L_{m} with neutral {e1 - e2}")
-        if d.boundary_op.n != m or d.boundary_op.e != 0:
-            raise _reject("shape", (d.boundary_op.n, d.boundary_op.e),
-                          f"boundary must be a t-conorm on L_{m}")
-        domain = _greater_selection_domain(n, e2)
-    else:
-        if not 0 < e1 < e2 < n:
-            raise _reject("shape", (e1, e2), "less case needs 0 < e1 < e2 < n")
-        if d.inner.n != e2 or d.inner.e != e1:
-            raise _reject("shape", (d.inner.n, d.inner.e),
-                          f"inner must live on L_{e2} with neutral {e1}")
-        if d.boundary_op.n != e2 or d.boundary_op.e != e2:
-            raise _reject("shape", (d.boundary_op.n, d.boundary_op.e),
-                          f"boundary must be a t-norm on L_{e2}")
-        domain = _less_selection_domain(n, e2)
+    proper = e1 != e2 and 0 < min(e1, e2) and max(e1, e2) < n
+    g = _geometry(n, e1, e2) if proper else None
+    if g is None or g.case is not d.case:
+        raise _reject("shape", (e1, e2), _SHAPES[d.case])
+    lo, m = g.lo, g.hi - g.lo
+    if d.inner.n != m or d.inner.e != e1 - lo:
+        raise _reject("shape", (d.inner.n, d.inner.e),
+                      f"inner must live on L_{m} with neutral {e1 - lo}")
+    if d.boundary_op.n != m or d.boundary_op.e != e2 - lo:
+        raise _reject("shape", (d.boundary_op.n, d.boundary_op.e),
+                      f"boundary must be a {g.boundary_kind} on L_{m}")
 
     sel = d.selection_map()
-    if sorted(sel) != domain or len(sel) != len(d.selection):
+    if tuple(sorted(sel)) != g.domain or len(sel) != len(d.selection):
         raise _reject("selection-domain", (len(sel),),
                       "selection must cover the off-diagonal strip exactly once")
+    for (x, y), pick in sel.items():
+        if pick is Pick.FIRST:
+            continue
+        if y in g.near:
+            raise _reject("clause-ii-selection", (x, y),
+                          f"{g.forced}, cannot pick the second argument")
+        picked = lo + d.boundary_op(y - lo, y - lo)  # y is in the far range
+        if picked != y:
+            raise _reject("side-condition", (x, y), "second argument picked at a "
+                          "point where the boundary operation is not idempotent",
+                          lhs=picked, rhs=y)
 
-    if greater:
-        for (x, y), pick in sel.items():
-            if y <= e1 and pick is Pick.SECOND:
-                raise _reject("clause-ii-selection", (x, y),
-                              "strip up to e1 is forced to min, cannot pick the second argument")
-            if y >= e1 and pick is Pick.SECOND and d.boundary_op(y - e2, y - e2) != y - e2:
-                raise _reject("side-condition", (x, y), "second argument picked at a "
-                              "point where the boundary operation is not idempotent",
-                              lhs=e2 + d.boundary_op(y - e2, y - e2), rhs=y)
-    else:
-        for (x, y), pick in sel.items():
-            if y >= e1 and pick is Pick.SECOND:
-                raise _reject("clause-ii-selection", (x, y),
-                              "strip down to e1 is forced to max, cannot pick the second argument")
-            if y <= e1 and pick is Pick.SECOND and d.boundary_op(y, y) != y:
-                raise _reject("side-condition", (x, y), "second argument picked at a "
-                              "point where the boundary operation is not idempotent",
-                              lhs=d.boundary_op(y, y), rhs=y)
-
-    def strip_value(x, y):
-        pick = sel[(x, y)]
-        return x if pick is Pick.FIRST else y
-
-    if greater:
-        def value1(x, y):
-            if x > y:
+    def assembled(block_op: Uninorm):
+        # block_op on the block, the selection on the strip beyond the near
+        # range, min/max on the rest (a pick in the near range is the first)
+        def value(x, y):
+            if x in g.block and y in g.block:
+                return lo + block_op(x - lo, y - lo)
+            if x in g.block:
                 x, y = y, x
-            if x >= e2:
-                return e2 + d.inner(x - e2, y - e2)
-            if y >= e2:
-                return strip_value(x, y)
-            return x  # free corner, canonical min fill
+            if y in g.block and y not in g.near:
+                return x if sel[(x, y)] is Pick.FIRST else y
+            return g.op(x, y)
+        return value
 
-        def value2(x, y):
-            if x > y:
-                x, y = y, x
-            if x >= e2:
-                return e2 + d.boundary_op(x - e2, y - e2)
-            if y > e1:
-                return strip_value(x, y)
-            return x  # min on the lower square and on the strip up to e1
-    else:
-        def value1(x, y):
-            if x < y:
-                x, y = y, x
-            if x <= e2:
-                return d.inner(x, y)
-            if y <= e2:
-                return strip_value(x, y)
-            return x  # free corner, canonical max fill
-
-        def value2(x, y):
-            if x < y:
-                x, y = y, x
-            if x <= e2:
-                return d.boundary_op(x, y)
-            if y < e1:
-                return strip_value(x, y)
-            return x  # max on the upper square and on the strip down to e1
-
-    table1 = OpTable.from_func(scale, value1)
-    table2 = OpTable.from_func(scale, value2)
+    table1 = OpTable.from_func(scale, assembled(d.inner))
+    table2 = OpTable.from_func(scale, assembled(d.boundary_op))
     for subject, table, e in (("u1", table1, e1), ("u2", table2, e2)):
         rep = validate_uninorm(table, e)
         if not rep.verdict:
@@ -607,7 +521,7 @@ def compose(d: Decomposition, scale: ChainScale, e1: int, e2: int):
             raise CompositionInvalid(CheckReport.from_violations(tagged),
                                      f"assembled {subject} fails the uninorm axioms")
     cand1, cand2 = Uninorm(table1, e1), Uninorm(table2, e2)
-    conditions = (greater_neutral_conditions if greater else less_neutral_conditions)(cand1, cand2)
+    conditions = _CONDITIONS[g.case](cand1, cand2)
     if not conditions.verdict:
         raise CompositionInvalid(conditions, "assembled pair fails the case conditions")
     exhaustive = check_distributivity(cand1, cand2)

@@ -18,12 +18,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .core import ChainScale, OpTable, Uninorm
+from .core import ChainScale, OpTable, Uninorm, validate_uninorm
 from .distributivity import (
     ClassifyResult,
     Decomposition,
     TheoremCase,
-    check_distributivity,
     classify_and_check,
     decompose,
     necessity_conditions,
@@ -139,25 +138,6 @@ def _assoc_ok_after(t, x, y, n):
     return True
 
 
-def _fully_monotone(t, n):
-    for x in range(n):
-        for y in range(n + 1):
-            if t[x][y] > t[x + 1][y]:
-                return False
-    return True
-
-
-def _fully_associative(t, n):
-    rng = range(n + 1)
-    for a in rng:
-        for b in rng:
-            ab = t[a][b]
-            for c in rng:
-                if t[ab][c] != t[a][t[b][c]]:
-                    return False
-    return True
-
-
 def _passes_filters(t, n, e, task):
     if task.idempotent_only and any(t[x][x] != x for x in range(n + 1)):
         return False
@@ -172,14 +152,8 @@ def _passes_filters(t, n, e, task):
 
 
 def _search(t, cells, i, n, e, task, prune_monotone, prune_associative, prune_filters, stats):
+    """Yield every table that fills ``cells[i:]`` within the enabled pruning rules."""
     if i == len(cells):
-        if not prune_monotone and not _fully_monotone(t, n):
-            return
-        if not prune_associative and not _fully_associative(t, n):
-            return
-        if not _passes_filters(t, n, e, task):
-            return
-        stats.emitted += 1
         yield tuple(tuple(row) for row in t)
         return
     x, y = cells[i]
@@ -192,6 +166,31 @@ def _search(t, cells, i, n, e, task, prune_monotone, prune_associative, prune_fi
         t[x][y] = t[y][x] = -1
 
 
+def _completions(task, prefix, flags, stats):
+    """The uninorms whose first free cells hold ``prefix``: full tables from
+    ``_search`` that pass the axioms whose pruning rule is off, and the filters."""
+    n, e = task.scale.n, task.e
+    t = _neutral_table(n, e)
+    cells = _free_cells(n, e)
+    for (x, y), v in zip(cells, prefix):
+        t[x][y] = t[y][x] = v
+    prune_monotone, prune_associative, _ = flags
+    for rows in _search(t, cells, len(prefix), n, e, task, *flags, stats):
+        if not (prune_monotone and prune_associative) and not validate_uninorm(rows, e).verdict:
+            continue
+        if _passes_filters(rows, n, e, task):
+            stats.emitted += 1
+            yield rows
+
+
+def _refuse_above(what: str, n: int, max_n: int) -> None:
+    """Scales above ``max_n`` need a deliberate override, not a default:
+    the search space grows too fast."""
+    if n > max_n:
+        raise SearchLimitError(f"{what} on L_{n} refused: limit is n <= {max_n}; "
+                               f"pass max_n={n} to override")
+
+
 def enumerate_uninorms(task: EnumerationTask, *,
                        max_n: int = DEFAULT_ENUMERATION_LIMIT,
                        prune_monotone: bool = True,
@@ -201,39 +200,22 @@ def enumerate_uninorms(task: EnumerationTask, *,
     """Yield every uninorm on the task's chain with the task's neutral element.
 
     Each table appears exactly once, in lexicographic order of its rows.
-    Scales above ``max_n`` are refused: the search space grows so fast that
-    anything larger needs a deliberate override, not a default.
+    Scales above ``max_n`` are refused.
     """
     n, e = task.scale.n, task.e
-    if n > max_n:
-        raise SearchLimitError(
-            f"enumeration on L_{n} refused: limit is n <= {max_n}; "
-            f"pass max_n={n} explicitly if you really want the blow-up"
-        )
+    _refuse_above("enumeration", n, max_n)
     if stats is None:
         stats = SearchStats()
     if task.conjunctive_only and e == 0:
         return  # row 0 is the identity, so u(0, n) = n: nothing qualifies
-    t = _neutral_table(n, e)
-    cells = _free_cells(n, e)
-    scale = task.scale
-    for rows in _search(t, cells, 0, n, e, task,
-                        prune_monotone, prune_associative, prune_filters, stats):
-        yield Uninorm(OpTable(scale, rows), e)
+    flags = (prune_monotone, prune_associative, prune_filters)
+    for rows in _completions(task, (), flags, stats):
+        yield Uninorm(OpTable(task.scale, rows), e)
 
 
 def _expand_partition(args):
-    task, prefix, max_n, flags = args
-    n, e = task.scale.n, task.e
-    t = _neutral_table(n, e)
-    cells = _free_cells(n, e)
-    stats = SearchStats()
-    for (x, y), v in zip(cells, prefix):
-        t[x][y] = t[y][x] = v
-    out = []
-    for rows in _search(t, cells, len(prefix), n, e, task, *flags, stats):
-        out.append(rows)
-    return out
+    task, prefix, flags = args
+    return list(_completions(task, prefix, flags, SearchStats()))
 
 
 def enumerate_partitioned(task: EnumerationTask, *,
@@ -250,8 +232,7 @@ def enumerate_partitioned(task: EnumerationTask, *,
     worker count.
     """
     n, e = task.scale.n, task.e
-    if n > max_n:
-        raise SearchLimitError(f"enumeration on L_{n} refused: limit is n <= {max_n}")
+    _refuse_above("enumeration", n, max_n)
     cells = _free_cells(n, e)
     depth = max(0, min(depth, len(cells)))
     flags = (prune_monotone, prune_associative, prune_filters)
@@ -259,24 +240,11 @@ def enumerate_partitioned(task: EnumerationTask, *,
     if task.conjunctive_only and e == 0:
         return []
 
-    # collect valid prefixes of the fixed depth with the same pruning rules
-    prefixes: list[tuple] = []
-
-    def collect(t, i, acc):
-        if i == depth:
-            prefixes.append(tuple(acc))
-            return
-        x, y = cells[i]
-        for v in _candidates(t, x, y, n, e, task, prune_monotone, prune_filters):
-            t[x][y] = t[y][x] = v
-            if not prune_associative or _assoc_ok_after(t, x, y, n):
-                acc.append(v)
-                collect(t, i + 1, acc)
-                acc.pop()
-            t[x][y] = t[y][x] = -1
-
-    collect(_neutral_table(n, e), 0, [])
-    jobs = [(task, prefix, max_n, flags) for prefix in prefixes]
+    # the valid prefixes: the same search, stopped at the fixed depth
+    heads = cells[:depth]
+    prefixes = [tuple(rows[x][y] for x, y in heads)
+                for rows in _search(_neutral_table(n, e), heads, 0, n, e, task, *flags, SearchStats())]
+    jobs = [(task, prefix, flags) for prefix in prefixes]
     scale = task.scale
     if workers <= 1 or len(jobs) <= 1:
         chunks = [_expand_partition(job) for job in jobs]
@@ -391,11 +359,7 @@ def certify(scale: ChainScale, *,
     prefix is checked and the report is marked partial.
     """
     n = scale.n
-    if n > max_n:
-        raise SearchLimitError(
-            f"certification on L_{n} refused: limit is n <= {max_n} "
-            f"(pass max_n={n} to override; expect a combinatorial blow-up)"
-        )
+    _refuse_above("certification", n, max_n)
     started = time.perf_counter()
     stats = SearchStats()
     by_e = []
@@ -471,8 +435,7 @@ def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
     decomposition.
     """
     n = scale.n
-    if n > max_n:
-        raise SearchLimitError(f"pair scan on L_{n} refused: limit is n <= {max_n}")
+    _refuse_above("pair scan", n, max_n)
     firsts = list(enumerate_uninorms(EnumerationTask(scale, e1), max_n=max(max_n, n)))
     seconds = list(enumerate_uninorms(EnumerationTask(scale, e2), max_n=max(max_n, n)))
     hits = []
@@ -489,12 +452,3 @@ def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
             hits.append(PairHit(u1, u2, result, necessity, decomposition))
     return hits
 
-
-def universal_bounds_hold(u: Uninorm) -> bool:
-    """Every uninorm distributes over max (e = 0) and over min (e = n)."""
-    n = u.n
-    rows_max = tuple(tuple(max(x, y) for y in range(n + 1)) for x in range(n + 1))
-    rows_min = tuple(tuple(min(x, y) for y in range(n + 1)) for x in range(n + 1))
-    over_max = check_distributivity(u, Uninorm(OpTable(u.scale, rows_max), 0))
-    over_min = check_distributivity(u, Uninorm(OpTable(u.scale, rows_min), n))
-    return over_max.verdict and over_min.verdict

@@ -18,7 +18,7 @@ from unichain import (
 )
 from unichain.errors import SearchLimitError
 from unichain.formats import certification_doc, to_json
-from unichain.search import SearchStats, universal_bounds_hold
+from unichain.search import SearchStats
 
 
 def rows_set(uninorms):
@@ -126,13 +126,6 @@ class TestPartitioning:
         reference = [u.rows for u in enumerate_uninorms(task)]
         got = [u.rows for u in enumerate_partitioned(task, workers=2, depth=2)]
         assert got == reference
-
-
-class TestUniversalBounds:
-    def test_every_l3_uninorm_distributes_over_max_and_min(self, uninorms_by_e):
-        for us in uninorms_by_e(3).values():
-            for u in us:
-                assert universal_bounds_hold(u)
 
 
 class TestCertify:
