@@ -1,7 +1,10 @@
 """Distributivity checking and the structural conditions for distributive pairs.
 
 ``check_distributivity`` is the exhaustive ground truth: it scans every
-triple of the law  u1(x, u2(y,z)) = u2(u1(x,y), u1(x,z)).  The three
+triple of the law  u1(x, u2(y,z)) = u2(u1(x,y), u1(x,z)).
+``distributivity_matrix`` is the same law, through the same formula, batched:
+the verdict for every pair of two stacks of tables, without witnesses; the
+pair scan uses it to find hits before building any per-pair report.  The three
 ``*_conditions`` predicates evaluate the structural characterization for
 the matching order of neutral elements (e1 = e2, e1 > e2, e1 < e2);
 ``classify_and_check`` runs both routes and flags any disagreement as a
@@ -94,6 +97,15 @@ def _pair_grid(m: int):
     return np.triu_indices(m)
 
 
+def _law_sides(a, b, ys, zs):
+    """u1(x, u2(y,z)) and u2(u1(x,y), u1(x,z)) for every x and every grid pair k.
+
+    ``a`` is u1's table, or a stack of them along leading axes; the result
+    has ``a``'s leading axes, then x, then k.
+    """
+    return a[..., b[ys, zs]], b[a[..., ys], a[..., zs]]
+
+
 def check_distributivity(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
     """Exhaustively test that u1 distributes over u2.
 
@@ -101,11 +113,8 @@ def check_distributivity(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> 
     emitted in lexicographic order.
     """
     _same_scale(u1, u2)
-    a = u1.table.array
-    b = u2.table.array
     ys, zs = _pair_grid(u1.n + 1)
-    lhs = a[:, b[ys, zs]]
-    rhs = b[a[:, ys], a[:, zs]]
+    lhs, rhs = _law_sides(u1.table.array, u2.table.array, ys, zs)
     neq = lhs != rhs
     if not neq.any():
         return CheckReport.ok()
@@ -116,6 +125,31 @@ def check_distributivity(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> 
         log.add(Violation("distributivity", (x, int(ys[k]), int(zs[k])),
                           lhs=int(lhs[x, k]), rhs=int(rhs[x, k])))
     return log.report()
+
+
+def distributivity_matrix(firsts, seconds) -> np.ndarray:
+    """The (k1, k2) boolean matrix of "firsts[i] distributes over seconds[j]".
+
+    ``firsts`` and ``seconds`` are stacks of tables, shapes (k1, m, m) and
+    (k2, m, m).  The law is checked exactly as in :func:`check_distributivity`,
+    for every x and y <= z, which is exact for any symmetric second table: no
+    uninorm axiom is assumed.  One numpy evaluation per second table covers
+    the whole first stack, so memory is O(k1 * m * m(m+1)/2).
+    """
+    firsts = np.asarray(firsts, dtype=np.intp)
+    seconds = np.asarray(seconds, dtype=np.intp)
+    out = np.zeros((len(firsts), len(seconds)), dtype=bool)
+    if out.size == 0:
+        return out
+    m = firsts.shape[-1]
+    if firsts.shape[1:] != (m, m) or seconds.shape[1:] != (m, m):
+        raise ScaleMismatchError(f"stacks of shapes {firsts.shape} and {seconds.shape} "
+                                 "are not square tables on one chain")
+    ys, zs = _pair_grid(m)
+    for j, b in enumerate(seconds):
+        lhs, rhs = _law_sides(firsts, b, ys, zs)
+        out[:, j] = (lhs == rhs).reshape(len(firsts), -1).all(axis=1)
+    return out
 
 
 def verify_ordered_semiring(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:

@@ -10,6 +10,13 @@ four lookups became determined with the new cell.  Both pruning rules can
 be switched off (the output set must not change: see the differential
 tests).  Determinism: candidates are tried in ascending order, so tables
 stream out in lexicographic order of their row-major values.
+
+``certify`` classifies every pair through ``classify_and_check``.
+``scan_pairs`` first finds its hits with the batched exhaustive kernel
+(``distributivity_matrix``: one numpy evaluation per u2 against the whole
+u1 stack) and runs the per-pair evidence path (classification, necessity
+battery, decomposition) on the hits only; a hit the per-pair scan rejects
+is an internal inconsistency, never dropped.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import ChainScale, OpTable, Uninorm, validate_uninorm
 from .distributivity import (
     ClassifyResult,
@@ -25,6 +34,7 @@ from .distributivity import (
     TheoremCase,
     classify_and_check,
     decompose,
+    distributivity_matrix,
     necessity_conditions,
 )
 from .errors import InternalConsistencyError, SearchLimitError, StructureError
@@ -279,7 +289,12 @@ class PairDivergence:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of comparing both distributivity routes over a full pair space."""
+    """Outcome of comparing both distributivity routes over a full pair space.
+
+    A complete report asserts what duality implies: palindromic uninorm
+    counts, and equal greater- and less-case counts for all pairs and for
+    distributive pairs.
+    """
 
     scale_n: int
     uninorm_counts: tuple          # ((e, count), ...) for e = 0..n
@@ -299,6 +314,20 @@ class CertificationReport:
             expected = sum(by_e[e1] * by_e[e2] for e1 in by_e for e2 in by_e)
             if self.pairs_checked != expected:
                 raise InternalConsistencyError("pair count does not match the enumeration counts")
+            # duality x -> n - x maps neutral e to n - e and the greater case
+            # onto the less case, distributivity included
+            counts = [c for _, c in self.uninorm_counts]
+            if counts != counts[::-1]:
+                raise InternalConsistencyError(f"uninorm counts {counts} are not palindromic")
+            for label, by_case in (("pair", self.pair_case_counts),
+                                   ("distributive", self.distributive_case_counts)):
+                by_case = dict(by_case)
+                greater = by_case.get(TheoremCase.GREATER_NEUTRAL.value, 0)
+                less = by_case.get(TheoremCase.LESS_NEUTRAL.value, 0)
+                if greater != less:
+                    raise InternalConsistencyError(
+                        f"{label} counts differ between the greater ({greater}) "
+                        f"and less ({less}) cases")
         if (len(self.divergences) == 0) != (self.agreements == self.pairs_checked):
             raise InternalConsistencyError("divergence list disagrees with the agreement count")
 
@@ -430,25 +459,31 @@ def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
                max_n: int = DEFAULT_CERTIFY_LIMIT) -> list:
     """All distributive pairs (u1 with neutral e1, u2 with neutral e2).
 
-    Each hit carries the classification of both routes; for e1 != e2 also
-    the necessity battery, and for proper unequal neutrals the block
-    decomposition.
+    The hits are the True cells of ``distributivity_matrix`` over the two
+    enumerations, u1 outer and u2 inner.  Only the hits take the per-pair
+    evidence path: each carries the classification of both routes; for
+    e1 != e2 also the necessity battery, and for proper unequal neutrals the
+    block decomposition.  A hit the per-pair exhaustive scan rejects raises
+    :class:`InternalConsistencyError`.
     """
     n = scale.n
     _refuse_above("pair scan", n, max_n)
     firsts = list(enumerate_uninorms(EnumerationTask(scale, e1), max_n=max(max_n, n)))
-    seconds = list(enumerate_uninorms(EnumerationTask(scale, e2), max_n=max(max_n, n)))
+    seconds = firsts if e1 == e2 else list(
+        enumerate_uninorms(EnumerationTask(scale, e2), max_n=max(max_n, n)))
+    distributes = distributivity_matrix([u.rows for u in firsts], [u.rows for u in seconds])
     hits = []
     decomposable = e1 != e2 and 0 < min(e1, e2) and max(e1, e2) < n
-    for u1 in firsts:
-        for u2 in seconds:
-            result = classify_and_check(u1, u2)
-            if not result.exhaustive.verdict:
-                continue
-            necessity = necessity_conditions(u1, u2) if e1 != e2 else None
-            decomposition = None
-            if decomposable and result.conditions.verdict:
-                decomposition = decompose(u1, u2)
-            hits.append(PairHit(u1, u2, result, necessity, decomposition))
+    for i1, i2 in zip(*np.nonzero(distributes)):
+        u1, u2 = firsts[i1], seconds[i2]
+        result = classify_and_check(u1, u2)
+        if not result.exhaustive.verdict:
+            raise InternalConsistencyError(
+                f"batched kernel and per-pair scan disagree on pair ({i1}, {i2}) "
+                f"with e1={e1}, e2={e2} on L_{n}")
+        necessity = necessity_conditions(u1, u2) if e1 != e2 else None
+        decomposition = None
+        if decomposable and result.conditions.verdict:
+            decomposition = decompose(u1, u2)
+        hits.append(PairHit(u1, u2, result, necessity, decomposition))
     return hits
-

@@ -130,6 +130,14 @@ class TestCommands:
         assert code == 0
         assert "matches golden" in err
 
+    def test_certify_l4_matches_golden(self, capsys, monkeypatch):
+        from conftest import FIXTURES_DIR
+
+        monkeypatch.setenv("UNICHAIN_FIXTURES_DIR", str(FIXTURES_DIR))
+        code, out, err = run(capsys, "certify", "--n", "4", "--golden", "--no-timing")
+        assert code == 0
+        assert "matches golden" in err
+
     def test_decompose_compose_file_round_trip(self, capsys, tmp_path):
         dec_path = tmp_path / "d.txt"
         code, out, err = run(capsys, "decompose", "--u1", "idemmin(e=2,n=4)",

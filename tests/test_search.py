@@ -1,5 +1,7 @@
 """Enumeration correctness, pruning safety, partitioning, certification."""
 
+from dataclasses import replace
+
 import pytest
 
 import oracles
@@ -16,7 +18,7 @@ from unichain import (
     underlying_tnorm,
     validate_uninorm,
 )
-from unichain.errors import SearchLimitError
+from unichain.errors import InternalConsistencyError, SearchLimitError
 from unichain.formats import certification_doc, to_json
 from unichain.search import SearchStats
 
@@ -170,6 +172,17 @@ class TestCertify:
     def test_refusal_above_limit(self):
         with pytest.raises(SearchLimitError):
             certify(ChainScale(5))
+
+    @pytest.mark.parametrize("field", ("uninorm_counts", "pair_case_counts",
+                                       "distributive_case_counts"))
+    def test_a_broken_duality_count_raises(self, field):
+        report = certify(ChainScale(3))
+        counts = [list(item) for item in getattr(report, field)]
+        counts[0][1] += 1  # the second entry loses what the first gains: totals stay put
+        counts[1][1] -= 1
+        with pytest.raises(InternalConsistencyError, match="palindromic|differ"):
+            replace(report, **{field: tuple(map(tuple, counts))})
+        replace(report, **{field: tuple(map(tuple, counts))}, partial=True)
 
     def test_quick_limit_override(self):
         report = certify(ChainScale(2), max_n=2)
