@@ -42,7 +42,6 @@ from .search import (
     CertificationReport,
     EnumerationTask,
     certify,
-    enumerate_partitioned,
     enumerate_uninorms,
     scan_pairs,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "CertificationReport",
     "EnumerationTask",
     "certify",
-    "enumerate_partitioned",
     "enumerate_uninorms",
     "scan_pairs",
 ]

@@ -37,7 +37,6 @@ from .search import (
     QUICK_CERTIFY_LIMIT,
     EnumerationTask,
     certify,
-    enumerate_partitioned,
     enumerate_uninorms,
     scan_pairs,
 )
@@ -178,10 +177,7 @@ def _cmd_enumerate(args) -> int:
         conjunctive_only=args.conjunctive_only,
     )
     max_n = args.max_n if args.max_n is not None else DEFAULT_ENUMERATION_LIMIT
-    if args.workers > 1:
-        tables = enumerate_partitioned(task, workers=args.workers, max_n=max_n)
-    else:
-        tables = list(enumerate_uninorms(task, max_n=max_n))
+    tables = list(enumerate_uninorms(task, workers=args.workers, max_n=max_n))
     text_body = "".join(
         f"# {i + 1} of {len(tables)}\n{formats.dump_table(u)}\n"
         for i, u in enumerate(tables)

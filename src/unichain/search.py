@@ -6,12 +6,18 @@ The search fills the upper triangle of the table in a fixed traversal
 (increasing x, then y >= x), with the neutral row propagated first.
 Monotonicity prunes a candidate cell immediately via its neighbour bounds;
 associativity is pruned incrementally by checking exactly the triples whose
-four lookups became determined with the new cell.  Both pruning rules can
-be switched off (the output set must not change: see the differential
-tests).  Determinism: candidates are tried in ascending order, so tables
-stream out in lexicographic order of their row-major values.
+four lookups became determined with the new cell.  The task's filters
+restrict the candidates of the cells they read, all of them free cells.
+Determinism: candidates are tried in ascending order, so tables stream out
+in lexicographic order of their row-major values.
 
-``certify`` classifies every pair through ``classify_and_check``.
+The tree is cut after ``PARTITION_DEPTH`` free cells and each prefix is
+expanded on its own, in this process or in worker processes; the parts are
+merged in prefix order.  Neither the cut nor the worker count changes the
+tables, their order, or the ``SearchStats`` counts.
+
+``certify`` classifies every pair through ``classify_and_check``, in
+contiguous slices of the canonical pair list over the same worker map.
 ``scan_pairs`` first finds its hits with the batched exhaustive kernel
 (``distributivity_matrix``: one numpy evaluation per u2 against the whole
 u1 stack) and runs the per-pair evidence path (classification, necessity
@@ -24,10 +30,11 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice, product
 
 import numpy as np
 
-from .core import ChainScale, OpTable, Uninorm, validate_uninorm
+from .core import ChainScale, OpTable, Uninorm
 from .distributivity import (
     ClassifyResult,
     Decomposition,
@@ -42,6 +49,7 @@ from .errors import InternalConsistencyError, SearchLimitError, StructureError
 DEFAULT_ENUMERATION_LIMIT = 6
 DEFAULT_CERTIFY_LIMIT = 4
 QUICK_CERTIFY_LIMIT = 3
+PARTITION_DEPTH = 2
 
 
 @dataclass
@@ -79,28 +87,24 @@ def _neutral_table(n: int, e: int):
     return t
 
 
-def _candidates(t, x, y, n, e, task, prune_monotone, prune_filters):
-    if prune_monotone:
-        lo = 0
-        if x > 0:
-            lo = max(lo, t[x - 1][y])
-        if y > 0:
-            lo = max(lo, t[x][y - 1])
-        hi = n
-        if x < e:
-            hi = min(hi, t[e][y])
-        if y < e:
-            hi = min(hi, t[x][e])
-    else:
-        lo, hi = 0, n
+def _candidates(t, x, y, n, e, task):
+    lo = 0
+    if x > 0:
+        lo = max(lo, t[x - 1][y])
+    if y > 0:
+        lo = max(lo, t[x][y - 1])
+    hi = n
+    if x < e:
+        hi = min(hi, t[e][y])
+    if y < e:
+        hi = min(hi, t[x][e])
     values = range(lo, hi + 1)
-    if prune_filters:
-        if task.idempotent_only and x == y:
-            values = [x] if lo <= x <= hi else []
-        elif task.locally_internal_only and x < e < y:
-            values = [v for v in (x, y) if lo <= v <= hi]
-        if task.conjunctive_only and (x, y) == (0, n):
-            values = [0] if 0 in values else []
+    if task.idempotent_only and x == y:
+        values = [x] if lo <= x <= hi else []
+    elif task.locally_internal_only and x < e < y:
+        values = [v for v in (x, y) if lo <= v <= hi]
+    if task.conjunctive_only and (x, y) == (0, n):
+        values = [0] if 0 in values else []
     return values
 
 
@@ -148,49 +152,41 @@ def _assoc_ok_after(t, x, y, n):
     return True
 
 
-def _passes_filters(t, n, e, task):
-    if task.idempotent_only and any(t[x][x] != x for x in range(n + 1)):
-        return False
-    if task.locally_internal_only:
-        for x in range(e):
-            for y in range(e + 1, n + 1):
-                if t[x][y] not in (x, y):
-                    return False
-    if task.conjunctive_only and t[0][n] != 0:
-        return False
-    return True
-
-
-def _search(t, cells, i, n, e, task, prune_monotone, prune_associative, prune_filters, stats):
-    """Yield every table that fills ``cells[i:]`` within the enabled pruning rules."""
+def _search(t, cells, i, n, e, task, stats):
+    """Yield every table that fills ``cells[i:]`` within the pruning rules."""
     if i == len(cells):
         yield tuple(tuple(row) for row in t)
         return
     x, y = cells[i]
-    for v in _candidates(t, x, y, n, e, task, prune_monotone, prune_filters):
+    for v in _candidates(t, x, y, n, e, task):
         t[x][y] = t[y][x] = v
         stats.nodes_expanded += 1
-        if not prune_associative or _assoc_ok_after(t, x, y, n):
-            yield from _search(t, cells, i + 1, n, e, task,
-                               prune_monotone, prune_associative, prune_filters, stats)
+        if _assoc_ok_after(t, x, y, n):
+            yield from _search(t, cells, i + 1, n, e, task, stats)
         t[x][y] = t[y][x] = -1
 
 
-def _completions(task, prefix, flags, stats):
-    """The uninorms whose first free cells hold ``prefix``: full tables from
-    ``_search`` that pass the axioms whose pruning rule is off, and the filters."""
+def _completions(job):
+    """For ``job = (task, prefix)``: the tables whose first free cells hold
+    ``prefix``, and the number of nodes expanded below it."""
+    task, prefix = job
     n, e = task.scale.n, task.e
     t = _neutral_table(n, e)
     cells = _free_cells(n, e)
     for (x, y), v in zip(cells, prefix):
         t[x][y] = t[y][x] = v
-    prune_monotone, prune_associative, _ = flags
-    for rows in _search(t, cells, len(prefix), n, e, task, *flags, stats):
-        if not (prune_monotone and prune_associative) and not validate_uninorm(rows, e).verdict:
-            continue
-        if _passes_filters(rows, n, e, task):
-            stats.emitted += 1
-            yield rows
+    stats = SearchStats()
+    tables = list(_search(t, cells, len(prefix), n, e, task, stats))
+    return tables, stats.nodes_expanded
+
+
+def _map(fn, jobs, workers):
+    """``fn`` over ``jobs``, results in job order: lazily in this process, or
+    across ``workers`` processes."""
+    if workers <= 1 or len(jobs) <= 1:
+        return map(fn, jobs)
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def _refuse_above(what: str, n: int, max_n: int) -> None:
@@ -202,15 +198,17 @@ def _refuse_above(what: str, n: int, max_n: int) -> None:
 
 
 def enumerate_uninorms(task: EnumerationTask, *,
+                       workers: int = 1,
                        max_n: int = DEFAULT_ENUMERATION_LIMIT,
-                       prune_monotone: bool = True,
-                       prune_associative: bool = True,
-                       prune_filters: bool = True,
                        stats: SearchStats | None = None):
     """Yield every uninorm on the task's chain with the task's neutral element.
 
     Each table appears exactly once, in lexicographic order of its rows.
-    Scales above ``max_n`` are refused.
+    The tree is cut after ``PARTITION_DEPTH`` free cells; the parts below
+    the cut are expanded in prefix order, here or across ``workers``
+    processes, and ``stats`` ends the same for any worker count.  A table
+    not strictly greater than the one before it is a search bug and raises
+    :class:`InternalConsistencyError`.  Scales above ``max_n`` are refused.
     """
     n, e = task.scale.n, task.e
     _refuse_above("enumeration", n, max_n)
@@ -218,58 +216,19 @@ def enumerate_uninorms(task: EnumerationTask, *,
         stats = SearchStats()
     if task.conjunctive_only and e == 0:
         return  # row 0 is the identity, so u(0, n) = n: nothing qualifies
-    flags = (prune_monotone, prune_associative, prune_filters)
-    for rows in _completions(task, (), flags, stats):
-        yield Uninorm(OpTable(task.scale, rows), e)
-
-
-def _expand_partition(args):
-    task, prefix, flags = args
-    return list(_completions(task, prefix, flags, SearchStats()))
-
-
-def enumerate_partitioned(task: EnumerationTask, *,
-                          workers: int = 1,
-                          depth: int = 2,
-                          max_n: int = DEFAULT_ENUMERATION_LIMIT,
-                          prune_monotone: bool = True,
-                          prune_associative: bool = True,
-                          prune_filters: bool = True):
-    """Partition the search tree at a fixed depth and expand each part.
-
-    Partitions share nothing; results are merged in prefix order, so the
-    output list is identical to the single-worker stream regardless of the
-    worker count.
-    """
-    n, e = task.scale.n, task.e
-    _refuse_above("enumeration", n, max_n)
-    cells = _free_cells(n, e)
-    depth = max(0, min(depth, len(cells)))
-    flags = (prune_monotone, prune_associative, prune_filters)
-
-    if task.conjunctive_only and e == 0:
-        return []
-
-    # the valid prefixes: the same search, stopped at the fixed depth
-    heads = cells[:depth]
+    heads = _free_cells(n, e)[:PARTITION_DEPTH]
     prefixes = [tuple(rows[x][y] for x, y in heads)
-                for rows in _search(_neutral_table(n, e), heads, 0, n, e, task, *flags, SearchStats())]
-    jobs = [(task, prefix, flags) for prefix in prefixes]
-    scale = task.scale
-    if workers <= 1 or len(jobs) <= 1:
-        chunks = [_expand_partition(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_expand_partition, jobs))
-    merged = []
-    seen = set()
-    for chunk in chunks:
-        for rows in chunk:
-            if rows in seen:  # duplicates across partitions would be a search bug
-                raise InternalConsistencyError(f"partitioned search produced a duplicate table: {rows}")
-            seen.add(rows)
-            merged.append(Uninorm(OpTable(scale, rows), e))
-    return merged
+                for rows in _search(_neutral_table(n, e), heads, 0, n, e, task, stats)]
+    previous = ()
+    for tables, nodes in _map(_completions, [(task, p) for p in prefixes], workers):
+        stats.nodes_expanded += nodes
+        for rows in tables:
+            if rows <= previous:
+                raise InternalConsistencyError(
+                    f"enumeration on L_{n} with e={e} left lexicographic order at {rows}")
+            previous = rows
+            stats.emitted += 1
+            yield Uninorm(OpTable(task.scale, rows), e)
 
 
 @dataclass(frozen=True)
@@ -309,7 +268,6 @@ class CertificationReport:
 
     def __post_init__(self):
         if not self.partial:
-            total = sum(c for _, c in self.uninorm_counts)
             by_e = dict(self.uninorm_counts)
             expected = sum(by_e[e1] * by_e[e2] for e1 in by_e for e2 in by_e)
             if self.pairs_checked != expected:
@@ -336,42 +294,26 @@ def _check_pair_block(args):
     """Classify a contiguous slice of the canonical pair list."""
     tables_by_e, scale_n, start, stop = args
     scale = ChainScale(scale_n)
-    uni = {
-        e: [Uninorm(OpTable(scale, rows), e) for rows in tables]
-        for e, tables in tables_by_e
-    }
-    order = sorted(uni)
-    sizes = {e: len(uni[e]) for e in order}
+    uninorms = [(e, i, Uninorm(OpTable(scale, rows), e))
+                for e, tables in tables_by_e for i, rows in enumerate(tables)]
     pair_cases: dict[str, int] = {}
     dist_cases: dict[str, int] = {}
     agreements = 0
     divergences = []
-    k = 0
-    for e1 in order:
-        for i1 in range(sizes[e1]):
-            for e2 in order:
-                block = sizes[e2]
-                if k + block <= start or k >= stop:
-                    k += block
-                    continue
-                for i2 in range(block):
-                    if not start <= k < stop:
-                        k += 1
-                        continue
-                    result = classify_and_check(uni[e1][i1], uni[e2][i2])
-                    case = result.case.value
-                    pair_cases[case] = pair_cases.get(case, 0) + 1
-                    if result.exhaustive.verdict:
-                        dist_cases[case] = dist_cases.get(case, 0) + 1
-                    if result.agreement:
-                        agreements += 1
-                    else:
-                        divergences.append(PairDivergence(
-                            e1, i1, e2, i2, case,
-                            result.conditions.verdict, result.exhaustive.verdict,
-                            uni[e1][i1].rows, uni[e2][i2].rows,
-                        ))
-                    k += 1
+    for (e1, i1, u1), (e2, i2, u2) in islice(product(uninorms, repeat=2), start, stop):
+        result = classify_and_check(u1, u2)
+        case = result.case.value
+        pair_cases[case] = pair_cases.get(case, 0) + 1
+        if result.exhaustive.verdict:
+            dist_cases[case] = dist_cases.get(case, 0) + 1
+        if result.agreement:
+            agreements += 1
+        else:
+            divergences.append(PairDivergence(
+                e1, i1, e2, i2, case,
+                result.conditions.verdict, result.exhaustive.verdict,
+                u1.rows, u2.rows,
+            ))
     return pair_cases, dist_cases, agreements, divergences
 
 
@@ -401,21 +343,9 @@ def certify(scale: ChainScale, *,
     limit = total_pairs if pair_budget is None else min(pair_budget, total_pairs)
     partial = limit < total_pairs
 
-    bounds = []
-    if workers <= 1:
-        bounds.append((0, limit))
-    else:
-        step = -(-limit // workers)
-        lo = 0
-        while lo < limit:
-            bounds.append((lo, min(lo + step, limit)))
-            lo += step
-    jobs = [(by_e, n, lo, hi) for lo, hi in bounds]
-    if len(jobs) <= 1 or workers <= 1:
-        results = [_check_pair_block(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_check_pair_block, jobs))
+    step = -(-limit // max(workers, 1)) or 1
+    jobs = [(by_e, n, lo, min(lo + step, limit)) for lo in range(0, limit, step)]
+    results = _map(_check_pair_block, jobs, workers)
 
     pair_cases: dict[str, int] = {}
     dist_cases: dict[str, int] = {}

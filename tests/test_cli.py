@@ -134,9 +134,11 @@ class TestCommands:
         from conftest import FIXTURES_DIR
 
         monkeypatch.setenv("UNICHAIN_FIXTURES_DIR", str(FIXTURES_DIR))
-        code, out, err = run(capsys, "certify", "--n", "4", "--golden", "--no-timing")
-        assert code == 0
-        assert "matches golden" in err
+        for workers in ("1", "2"):
+            code, out, err = run(capsys, "certify", "--n", "4", "--golden", "--no-timing",
+                                 "--workers", workers)
+            assert code == 0, f"--workers {workers}"
+            assert "matches golden" in err, f"--workers {workers}"
 
     def test_decompose_compose_file_round_trip(self, capsys, tmp_path):
         dec_path = tmp_path / "d.txt"

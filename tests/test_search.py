@@ -1,6 +1,7 @@
 """Enumeration correctness, pruning safety, partitioning, certification."""
 
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -9,7 +10,6 @@ from unichain import (
     ChainScale,
     EnumerationTask,
     certify,
-    enumerate_partitioned,
     enumerate_uninorms,
     is_idempotent,
     is_locally_internal,
@@ -18,9 +18,11 @@ from unichain import (
     underlying_tnorm,
     validate_uninorm,
 )
+from unichain import search
+from unichain.core import CheckReport
 from unichain.errors import InternalConsistencyError, SearchLimitError
 from unichain.formats import certification_doc, to_json
-from unichain.search import SearchStats
+from unichain.search import PairDivergence, SearchStats, _check_pair_block
 
 
 def rows_set(uninorms):
@@ -38,7 +40,7 @@ class TestEnumeration:
         # the two completions differ only at u(0, 2)
         assert sorted(u(0, 2) for u in us) == [0, 2]
 
-    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("n", (1, 2, 3))
     def test_matches_the_naive_filter_exactly(self, n):
         for e in range(n + 1):
             ours = rows_set(enumerate_uninorms(EnumerationTask(ChainScale(n), e)))
@@ -73,31 +75,25 @@ class TestEnumeration:
 
 
 class TestPruningSafety:
-    @pytest.mark.parametrize("n", (2, 3))
-    def test_each_rule_preserves_the_output_set(self, n):
-        for e in range(n + 1):
-            task = EnumerationTask(ChainScale(n), e)
-            reference = [u.rows for u in enumerate_uninorms(task)]
-            for flags in (
-                dict(prune_monotone=False),
-                dict(prune_associative=False),
-                dict(prune_monotone=False, prune_associative=False),
-            ):
-                got = [u.rows for u in enumerate_uninorms(task, **flags)]
-                assert got == reference, f"n={n} e={e} flags={flags}"
-
-    def test_filter_pruning_matches_post_hoc(self):
-        for e in range(4):
-            for kwargs in (
-                dict(idempotent_only=True),
-                dict(locally_internal_only=True),
-                dict(conjunctive_only=True),
-                dict(idempotent_only=True, locally_internal_only=True),
-            ):
-                task = EnumerationTask(ChainScale(3), e, **kwargs)
-                pruned = [u.rows for u in enumerate_uninorms(task)]
-                posthoc = [u.rows for u in enumerate_uninorms(task, prune_filters=False)]
-                assert pruned == posthoc
+    @pytest.mark.parametrize("e", range(4))
+    def test_every_filter_combination_matches_the_oracle(self, e):
+        n = 3
+        everything = sorted(oracles.naive_uninorms(n, e))
+        for idempotent, internal, conjunctive in product((False, True), repeat=3):
+            expected = []
+            for rows in everything:
+                if idempotent and any(rows[x][x] != x for x in range(n + 1)):
+                    continue
+                if internal and any(rows[x][y] not in (x, y)
+                                    for x in range(e) for y in range(e + 1, n + 1)):
+                    continue
+                if conjunctive and rows[0][n] != 0:
+                    continue
+                expected.append(rows)
+            task = EnumerationTask(ChainScale(n), e, idempotent_only=idempotent,
+                                   locally_internal_only=internal, conjunctive_only=conjunctive)
+            got = [u.rows for u in enumerate_uninorms(task)]
+            assert got == expected, f"e={e} filters={(idempotent, internal, conjunctive)}"
 
     def test_filters_select_the_right_tables(self, uninorms_by_e):
         everything = uninorms_by_e(3)[1]
@@ -117,17 +113,50 @@ class TestPruningSafety:
 class TestPartitioning:
     @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("depth", (0, 1, 2, 99))
-    def test_equivalent_to_single_stream(self, workers, depth):
+    def test_equivalent_to_single_stream(self, monkeypatch, workers, depth):
         task = EnumerationTask(ChainScale(3), 1)
-        reference = [u.rows for u in enumerate_uninorms(task)]
-        got = [u.rows for u in enumerate_partitioned(task, workers=workers, depth=depth)]
+        reference_stats = SearchStats()
+        reference = [u.rows for u in enumerate_uninorms(task, stats=reference_stats)]
+        monkeypatch.setattr(search, "PARTITION_DEPTH", depth)
+        stats = SearchStats()
+        got = [u.rows for u in enumerate_uninorms(task, workers=workers, stats=stats)]
         assert got == reference
+        assert stats == reference_stats
 
     def test_partitioned_filters(self):
         task = EnumerationTask(ChainScale(3), 2, idempotent_only=True)
         reference = [u.rows for u in enumerate_uninorms(task)]
-        got = [u.rows for u in enumerate_partitioned(task, workers=2, depth=2)]
+        got = [u.rows for u in enumerate_uninorms(task, workers=2)]
         assert got == reference
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_two_workers_give_the_same_stream_and_stats(self, n):
+        for e in range(n + 1):
+            task = EnumerationTask(ChainScale(n), e)
+            runs = []
+            for workers in (1, 2):
+                stats = SearchStats()
+                runs.append(([u.rows for u in enumerate_uninorms(task, workers=workers, stats=stats)],
+                             stats))
+            assert runs[0] == runs[1], f"n={n} e={e}"
+
+    @pytest.mark.parametrize("tamper", ("repeat", "reverse", "duplicate"))
+    def test_a_repeated_or_misordered_part_raises(self, monkeypatch, tamper):
+        original = search._map
+
+        def tampered(fn, jobs, workers):
+            parts = [part for part in original(fn, jobs, workers) if part[0]]
+            assert len(parts) > 1
+            if tamper == "repeat":
+                return parts + parts[-1:]
+            if tamper == "reverse":
+                return parts[::-1]
+            tables, nodes = parts[0]
+            return [(tables + tables[-1:], nodes)] + parts[1:]
+
+        monkeypatch.setattr(search, "_map", tampered)
+        with pytest.raises(InternalConsistencyError, match="lexicographic order"):
+            list(enumerate_uninorms(EnumerationTask(ChainScale(3), 1)))
 
 
 class TestCertify:
@@ -187,6 +216,66 @@ class TestCertify:
     def test_quick_limit_override(self):
         report = certify(ChainScale(2), max_n=2)
         assert report.pairs_checked == 36
+
+
+class TestDivergenceReporting:
+    """A conditions verdict flipped on one chosen L_3 pair surfaces as exactly
+    one divergence, with the pair's indices and rows, however the pair space
+    is sliced."""
+
+    E1, I1, E2, I2 = 2, 3, 1, 4
+    INDEX = (11 + 3) * 22 + (6 + 4)  # canonical position: counts are 6, 5, 5, 6
+
+    @pytest.fixture
+    def flipped(self, monkeypatch, uninorms_by_e):
+        by_e = uninorms_by_e(3)
+        u1, u2 = by_e[self.E1][self.I1], by_e[self.E2][self.I2]
+        assert not oracles.distributes(u1.rows, u2.rows)
+        original = search.classify_and_check
+
+        def classify(a, b):
+            result = original(a, b)
+            if (a.rows, b.rows) == (u1.rows, u2.rows):
+                assert not result.conditions.verdict
+                result = replace(result, conditions=CheckReport.ok())
+            return result
+
+        monkeypatch.setattr(search, "classify_and_check", classify)
+        tables = tuple((e, tuple(u.rows for u in us)) for e, us in sorted(by_e.items()))
+        expected = PairDivergence(self.E1, self.I1, self.E2, self.I2, "greater-neutral",
+                                  True, False, u1.rows, u2.rows)
+        return tables, expected
+
+    @pytest.mark.parametrize("start, stop", [(0, 484), (0, 319), (318, 319), (300, 400),
+                                             (319, 484), (0, 318)])
+    def test_a_block_reports_the_flipped_pair(self, flipped, start, stop):
+        tables, expected = flipped
+        pair_cases, dist_cases, agreements, divergences = _check_pair_block(
+            (tables, 3, start, stop))
+        inside = start <= self.INDEX < stop
+        assert divergences == ([expected] if inside else [])
+        assert sum(pair_cases.values()) == stop - start
+        assert agreements == stop - start - inside
+
+    def test_blocks_concatenate_to_the_full_run(self, flipped):
+        tables, _ = flipped
+        full = _check_pair_block((tables, 3, 0, 484))
+        cuts = (0, 100, 318, 319, 483, 484)
+        pair_cases, dist_cases, agreements, divergences = {}, {}, 0, []
+        for start, stop in zip(cuts, cuts[1:]):
+            pc, dc, agree, div = _check_pair_block((tables, 3, start, stop))
+            for total, part in ((pair_cases, pc), (dist_cases, dc)):
+                for case, count in part.items():
+                    total[case] = total.get(case, 0) + count
+            agreements += agree
+            divergences += div
+        assert (pair_cases, dist_cases, agreements, divergences) == full
+
+    def test_certify_reports_the_divergence(self, flipped):
+        _, expected = flipped
+        report = certify(ChainScale(3), workers=1)
+        assert report.divergences == (expected,)
+        assert report.agreements == 483
 
 
 class TestScanPairs:
