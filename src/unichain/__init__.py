@@ -10,19 +10,16 @@ from .core import (
     ChainScale,
     CheckReport,
     OpTable,
-    RegionTag,
     Uninorm,
     Violation,
-    dual,
     is_conjunctive,
     is_idempotent,
     is_locally_internal,
-    region_of,
     underlying_tconorm,
     underlying_tnorm,
     validate_uninorm,
 )
-from .catalog import FamilySpec, from_string, idem_max, idem_min, luk_upper, make
+from .catalog import FamilySpec, from_string, make
 from .distributivity import (
     ClassifyResult,
     Decomposition,
@@ -36,7 +33,6 @@ from .distributivity import (
     greater_neutral_conditions,
     less_neutral_conditions,
     necessity_conditions,
-    verify_ordered_semiring,
 )
 from .search import (
     CertificationReport,
@@ -52,22 +48,16 @@ __all__ = [
     "ChainScale",
     "CheckReport",
     "OpTable",
-    "RegionTag",
     "Uninorm",
     "Violation",
-    "dual",
     "is_conjunctive",
     "is_idempotent",
     "is_locally_internal",
-    "region_of",
     "underlying_tconorm",
     "underlying_tnorm",
     "validate_uninorm",
     "FamilySpec",
     "from_string",
-    "idem_max",
-    "idem_min",
-    "luk_upper",
     "make",
     "ClassifyResult",
     "Decomposition",
@@ -81,7 +71,6 @@ __all__ = [
     "greater_neutral_conditions",
     "less_neutral_conditions",
     "necessity_conditions",
-    "verify_ordered_semiring",
     "CertificationReport",
     "EnumerationTask",
     "certify",

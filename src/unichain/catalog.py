@@ -123,14 +123,10 @@ def make(spec: FamilySpec) -> Uninorm:
     elif family in _TCONORM_FAMILIES:
         rows = _tconorm_rows(family, n)
     else:
-        if family in ("umin-idempotent", "umin-of"):
-            t = spec.t or Uninorm(OpTable(ChainScale(e), _tnorm_rows("min", e)), e)
-            s = spec.s or Uninorm(OpTable(ChainScale(n - e), _tconorm_rows("max", n - e)), 0)
-            rows = _compose_rows(t, e, s, n, lambda x, y: min(x, y))
-        else:
-            t = spec.t or Uninorm(OpTable(ChainScale(e), _tnorm_rows("min", e)), e)
-            s = spec.s or Uninorm(OpTable(ChainScale(n - e), _tconorm_rows("max", n - e)), 0)
-            rows = _compose_rows(t, e, s, n, lambda x, y: max(x, y))
+        t = spec.t or Uninorm(OpTable(ChainScale(e), _tnorm_rows("min", e)), e)
+        s = spec.s or Uninorm(OpTable(ChainScale(n - e), _tconorm_rows("max", n - e)), 0)
+        off_diag = min if family in ("umin-idempotent", "umin-of") else max
+        rows = _compose_rows(t, e, s, n, off_diag)
 
     table = OpTable(spec.scale, rows)
     report = validate_uninorm(table, e)
@@ -139,36 +135,6 @@ def make(spec: FamilySpec) -> Uninorm:
             f"constructor {family} produced an invalid table: {report.violations[0].describe()}"
         )
     return Uninorm(table, e)
-
-
-def idem_min(n: int, e: int) -> Uninorm:
-    """max where both arguments are >= e, min everywhere else."""
-    return make(FamilySpec("umin-idempotent", ChainScale(n), e))
-
-
-def idem_max(n: int, e: int) -> Uninorm:
-    """min where both arguments are <= e, max everywhere else."""
-    return make(FamilySpec("umax-idempotent", ChainScale(n), e))
-
-
-def _luk_upper_spec(n: int, e: int) -> FamilySpec:
-    scale = ChainScale(n)
-    s = Uninorm(OpTable(ChainScale(n - e), _tconorm_rows("lukasiewicz-tconorm", n - e)), 0)
-    t = Uninorm(OpTable(ChainScale(e), _tnorm_rows("min", e)), e)
-    return FamilySpec("umin-of", scale, e, t=t, s=s)
-
-
-def luk_upper(n: int, e: int) -> Uninorm:
-    """Bounded sum min(n, x+y-e) on [e,n]^2, min everywhere else."""
-    return make(_luk_upper_spec(n, e))
-
-
-def min_tnorm(n: int) -> Uninorm:
-    return make(FamilySpec("min", ChainScale(n), n))
-
-
-def max_tconorm(n: int) -> Uninorm:
-    return make(FamilySpec("max", ChainScale(n), 0))
 
 
 # --- compact spec strings -------------------------------------------------
@@ -330,13 +296,15 @@ def parse_family_spec(text: str) -> FamilySpec:
         raise SpecSyntaxError("n must be at least 1", text, name_pos)
     scale = ChainScale(n)
 
-    if family == "luk-upper":
+    if family == "luk-upper":  # bounded sum min(n, x+y-e) on [e,n]^2, min elsewhere
         if "e" not in ints:
             raise SpecSyntaxError("luk-upper needs an explicit e", text, name_pos)
         e = ints["e"]
         if not 0 < e < n:
             raise ConstructionError(f"luk-upper needs 0 < e < n, got e={e}, n={n}")
-        return _luk_upper_spec(n, e)
+        t = Uninorm(OpTable(ChainScale(e), _tnorm_rows("min", e)), e)
+        s = Uninorm(OpTable(ChainScale(n - e), _tconorm_rows("lukasiewicz-tconorm", n - e)), 0)
+        return FamilySpec("umin-of", scale, e, t=t, s=s)
 
     if family in _TNORM_FAMILIES:
         e = ints.get("e", n)

@@ -8,7 +8,9 @@ summary always goes to stderr, so pipelines stay clean.
 
 Operands for --u1/--u2/--table are either a path to a table document or a
 compact family spec such as ``idemmin(e=2,n=4)``; see the README for the
-grammar and the file formats.
+grammar and the file formats.  Every command takes --format and --out;
+--verbose exists only where witnesses are collected (validate, check) and
+--max-n only where a search runs (enumerate, scan, certify).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     CompositionInvalid,
     ConstructionError,
     DomainError,
+    InvalidUninormError,
     NotDistributiveError,
     SearchLimitError,
     SpecSyntaxError,
@@ -34,7 +37,6 @@ from .errors import (
 from .search import (
     DEFAULT_CERTIFY_LIMIT,
     DEFAULT_ENUMERATION_LIMIT,
-    QUICK_CERTIFY_LIMIT,
     EnumerationTask,
     certify,
     enumerate_uninorms,
@@ -45,8 +47,6 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
-
-FIXTURES_ENV = "UNICHAIN_FIXTURES_DIR"
 
 
 def _say(message: str) -> None:
@@ -75,20 +75,10 @@ def _load_operand(arg: str):
 
 
 def _load_valid_uninorm(arg: str, role: str) -> Uninorm:
+    """An operand that must satisfy the uninorm axioms; a failure is reported
+    under ``role`` with status 1."""
     table, e = _load_operand(arg)
-    report = validate_uninorm(table, e)
-    if not report.verdict:
-        raise _InvalidInput(role, report)
-    return Uninorm(table, e)
-
-
-class _InvalidInput(Exception):
-    """An operand parsed but fails the uninorm axioms; reported with status 1."""
-
-    def __init__(self, role: str, report):
-        self.role = role
-        self.report = report
-        super().__init__(role)
+    return Uninorm.checked(table, e, subject=role)
 
 
 def _cmd_validate(args) -> int:
@@ -230,36 +220,15 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.max_n is not None:
-        max_n = args.max_n
-    elif args.quick:
-        max_n = QUICK_CERTIFY_LIMIT
-    else:
-        max_n = DEFAULT_CERTIFY_LIMIT
+    max_n = args.max_n if args.max_n is not None else DEFAULT_CERTIFY_LIMIT
     report = certify(ChainScale(args.n), workers=args.workers, max_n=max_n,
                      pair_budget=args.pair_budget)
     _emit(args, formats.render_certification(report),
           formats.certification_doc(report, include_timing=not args.no_timing))
-    verdict_ok = len(report.divergences) == 0
-    if args.golden:
-        fixtures = args.fixtures_dir or os.environ.get(FIXTURES_ENV)
-        if not fixtures:
-            _say(f"certify: --golden needs --fixtures-dir or ${FIXTURES_ENV}")
-            return EXIT_USAGE
-        golden_path = Path(fixtures) / f"certify_l{args.n}.json"
-        if not golden_path.exists():
-            _say(f"certify: golden file {golden_path} not found")
-            return EXIT_USAGE
-        ours = formats.to_json(formats.certification_doc(report, include_timing=False))
-        theirs = golden_path.read_text(encoding="utf-8")
-        if ours != theirs:
-            _say(f"certify: report DIFFERS from golden {golden_path}")
-            return EXIT_FALSE
-        _say(f"certify: report matches golden {golden_path}")
     _say(f"certify: L_{args.n} pairs={report.pairs_checked} "
          f"divergences={len(report.divergences)}"
          + (" PARTIAL" if report.partial else ""))
-    return EXIT_OK if verdict_ok else EXIT_FALSE
+    return EXIT_OK if not report.divergences else EXIT_FALSE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,14 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "structured"), default="text",
                         help="output format (structured = versioned JSON)")
     common.add_argument("--out", help="write the report to this path instead of stdout")
-    common.add_argument("--verbose", action="store_true",
-                        help="collect every witness instead of the first per law")
-    common.add_argument("--max-n", type=int, default=None,
-                        help="override the hard scale limit")
+    verbose = argparse.ArgumentParser(add_help=False)
+    verbose.add_argument("--verbose", action="store_true",
+                         help="collect every witness instead of the first per law")
+    limited = argparse.ArgumentParser(add_help=False)
+    limited.add_argument("--max-n", type=int, default=None,
+                         help="override the hard scale limit")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check the uninorm axioms")
+    p = sub.add_parser("validate", parents=[common, verbose], help="check the uninorm axioms")
     p.add_argument("--table", required=True, help="table file or family spec")
     p.set_defaults(func=_cmd_validate)
 
@@ -287,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[common, verbose],
                        help="distributivity of u1 over u2, both routes")
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
@@ -304,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decomposition", required=True, help="decomposition file")
     p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("enumerate", parents=[common], help="enumerate uninorms")
+    p = sub.add_parser("enumerate", parents=[common, limited], help="enumerate uninorms")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--idempotent-only", action="store_true")
@@ -314,27 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partition the search tree across processes")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[common, limited],
                        help="all distributive pairs for a neutral-element pair")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e1", type=int, required=True)
     p.add_argument("--e2", type=int, required=True)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[common, limited],
                        help="compare both distributivity routes over the full pair space")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--quick", action="store_true",
-                   help=f"quick mode: refuse scales above n={QUICK_CERTIFY_LIMIT}")
     p.add_argument("--pair-budget", type=int, default=None,
                    help="stop after this many pairs and mark the report partial")
     p.add_argument("--no-timing", action="store_true",
                    help="omit the wall-time field from structured output")
-    p.add_argument("--golden", action="store_true",
-                   help="compare against the stored golden report")
-    p.add_argument("--fixtures-dir", default=None,
-                   help=f"directory with golden reports (default: ${FIXTURES_ENV})")
     p.set_defaults(func=_cmd_certify)
     return parser
 
@@ -344,8 +309,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InvalidInput as exc:
-        sys.stderr.write(f"{exc.role} fails the uninorm axioms:\n")
+    except InvalidUninormError as exc:
+        sys.stderr.write(f"{exc.subject} fails the uninorm axioms:\n")
         sys.stderr.write(formats.render_report(exc.report))
         return EXIT_FALSE
     except NotDistributiveError as exc:

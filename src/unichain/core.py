@@ -11,9 +11,8 @@ uninorm stays between min and max.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,10 +36,6 @@ class ChainScale:
             raise StructureError(f"chain resolution must be a positive integer, got {self.n!r}")
 
     @property
-    def size(self) -> int:
-        return self.n + 1
-
-    @property
     def points(self) -> range:
         return range(self.n + 1)
 
@@ -61,13 +56,6 @@ class OpTable:
             raise StructureError(violation.describe())
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "OpTable":
-        values = tuple(tuple(int(v) for v in row) for row in rows)
-        if not values:
-            raise StructureError("table has no rows")
-        return cls(ChainScale(len(values) - 1), values)
-
-    @classmethod
     def from_func(cls, scale: ChainScale, op) -> "OpTable":
         pts = scale.points
         return cls(scale, tuple(tuple(op(x, y) for y in pts) for x in pts))
@@ -78,18 +66,14 @@ class OpTable:
         arr.setflags(write=False)
         return arr
 
-    def __getitem__(self, xy) -> int:
-        x, y = xy
-        return self.values[x][y]
-
-
 @dataclass(frozen=True)
 class Uninorm:
     """An operation table together with its neutral element index.
 
     The plain constructor only checks that ``e`` is a valid index; use
     :meth:`checked` when the table comes from an untrusted source, so the
-    neutrality, monotonicity and associativity axioms are verified.
+    neutrality, monotonicity and associativity axioms are verified and a
+    failure raises :class:`InvalidUninormError` naming ``subject``.
     """
 
     table: OpTable
@@ -102,10 +86,10 @@ class Uninorm:
             )
 
     @classmethod
-    def checked(cls, table: OpTable, e: int) -> "Uninorm":
+    def checked(cls, table: OpTable, e: int, subject: str = "table") -> "Uninorm":
         report = validate_uninorm(table, e)
         if not report.verdict:
-            raise InvalidUninormError(report)
+            raise InvalidUninormError(report, subject)
         return cls(table, e)
 
     @property
@@ -134,14 +118,6 @@ class Uninorm:
     @property
     def is_proper(self) -> bool:
         return 0 < self.e < self.n
-
-
-class RegionTag(Enum):
-    """Position of a point relative to the two squares around the neutral element."""
-
-    LOWER_SQUARE = "lower-square"
-    UPPER_SQUARE = "upper-square"
-    OFF_DIAGONAL = "off-diagonal"
 
 
 @dataclass(frozen=True)
@@ -190,13 +166,6 @@ class CheckReport:
         vs = tuple(violations)
         return cls(len(vs) == 0, vs)
 
-    def laws_violated(self) -> tuple:
-        seen = []
-        for v in self.violations:
-            if v.law not in seen:
-                seen.append(v.law)
-        return tuple(seen)
-
 
 class WitnessLog:
     """Collects violations, keeping only the first one per law unless verbose."""
@@ -217,19 +186,6 @@ class WitnessLog:
 
     def report(self) -> CheckReport:
         return CheckReport.from_violations(self._items)
-
-
-def region_of(x: int, y: int, e: int) -> RegionTag:
-    """Classify a point against the squares around e.
-
-    Boundary lines x = e and y = e belong to the squares, so the
-    off-diagonal region is exactly {x < e < y} union {y < e < x}.
-    """
-    if x <= e and y <= e:
-        return RegionTag.LOWER_SQUARE
-    if x >= e and y >= e:
-        return RegionTag.UPPER_SQUARE
-    return RegionTag.OFF_DIAGONAL
 
 
 def _structural_violations(values, n: int) -> Iterator[Violation]:
@@ -344,13 +300,6 @@ def is_conjunctive(u: Uninorm) -> bool:
     if v == u.n:
         return False
     raise InternalConsistencyError(f"valid proper uninorm has u(0,n)={v}, expected 0 or {u.n}")
-
-
-def dual(u: Uninorm) -> Uninorm:
-    """Conjugate by the order reversal x -> n - x; swaps t-norms and t-conorms."""
-    n = u.n
-    rows = tuple(tuple(n - u(n - x, n - y) for y in u.scale.points) for x in u.scale.points)
-    return Uninorm(OpTable(u.scale, rows), n - u.e)
 
 
 def _restriction(u: Uninorm, lo: int, hi: int, new_e: int) -> Uninorm:

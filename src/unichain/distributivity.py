@@ -152,21 +152,6 @@ def distributivity_matrix(firsts, seconds) -> np.ndarray:
     return out
 
 
-def verify_ordered_semiring(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
-    """Check that (L_n, u2, u1, <=) is a commutative ordered semiring.
-
-    Both operations must satisfy the uninorm axioms (commutativity is
-    structural) and u1 must distribute over u2.
-    """
-    _same_scale(u1, u2)
-    violations = []
-    for subject, u in (("u1", u1), ("u2", u2)):
-        rep = validate_uninorm(u.table, u.e, verbose=verbose)
-        violations.extend(replace(v, subject=subject) for v in rep.violations)
-    violations.extend(check_distributivity(u1, u2, verbose=verbose).violations)
-    return CheckReport.from_violations(violations)
-
-
 def equal_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
     """Structural conditions for distributivity when e1 = e2.
 
@@ -228,6 +213,12 @@ class _Geometry:
     def domain(self) -> tuple:
         """The off-diagonal strip a decomposition's selection covers."""
         return tuple((x, y) for x in self.strip for y in self.block)
+
+
+def _proper_unequal(n: int, e1: int, e2: int) -> bool:
+    """Whether neutrals e1 and e2 on L_n admit a block decomposition: they
+    differ and both lie strictly inside the chain."""
+    return e1 != e2 and 0 < min(e1, e2) and max(e1, e2) < n
 
 
 @lru_cache(maxsize=None)
@@ -469,17 +460,22 @@ def decompose(u1: Uninorm, u2: Uninorm) -> Decomposition:
         raise NotDistributiveError(CheckReport.from_violations(failing))
     if result.case is TheoremCase.EQUAL_NEUTRAL:
         raise WrongCaseError("equal neutral elements admit no block decomposition")
-    e1, e2, n = u1.e, u2.e, u1.n
-    if not (0 < min(e1, e2) and max(e1, e2) < n):
+    if not _proper_unequal(u1.n, u1.e, u2.e):
         raise WrongCaseError(
-            f"decomposition needs proper neutral elements, got e1={e1}, e2={e2} on L_{n}"
+            f"decomposition needs proper neutral elements, got e1={u1.e}, e2={u2.e} on L_{u1.n}"
         )
-    g = _geometry(n, e1, e2)
-    inner = _restriction(u1, g.lo, g.hi, e1 - g.lo)
+    return _decompose_checked(u1, u2, result.case)
+
+
+def _decompose_checked(u1: Uninorm, u2: Uninorm, case: TheoremCase) -> Decomposition:
+    """The blocks of a pair its caller has classified as distributive under
+    ``case``, with proper unequal neutrals; nothing is re-checked."""
+    g = _geometry(u1.n, u1.e, u2.e)
+    inner = _restriction(u1, g.lo, g.hi, u1.e - g.lo)
     selection = tuple(
         (x, y, Pick.FIRST if u1(x, y) == x else Pick.SECOND) for x, y in g.domain
     )
-    return Decomposition(result.case, inner, g.boundary(u2), selection)
+    return Decomposition(case, inner, g.boundary(u2), selection)
 
 
 def _reject(law: str, witness: tuple, message: str, **kw) -> CompositionInvalid:
@@ -505,8 +501,7 @@ def compose(d: Decomposition, scale: ChainScale, e1: int, e2: int):
     not idempotent is rejected before assembly.
     """
     n = scale.n
-    proper = e1 != e2 and 0 < min(e1, e2) and max(e1, e2) < n
-    g = _geometry(n, e1, e2) if proper else None
+    g = _geometry(n, e1, e2) if _proper_unequal(n, e1, e2) else None
     if g is None or g.case is not d.case:
         raise _reject("shape", (e1, e2), _SHAPES[d.case])
     lo, m = g.lo, g.hi - g.lo

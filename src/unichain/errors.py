@@ -60,13 +60,15 @@ class ConstructionError(ChainError, ValueError):
 
 
 class InvalidUninormError(ChainError, ValueError):
-    """A table claimed to be a uninorm failed axiom validation."""
+    """A table claimed to be a uninorm failed axiom validation; ``subject``
+    names the table, e.g. the command-line operand it came from."""
 
-    def __init__(self, report):
+    def __init__(self, report, subject: str = "table"):
         self.report = report
+        self.subject = subject
         first = report.violations[0] if report.violations else None
         detail = f": first violation {first}" if first else ""
-        super().__init__(f"table fails uninorm axioms{detail}")
+        super().__init__(f"{subject} fails uninorm axioms{detail}")
 
 
 class NotDistributiveError(ChainError):

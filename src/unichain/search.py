@@ -20,13 +20,16 @@ tables, their order, or the ``SearchStats`` counts.
 contiguous slices of the canonical pair list over the same worker map.
 ``scan_pairs`` first finds its hits with the batched exhaustive kernel
 (``distributivity_matrix``: one numpy evaluation per u2 against the whole
-u1 stack) and runs the per-pair evidence path (classification, necessity
-battery, decomposition) on the hits only; a hit the per-pair scan rejects
-is an internal inconsistency, never dropped.
+u1 stack) and runs the per-pair evidence path on the hits only: one
+classification each, the necessity battery, and the decomposition built from
+that classification; a hit the per-pair scan rejects is an internal
+inconsistency, never dropped.  Worker processes never outnumber the jobs or
+the CPUs available to this process.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -40,15 +43,15 @@ from .distributivity import (
     Decomposition,
     TheoremCase,
     classify_and_check,
-    decompose,
     distributivity_matrix,
     necessity_conditions,
+    _decompose_checked,
+    _proper_unequal,
 )
-from .errors import InternalConsistencyError, SearchLimitError, StructureError
+from .errors import DomainError, InternalConsistencyError, SearchLimitError, StructureError
 
 DEFAULT_ENUMERATION_LIMIT = 6
 DEFAULT_CERTIFY_LIMIT = 4
-QUICK_CERTIFY_LIMIT = 3
 PARTITION_DEPTH = 2
 
 
@@ -180,12 +183,21 @@ def _completions(job):
     return tables, stats.nodes_expanded
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _map(fn, jobs, workers):
     """``fn`` over ``jobs``, results in job order: lazily in this process, or
-    across ``workers`` processes."""
-    if workers <= 1 or len(jobs) <= 1:
+    across at most ``workers`` processes, one per job and per available CPU."""
+    workers = min(workers, len(jobs), _cpus())
+    if workers <= 1:
         return map(fn, jobs)
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 
 
@@ -327,9 +339,12 @@ def certify(scale: ChainScale, *,
     Deterministic for a given scale: counts, ordering and divergence lists
     do not depend on the worker count (only the wall time does).  If a
     ``pair_budget`` is given and the pair space is larger, the canonical
-    prefix is checked and the report is marked partial.
+    prefix is checked and the report is marked partial; a negative budget
+    raises :class:`DomainError`.
     """
     n = scale.n
+    if pair_budget is not None and pair_budget < 0:
+        raise DomainError(f"pair budget must be at least 0, got {pair_budget}")
     _refuse_above("certification", n, max_n)
     started = time.perf_counter()
     stats = SearchStats()
@@ -393,8 +408,8 @@ def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
     enumerations, u1 outer and u2 inner.  Only the hits take the per-pair
     evidence path: each carries the classification of both routes; for
     e1 != e2 also the necessity battery, and for proper unequal neutrals the
-    block decomposition.  A hit the per-pair exhaustive scan rejects raises
-    :class:`InternalConsistencyError`.
+    block decomposition, built from that one classification.  A hit the
+    per-pair exhaustive scan rejects raises :class:`InternalConsistencyError`.
     """
     n = scale.n
     _refuse_above("pair scan", n, max_n)
@@ -403,7 +418,7 @@ def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
         enumerate_uninorms(EnumerationTask(scale, e2), max_n=max(max_n, n)))
     distributes = distributivity_matrix([u.rows for u in firsts], [u.rows for u in seconds])
     hits = []
-    decomposable = e1 != e2 and 0 < min(e1, e2) and max(e1, e2) < n
+    decomposable = _proper_unequal(n, e1, e2)
     for i1, i2 in zip(*np.nonzero(distributes)):
         u1, u2 = firsts[i1], seconds[i2]
         result = classify_and_check(u1, u2)
@@ -414,6 +429,6 @@ def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
         necessity = necessity_conditions(u1, u2) if e1 != e2 else None
         decomposition = None
         if decomposable and result.conditions.verdict:
-            decomposition = decompose(u1, u2)
+            decomposition = _decompose_checked(u1, u2, result.case)
         hits.append(PairHit(u1, u2, result, necessity, decomposition))
     return hits

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))  # for the oracles helper module
+sys.path.insert(0, str(Path(__file__).parent))  # for the oracles and helpers modules
 
 from unichain import ChainScale, EnumerationTask, enumerate_uninorms
 

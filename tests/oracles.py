@@ -92,3 +92,26 @@ def naive_uninorms(n, e):
         if monotone_holds(rows) and associative_holds(rows):
             out.append(rows)
     return out
+
+
+def dual(rows):
+    """Conjugate by the order reversal x -> n - x; swaps t-norms and t-conorms."""
+    n = len(rows) - 1
+    return tuple(tuple(n - rows[n - x][n - y] for y in range(n + 1)) for x in range(n + 1))
+
+
+LOWER_SQUARE, UPPER_SQUARE, OFF_DIAGONAL = "lower-square", "upper-square", "off-diagonal"
+REGIONS = (LOWER_SQUARE, UPPER_SQUARE, OFF_DIAGONAL)
+
+
+def region_of(x, y, e):
+    """Where a point lies against the squares around e.
+
+    Boundary lines x = e and y = e belong to the squares, so the
+    off-diagonal region is exactly {x < e < y} union {y < e < x}.
+    """
+    if x <= e and y <= e:
+        return LOWER_SQUARE
+    if x >= e and y >= e:
+        return UPPER_SQUARE
+    return OFF_DIAGONAL

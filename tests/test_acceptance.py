@@ -14,6 +14,7 @@ import pytest
 
 import oracles
 from conftest import FIXTURES_DIR
+from helpers import dual, max_tconorm, min_tnorm
 from unichain import (
     ChainScale,
     EnumerationTask,
@@ -23,7 +24,6 @@ from unichain import (
     classify_and_check,
     compose,
     decompose,
-    dual,
     enumerate_uninorms,
     equal_neutral_conditions,
     greater_neutral_conditions,
@@ -32,7 +32,6 @@ from unichain import (
     necessity_conditions,
     validate_uninorm,
 )
-from unichain.catalog import max_tconorm, min_tnorm
 from unichain.errors import NotDistributiveError, WrongCaseError
 from unichain.formats import certification_doc, to_json
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import oracles
-from unichain import ChainScale, check_distributivity, scan_pairs
-from unichain import search
+from unichain import ChainScale, check_distributivity, decompose, scan_pairs
+from unichain import distributivity, search
 from unichain.distributivity import distributivity_matrix
 from unichain.errors import InternalConsistencyError, ScaleMismatchError
 
@@ -96,3 +96,31 @@ class TestScanOnTheKernel:
         hits = scan_pairs(ChainScale(3), 1, 1)
         assert calls == [1]
         assert hits
+
+
+PROPER_UNEQUAL_L4 = [(e1, e2) for e1 in range(1, 4) for e2 in range(1, 4) if e1 != e2]
+
+
+class TestOneClassificationPerHit:
+    @pytest.mark.parametrize("e1, e2", PROPER_UNEQUAL_L4)
+    def test_each_hit_decomposes_as_the_public_decompose(self, e1, e2):
+        hits = scan_pairs(ChainScale(4), e1, e2)
+        assert hits
+        for hit in hits:
+            assert hit.decomposition is not None
+            assert hit.decomposition == decompose(hit.u1, hit.u2)
+
+    @pytest.mark.parametrize("e1, e2", PROPER_UNEQUAL_L4)
+    def test_each_hit_is_classified_once(self, monkeypatch, e1, e2):
+        calls = []
+        original = distributivity.classify_and_check
+
+        def counted(u1, u2, **kwargs):
+            calls.append((u1.rows, u2.rows))
+            return original(u1, u2, **kwargs)
+
+        monkeypatch.setattr(search, "classify_and_check", counted)
+        monkeypatch.setattr(distributivity, "classify_and_check", counted)
+        hits = scan_pairs(ChainScale(4), e1, e2)
+        assert hits
+        assert calls == [(hit.u1.rows, hit.u2.rows) for hit in hits]

@@ -3,7 +3,8 @@
 import pytest
 
 import oracles
-from unichain import ChainScale, FamilySpec, dual, from_string, idem_min, luk_upper, make, validate_uninorm
+from helpers import dual
+from unichain import ChainScale, FamilySpec, from_string, make, validate_uninorm
 from unichain.catalog import parse_family_spec
 from unichain.errors import ConstructionError, SpecSyntaxError
 
@@ -30,7 +31,7 @@ class TestClosedForms:
             for x in range(5)
         )
         assert u.rows == expected
-        assert u.rows == luk_upper(4, 2).rows
+        assert u.rows == from_string("luk-upper(e=2,n=4)").rows
 
     def test_lukasiewicz_tnorm_closed_form(self):
         u = make(spec("lukasiewicz-tnorm", 4, 4))
@@ -70,7 +71,7 @@ class TestValidityGrid:
             assert oracles.associative_holds(u.rows)
 
     def test_mutations_get_caught(self):
-        u = idem_min(4, 2)
+        u = make(spec("umin-idempotent", 4, 2))
         rows = [list(r) for r in u.rows]
         rows[3][4] = rows[4][3] = 3  # break the t-conorm part
         report = validate_uninorm(tuple(tuple(r) for r in rows), 2)
@@ -130,9 +131,12 @@ class TestConsistency:
 
 class TestSpecStrings:
     def test_round_trips_through_grammar(self):
-        assert from_string("idemmin(e=2,n=4)").rows == idem_min(4, 2).rows
-        assert from_string("luk-upper(e=2,n=4)").rows == luk_upper(4, 2).rows
-        assert from_string("umin(T=min,S=luk,e=2,n=4)").rows == luk_upper(4, 2).rows
+        assert from_string("idemmin(e=2,n=4)").rows == make(spec("umin-idempotent", 4, 2)).rows
+        assert from_string("idemmax(e=2,n=4)").rows == make(spec("umax-idempotent", 4, 2)).rows
+        luk_upper = make(spec("umin-of", 4, 2, t=make(spec("min", 2, 2)),
+                              s=make(spec("lukasiewicz-tconorm", 2, 0))))
+        assert from_string("luk-upper(e=2,n=4)").rows == luk_upper.rows
+        assert from_string("umin(T=min,S=luk,e=2,n=4)").rows == luk_upper.rows
         assert from_string("min(n=3)").e == 3
         assert from_string("max(n=3)").e == 0
         assert from_string("LUK_TNORM(n=4)").rows == make(spec("lukasiewicz-tnorm", 4, 4)).rows

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
+from conftest import FIXTURES_DIR
+from helpers import idem_min
 from unichain.cli import main
 from unichain.formats import dump_table, parse_table
-from unichain import idem_min
 
 
 def run(capsys, *argv):
@@ -58,11 +59,16 @@ class TestExitContract:
         assert code == 3
         assert "refused" in err
 
-    def test_quick_mode_tightens_the_limit(self, capsys):
-        code, out, err = run(capsys, "certify", "--n", "4", "--quick")
+    def test_max_n_tightens_the_limit(self, capsys):
+        code, out, err = run(capsys, "certify", "--n", "4", "--max-n", "3")
         assert code == 3
-        code, out, err = run(capsys, "certify", "--n", "2", "--quick")
+        code, out, err = run(capsys, "certify", "--n", "2", "--max-n", "3")
         assert code == 0
+
+    def test_negative_pair_budget_is_status_two(self, capsys):
+        code, out, err = run(capsys, "certify", "--n", "2", "--pair-budget", "-5")
+        assert code == 2
+        assert "pair budget" in err and out == ""
 
     def test_usage_error_is_status_two(self):
         with pytest.raises(SystemExit) as err:
@@ -122,23 +128,19 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["pairs-checked"] == 36 and doc["divergences"] == []
 
-    def test_certify_golden_comparison(self, capsys, tmp_path, monkeypatch):
-        from conftest import FIXTURES_DIR
-
-        monkeypatch.setenv("UNICHAIN_FIXTURES_DIR", str(FIXTURES_DIR))
-        code, out, err = run(capsys, "certify", "--n", "2", "--golden", "--no-timing")
+    def test_certify_golden_comparison(self, capsys):
+        code, out, err = run(capsys, "certify", "--n", "2", "--format", "structured",
+                             "--no-timing")
         assert code == 0
-        assert "matches golden" in err
+        assert out == (FIXTURES_DIR / "certify_l2.json").read_text(encoding="utf-8")
 
-    def test_certify_l4_matches_golden(self, capsys, monkeypatch):
-        from conftest import FIXTURES_DIR
-
-        monkeypatch.setenv("UNICHAIN_FIXTURES_DIR", str(FIXTURES_DIR))
+    def test_certify_l4_matches_golden(self, capsys):
+        golden = (FIXTURES_DIR / "certify_l4.json").read_text(encoding="utf-8")
         for workers in ("1", "2"):
-            code, out, err = run(capsys, "certify", "--n", "4", "--golden", "--no-timing",
-                                 "--workers", workers)
+            code, out, err = run(capsys, "certify", "--n", "4", "--format", "structured",
+                                 "--no-timing", "--workers", workers)
             assert code == 0, f"--workers {workers}"
-            assert "matches golden" in err, f"--workers {workers}"
+            assert out == golden, f"--workers {workers}"
 
     def test_decompose_compose_file_round_trip(self, capsys, tmp_path):
         dec_path = tmp_path / "d.txt"
@@ -175,7 +177,15 @@ class TestCommands:
         path.write_text("scale 2\nneutral 1\n0 0 2\n0 1 2\n2 2 1\n")
         code, out, err = run(capsys, "check", "--u1", str(path), "--u2", "max(n=2)")
         assert code == 1
-        assert "fails the uninorm axioms" in err
+        assert "u1 fails the uninorm axioms" in err
+
+    def test_invalid_second_operand_is_named(self, capsys, tmp_path):
+        path = tmp_path / "nonmono.tbl"
+        path.write_text("scale 2\nneutral 1\n0 0 2\n0 1 2\n2 2 1\n")
+        code, out, err = run(capsys, "check", "--u1", "max(n=2)", "--u2", str(path))
+        assert code == 1
+        assert "u2 fails the uninorm axioms" in err
+        assert "u1 fails" not in err
 
 
 class TestConsoleScript:

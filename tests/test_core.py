@@ -5,24 +5,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from helpers import dual, idem_max, idem_min, laws_violated, luk_upper, min_tnorm, table_of
 from unichain import (
     ChainScale,
-    OpTable,
-    RegionTag,
     Uninorm,
-    dual,
-    idem_max,
-    idem_min,
     is_conjunctive,
     is_idempotent,
     is_locally_internal,
-    luk_upper,
-    region_of,
     underlying_tconorm,
     underlying_tnorm,
     validate_uninorm,
 )
-from unichain.catalog import min_tnorm
 from unichain.errors import (
     EmptyRestrictionError,
     InvalidUninormError,
@@ -41,40 +34,40 @@ def mutate(u, x, y, v):
 class TestOpTable:
     def test_symmetry_enforced(self):
         with pytest.raises(StructureError, match="not symmetric"):
-            OpTable.from_rows([[0, 0, 1], [0, 1, 2], [0, 2, 2]])
+            table_of([[0, 0, 1], [0, 1, 2], [0, 2, 2]])
 
     def test_range_enforced(self):
         with pytest.raises(StructureError, match="out of range"):
-            OpTable.from_rows([[0, 0, 0], [0, 1, 2], [0, 2, 7]])
+            table_of([[0, 0, 0], [0, 1, 2], [0, 2, 7]])
 
     def test_shape_enforced(self):
         with pytest.raises(StructureError, match="entries"):
-            OpTable.from_rows([[0, 0], [0, 1], [0, 1]])
+            table_of([[0, 0], [0, 1], [0, 1]])
 
     def test_bad_neutral_index(self):
-        table = OpTable.from_rows([[0, 0], [0, 1]])
+        table = table_of([[0, 0], [0, 1]])
         with pytest.raises(StructureError, match="neutral"):
             Uninorm(table, 5)
 
 
 class TestRegions:
     def test_examples(self):
-        assert region_of(1, 1, 2) is RegionTag.LOWER_SQUARE
-        assert region_of(1, 3, 2) is RegionTag.OFF_DIAGONAL
-        assert region_of(2, 2, 2) is RegionTag.LOWER_SQUARE  # boundary joins the squares
-        assert region_of(3, 3, 2) is RegionTag.UPPER_SQUARE
-        assert region_of(2, 3, 2) is RegionTag.UPPER_SQUARE
+        assert oracles.region_of(1, 1, 2) == oracles.LOWER_SQUARE
+        assert oracles.region_of(1, 3, 2) == oracles.OFF_DIAGONAL
+        assert oracles.region_of(2, 2, 2) == oracles.LOWER_SQUARE  # boundary joins the squares
+        assert oracles.region_of(3, 3, 2) == oracles.UPPER_SQUARE
+        assert oracles.region_of(2, 3, 2) == oracles.UPPER_SQUARE
 
     @given(st.integers(1, 8), st.data())
     def test_partition(self, n, data):
         e = data.draw(st.integers(0, n))
-        counts = {tag: 0 for tag in RegionTag}
+        counts = {tag: 0 for tag in oracles.REGIONS}
         for x in range(n + 1):
             for y in range(n + 1):
-                counts[region_of(x, y, e)] += 1
+                counts[oracles.region_of(x, y, e)] += 1
         assert sum(counts.values()) == (n + 1) ** 2
         # the strict off-diagonal region has 2 * e * (n - e) points
-        assert counts[RegionTag.OFF_DIAGONAL] == 2 * e * (n - e)
+        assert counts[oracles.OFF_DIAGONAL] == 2 * e * (n - e)
 
 
 class TestValidateUninorm:
@@ -93,7 +86,7 @@ class TestValidateUninorm:
         # drop u(3,3) of the idempotent fixture below u(2,3)
         rows = mutate(idem_min(4, 2), 3, 3, 2)
         report = validate_uninorm(rows, 2)
-        assert "monotonicity" in report.laws_violated()
+        assert "monotonicity" in laws_violated(report)
         v = next(v for v in report.violations if v.law == "monotonicity")
         x, xp, y = v.witness
         assert rows[x][y] > rows[xp][y]
@@ -125,14 +118,14 @@ class TestValidateUninorm:
         assert found is not None, "perturbation search found no commutative monotone defect"
         report = validate_uninorm(found, 1)
         assert not report.verdict
-        assert report.laws_violated() == ("associativity",)
+        assert laws_violated(report) == ("associativity",)
         a, b, c = report.violations[0].witness
         assert found[found[a][b]][c] != found[a][found[b][c]]
 
     def test_structure_reported_not_raised_for_raw_rows(self):
         report = validate_uninorm([[0, 0], [0, 9]], 1)
         assert not report.verdict
-        assert report.laws_violated() == ("structure",)
+        assert laws_violated(report) == ("structure",)
 
     def test_verbose_collects_all_witnesses(self):
         rows = mutate(idem_min(4, 2), 2, 3, 2)
@@ -185,7 +178,7 @@ class TestPredicates:
             (4, 4, 4, 4, 4),
         )
         assert validate_uninorm(rows, 1).verdict
-        u = Uninorm(OpTable.from_rows(rows), 1)
+        u = Uninorm(table_of(rows), 1)
         assert not is_locally_internal(u)
         assert u(0, 3) == 2  # 2 is neither argument
 
@@ -256,15 +249,23 @@ class TestUnderlyingOps:
                 for u in us:
                     for x in range(n + 1):
                         for y in range(n + 1):
-                            if region_of(x, y, e) is RegionTag.OFF_DIAGONAL:
+                            if oracles.region_of(x, y, e) == oracles.OFF_DIAGONAL:
                                 assert min(x, y) <= u(x, y) <= max(x, y)
 
 
 class TestCheckedConstructor:
     def test_checked_rejects_invalid(self):
         rows = mutate(idem_min(4, 2), 2, 3, 2)
-        with pytest.raises(InvalidUninormError):
-            Uninorm.checked(OpTable.from_rows(rows), 2)
+        with pytest.raises(InvalidUninormError, match="^table fails") as raised:
+            Uninorm.checked(table_of(rows), 2)
+        assert raised.value.subject == "table"
+        assert not raised.value.report.verdict
+
+    def test_checked_names_its_subject(self):
+        rows = mutate(idem_min(4, 2), 2, 3, 2)
+        with pytest.raises(InvalidUninormError, match="^u2 fails") as raised:
+            Uninorm.checked(table_of(rows), 2, subject="u2")
+        assert raised.value.subject == "u2"
 
     def test_checked_accepts_valid(self):
         u = Uninorm.checked(idem_min(4, 2).table, 2)

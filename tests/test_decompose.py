@@ -3,33 +3,29 @@
 import pytest
 
 import oracles
+from helpers import dual, idem_max, idem_min, luk_upper, max_tconorm, min_tnorm, table_of
 from unichain import (
     ChainScale,
     Decomposition,
-    OpTable,
     Pick,
     TheoremCase,
     Uninorm,
     check_distributivity,
     compose,
     decompose,
-    dual,
     greater_neutral_conditions,
-    idem_max,
-    idem_min,
-    luk_upper,
     validate_uninorm,
 )
-from unichain.catalog import max_tconorm, min_tnorm, make, FamilySpec
+from unichain.catalog import make, FamilySpec
 from unichain.errors import CompositionInvalid, NotDistributiveError, WrongCaseError
 
 
 def max_on(n):
-    return Uninorm(OpTable.from_rows([[max(x, y) for y in range(n + 1)] for x in range(n + 1)]), 0)
+    return Uninorm(table_of([[max(x, y) for y in range(n + 1)] for x in range(n + 1)]), 0)
 
 
 def luk_tconorm_on(n):
-    return Uninorm(OpTable.from_rows([[min(n, x + y) for y in range(n + 1)] for x in range(n + 1)]), 0)
+    return Uninorm(table_of([[min(n, x + y) for y in range(n + 1)] for x in range(n + 1)]), 0)
 
 
 class TestDecompose:
@@ -65,7 +61,7 @@ class TestDecompose:
         # the pair is refused because e1 = n leaves no upper t-conorm block
         rows = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 2, 2), (0, 1, 2, 3))
         assert validate_uninorm(rows, 3).verdict
-        u1 = Uninorm(OpTable.from_rows(rows), 3)
+        u1 = Uninorm(table_of(rows), 3)
         u2 = idem_min(3, 2)
         assert oracles.distributes(u1.rows, u2.rows)
         assert greater_neutral_conditions(u1, u2).verdict

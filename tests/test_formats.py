@@ -1,21 +1,17 @@
 """Table and decomposition documents, structured reports, golden regression."""
 
-import os
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR
+from helpers import idem_min, luk_upper
 from unichain import (
     ChainScale,
     EnumerationTask,
     certify,
     decompose,
     enumerate_uninorms,
-    idem_min,
-    luk_upper,
     validate_uninorm,
 )
 from unichain.errors import TableFormatError
@@ -131,8 +127,7 @@ class TestStructuredDocs:
 class TestGoldenRegression:
     @pytest.mark.parametrize("n", (2, 3))
     def test_certification_matches_the_frozen_report(self, n):
-        fixtures = Path(os.environ.get("UNICHAIN_FIXTURES_DIR", FIXTURES_DIR))
-        golden = (fixtures / f"certify_l{n}.json").read_text(encoding="utf-8")
+        golden = (FIXTURES_DIR / f"certify_l{n}.json").read_text(encoding="utf-8")
         report = certify(ChainScale(n))
         ours = to_json(certification_doc(report, include_timing=False))
         assert ours == golden

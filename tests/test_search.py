@@ -1,5 +1,6 @@
 """Enumeration correctness, pruning safety, partitioning, certification."""
 
+import os
 from dataclasses import replace
 from itertools import product
 
@@ -20,7 +21,7 @@ from unichain import (
 )
 from unichain import search
 from unichain.core import CheckReport
-from unichain.errors import InternalConsistencyError, SearchLimitError
+from unichain.errors import DomainError, InternalConsistencyError, SearchLimitError
 from unichain.formats import certification_doc, to_json
 from unichain.search import PairDivergence, SearchStats, _check_pair_block
 
@@ -217,6 +218,82 @@ class TestCertify:
         report = certify(ChainScale(2), max_n=2)
         assert report.pairs_checked == 36
 
+    def test_negative_pair_budget_refused_before_enumerating(self, monkeypatch):
+        enumerated = []
+        monkeypatch.setattr(search, "enumerate_uninorms",
+                            lambda task, **kwargs: enumerated.append(task) or iter(()))
+        with pytest.raises(DomainError, match="pair budget must be at least 0, got -5"):
+            certify(ChainScale(2), pair_budget=-5)
+        assert enumerated == []
+
+    def test_zero_pair_budget_is_an_empty_partial_report(self):
+        report = certify(ChainScale(2), pair_budget=0)
+        assert report.partial and report.pairs_checked == 0 and report.agreements == 0
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with one that runs in this process and
+    records the ``max_workers`` it was asked for."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def set_cpus(monkeypatch, affinity, count):
+    """Pretend this process may run on ``affinity`` CPUs (None: the platform
+    has no affinity call) of a machine with ``count``."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                            raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+class TestWorkerCount:
+    def certify_doc(self, **kwargs):
+        return to_json(certification_doc(certify(ChainScale(2), **kwargs), include_timing=False))
+
+    @pytest.mark.parametrize("affinity, count, expected", [
+        (2, 8, [2]),     # the CPUs this process may use, not the machine's
+        (None, 3, [3]),  # no affinity call: the machine's CPU count
+        (1, 8, []),      # one CPU: no pool at all
+        (None, None, []),
+    ], ids=["affinity", "cpu-count", "one-cpu", "unknown"])
+    def test_no_more_processes_than_cpus(self, monkeypatch, pool_sizes, affinity, count, expected):
+        serial = self.certify_doc(workers=1)
+        set_cpus(monkeypatch, affinity, count)
+        assert self.certify_doc(workers=6) == serial
+        assert pool_sizes == expected
+
+    def test_no_more_processes_than_jobs(self, monkeypatch, pool_sizes):
+        set_cpus(monkeypatch, 16, 16)
+        assert list(search._map(abs, [-1, -2, -3], 8)) == [1, 2, 3]
+        assert list(search._map(abs, [-1], 8)) == [1]
+        assert pool_sizes == [3]
+
+    def test_enumeration_is_capped_too(self, monkeypatch, pool_sizes):
+        task = EnumerationTask(ChainScale(3), 1)
+        serial = [u.rows for u in enumerate_uninorms(task)]
+        set_cpus(monkeypatch, 2, 2)
+        assert [u.rows for u in enumerate_uninorms(task, workers=5)] == serial
+        assert pool_sizes == [2]
+
 
 class TestDivergenceReporting:
     """A conditions verdict flipped on one chosen L_3 pair surfaces as exactly
@@ -299,7 +376,7 @@ class TestScanPairs:
             assert s2.rows == tuple(tuple(max(x, y) for y in range(2)) for x in range(2))
 
     def test_duality_bijection(self):
-        from unichain import dual
+        from helpers import dual
 
         greater = scan_pairs(ChainScale(3), 2, 1)
         less = scan_pairs(ChainScale(3), 1, 2)
