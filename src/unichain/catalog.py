@@ -5,6 +5,10 @@ and the U-min / U-max compositors that fill the off-diagonal region with
 min resp. max around given underlying operations).  The product t-norm is
 deliberately absent: it is not closed on an integer chain.
 
+Only the three t-norm formulas are written out.  Each t-conorm is its
+twin's image under the order reversal x -> n - x:
+S(x, y) = n - T(n - x, n - y).
+
 Families are also expressible as compact strings, e.g.
 ``idemmin(e=2,n=4)`` or ``umin(T=luk,S=max,e=2,n=4)``; see
 :func:`parse_family_spec`.
@@ -15,25 +19,21 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from .core import ChainScale, OpTable, Uninorm, validate_uninorm
+from .core import ChainScale, OpTable, Uninorm, refuse_large_scale, validate_uninorm
 from .errors import ConstructionError, InternalConsistencyError, SpecSyntaxError
 
-FAMILIES = (
-    "min",
-    "max",
-    "lukasiewicz-tnorm",
-    "lukasiewicz-tconorm",
-    "drastic-tnorm",
-    "drastic-tconorm",
-    "umin-idempotent",
-    "umax-idempotent",
-    "umin-of",
-    "umax-of",
-)
-
-_TNORM_FAMILIES = {"min", "lukasiewicz-tnorm", "drastic-tnorm"}
-_TCONORM_FAMILIES = {"max", "lukasiewicz-tconorm", "drastic-tconorm"}
-_PROPER_FAMILIES = {"umin-idempotent", "umax-idempotent", "umin-of", "umax-of"}
+_TNORMS = {
+    "min": lambda x, y, n: min(x, y),
+    "lukasiewicz-tnorm": lambda x, y, n: max(0, x + y - n),
+    "drastic-tnorm": lambda x, y, n: min(x, y) if max(x, y) == n else 0,
+}
+_TCONORMS = {  # each t-conorm with its t-norm twin
+    "max": "min",
+    "lukasiewicz-tconorm": "lukasiewicz-tnorm",
+    "drastic-tconorm": "drastic-tnorm",
+}
+_PROPER = ("umin-idempotent", "umax-idempotent", "umin-of", "umax-of")
+FAMILIES = (*_TNORMS, *_TCONORMS, *_PROPER)
 
 
 @dataclass(frozen=True)
@@ -51,43 +51,6 @@ class FamilySpec:
     s: Uninorm | None = None
 
 
-def _tnorm_rows(name: str, n: int):
-    if name == "min":
-        return tuple(tuple(min(x, y) for y in range(n + 1)) for x in range(n + 1))
-    if name == "lukasiewicz-tnorm":
-        return tuple(tuple(max(0, x + y - n) for y in range(n + 1)) for x in range(n + 1))
-    if name == "drastic-tnorm":
-        return tuple(
-            tuple(min(x, y) if max(x, y) == n else 0 for y in range(n + 1))
-            for x in range(n + 1)
-        )
-    raise InternalConsistencyError(f"no t-norm rows for {name}")
-
-
-def _tconorm_rows(name: str, n: int):
-    if name == "max":
-        return tuple(tuple(max(x, y) for y in range(n + 1)) for x in range(n + 1))
-    if name == "lukasiewicz-tconorm":
-        return tuple(tuple(min(n, x + y) for y in range(n + 1)) for x in range(n + 1))
-    if name == "drastic-tconorm":
-        return tuple(
-            tuple(max(x, y) if min(x, y) == 0 else n for y in range(n + 1))
-            for x in range(n + 1)
-        )
-    raise InternalConsistencyError(f"no t-conorm rows for {name}")
-
-
-def _compose_rows(t: Uninorm, e: int, s: Uninorm, n: int, off_diag):
-    def value(x, y):
-        if x <= e and y <= e:
-            return t(x, y)
-        if x >= e and y >= e:
-            return e + s(x - e, y - e)
-        return off_diag(x, y)
-
-    return tuple(tuple(value(x, y) for y in range(n + 1)) for x in range(n + 1))
-
-
 def make(spec: FamilySpec) -> Uninorm:
     """Build the table selected by ``spec`` and verify it is a uninorm.
 
@@ -98,11 +61,11 @@ def make(spec: FamilySpec) -> Uninorm:
     family, n, e = spec.family, spec.scale.n, spec.e
     if family not in FAMILIES:
         raise ConstructionError(f"unknown family {family!r}")
-    if family in _TNORM_FAMILIES and e != n:
+    if family in _TNORMS and e != n:
         raise ConstructionError(f"{family} needs e = n, got e={e}, n={n}")
-    if family in _TCONORM_FAMILIES and e != 0:
+    if family in _TCONORMS and e != 0:
         raise ConstructionError(f"{family} needs e = 0, got e={e}")
-    if family in _PROPER_FAMILIES and not 0 < e < n:
+    if family in _PROPER and not 0 < e < n:
         raise ConstructionError(f"{family} needs 0 < e < n, got e={e}, n={n}")
     if family in ("umin-of", "umax-of"):
         if spec.t is None or spec.s is None:
@@ -118,17 +81,25 @@ def make(spec: FamilySpec) -> Uninorm:
     elif spec.t is not None or spec.s is not None:
         raise ConstructionError(f"{family} takes no T/S sub-operations")
 
-    if family in _TNORM_FAMILIES:
-        rows = _tnorm_rows(family, n)
-    elif family in _TCONORM_FAMILIES:
-        rows = _tconorm_rows(family, n)
-    else:
-        t = spec.t or Uninorm(OpTable(ChainScale(e), _tnorm_rows("min", e)), e)
-        s = spec.s or Uninorm(OpTable(ChainScale(n - e), _tconorm_rows("max", n - e)), 0)
+    if family in _PROPER:
+        t = spec.t or make(FamilySpec("min", ChainScale(e), e))
+        s = spec.s or make(FamilySpec("max", ChainScale(n - e), 0))
         off_diag = min if family in ("umin-idempotent", "umin-of") else max
-        rows = _compose_rows(t, e, s, n, off_diag)
 
-    table = OpTable(spec.scale, rows)
+        def op(x, y):
+            if x <= e and y <= e:
+                return t(x, y)
+            if x >= e and y >= e:
+                return e + s(x - e, y - e)
+            return off_diag(x, y)
+    else:  # a t-norm, or a t-conorm as its twin conjugated by x -> n - x
+        tnorm = _TNORMS[_TCONORMS.get(family, family)]
+        r = (lambda v: n - v) if family in _TCONORMS else (lambda v: v)
+
+        def op(x, y):
+            return r(tnorm(r(x), r(y), n))
+
+    table = OpTable.from_func(spec.scale, op)
     report = validate_uninorm(table, e)
     if not report.verdict:
         raise InternalConsistencyError(
@@ -143,48 +114,19 @@ def make(spec: FamilySpec) -> Uninorm:
 # arg    := key "=" value
 # value  := integer | name | spec          (nested spec for T= / S=)
 #
-# Names are case-insensitive; "-" and "_" are interchangeable.  Bare names
-# in a T= slot mean a t-norm on L_e (min, luk, drastic); in an S= slot a
-# t-conorm on L_{n-e} (max, luk, drastic).
+# Names are case-insensitive; "-" and "_" are interchangeable.  A name is a
+# family's canonical name or one of the shorthands below.  In a T= slot a
+# bare luk, lukasiewicz or drastic means the t-norm on L_e, in an S= slot the
+# t-conorm on L_{n-e}.
 
-_TOP_LEVEL_ALIASES = {
-    "min": "min",
-    "max": "max",
+_SHORTHANDS = {
     "luk-tnorm": "lukasiewicz-tnorm",
-    "lukasiewicz-tnorm": "lukasiewicz-tnorm",
     "luk-tconorm": "lukasiewicz-tconorm",
-    "lukasiewicz-tconorm": "lukasiewicz-tconorm",
-    "drastic-tnorm": "drastic-tnorm",
-    "drastic-tconorm": "drastic-tconorm",
     "idemmin": "umin-idempotent",
-    "umin-idempotent": "umin-idempotent",
     "idemmax": "umax-idempotent",
-    "umax-idempotent": "umax-idempotent",
     "umin": "umin-of",
-    "umin-of": "umin-of",
     "umax": "umax-of",
-    "umax-of": "umax-of",
-    "luk-upper": "luk-upper",
-}
-
-_TNORM_SLOT_ALIASES = {
-    "min": "min",
-    "luk": "lukasiewicz-tnorm",
-    "lukasiewicz": "lukasiewicz-tnorm",
-    "luk-tnorm": "lukasiewicz-tnorm",
-    "lukasiewicz-tnorm": "lukasiewicz-tnorm",
-    "drastic": "drastic-tnorm",
-    "drastic-tnorm": "drastic-tnorm",
-}
-
-_TCONORM_SLOT_ALIASES = {
-    "max": "max",
-    "luk": "lukasiewicz-tconorm",
-    "lukasiewicz": "lukasiewicz-tconorm",
-    "luk-tconorm": "lukasiewicz-tconorm",
-    "lukasiewicz-tconorm": "lukasiewicz-tconorm",
-    "drastic": "drastic-tconorm",
-    "drastic-tconorm": "drastic-tconorm",
+    "luk-upper": "luk-upper",  # bounded sum min(n, x+y-e) on [e,n]^2, min elsewhere
 }
 
 _NAME_CHARS = set(string.ascii_letters + string.digits + "-_")
@@ -233,15 +175,20 @@ def _parse_call(cur: _Cursor):
         if cur.peek() != ")":
             while True:
                 key, key_pos = cur.name()
+                if key in ints or key in subs:
+                    cur.error(f"repeated key {key!r}", key_pos)
                 cur.expect("=")
                 cur.skip_ws()
                 if key in ("n", "e"):
                     start = cur.pos
                     while cur.pos < len(cur.text) and cur.text[cur.pos].isdigit():
                         cur.pos += 1
-                    if cur.pos == start:
-                        cur.error("expected an integer")
-                    ints[key] = int(cur.text[start:cur.pos])
+                    try:  # no digits, or digits int() does not take, such as superscripts
+                        ints[key] = int(cur.text[start:cur.pos])
+                    except ValueError:
+                        cur.error("expected an integer", start)
+                    if key == "n":
+                        refuse_large_scale(ints[key], f"spec {cur.text!r}")
                 elif key in ("t", "s"):
                     value_pos = cur.pos
                     subs[key] = (_parse_call(cur), value_pos)
@@ -258,13 +205,14 @@ def _parse_call(cur: _Cursor):
 
 def _build_sub(call, value_pos: int, slot: str, sub_n: int, text: str) -> Uninorm:
     name, ints, subs, name_pos = call
-    aliases = _TNORM_SLOT_ALIASES if slot == "t" else _TCONORM_SLOT_ALIASES
+    kind, suffix, families = (("t-norm", "-tnorm", _TNORMS) if slot == "t"
+                              else ("t-conorm", "-tconorm", _TCONORMS))
     if subs:
         raise SpecSyntaxError("nested T/S inside a sub-operation is not supported", text, value_pos)
-    if name not in aliases:
-        kind = "t-norm" if slot == "t" else "t-conorm"
+    full = name + suffix if name in ("luk", "lukasiewicz", "drastic") else name
+    family = _SHORTHANDS.get(full, full)
+    if family not in families:
         raise SpecSyntaxError(f"{name!r} is not a {kind} family", text, name_pos)
-    family = aliases[name]
     n = ints.get("n", sub_n)
     if n != sub_n:
         raise SpecSyntaxError(f"sub-operation scale n={n} does not fit its slot (needs n={sub_n})",
@@ -286,9 +234,9 @@ def parse_family_spec(text: str) -> FamilySpec:
     cur.skip_ws()
     if cur.pos != len(text):
         cur.error("unexpected trailing input")
-    if name not in _TOP_LEVEL_ALIASES:
+    if name not in _SHORTHANDS and name not in FAMILIES:
         raise SpecSyntaxError(f"unknown family {name!r}", text, name_pos)
-    family = _TOP_LEVEL_ALIASES[name]
+    family = _SHORTHANDS.get(name, name)
     if "n" not in ints:
         raise SpecSyntaxError("every family needs an explicit n", text, name_pos)
     n = ints["n"]
@@ -296,29 +244,23 @@ def parse_family_spec(text: str) -> FamilySpec:
         raise SpecSyntaxError("n must be at least 1", text, name_pos)
     scale = ChainScale(n)
 
-    if family == "luk-upper":  # bounded sum min(n, x+y-e) on [e,n]^2, min elsewhere
-        if "e" not in ints:
-            raise SpecSyntaxError("luk-upper needs an explicit e", text, name_pos)
-        e = ints["e"]
-        if not 0 < e < n:
-            raise ConstructionError(f"luk-upper needs 0 < e < n, got e={e}, n={n}")
-        t = Uninorm(OpTable(ChainScale(e), _tnorm_rows("min", e)), e)
-        s = Uninorm(OpTable(ChainScale(n - e), _tconorm_rows("lukasiewicz-tconorm", n - e)), 0)
-        return FamilySpec("umin-of", scale, e, t=t, s=s)
-
-    if family in _TNORM_FAMILIES:
+    if family in _TNORMS:
         e = ints.get("e", n)
-    elif family in _TCONORM_FAMILIES:
+    elif family in _TCONORMS:
         e = ints.get("e", 0)
+    elif "e" not in ints:
+        raise SpecSyntaxError(f"{name} needs an explicit e", text, name_pos)
     else:
-        if "e" not in ints:
-            raise SpecSyntaxError(f"{name} needs an explicit e", text, name_pos)
         e = ints["e"]
 
     t = s = None
-    if family in ("umin-of", "umax-of"):
-        if not 0 < e < n:
-            raise ConstructionError(f"{family} needs 0 < e < n, got e={e}, n={n}")
+    if family in ("umin-of", "umax-of", "luk-upper") and not 0 < e < n:
+        raise ConstructionError(f"{family} needs 0 < e < n, got e={e}, n={n}")
+    if family == "luk-upper":  # any T= and S= given are ignored
+        t = make(FamilySpec("min", ChainScale(e), e))
+        s = make(FamilySpec("lukasiewicz-tconorm", ChainScale(n - e), 0))
+        family = "umin-of"
+    elif family in ("umin-of", "umax-of"):
         if "t" not in subs or "s" not in subs:
             raise SpecSyntaxError(f"{name} needs both T= and S=", text, name_pos)
         t = _build_sub(subs["t"][0], subs["t"][1], "t", e, text)

@@ -93,9 +93,7 @@ def _cmd_validate(args) -> int:
 def _cmd_classify(args) -> int:
     u = _load_valid_uninorm(args.table, "table")
     kind = "t-norm" if u.is_tnorm else "t-conorm" if u.is_tconorm else "proper uninorm"
-    doc = {
-        "format-version": formats.FORMAT_VERSION,
-        "kind": "classification",
+    fields = {
         "scale": u.n,
         "neutral": u.e,
         "operator": kind,
@@ -103,17 +101,8 @@ def _cmd_classify(args) -> int:
         "idempotent": is_idempotent(u),
         "locally-internal": is_locally_internal(u),
     }
-    text = "\n".join(
-        [
-            f"scale: {u.n}",
-            f"neutral: {u.e}",
-            f"operator: {kind}",
-            f"conjunctive: {doc['conjunctive']}",
-            f"idempotent: {doc['idempotent']}",
-            f"locally-internal: {doc['locally-internal']}",
-        ]
-    ) + "\n"
-    _emit(args, text, doc)
+    doc = {"format-version": formats.FORMAT_VERSION, "kind": "classification", **fields}
+    _emit(args, "".join(f"{key}: {value}\n" for key, value in fields.items()), doc)
     _say(f"classify: {kind} on L_{u.n} with e={u.e}")
     return EXIT_OK
 

@@ -6,6 +6,9 @@ commutative, associative, monotone table over L_n with a neutral element e;
 t-norms are the e = n case and t-conorms the e = 0 case.  The off-diagonal
 region A(e) is the complement of the squares [0,e]^2 and [e,n]^2, where any
 uninorm stays between min and max.
+
+Tables read from outside the program are refused above ``MAX_SCALE``
+before any table is built: the axiom check holds (n+1)^3 entries.
 """
 
 from __future__ import annotations
@@ -21,8 +24,18 @@ from .errors import (
     InternalConsistencyError,
     InvalidUninormError,
     NotProperError,
+    SearchLimitError,
     StructureError,
 )
+
+MAX_SCALE = 256
+
+
+def refuse_large_scale(n: int, where: str) -> None:
+    """Refuse an input scale above ``MAX_SCALE``; ``where`` names the input."""
+    if n > MAX_SCALE:
+        raise SearchLimitError(f"{where}: scale n={n} refused: inputs are limited to "
+                               f"n <= {MAX_SCALE}")
 
 
 @dataclass(frozen=True)
@@ -209,35 +222,21 @@ def _structural_violations(values, n: int) -> Iterator[Violation]:
                                 detail="table is not symmetric")
 
 
-def validate_uninorm(table, e: int, *, verbose: bool = False) -> CheckReport:
+def validate_uninorm(table: OpTable, e: int, *, verbose: bool = False) -> CheckReport:
     """Check the uninorm axioms for (table, e).
 
-    ``table`` may be an :class:`OpTable` or raw nested sequences; malformed
-    raw input is reported as ``structure`` violations rather than raised.
-    Axioms are scanned in the order neutrality, monotonicity, associativity;
-    by default only the first witness per law is kept (all under ``verbose``).
+    Shape, range and symmetry are :class:`OpTable`'s own checks; an ``e``
+    outside the chain is reported as a ``structure`` violation.  Axioms are
+    scanned in the order neutrality, monotonicity, associativity; by default
+    only the first witness per law is kept (all under ``verbose``).
     """
     log = WitnessLog(verbose)
-    if isinstance(table, OpTable):
-        values = table.values
-        n = table.scale.n
-    else:
-        values = tuple(tuple(v for v in row) for row in table)
-        n = len(values) - 1
-        if n < 1:
-            return CheckReport.from_violations(
-                [Violation("structure", (len(values),), detail="table needs at least 2 rows")]
-            )
-        structural = list(_structural_violations(values, n))
-        if structural:
-            for v in structural:
-                log.add(v)
-            return log.report()
+    n = table.scale.n
     if not 0 <= e <= n:
         log.add(Violation("structure", (e,), detail=f"neutral index outside chain 0..{n}"))
         return log.report()
 
-    arr = table.array if isinstance(table, OpTable) else np.array(values, dtype=np.intp)
+    arr = table.array
     idx = np.arange(n + 1)
 
     bad = np.nonzero(arr[e] != idx)[0]

@@ -15,14 +15,15 @@ Table document, bit-exact:
 symmetric redundancy is checked, with positioned messages on rejection.
 A decomposition document carries a small header (case, scale, e1, e2),
 two embedded table blocks introduced by ``inner`` and ``boundary``, and a
-``selection`` block of ``x y first|second`` lines.
+``selection`` block of ``x y first|second`` lines.  A ``scale`` above
+``core.MAX_SCALE`` is refused as soon as its line is read.
 """
 
 from __future__ import annotations
 
 import json
 
-from .core import CheckReport, ChainScale, OpTable, Uninorm, Violation
+from .core import CheckReport, ChainScale, OpTable, Uninorm, Violation, refuse_large_scale
 from .distributivity import ClassifyResult, Decomposition, Pick, TheoremCase
 from .errors import TableFormatError
 from .search import CertificationReport
@@ -71,9 +72,18 @@ def _read_keyword_int(lines: _Lines, keyword: str) -> int:
     if len(parts) != 2 or parts[0] != keyword:
         lines.error(f"expected '{keyword} <integer>', got {content!r}", lineno)
     try:
-        return int(parts[1])
+        value = int(parts[1])
     except ValueError:
         lines.error(f"{keyword} value {parts[1]!r} is not an integer", lineno)
+    if keyword == "scale":
+        refuse_large_scale(value, f"{lines.source}:{lineno}")
+    return value
+
+
+def _read_keyword(lines: _Lines, keyword: str) -> None:
+    lineno, content = lines.next(f"'{keyword}'")
+    if content != keyword:
+        lines.error(f"expected '{keyword}', got {content!r}", lineno)
 
 
 def _read_table_block(lines: _Lines):
@@ -157,18 +167,11 @@ def parse_decomposition(text: str, source: str = "<input>"):
     n = _read_keyword_int(lines, "scale")
     e1 = _read_keyword_int(lines, "e1")
     e2 = _read_keyword_int(lines, "e2")
-    for keyword in ("inner",):
-        lineno, content = lines.next(f"'{keyword}'")
-        if content != keyword:
-            lines.error(f"expected '{keyword}', got {content!r}", lineno)
+    _read_keyword(lines, "inner")
     inner_table, inner_e = _read_table_block(lines)
-    lineno, content = lines.next("'boundary'")
-    if content != "boundary":
-        lines.error(f"expected 'boundary', got {content!r}", lineno)
+    _read_keyword(lines, "boundary")
     boundary_table, boundary_e = _read_table_block(lines)
-    lineno, content = lines.next("'selection'")
-    if content != "selection":
-        lines.error(f"expected 'selection', got {content!r}", lineno)
+    _read_keyword(lines, "selection")
     selection = []
     while not lines.done():
         lineno, content = lines.next("selection line")

@@ -16,21 +16,24 @@ expanded on its own, in this process or in worker processes; the parts are
 merged in prefix order.  Neither the cut nor the worker count changes the
 tables, their order, or the ``SearchStats`` counts.
 
-``certify`` classifies every pair through ``classify_and_check``, in
-contiguous slices of the canonical pair list over the same worker map.
+``certify`` enumerates once, then classifies every pair through
+``classify_and_check`` in contiguous slices of the canonical pair list over
+the same worker map; each slice returns its own tally, which ``certify``
+adds up.
 ``scan_pairs`` first finds its hits with the batched exhaustive kernel
 (``distributivity_matrix``: one numpy evaluation per u2 against the whole
 u1 stack) and runs the per-pair evidence path on the hits only: one
 classification each, the necessity battery, and the decomposition built from
 that classification; a hit the per-pair scan rejects is an internal
 inconsistency, never dropped.  Worker processes never outnumber the jobs or
-the CPUs available to this process.
+the CPUs available to this process, and a worker count below 1 is refused.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, product
@@ -220,9 +223,12 @@ def enumerate_uninorms(task: EnumerationTask, *,
     the cut are expanded in prefix order, here or across ``workers``
     processes, and ``stats`` ends the same for any worker count.  A table
     not strictly greater than the one before it is a search bug and raises
-    :class:`InternalConsistencyError`.  Scales above ``max_n`` are refused.
+    :class:`InternalConsistencyError`.  Scales above ``max_n`` are refused,
+    and so is a worker count below 1 (:class:`DomainError`).
     """
     n, e = task.scale.n, task.e
+    if workers < 1:
+        raise DomainError(f"worker count must be at least 1, got {workers}")
     _refuse_above("enumeration", n, max_n)
     if stats is None:
         stats = SearchStats()
@@ -303,21 +309,17 @@ class CertificationReport:
 
 
 def _check_pair_block(args):
-    """Classify a contiguous slice of the canonical pair list."""
-    tables_by_e, scale_n, start, stop = args
-    scale = ChainScale(scale_n)
-    uninorms = [(e, i, Uninorm(OpTable(scale, rows), e))
-                for e, tables in tables_by_e for i, rows in enumerate(tables)]
-    pair_cases: dict[str, int] = {}
-    dist_cases: dict[str, int] = {}
+    """Classify a contiguous slice of the canonical pair list over
+    ``uninorms``, a list of ``(e, index, uninorm)``.  Returns the pairs per
+    ``(case, distributive)``, the agreements and the divergences."""
+    uninorms, start, stop = args
+    tally = Counter()
     agreements = 0
     divergences = []
     for (e1, i1, u1), (e2, i2, u2) in islice(product(uninorms, repeat=2), start, stop):
         result = classify_and_check(u1, u2)
         case = result.case.value
-        pair_cases[case] = pair_cases.get(case, 0) + 1
-        if result.exhaustive.verdict:
-            dist_cases[case] = dist_cases.get(case, 0) + 1
+        tally[case, result.exhaustive.verdict] += 1
         if result.agreement:
             agreements += 1
         else:
@@ -326,7 +328,7 @@ def _check_pair_block(args):
                 result.conditions.verdict, result.exhaustive.verdict,
                 u1.rows, u2.rows,
             ))
-    return pair_cases, dist_cases, agreements, divergences
+    return tally, agreements, divergences
 
 
 def certify(scale: ChainScale, *,
@@ -339,53 +341,45 @@ def certify(scale: ChainScale, *,
     Deterministic for a given scale: counts, ordering and divergence lists
     do not depend on the worker count (only the wall time does).  If a
     ``pair_budget`` is given and the pair space is larger, the canonical
-    prefix is checked and the report is marked partial; a negative budget
-    raises :class:`DomainError`.
+    prefix is checked and the report is marked partial.  A negative budget
+    or a worker count below 1 raises :class:`DomainError`.
     """
     n = scale.n
     if pair_budget is not None and pair_budget < 0:
         raise DomainError(f"pair budget must be at least 0, got {pair_budget}")
+    if workers < 1:
+        raise DomainError(f"worker count must be at least 1, got {workers}")
     _refuse_above("certification", n, max_n)
     started = time.perf_counter()
     stats = SearchStats()
-    by_e = []
-    for e in range(n + 1):
-        task = EnumerationTask(scale, e)
-        by_e.append((e, tuple(u.rows for u in enumerate_uninorms(task, max_n=max(max_n, n), stats=stats))))
-
-    counts = tuple((e, len(tables)) for e, tables in by_e)
-    total_pairs = sum(c1 * c2 for _, c1 in counts for _, c2 in counts)
+    by_e = [list(enumerate_uninorms(EnumerationTask(scale, e), max_n=max(max_n, n), stats=stats))
+            for e in range(n + 1)]
+    uninorms = [(e, i, u) for e, us in enumerate(by_e) for i, u in enumerate(us)]
+    total_pairs = len(uninorms) ** 2
     limit = total_pairs if pair_budget is None else min(pair_budget, total_pairs)
-    partial = limit < total_pairs
 
-    step = -(-limit // max(workers, 1)) or 1
-    jobs = [(by_e, n, lo, min(lo + step, limit)) for lo in range(0, limit, step)]
-    results = _map(_check_pair_block, jobs, workers)
-
-    pair_cases: dict[str, int] = {}
-    dist_cases: dict[str, int] = {}
+    step = -(-limit // workers) or 1
+    jobs = [(uninorms, lo, min(lo + step, limit)) for lo in range(0, limit, step)]
+    tally = Counter()
     agreements = 0
     divergences: list[PairDivergence] = []
-    for pc, dc, agree, div in results:
-        for case, c in pc.items():
-            pair_cases[case] = pair_cases.get(case, 0) + c
-        for case, c in dc.items():
-            dist_cases[case] = dist_cases.get(case, 0) + c
+    for part, agree, div in _map(_check_pair_block, jobs, workers):
+        tally += part
         agreements += agree
-        divergences.extend(div)
+        divergences += div
 
     case_order = [c.value for c in TheoremCase]
     return CertificationReport(
         scale_n=n,
-        uninorm_counts=counts,
+        uninorm_counts=tuple((e, len(us)) for e, us in enumerate(by_e)),
         pairs_checked=limit,
-        pair_case_counts=tuple((c, pair_cases.get(c, 0)) for c in case_order),
-        distributive_case_counts=tuple((c, dist_cases.get(c, 0)) for c in case_order),
+        pair_case_counts=tuple((c, tally[c, True] + tally[c, False]) for c in case_order),
+        distributive_case_counts=tuple((c, tally[c, True]) for c in case_order),
         agreements=agreements,
         divergences=tuple(divergences),
         nodes_expanded=stats.nodes_expanded,
         wall_time_s=time.perf_counter() - started,
-        partial=partial,
+        partial=limit < total_pairs,
     )
 
 

@@ -2,11 +2,13 @@
 
 The catalog families are built through ``catalog.from_string``, the same
 path the command line takes; ``dual`` lifts the raw-row oracle in
-``oracles`` to a uninorm.
+``oracles`` to a uninorm; ``flip_conditions`` plants one divergence.
 """
 
+from dataclasses import replace
+
 import oracles
-from unichain import ChainScale, OpTable, Uninorm, from_string
+from unichain import ChainScale, CheckReport, OpTable, Uninorm, from_string
 
 
 def idem_min(n, e):
@@ -45,3 +47,18 @@ def dual(u):
 def laws_violated(report):
     """The laws of a report's violations, each once, in order of appearance."""
     return tuple(dict.fromkeys(v.law for v in report.violations))
+
+
+def flip_conditions(monkeypatch, module, u1, u2):
+    """Make ``module.classify_and_check`` say the case conditions hold on the
+    pair (u1, u2), where they fail: one planted theorem divergence."""
+    original = module.classify_and_check
+
+    def classify(a, b, **kwargs):
+        result = original(a, b, **kwargs)
+        if (a.rows, b.rows) == (u1.rows, u2.rows):
+            assert not result.conditions.verdict
+            result = replace(result, conditions=CheckReport.ok())
+        return result
+
+    monkeypatch.setattr(module, "classify_and_check", classify)

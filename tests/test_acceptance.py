@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from conftest import FIXTURES_DIR
-from helpers import dual, max_tconorm, min_tnorm
+from helpers import dual, max_tconorm, min_tnorm, table_of
 from unichain import (
     ChainScale,
     EnumerationTask,
@@ -107,7 +107,7 @@ def test_criterion_1_axiom_suite(announce):
                         rows = [list(r) for r in u.rows]
                         rows[x][y] = rows[y][x] = v
                         rows = tuple(tuple(r) for r in rows)
-                        report = validate_uninorm(rows, e, verbose=True)
+                        report = validate_uninorm(table_of(rows), e, verbose=True)
                         truth = (oracles.neutral_holds(rows, e)
                                  and oracles.monotone_holds(rows)
                                  and oracles.associative_holds(rows))

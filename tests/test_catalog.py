@@ -3,10 +3,11 @@
 import pytest
 
 import oracles
-from helpers import dual
+from helpers import dual, table_of
 from unichain import ChainScale, FamilySpec, from_string, make, validate_uninorm
 from unichain.catalog import parse_family_spec
-from unichain.errors import ConstructionError, SpecSyntaxError
+from unichain.core import MAX_SCALE
+from unichain.errors import ConstructionError, SearchLimitError, SpecSyntaxError
 
 
 def spec(family, n, e, t=None, s=None):
@@ -74,7 +75,7 @@ class TestValidityGrid:
         u = make(spec("umin-idempotent", 4, 2))
         rows = [list(r) for r in u.rows]
         rows[3][4] = rows[4][3] = 3  # break the t-conorm part
-        report = validate_uninorm(tuple(tuple(r) for r in rows), 2)
+        report = validate_uninorm(table_of(rows), 2)
         assert not report.verdict
 
 
@@ -159,6 +160,40 @@ class TestSpecStrings:
             parse_family_spec("idemmin(e=2,n=4) trailing")
         with pytest.raises(SpecSyntaxError):
             parse_family_spec("umin(T=max,S=max,e=2,n=4)")  # max is not a t-norm
+
+    @pytest.mark.parametrize("text, error, message, pos", [
+        ("", SpecSyntaxError, "expected a name", 0),
+        ("idemmin(=2,n=4)", SpecSyntaxError, "expected a name", 8),
+        ("idemmin(e 2,n=4)", SpecSyntaxError, "expected '='", 10),
+        ("idemmin(e=2,n=4", SpecSyntaxError, "expected ')'", 15),
+        ("idemmin(e=x,n=4)", SpecSyntaxError, "expected an integer", 10),
+        ("umin(T=min(T=min),S=max,e=2,n=4)", SpecSyntaxError,
+         "nested T/S inside a sub-operation is not supported", 7),
+        ("umin(T=min(e=2),S=max,e=2,n=4)", SpecSyntaxError,
+         "sub-operations fix their own neutral element", 7),
+        ("min(n=0)", SpecSyntaxError, "n must be at least 1", 0),
+        ("luk-upper(n=4)", SpecSyntaxError, "luk-upper needs an explicit e", 0),
+        ("luk-upper(e=4,n=4)", ConstructionError, "luk-upper needs 0 < e < n, got e=4, n=4", None),
+        ("idemmin(n=4)", SpecSyntaxError, "idemmin needs an explicit e", 0),
+        ("umin(T=min,S=max,e=0,n=4)", ConstructionError, "umin-of needs 0 < e < n, got e=0, n=4",
+         None),
+        ("umin(T=min,e=2,n=4)", SpecSyntaxError, "umin needs both T= and S=", 0),
+        ("min(n=4,T=min)", SpecSyntaxError, "min takes no T/S arguments", 0),
+        ("min(n=²)", SpecSyntaxError, "expected an integer", 6),
+        ("idemmin(e=2,n=4,n=5)", SpecSyntaxError, "repeated key 'n'", 16),
+        ("umin(T=min,t=luk,S=max,e=2,n=4)", SpecSyntaxError, "repeated key 't'", 11),
+        ("umin(T=min(n=2,N=2),S=max,e=2,n=4)", SpecSyntaxError, "repeated key 'n'", 15),
+    ])
+    def test_every_grammar_error(self, text, error, message, pos):
+        with pytest.raises(error) as err:
+            parse_family_spec(text)
+        assert str(err.value) == message
+        assert getattr(err.value, "pos", None) == pos
+
+    def test_scales_above_the_input_limit_are_refused(self):
+        assert parse_family_spec(f"min(n={MAX_SCALE})").scale.n == MAX_SCALE
+        with pytest.raises(SearchLimitError, match=f"n={MAX_SCALE + 1} refused"):
+            parse_family_spec(f"idemmin(e=2,n={MAX_SCALE + 1})")
 
     def test_grammar_requires_n(self):
         with pytest.raises(SpecSyntaxError, match="explicit n"):

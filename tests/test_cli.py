@@ -7,8 +7,10 @@ import sys
 import pytest
 
 from conftest import FIXTURES_DIR
-from helpers import idem_min
+from helpers import flip_conditions, idem_min, luk_upper
+from unichain import cli
 from unichain.cli import main
+from unichain.core import MAX_SCALE
 from unichain.formats import dump_table, parse_table
 
 
@@ -24,6 +26,15 @@ class TestExitContract:
         assert code == 0
         assert "distributive: true; case: equal-neutral; theorem agrees" in out
         assert "check:" in err  # human summary on stderr
+
+    def test_a_divergence_is_reported_on_both_streams(self, capsys, monkeypatch):
+        flip_conditions(monkeypatch, cli, luk_upper(4, 2), luk_upper(4, 2))
+        code, out, err = run(capsys, "check", "--u1", "luk-upper(e=2,n=4)", "--u2", "luk-upper(e=2,n=4)")
+        assert code == 1
+        assert "case: equal-neutral; THEOREM DIVERGENCE\n" in out
+        assert ("  theorem-divergence at () (case equal-neutral: conditions say True, "
+                "exhaustive scan says False)\n") in out
+        assert "check: THEOREM DIVERGENCE - the structural conditions" in err
 
     def test_check_failing_pair_gets_status_one_and_witness(self, capsys):
         code, out, err = run(capsys, "check", "--u1", "luk-upper(e=2,n=4)", "--u2", "luk-upper(e=2,n=4)")
@@ -69,6 +80,28 @@ class TestExitContract:
         code, out, err = run(capsys, "certify", "--n", "2", "--pair-budget", "-5")
         assert code == 2
         assert "pair budget" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("certify", "--n", "3", "--workers", "0"),
+        ("enumerate", "--n", "3", "--e", "1", "--workers", "-2"),
+    ], ids=["certify", "enumerate"])
+    def test_worker_count_below_one_is_status_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "worker count must be at least 1" in err and out == ""
+
+    def test_repeated_spec_key_is_status_two_with_caret(self, capsys):
+        code, out, err = run(capsys, "validate", "--table", "idemmin(e=2,n=4,n=5)")
+        assert code == 2
+        assert err == ("error: repeated key 'n'\n  idemmin(e=2,n=4,n=5)\n"
+                       "                  ^\n")
+
+    def test_input_scale_above_the_limit_is_status_three(self, capsys, tmp_path):
+        path = tmp_path / "large.tbl"
+        path.write_text(f"scale {MAX_SCALE + 1}\nneutral 0\n")
+        code, out, err = run(capsys, "validate", "--table", str(path))
+        assert code == 3
+        assert err.startswith("refused: ") and out == ""
 
     def test_usage_error_is_status_two(self):
         with pytest.raises(SystemExit) as err:

@@ -77,7 +77,7 @@ class TestValidateUninorm:
 
     def test_neutrality_defect_named(self):
         rows = mutate(idem_min(4, 2), 2, 3, 2)
-        report = validate_uninorm(rows, 2)
+        report = validate_uninorm(table_of(rows), 2)
         assert not report.verdict
         assert report.violations[0].law == "neutrality"
         assert report.violations[0].witness == (3,)
@@ -85,7 +85,7 @@ class TestValidateUninorm:
     def test_monotonicity_defect(self):
         # drop u(3,3) of the idempotent fixture below u(2,3)
         rows = mutate(idem_min(4, 2), 3, 3, 2)
-        report = validate_uninorm(rows, 2)
+        report = validate_uninorm(table_of(rows), 2)
         assert "monotonicity" in laws_violated(report)
         v = next(v for v in report.violations if v.law == "monotonicity")
         x, xp, y = v.witness
@@ -116,22 +116,25 @@ class TestValidateUninorm:
             if found:
                 break
         assert found is not None, "perturbation search found no commutative monotone defect"
-        report = validate_uninorm(found, 1)
+        report = validate_uninorm(table_of(found), 1)
         assert not report.verdict
         assert laws_violated(report) == ("associativity",)
         a, b, c = report.violations[0].witness
         assert found[found[a][b]][c] != found[a][found[b][c]]
 
-    def test_structure_reported_not_raised_for_raw_rows(self):
-        report = validate_uninorm([[0, 0], [0, 9]], 1)
-        assert not report.verdict
+    def test_out_of_range_entry_raises_before_validation(self):
+        with pytest.raises(StructureError, match=r"structure at \(1,1\) \[lhs=9 rhs=None\]"):
+            validate_uninorm(table_of([[0, 0], [0, 9]]), 1)
+
+    def test_out_of_chain_neutral_is_reported(self):
+        report = validate_uninorm(table_of([[0, 0], [0, 1]]), 5)
         assert laws_violated(report) == ("structure",)
+        assert report.violations[0].detail == "neutral index outside chain 0..1"
 
     def test_verbose_collects_all_witnesses(self):
-        rows = mutate(idem_min(4, 2), 2, 3, 2)
-        rows = tuple(tuple(r) for r in rows)
-        quiet = validate_uninorm(rows, 2)
-        loud = validate_uninorm(rows, 2, verbose=True)
+        table = table_of(mutate(idem_min(4, 2), 2, 3, 2))
+        quiet = validate_uninorm(table, 2)
+        loud = validate_uninorm(table, 2, verbose=True)
         assert len(loud.violations) >= len(quiet.violations)
         laws = set(v.law for v in loud.violations)
         assert laws >= set(v.law for v in quiet.violations)
@@ -143,7 +146,7 @@ class TestValidateUninorm:
             for y in range(x, 4):
                 for v in range(4):
                     rows = mutate(base, x, y, v)
-                    report = validate_uninorm(rows, 1, verbose=True)
+                    report = validate_uninorm(table_of(rows), 1, verbose=True)
                     for viol in report.violations:
                         if viol.law == "neutrality":
                             (px,) = viol.witness
@@ -177,7 +180,7 @@ class TestPredicates:
             (2, 3, 4, 4, 4),
             (4, 4, 4, 4, 4),
         )
-        assert validate_uninorm(rows, 1).verdict
+        assert validate_uninorm(table_of(rows), 1).verdict
         u = Uninorm(table_of(rows), 1)
         assert not is_locally_internal(u)
         assert u(0, 3) == 2  # 2 is neither argument

@@ -60,7 +60,7 @@ class TestDecompose:
         # a t-norm u1 (e1 = n) over a proper u2: both routes say yes, yet
         # the pair is refused because e1 = n leaves no upper t-conorm block
         rows = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 2, 2), (0, 1, 2, 3))
-        assert validate_uninorm(rows, 3).verdict
+        assert validate_uninorm(table_of(rows), 3).verdict
         u1 = Uninorm(table_of(rows), 3)
         u2 = idem_min(3, 2)
         assert oracles.distributes(u1.rows, u2.rows)

@@ -10,6 +10,7 @@ from unichain import (
     check_distributivity,
     classify_and_check,
     equal_neutral_conditions,
+    from_string,
     greater_neutral_conditions,
     less_neutral_conditions,
     necessity_conditions,
@@ -188,13 +189,7 @@ class TestNecessityBattery:
         assert necessity_conditions(u1, u2).verdict
 
     def test_flags_underlying_tnorm_violations(self):
-        from unichain import FamilySpec, make
-        from unichain.catalog import _tconorm_rows, _tnorm_rows
-        from unichain import OpTable, Uninorm
-
-        t = Uninorm(OpTable(ChainScale(2), _tnorm_rows("lukasiewicz-tnorm", 2)), 2)
-        s = Uninorm(OpTable(ChainScale(2), _tconorm_rows("max", 2)), 0)
-        u2 = make(FamilySpec("umin-of", ChainScale(4), 2, t=t, s=s))
+        u2 = from_string("umin(T=luk,S=max,e=2,n=4)")
         report = necessity_conditions(idem_min(4, 3), u2)
         assert not report.verdict
         assert "necessity-i-tnorm-min" in laws_violated(report)

@@ -14,7 +14,8 @@ from unichain import (
     enumerate_uninorms,
     validate_uninorm,
 )
-from unichain.errors import TableFormatError
+from unichain.core import MAX_SCALE
+from unichain.errors import SearchLimitError, TableFormatError
 from unichain.formats import (
     certification_doc,
     dump_decomposition,
@@ -79,6 +80,21 @@ neutral 1
             parse_table("scale 2\nneutral 1\n0 0 0\n0 1 2 2\n0 2 2\n")
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("scale\n", "expected 'scale <integer>', got 'scale'", 1),
+        ("scale two\n", "scale value 'two' is not an integer", 1),
+        ("scale 0\nneutral 0\n", "scale must be at least 1, got 0", 1),
+        ("scale 1\nneutral 0\n0 x\n1 1\n", "row 0, entry 1: 'x' is not an integer", 3),
+    ])
+    def test_every_table_error(self, text, message, line):
+        with pytest.raises(TableFormatError) as err:
+            parse_table(text)
+        assert (err.value.message, err.value.line) == (message, line)
+
+    def test_scale_above_the_input_limit_is_refused(self):
+        with pytest.raises(SearchLimitError, match=f"^t.tbl:2: scale n={MAX_SCALE + 1} refused"):
+            parse_table(f"# too large\nscale {MAX_SCALE + 1}\nneutral 0\n", source="t.tbl")
+
     def test_trailing_content_rejected(self):
         good = dump_table(idem_min(3, 1))
         with pytest.raises(TableFormatError, match="trailing"):
@@ -100,6 +116,27 @@ class TestDecompositionFormat:
         text = dump_decomposition(decompose(u1, u2), u1.scale, 2, 1)
         with pytest.raises(TableFormatError, match="first"):
             parse_decomposition(text.replace("0 1 first", "0 1 maybe"))
+
+    @pytest.mark.parametrize("old, new, message, line", [
+        ("case greater-neutral", "kase greater-neutral",
+         "expected 'case <name>', got 'kase greater-neutral'", 1),
+        ("inner", "outer", "expected 'inner', got 'outer'", 5),
+        ("boundary", "border", "expected 'boundary', got 'border'", 12),
+        ("selection", "choice", "expected 'selection', got 'choice'", 19),
+        ("0 1 first", "0 1", "selection line needs 'x y first|second', got '0 1'", 20),
+        ("0 1 first", "0 one first",
+         "selection coordinates must be integers, got '0 one first'", 20),
+    ])
+    def test_every_decomposition_error(self, old, new, message, line):
+        u1, u2 = idem_min(4, 2), idem_min(4, 1)
+        text = dump_decomposition(decompose(u1, u2), u1.scale, 2, 1)
+        with pytest.raises(TableFormatError) as err:
+            parse_decomposition(text.replace(old, new, 1))
+        assert (err.value.message, err.value.line) == (message, line)
+
+    def test_header_scale_above_the_input_limit_is_refused(self):
+        with pytest.raises(SearchLimitError, match=f"n={MAX_SCALE + 1} refused"):
+            parse_decomposition(f"case greater-neutral\nscale {MAX_SCALE + 1}\n")
 
     def test_bad_case_line(self):
         with pytest.raises(TableFormatError, match="case"):

@@ -1,12 +1,14 @@
 """Enumeration correctness, pruning safety, partitioning, certification."""
 
 import os
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
 import oracles
+from helpers import flip_conditions
 from unichain import (
     ChainScale,
     EnumerationTask,
@@ -20,9 +22,8 @@ from unichain import (
     validate_uninorm,
 )
 from unichain import search
-from unichain.core import CheckReport
 from unichain.errors import DomainError, InternalConsistencyError, SearchLimitError
-from unichain.formats import certification_doc, to_json
+from unichain.formats import certification_doc, render_certification, to_json
 from unichain.search import PairDivergence, SearchStats, _check_pair_block
 
 
@@ -67,6 +68,14 @@ class TestEnumeration:
     def test_refusal_above_limit(self):
         with pytest.raises(SearchLimitError, match="max_n"):
             list(enumerate_uninorms(EnumerationTask(ChainScale(7), 3)))
+
+    @pytest.mark.parametrize("workers", (0, -2))
+    def test_worker_count_below_one_refused(self, workers):
+        stats = SearchStats()
+        with pytest.raises(DomainError, match=f"worker count must be at least 1, got {workers}"):
+            next(enumerate_uninorms(EnumerationTask(ChainScale(3), 1), workers=workers,
+                                    stats=stats))
+        assert stats.nodes_expanded == 0
 
     def test_stats_count_nodes(self):
         stats = SearchStats()
@@ -226,6 +235,15 @@ class TestCertify:
             certify(ChainScale(2), pair_budget=-5)
         assert enumerated == []
 
+    @pytest.mark.parametrize("workers", (0, -3))
+    def test_worker_count_below_one_refused_before_enumerating(self, monkeypatch, workers):
+        enumerated = []
+        monkeypatch.setattr(search, "enumerate_uninorms",
+                            lambda task, **kwargs: enumerated.append(task) or iter(()))
+        with pytest.raises(DomainError, match=f"worker count must be at least 1, got {workers}"):
+            certify(ChainScale(2), workers=workers)
+        assert enumerated == []
+
     def test_zero_pair_budget_is_an_empty_partial_report(self):
         report = certify(ChainScale(2), pair_budget=0)
         assert report.partial and report.pairs_checked == 0 and report.agreements == 0
@@ -308,51 +326,44 @@ class TestDivergenceReporting:
         by_e = uninorms_by_e(3)
         u1, u2 = by_e[self.E1][self.I1], by_e[self.E2][self.I2]
         assert not oracles.distributes(u1.rows, u2.rows)
-        original = search.classify_and_check
-
-        def classify(a, b):
-            result = original(a, b)
-            if (a.rows, b.rows) == (u1.rows, u2.rows):
-                assert not result.conditions.verdict
-                result = replace(result, conditions=CheckReport.ok())
-            return result
-
-        monkeypatch.setattr(search, "classify_and_check", classify)
-        tables = tuple((e, tuple(u.rows for u in us)) for e, us in sorted(by_e.items()))
+        flip_conditions(monkeypatch, search, u1, u2)
+        uninorms = [(e, i, u) for e, us in sorted(by_e.items()) for i, u in enumerate(us)]
         expected = PairDivergence(self.E1, self.I1, self.E2, self.I2, "greater-neutral",
                                   True, False, u1.rows, u2.rows)
-        return tables, expected
+        return uninorms, expected
 
     @pytest.mark.parametrize("start, stop", [(0, 484), (0, 319), (318, 319), (300, 400),
                                              (319, 484), (0, 318)])
     def test_a_block_reports_the_flipped_pair(self, flipped, start, stop):
-        tables, expected = flipped
-        pair_cases, dist_cases, agreements, divergences = _check_pair_block(
-            (tables, 3, start, stop))
+        uninorms, expected = flipped
+        tally, agreements, divergences = _check_pair_block((uninorms, start, stop))
         inside = start <= self.INDEX < stop
         assert divergences == ([expected] if inside else [])
-        assert sum(pair_cases.values()) == stop - start
+        assert sum(tally.values()) == stop - start
         assert agreements == stop - start - inside
 
     def test_blocks_concatenate_to_the_full_run(self, flipped):
-        tables, _ = flipped
-        full = _check_pair_block((tables, 3, 0, 484))
+        uninorms, _ = flipped
+        full = _check_pair_block((uninorms, 0, 484))
         cuts = (0, 100, 318, 319, 483, 484)
-        pair_cases, dist_cases, agreements, divergences = {}, {}, 0, []
+        tally, agreements, divergences = Counter(), 0, []
         for start, stop in zip(cuts, cuts[1:]):
-            pc, dc, agree, div = _check_pair_block((tables, 3, start, stop))
-            for total, part in ((pair_cases, pc), (dist_cases, dc)):
-                for case, count in part.items():
-                    total[case] = total.get(case, 0) + count
+            part, agree, div = _check_pair_block((uninorms, start, stop))
+            tally += part
             agreements += agree
             divergences += div
-        assert (pair_cases, dist_cases, agreements, divergences) == full
+        assert (tally, agreements, divergences) == full
 
     def test_certify_reports_the_divergence(self, flipped):
         _, expected = flipped
         report = certify(ChainScale(3), workers=1)
         assert report.divergences == (expected,)
         assert report.agreements == 483
+        text = render_certification(report)
+        assert "divergences: 1\n" in text
+        assert (f"  DIVERGENCE case greater-neutral at (e1=2 #3, e2=1 #4): "
+                f"conditions=True exhaustive=False\n    u1 rows: {expected.u1_rows}\n"
+                f"    u2 rows: {expected.u2_rows}\n") in text
 
 
 class TestScanPairs:
