@@ -254,9 +254,11 @@ def parse_family_spec(text: str) -> FamilySpec:
         e = ints["e"]
 
     t = s = None
+    if subs and family not in ("umin-of", "umax-of"):
+        raise SpecSyntaxError(f"{name} takes no T/S arguments", text, name_pos)
     if family in ("umin-of", "umax-of", "luk-upper") and not 0 < e < n:
         raise ConstructionError(f"{family} needs 0 < e < n, got e={e}, n={n}")
-    if family == "luk-upper":  # any T= and S= given are ignored
+    if family == "luk-upper":
         t = make(FamilySpec("min", ChainScale(e), e))
         s = make(FamilySpec("lukasiewicz-tconorm", ChainScale(n - e), 0))
         family = "umin-of"
@@ -265,8 +267,6 @@ def parse_family_spec(text: str) -> FamilySpec:
             raise SpecSyntaxError(f"{name} needs both T= and S=", text, name_pos)
         t = _build_sub(subs["t"][0], subs["t"][1], "t", e, text)
         s = _build_sub(subs["s"][0], subs["s"][1], "s", n - e, text)
-    elif subs:
-        raise SpecSyntaxError(f"{name} takes no T/S arguments", text, name_pos)
     return FamilySpec(family, scale, e, t=t, s=s)
 
 

@@ -270,19 +270,25 @@ def validate_uninorm(table: OpTable, e: int, *, verbose: bool = False) -> CheckR
     return log.report()
 
 
+def _non_idempotent_points(u: Uninorm) -> list:
+    """The x with u(x, x) != x, ascending."""
+    return [x for x in u.scale.points if u(x, x) != x]
+
+
+def _non_internal_points(u: Uninorm) -> list:
+    """The (x, y) of A(e), x < e < y, where u returns neither argument, in scan order."""
+    e, n = u.e, u.n
+    return [(x, y) for x in range(e) for y in range(e + 1, n + 1) if u(x, y) not in (x, y)]
+
+
 def is_idempotent(u: Uninorm) -> bool:
     """True iff u(x, x) = x for every x."""
-    return all(u(x, x) == x for x in u.scale.points)
+    return not _non_idempotent_points(u)
 
 
 def is_locally_internal(u: Uninorm) -> bool:
     """True iff u(x, y) is one of its arguments everywhere on A(e)."""
-    e, n = u.e, u.n
-    for x in range(e):
-        for y in range(e + 1, n + 1):
-            if u(x, y) not in (x, y):
-                return False
-    return True
+    return not _non_internal_points(u)
 
 
 def is_conjunctive(u: Uninorm) -> bool:

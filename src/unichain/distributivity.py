@@ -21,17 +21,21 @@ unless marked strict):
 
                                      e1 > e2      e1 < e2 (reflected)
         block [lo, hi] of u1 (e1)    [e2,n]       [0,e2]
-        square of u2 (min / max)     [0,e2]^2     [e2,n]^2
+        side of u2's square          [0,e2]       [e2,n]
         strip (outside the block)    [0,e2)       (e2,n]
         near                         [e2,e1]      [e1,e2]
         far                          [e1,n]       [0,e1]
 
-    hypothesis  u2 = min / max on its square, u2 internal on A(e2)
-    clause i    x in strip, y in block
-    side cond.  x0 in strip, y0 in far
-    clause ii   x in strip, y in near
-    clause iii  u1 closed on the block, inner neutral e1 - lo, distributing
-                over u2's restriction to the block (T2 or S2 shifted by -lo)
+    Each clause's region, in the case conditions and in the necessity battery:
+        side x side    hypothesis: u2 = min / max   i: the same
+        A(e2) of u2    hypothesis: u2 internal      local internality: the same
+        strip x block  clause i: u1 = u2 = x or y
+        strip x far    side cond.: u2(x, y) = y     iv: clause i's law and the
+                       only if u2(y, y) = y         side cond., point by point
+        strip x near   clause ii: u1 = u2 = x       iii: u2 = x
+        side x near                                 ii: u1 = x (= min / max)
+        block x block  clause iii: u1 closed, inner neutral e1 - lo, distributing
+                       over u2's block (T2 or S2 shifted by -lo)
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ from .core import (
     underlying_tconorm,
     underlying_tnorm,
     validate_uninorm,
+    _non_idempotent_points,
+    _non_internal_points,
     _restriction,
 )
 from .errors import (
@@ -152,6 +158,36 @@ def distributivity_matrix(firsts, seconds) -> np.ndarray:
     return out
 
 
+# One helper per clause shape, adding witnesses in scan order (the pair path's hot loops)
+def _on_square(log, u2, g, law):
+    """u2 = op on its square, x <= y."""
+    for x, y, v in g.square:
+        if u2(x, y) != v:
+            log.add(Violation(law, (x, y), lhs=u2(x, y), rhs=v, subject="u2"))
+
+
+def _agree_and_choose(log, u1, u2, xs, ys, agreement, choice, side_condition=""):
+    """u1 = u2 = x or y on xs x ys; with a ``side_condition``, u2 = y only if u2(y, y) = y."""
+    for x in xs:
+        for y in ys:
+            a, b = u1(x, y), u2(x, y)
+            if a != b:
+                log.add(Violation(agreement, (x, y), lhs=a, rhs=b))
+            elif a not in (x, y):
+                log.add(Violation(choice, (x, y), lhs=a))
+            if side_condition and b == y and u2(y, y) != y:
+                log.add(Violation(side_condition, (x, y), lhs=u2(y, y), rhs=y, subject="u2"))
+
+
+def _keeps_first(log, xs, ys, checks):
+    """u(x, y) = x on xs x ys, for each (u, subject, law) of ``checks`` at every point."""
+    for x in xs:
+        for y in ys:
+            for u, subject, law in checks:
+                if u(x, y) != x:
+                    log.add(Violation(law, (x, y), lhs=u(x, y), rhs=x, subject=subject))
+
+
 def equal_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
     """Structural conditions for distributivity when e1 = e2.
 
@@ -161,18 +197,11 @@ def equal_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False)
     _same_scale(u1, u2)
     if u1.e != u2.e:
         raise WrongCaseError(f"equal-neutral conditions need e1 = e2, got {u1.e} and {u2.e}")
-    e, n = u1.e, u1.n
     log = WitnessLog(verbose)
-    for x in range(n + 1):
-        if u2(x, x) != x:
-            log.add(Violation("idempotency", (x,), lhs=u2(x, x), rhs=x, subject="u2"))
-    for x in range(e):
-        for y in range(e + 1, n + 1):
-            a, b = u1(x, y), u2(x, y)
-            if a != b:
-                log.add(Violation("agreement", (x, y), lhs=a, rhs=b))
-            elif a not in (x, y):
-                log.add(Violation("local-internality", (x, y), lhs=a))
+    for x in _non_idempotent_points(u2):
+        log.add(Violation("idempotency", (x,), lhs=u2(x, x), rhs=x, subject="u2"))
+    _agree_and_choose(log, u1, u2, range(u1.e), range(u1.e + 1, u1.n + 1),
+                      "agreement", "local-internality")
     return log.report()
 
 
@@ -186,8 +215,7 @@ class _Geometry:
     """
 
     case: TheoremCase
-    lo: int                 # u1's block [lo, hi] holds e1; clause iii restricts u1 to it
-    hi: int
+    block: range            # u1's block [lo, hi] holds e1; clause iii restricts u1 to it
     side: range             # u2's min/max square is side x side
     strip: range            # the points outside the block
     near: range             # y from e2 to e1
@@ -201,10 +229,6 @@ class _Geometry:
     forced: str
 
     @cached_property
-    def block(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-    @cached_property
     def square(self) -> tuple:
         """(x, y, op(x, y)) over u2's square, x <= y."""
         return tuple((x, y, self.op(x, y)) for x in self.side for y in range(x, self.side.stop))
@@ -213,6 +237,9 @@ class _Geometry:
     def domain(self) -> tuple:
         """The off-diagonal strip a decomposition's selection covers."""
         return tuple((x, y) for x in self.strip for y in self.block)
+
+    def inner(self, u1: Uninorm) -> Uninorm:  # u1 on the block, shifted by -lo
+        return _restriction(u1, self.block[0], self.block[-1], u1.e - self.block[0])
 
 
 def _proper_unequal(n: int, e1: int, e2: int) -> bool:
@@ -227,7 +254,7 @@ def _geometry(n: int, e1: int, e2: int) -> _Geometry:
     # time, so a wrapper installed on this module sees every call
     if e1 > e2:
         return _Geometry(
-            TheoremCase.GREATER_NEUTRAL, lo=e2, hi=n, side=range(e2 + 1), strip=range(e2),
+            TheoremCase.GREATER_NEUTRAL, block=range(e2, n + 1), side=range(e2 + 1), strip=range(e2),
             near=range(e2, e1 + 1), far=range(e1, n + 1), op=min, unit="tnorm-min",
             boundary=lambda u: underlying_tconorm(u), boundary_kind="t-conorm",
             leak="upper block leaks below e2, no inner uninorm exists",
@@ -235,7 +262,7 @@ def _geometry(n: int, e1: int, e2: int) -> _Geometry:
             forced="strip up to e1 is forced to min",
         )
     return _Geometry(
-        TheoremCase.LESS_NEUTRAL, lo=0, hi=e2, side=range(e2, n + 1), strip=range(e2 + 1, n + 1),
+        TheoremCase.LESS_NEUTRAL, block=range(e2 + 1), side=range(e2, n + 1), strip=range(e2 + 1, n + 1),
         near=range(e1, e2 + 1), far=range(e1 + 1), op=max, unit="tconorm-max",
         boundary=lambda u: underlying_tnorm(u), boundary_kind="t-norm",
         leak="lower block leaks above e2, no inner uninorm exists",
@@ -245,25 +272,14 @@ def _geometry(n: int, e1: int, e2: int) -> _Geometry:
 
 
 def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
-    e1, e2, n = u1.e, u2.e, u1.n
-    g = _geometry(n, e1, e2)
+    g = _geometry(u1.n, u1.e, u2.e)
     log = WitnessLog(verbose)
 
-    for x, y, v in g.square:
-        if u2(x, y) != v:
-            log.add(Violation(f"hypothesis-{g.unit}", (x, y), lhs=u2(x, y), rhs=v, subject="u2"))
-    for x in range(e2):
-        for y in range(e2 + 1, n + 1):
-            if u2(x, y) not in (x, y):
-                log.add(Violation("hypothesis-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
+    _on_square(log, u2, g, f"hypothesis-{g.unit}")
+    for x, y in _non_internal_points(u2):
+        log.add(Violation("hypothesis-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
 
-    for x in g.strip:
-        for y in g.block:
-            a, b = u1(x, y), u2(x, y)
-            if a != b:
-                log.add(Violation("clause-i-agreement", (x, y), lhs=a, rhs=b))
-            elif a not in (x, y):
-                log.add(Violation("clause-i-choice", (x, y), lhs=a))
+    _agree_and_choose(log, u1, u2, g.strip, g.block, "clause-i-agreement", "clause-i-choice")
     for x0 in g.strip:
         for y0 in g.far:
             if u2(x0, y0) == y0 and u2(y0, y0) != y0:
@@ -271,24 +287,18 @@ def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
                                   lhs=u2(y0, y0), rhs=y0, subject="u2",
                                   detail="second argument picked at a non-idempotent point"))
 
-    law = f"clause-ii-{g.op.__name__}"
-    for x in g.strip:  # op(x, y) = x across the near strip
-        for y in g.near:
-            if u1(x, y) != x:
-                log.add(Violation(law, (x, y), lhs=u1(x, y), rhs=x, subject="u1"))
-            if u2(x, y) != x:
-                log.add(Violation(law, (x, y), lhs=u2(x, y), rhs=x, subject="u2"))
+    law = f"clause-ii-{g.op.__name__}"  # op(x, y) = x across the near strip
+    _keeps_first(log, g.strip, g.near, ((u1, "u1", law), (u2, "u2", law)))
 
-    lo, hi = g.lo, g.hi
     closed = True
     for x in g.block:
-        for y in range(x, hi + 1):
-            if not lo <= u1(x, y) <= hi:
+        for y in range(x, g.block.stop):
+            if u1(x, y) not in g.block:
                 closed = False
-                log.add(Violation("clause-iii-closure", (x, y), lhs=u1(x, y), rhs=e2, subject="u1",
+                log.add(Violation("clause-iii-closure", (x, y), lhs=u1(x, y), rhs=u2.e, subject="u1",
                                   detail=g.leak))
     if closed:
-        inner = _restriction(u1, lo, hi, e1 - lo)
+        inner = g.inner(u1)
         inner_report = validate_uninorm(inner.table, inner.e, verbose=verbose)
         if not inner_report.verdict:
             for v in inner_report.violations:
@@ -339,34 +349,16 @@ def necessity_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> 
     if u1.e == u2.e:
         raise WrongCaseError("necessity batteries apply to pairs with e1 != e2")
     _same_scale(u1, u2)
-    e2, n = u2.e, u1.n
-    g = _geometry(n, u1.e, e2)
+    g = _geometry(u1.n, u1.e, u2.e)
     log = WitnessLog(verbose)
-    for x, y, v in g.square:
-        if u2(x, y) != v:
-            log.add(Violation(f"necessity-i-{g.unit}", (x, y), lhs=u2(x, y), rhs=v, subject="u2"))
-    for x in g.side:  # closed x-range for u1
-        for y in g.near:
-            if u1(x, y) != g.op(x, y):
-                log.add(Violation(f"necessity-ii-u1-{g.op.__name__}", (x, y),
-                                  lhs=u1(x, y), rhs=g.op(x, y), subject="u1"))
-    for x in g.strip:  # strict x-range for u2
-        for y in g.near:
-            if u2(x, y) != x:
-                log.add(Violation(f"necessity-iii-u2-{g.op.__name__}", (x, y), lhs=u2(x, y), rhs=x, subject="u2"))
-    for x in g.strip:
-        for y in g.far:
-            a, b = u1(x, y), u2(x, y)
-            if a != b:
-                log.add(Violation("necessity-iv-agreement", (x, y), lhs=a, rhs=b))
-            elif a not in (x, y):
-                log.add(Violation("necessity-iv-choice", (x, y), lhs=a))
-            if b == y and u2(y, y) != y:
-                log.add(Violation("necessity-iv-side-condition", (x, y), lhs=u2(y, y), rhs=y, subject="u2"))
-    for x in range(e2):
-        for y in range(e2 + 1, n + 1):
-            if u2(x, y) not in (x, y):
-                log.add(Violation("necessity-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
+    _on_square(log, u2, g, f"necessity-i-{g.unit}")
+    # on side x near, x <= e2 <= y (mirrored in the less case), so op(x, y) = x
+    _keeps_first(log, g.side, g.near, ((u1, "u1", f"necessity-ii-u1-{g.op.__name__}"),))
+    _keeps_first(log, g.strip, g.near, ((u2, "u2", f"necessity-iii-u2-{g.op.__name__}"),))
+    _agree_and_choose(log, u1, u2, g.strip, g.far, "necessity-iv-agreement",
+                      "necessity-iv-choice", "necessity-iv-side-condition")
+    for x, y in _non_internal_points(u2):
+        log.add(Violation("necessity-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
     return log.report()
 
 
@@ -471,7 +463,7 @@ def _decompose_checked(u1: Uninorm, u2: Uninorm, case: TheoremCase) -> Decomposi
     """The blocks of a pair its caller has classified as distributive under
     ``case``, with proper unequal neutrals; nothing is re-checked."""
     g = _geometry(u1.n, u1.e, u2.e)
-    inner = _restriction(u1, g.lo, g.hi, u1.e - g.lo)
+    inner = g.inner(u1)
     selection = tuple(
         (x, y, Pick.FIRST if u1(x, y) == x else Pick.SECOND) for x, y in g.domain
     )
@@ -504,7 +496,7 @@ def compose(d: Decomposition, scale: ChainScale, e1: int, e2: int):
     g = _geometry(n, e1, e2) if _proper_unequal(n, e1, e2) else None
     if g is None or g.case is not d.case:
         raise _reject("shape", (e1, e2), _SHAPES[d.case])
-    lo, m = g.lo, g.hi - g.lo
+    lo, m = g.block[0], len(g.block) - 1
     if d.inner.n != m or d.inner.e != e1 - lo:
         raise _reject("shape", (d.inner.n, d.inner.e),
                       f"inner must live on L_{m} with neutral {e1 - lo}")

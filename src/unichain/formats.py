@@ -15,8 +15,8 @@ Table document, bit-exact:
 symmetric redundancy is checked, with positioned messages on rejection.
 A decomposition document carries a small header (case, scale, e1, e2),
 two embedded table blocks introduced by ``inner`` and ``boundary``, and a
-``selection`` block of ``x y first|second`` lines.  A ``scale`` above
-``core.MAX_SCALE`` is refused as soon as its line is read.
+``selection`` block of ``x y first|second`` lines.  A scale must lie in
+1..``core.MAX_SCALE`` (a larger one is refused) and neutral, e1, e2 in 0..scale.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ class _Lines:
         raise TableFormatError(message, lineno, self.source)
 
 
-def _read_keyword_int(lines: _Lines, keyword: str) -> int:
+def _read_keyword_int(lines: _Lines, keyword: str, n: int | None = None) -> int:
+    """A '<keyword> <integer>' line: a scale in 1..MAX_SCALE, or an index in 0..n."""
     lineno, content = lines.next(f"'{keyword} <integer>'")
     parts = content.split()
     if len(parts) != 2 or parts[0] != keyword:
@@ -75,8 +76,12 @@ def _read_keyword_int(lines: _Lines, keyword: str) -> int:
         value = int(parts[1])
     except ValueError:
         lines.error(f"{keyword} value {parts[1]!r} is not an integer", lineno)
-    if keyword == "scale":
+    if n is None:
         refuse_large_scale(value, f"{lines.source}:{lineno}")
+        if value < 1:
+            lines.error(f"{keyword} must be at least 1, got {value}", lineno)
+    elif not 0 <= value <= n:
+        lines.error(f"{keyword} {value} outside chain 0..{n}", lineno)
     return value
 
 
@@ -88,11 +93,7 @@ def _read_keyword(lines: _Lines, keyword: str) -> None:
 
 def _read_table_block(lines: _Lines):
     n = _read_keyword_int(lines, "scale")
-    if n < 1:
-        lines.error(f"scale must be at least 1, got {n}", lines.items[lines.pos - 1][0])
-    e = _read_keyword_int(lines, "neutral")
-    if not 0 <= e <= n:
-        lines.error(f"neutral {e} outside chain 0..{n}", lines.items[lines.pos - 1][0])
+    e = _read_keyword_int(lines, "neutral", n)
     rows = []
     row_lines = []
     for x in range(n + 1):
@@ -165,8 +166,8 @@ def parse_decomposition(text: str, source: str = "<input>"):
     except ValueError:
         lines.error(f"unknown case {parts[1]!r}", lineno)
     n = _read_keyword_int(lines, "scale")
-    e1 = _read_keyword_int(lines, "e1")
-    e2 = _read_keyword_int(lines, "e2")
+    e1 = _read_keyword_int(lines, "e1", n)
+    e2 = _read_keyword_int(lines, "e2", n)
     _read_keyword(lines, "inner")
     inner_table, inner_e = _read_table_block(lines)
     _read_keyword(lines, "boundary")

@@ -179,6 +179,8 @@ class TestSpecStrings:
          None),
         ("umin(T=min,e=2,n=4)", SpecSyntaxError, "umin needs both T= and S=", 0),
         ("min(n=4,T=min)", SpecSyntaxError, "min takes no T/S arguments", 0),
+        ("luk-upper(T=drastic,S=max,e=2,n=4)", SpecSyntaxError,
+         "luk-upper takes no T/S arguments", 0),
         ("min(n=²)", SpecSyntaxError, "expected an integer", 6),
         ("idemmin(e=2,n=4,n=5)", SpecSyntaxError, "repeated key 'n'", 16),
         ("umin(T=min,t=luk,S=max,e=2,n=4)", SpecSyntaxError, "repeated key 't'", 11),

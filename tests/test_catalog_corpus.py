@@ -107,7 +107,7 @@ SPEC_DIGESTS = {
     "umin-of": "ef936c9ae1992978315bc41e74575389b6bc2be69719ac3209bc4d193df71c0b",
     "umax": "619e0cfaf5d38b33ff8e18de638914f18b7e7ca16e8d71e329324f7af144f536",
     "umax-of": "ad9f704459356c5e90e3f59222f9bbb8a10501f84243b23b9ab49c15bfd23648",
-    "luk-upper": "452922ecbbef0b5ffacea8fee1bed1e5163727a9a6ee4c911768ebf3a53a8b1b",
+    "luk-upper": "eb9bffbe389f2b5fb545a9a517856a61833bbd31df1720050768cb35b611472c",
     "luk": "4583b03c78103693e8cbf70fca08296445d4144f4af00d3a61a27aaf6cdefd9d",
     "lukasiewicz": "ecca007a3d16e933037a0decb44b514149dac274941010a769d470f78d43767f",
     "drastic": "e7b2214647ded5159639bbfd5c071bcad5d3095e9326209ab3d7dc3e86d62ff9",

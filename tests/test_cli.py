@@ -8,10 +8,10 @@ import pytest
 
 from conftest import FIXTURES_DIR
 from helpers import flip_conditions, idem_min, luk_upper
-from unichain import cli
+from unichain import cli, decompose
 from unichain.cli import main
 from unichain.core import MAX_SCALE
-from unichain.formats import dump_table, parse_table
+from unichain.formats import dump_decomposition, dump_table, parse_table
 
 
 def run(capsys, *argv):
@@ -188,6 +188,15 @@ class TestCommands:
         t2, e2 = parse_table(blocks[1])
         assert (t1.values, e1) == (idem_min(4, 2).rows, 2)
         assert (t2.values, e2) == (idem_min(4, 1).rows, 1)
+
+    def test_compose_header_outside_the_chain_is_status_two(self, capsys, tmp_path):
+        u1, u2 = idem_min(4, 2), idem_min(4, 1)
+        text = dump_decomposition(decompose(u1, u2), u1.scale, 2, 1)
+        path = tmp_path / "d.txt"
+        path.write_text(text.replace("e1 2", "e1 9", 1))
+        code, out, err = run(capsys, "compose", "--decomposition", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:3: e1 9 outside chain 0..4\n"
 
     def test_decompose_refusal_status_one(self, capsys):
         code, out, err = run(capsys, "decompose", "--u1", "idemmin(e=2,n=4)",

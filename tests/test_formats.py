@@ -126,6 +126,9 @@ class TestDecompositionFormat:
         ("0 1 first", "0 1", "selection line needs 'x y first|second', got '0 1'", 20),
         ("0 1 first", "0 one first",
          "selection coordinates must be integers, got '0 one first'", 20),
+        ("e1 2", "e1 9", "e1 9 outside chain 0..4", 3),
+        ("e2 1", "e2 -1", "e2 -1 outside chain 0..4", 4),
+        ("scale 4", "scale 0", "scale must be at least 1, got 0", 2),
     ])
     def test_every_decomposition_error(self, old, new, message, line):
         u1, u2 = idem_min(4, 2), idem_min(4, 1)
