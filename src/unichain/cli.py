@@ -32,7 +32,6 @@ from .errors import (
     SearchLimitError,
     SpecSyntaxError,
     StructureError,
-    TableFormatError,
 )
 from .search import (
     DEFAULT_CERTIFY_LIMIT,
@@ -204,8 +203,13 @@ def _cmd_scan(args) -> int:
         ],
     }
     _emit(args, "\n".join(blocks) + ("\n" if blocks else ""), doc)
+    rejected = sum(not hit.classification.agreement for hit in hits)
+    if rejected:
+        _say(f"scan: THEOREM DIVERGENCE - the structural conditions reject {rejected} of the "
+             f"{len(hits)} distributive pairs; this is the most important possible finding, "
+             "please report it")
     _say(f"scan: {len(hits)} distributive pairs on L_{args.n} with e1={args.e1}, e2={args.e2}")
-    return EXIT_OK
+    return EXIT_FALSE if rejected else EXIT_OK
 
 
 def _cmd_certify(args) -> int:
@@ -310,21 +314,15 @@ def main(argv=None) -> int:
         sys.stderr.write(f"compose rejected: {exc}\n")
         sys.stderr.write(formats.render_report(exc.report))
         return EXIT_FALSE
-    except TableFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except SpecSyntaxError as exc:
         sys.stderr.write(f"error: {exc.caret_message()}\n")
         return EXIT_USAGE
-    except (ConstructionError, StructureError, DomainError) as exc:
+    except (ConstructionError, StructureError, DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except SearchLimitError as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_LIMIT
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

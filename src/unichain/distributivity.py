@@ -346,9 +346,9 @@ def necessity_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> 
     side-condition and the local internality of u2.  Every
     brute-force-distributive pair must satisfy all of them.
     """
+    _same_scale(u1, u2)
     if u1.e == u2.e:
         raise WrongCaseError("necessity batteries apply to pairs with e1 != e2")
-    _same_scale(u1, u2)
     g = _geometry(u1.n, u1.e, u2.e)
     log = WitnessLog(verbose)
     _on_square(log, u2, g, f"necessity-i-{g.unit}")

@@ -5,9 +5,10 @@ distributivity over the full pair space.
 The search fills the upper triangle of the table in a fixed traversal
 (increasing x, then y >= x), with the neutral row propagated first.
 Monotonicity prunes a candidate cell immediately via its neighbour bounds;
-associativity is pruned incrementally by checking exactly the triples whose
-four lookups became determined with the new cell.  The task's filters
-restrict the candidates of the cells they read, all of them free cells.
+associativity is pruned incrementally by checking the triples whose four
+lookups became determined with the new cell, one of each mirror pair (the
+table is symmetric, so (a, b, c) and (c, b, a) share a verdict).  The task's
+filters restrict the candidates of the cells they read, all of them free cells.
 Determinism: candidates are tried in ascending order, so tables stream out
 in lexicographic order of their row-major values.
 
@@ -128,12 +129,14 @@ def _triple_consistent(t, a, b, c):
 
 def _assoc_ok_after(t, x, y, n):
     # every triple whose four lookups became determined with cell (x, y)
-    # references the new cell in one of them; scan those reference patterns
+    # references the new cell in one of them.  Cells are set in pairs (-1
+    # included), so t is symmetric and the mirror (c, b, a) of a triple reads
+    # t[c][b] = t[b][c] and t[b][a] = t[a][b] with the law's sides swapped: one
+    # verdict for both.  The new cell as first or outer lookup (ab, c) is
+    # checked; as bc or outer lookup (a, bc) it is the mirror of those.
     rng = range(n + 1)
     for c in rng:
         if not (_triple_consistent(t, x, y, c) and _triple_consistent(t, y, x, c)):
-            return False
-        if not (_triple_consistent(t, c, x, y) and _triple_consistent(t, c, y, x)):
             return False
     for a in rng:
         row = t[a]
@@ -144,16 +147,6 @@ def _assoc_ok_after(t, x, y, n):
                     return False
             if ab == y:
                 if not _triple_consistent(t, a, b, x):
-                    return False
-    for b in rng:
-        row = t[b]
-        for c in rng:
-            bc = row[c]
-            if bc == y:
-                if not _triple_consistent(t, x, b, c):
-                    return False
-            if bc == x:
-                if not _triple_consistent(t, y, b, c):
                     return False
     return True
 

@@ -8,7 +8,7 @@ path the command line takes; ``dual`` lifts the raw-row oracle in
 from dataclasses import replace
 
 import oracles
-from unichain import ChainScale, CheckReport, OpTable, Uninorm, from_string
+from unichain import ChainScale, CheckReport, OpTable, Uninorm, Violation, from_string
 
 
 def idem_min(n, e):
@@ -50,15 +50,16 @@ def laws_violated(report):
 
 
 def flip_conditions(monkeypatch, module, u1, u2):
-    """Make ``module.classify_and_check`` say the case conditions hold on the
-    pair (u1, u2), where they fail: one planted theorem divergence."""
+    """Make ``module.classify_and_check`` reverse the case conditions' verdict
+    on the pair (u1, u2): one planted theorem divergence."""
     original = module.classify_and_check
+    planted = CheckReport.from_violations([Violation("planted-divergence", ())])
 
     def classify(a, b, **kwargs):
         result = original(a, b, **kwargs)
         if (a.rows, b.rows) == (u1.rows, u2.rows):
-            assert not result.conditions.verdict
-            result = replace(result, conditions=CheckReport.ok())
+            flipped = planted if result.conditions.verdict else CheckReport.ok()
+            result = replace(result, conditions=flipped)
         return result
 
     monkeypatch.setattr(module, "classify_and_check", classify)

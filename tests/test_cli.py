@@ -8,7 +8,7 @@ import pytest
 
 from conftest import FIXTURES_DIR
 from helpers import flip_conditions, idem_min, luk_upper
-from unichain import cli, decompose
+from unichain import ChainScale, cli, decompose, scan_pairs, search
 from unichain.cli import main
 from unichain.core import MAX_SCALE
 from unichain.formats import dump_decomposition, dump_table, parse_table
@@ -155,6 +155,22 @@ class TestCommands:
         assert all(p["necessity"]["verdict"] for p in doc["pairs"])
         assert all(p["decomposition"] is not None for p in doc["pairs"])
 
+    def test_scan_reports_a_divergence_on_stderr(self, capsys, monkeypatch):
+        argv = ("scan", "--n", "3", "--e1", "2", "--e2", "1", "--format", "structured")
+        code, clean_out, clean_err = run(capsys, *argv)
+        assert code == 0
+        first = scan_pairs(ChainScale(3), 2, 1)[0]
+        flip_conditions(monkeypatch, search, first.u1, first.u2)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        doc, clean_doc = json.loads(out), json.loads(clean_out)
+        assert doc["pairs"][0]["decomposition"] is None
+        clean_doc["pairs"][0]["decomposition"] = None
+        assert doc == clean_doc
+        assert err == ("scan: THEOREM DIVERGENCE - the structural conditions reject 1 of the "
+                       "4 distributive pairs; this is the most important possible finding, "
+                       "please report it\n" + clean_err)
+
     def test_certify_structured_and_exit(self, capsys):
         code, out, err = run(capsys, "certify", "--n", "2", "--format", "structured")
         assert code == 0
@@ -197,6 +213,22 @@ class TestCommands:
         code, out, err = run(capsys, "compose", "--decomposition", str(path))
         assert code == 2 and out == ""
         assert err == f"error: {path}:3: e1 9 outside chain 0..4\n"
+
+    def test_compose_with_swapped_neutrals_is_rejected(self, capsys, tmp_path):
+        u1, u2 = idem_min(4, 2), idem_min(4, 1)
+        text = dump_decomposition(decompose(u1, u2), u1.scale, 1, 2)
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "compose", "--decomposition", str(path))
+        assert code == 1 and out == ""
+        assert err == ("compose rejected: greater case needs 0 < e2 < e1 < n: shape at (1,2)\n"
+                       "verdict: false\n  shape at (1,2)\n")
+
+    def test_missing_table_file_is_status_two(self, capsys, tmp_path):
+        path = tmp_path / "absent.tbl"
+        code, out, err = run(capsys, "validate", "--table", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_decompose_refusal_status_one(self, capsys):
         code, out, err = run(capsys, "decompose", "--u1", "idemmin(e=2,n=4)",

@@ -8,6 +8,7 @@ import oracles
 from helpers import dual, idem_max, idem_min, laws_violated, luk_upper, min_tnorm, table_of
 from unichain import (
     ChainScale,
+    OpTable,
     Uninorm,
     is_conjunctive,
     is_idempotent,
@@ -43,6 +44,17 @@ class TestOpTable:
     def test_shape_enforced(self):
         with pytest.raises(StructureError, match="entries"):
             table_of([[0, 0], [0, 1], [0, 1]])
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 0, 0], [0, 1, 2]], "structure at (2) (expected 3 rows, got 2)"),
+        ([[0, 0, 0], [0, 1], [0, 2, 2]], "structure at (1) (row 1 has 2 entries, expected 3)"),
+        ([[0, 0, 0], [0, 1.0, 2], [0, 2, 2]], "structure at (1,1) (entry 1.0 is not an integer)"),
+        ([[0, True, 0], [1, 1, 2], [0, 2, 2]], "structure at (0,1) (entry True is not an integer)"),
+    ])
+    def test_each_refusal_names_its_position(self, rows, message):
+        with pytest.raises(StructureError) as caught:
+            OpTable(ChainScale(2), tuple(map(tuple, rows)))
+        assert str(caught.value) == message
 
     def test_bad_neutral_index(self):
         table = table_of([[0, 0], [0, 1]])

@@ -120,6 +120,10 @@ class TestLessNeutral:
         assert less_neutral_conditions(u1, u2).verdict
         assert check_distributivity(u1, u2).verdict
 
+    def test_wrong_case(self):
+        with pytest.raises(WrongCaseError, match="less-neutral conditions need e1 < e2, got 2 and 1"):
+            less_neutral_conditions(idem_min(4, 2), idem_min(4, 1))
+
     def test_dual_of_failing_pair_fails(self):
         u1, u2 = dual(idem_min(4, 2)), dual(luk_upper(4, 1))
         assert not less_neutral_conditions(u1, u2).verdict
@@ -197,3 +201,7 @@ class TestNecessityBattery:
     def test_wrong_case(self):
         with pytest.raises(WrongCaseError):
             necessity_conditions(idem_min(4, 2), idem_min(4, 2))
+
+    def test_scale_mismatch_is_checked_before_the_case(self):
+        with pytest.raises(ScaleMismatchError, match="operands live on L_3 and L_4"):
+            necessity_conditions(idem_min(3, 1), idem_min(4, 1))

@@ -1,6 +1,9 @@
 """Enumeration correctness, pruning safety, partitioning, certification."""
 
+import hashlib
+import json
 import os
+import random
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -8,6 +11,7 @@ from itertools import product
 import pytest
 
 import oracles
+from conftest import FIXTURES_DIR
 from helpers import flip_conditions
 from unichain import (
     ChainScale,
@@ -29,6 +33,29 @@ from unichain.search import PairDivergence, SearchStats, _check_pair_block
 
 def rows_set(uninorms):
     return set(u.rows for u in uninorms)
+
+
+FILTERS = ("idempotent", "locally-internal", "conjunctive")
+
+
+def enumeration_pins(max_n):
+    """For every scale up to ``max_n``, neutral element and filter combination:
+    the SHA-256 of the enumerated rows, the nodes expanded and the tables
+    emitted.  ``tests/fixtures/enumeration_l5.json`` holds ``enumeration_pins(5)``."""
+    pins = {}
+    for n in range(1, max_n + 1):
+        for e in range(n + 1):
+            for flags in product((False, True), repeat=3):
+                stats = SearchStats()
+                task = EnumerationTask(ChainScale(n), e, *flags)
+                rows = [u.rows for u in enumerate_uninorms(task, stats=stats)]
+                chosen = "+".join(f for f, on in zip(FILTERS, flags) if on) or "none"
+                pins[f"n={n} e={e} filters={chosen}"] = {
+                    "rows-sha256": hashlib.sha256(repr(rows).encode()).hexdigest(),
+                    "nodes-expanded": stats.nodes_expanded,
+                    "emitted": stats.emitted,
+                }
+    return pins
 
 
 class TestEnumeration:
@@ -118,6 +145,24 @@ class TestPruningSafety:
     def test_conjunctive_filter_with_bottom_neutral_is_empty(self):
         task = EnumerationTask(ChainScale(3), 0, conjunctive_only=True)
         assert list(enumerate_uninorms(task)) == []
+
+    def test_every_task_through_l5_matches_its_pin(self):
+        pins = json.loads((FIXTURES_DIR / "enumeration_l5.json").read_text(encoding="utf-8"))
+        assert enumeration_pins(5) == pins
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_a_symmetric_table_checks_each_triple_and_its_mirror_alike(self, n):
+        # the lemma that lets the pruning check one triple of each mirror pair
+        rng = random.Random(20261018 + n)
+        pts = range(n + 1)
+        for _ in range(40):
+            t = [[-1] * (n + 1) for _ in pts]
+            for x in pts:
+                for y in range(x, n + 1):
+                    t[x][y] = t[y][x] = rng.randrange(-1, n + 1)
+            for a, b, c in product(pts, repeat=3):
+                assert (search._triple_consistent(t, a, b, c)
+                        == search._triple_consistent(t, c, b, a)), (t, a, b, c)
 
 
 class TestPartitioning:
