@@ -120,6 +120,13 @@ class Uninorm:
     def __call__(self, x: int, y: int) -> int:
         return self.table.values[x][y]
 
+    @cached_property
+    def _latest(self) -> dict:
+        """role -> (key, value): the last value a caller derived from this
+        uninorm alone under ``role`` and ``key``, kept until a call with
+        another key.  Not a field, so equality, hash and repr ignore it."""
+        return {}
+
     @property
     def is_tnorm(self) -> bool:
         return self.e == self.n

@@ -9,6 +9,9 @@ pair scan uses it to find hits before building any per-pair report.  The three
 the matching order of neutral elements (e1 = e2, e1 > e2, e1 < e2);
 ``classify_and_check`` runs both routes and flags any disagreement as a
 theorem divergence, which is a reportable finding, never silently dropped.
+The unequal cases compute each clause that reads only one table once per
+table and partner neutral element, and ``check_distributivity`` gathers
+u1's side of the law once per table; both are kept on the uninorm itself.
 
 Index-range conventions used by the case predicates (all bounds inclusive
 unless marked strict):
@@ -103,13 +106,28 @@ def _pair_grid(m: int):
     return np.triu_indices(m)
 
 
-def _law_sides(a, b, ys, zs):
+def _once(u: Uninorm, role: str, key, compute):
+    """``compute()``, kept in ``u``'s slot for ``role`` while ``key`` repeats.
+
+    A slot holds only the latest key.  ``certify`` visits pairs u1-outer and
+    e-major, so a slot is almost always hit; and it lives on the uninorm, so
+    nothing outlasts the tables of one run.
+    """
+    slot = u._latest.get(role)
+    if slot is None or slot[0] != key:
+        slot = u._latest[role] = (key, compute())
+    return slot[1]
+
+
+def _law_sides(a, b, ys, zs, a_ys, a_zs):
     """u1(x, u2(y,z)) and u2(u1(x,y), u1(x,z)) for every x and every grid pair k.
 
-    ``a`` is u1's table, or a stack of them along leading axes; the result
-    has ``a``'s leading axes, then x, then k.
+    ``a`` is u1's table, or a stack of them along leading axes, and ``a_ys``,
+    ``a_zs`` are ``a[..., ys]`` and ``a[..., zs]``: they read only u1, so
+    callers gather them once per first table.  The result has ``a``'s
+    leading axes, then x, then k.
     """
-    return a[..., b[ys, zs]], b[a[..., ys], a[..., zs]]
+    return a[..., b[ys, zs]], b[a_ys, a_zs]
 
 
 def check_distributivity(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
@@ -120,7 +138,9 @@ def check_distributivity(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> 
     """
     _same_scale(u1, u2)
     ys, zs = _pair_grid(u1.n + 1)
-    lhs, rhs = _law_sides(u1.table.array, u2.table.array, ys, zs)
+    a = u1.table.array
+    a_ys, a_zs = _once(u1, "law-gathers", (), lambda: (a[:, ys], a[:, zs]))
+    lhs, rhs = _law_sides(a, u2.table.array, ys, zs, a_ys, a_zs)
     neq = lhs != rhs
     if not neq.any():
         return CheckReport.ok()
@@ -152,8 +172,9 @@ def distributivity_matrix(firsts, seconds) -> np.ndarray:
         raise ScaleMismatchError(f"stacks of shapes {firsts.shape} and {seconds.shape} "
                                  "are not square tables on one chain")
     ys, zs = _pair_grid(m)
+    a_ys, a_zs = firsts[..., ys], firsts[..., zs]
     for j, b in enumerate(seconds):
-        lhs, rhs = _law_sides(firsts, b, ys, zs)
+        lhs, rhs = _law_sides(firsts, b, ys, zs, a_ys, a_zs)
         out[:, j] = (lhs == rhs).reshape(len(firsts), -1).all(axis=1)
     return out
 
@@ -271,41 +292,70 @@ def _geometry(n: int, e1: int, e2: int) -> _Geometry:
     )
 
 
-def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
-    g = _geometry(u1.n, u1.e, u2.e)
+def _u2_share(u2: Uninorm, g: _Geometry, verbose: bool):
+    """The clauses that read only u2: the hypothesis violations, the clause-i
+    side-condition violations, and u2's boundary operation on the block."""
     log = WitnessLog(verbose)
-
     _on_square(log, u2, g, f"hypothesis-{g.unit}")
     for x, y in _non_internal_points(u2):
         log.add(Violation("hypothesis-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
+    hypotheses = log.report().violations
 
-    _agree_and_choose(log, u1, u2, g.strip, g.block, "clause-i-agreement", "clause-i-choice")
+    log = WitnessLog(verbose)
     for x0 in g.strip:
         for y0 in g.far:
             if u2(x0, y0) == y0 and u2(y0, y0) != y0:
                 log.add(Violation("clause-i-side-condition", (x0, y0),
                                   lhs=u2(y0, y0), rhs=y0, subject="u2",
                                   detail="second argument picked at a non-idempotent point"))
+    return hypotheses, log.report().violations, g.boundary(u2)
 
-    law = f"clause-ii-{g.op.__name__}"  # op(x, y) = x across the near strip
-    _keeps_first(log, g.strip, g.near, ((u1, "u1", law), (u2, "u2", law)))
 
+def _u1_share(u1: Uninorm, e2: int, g: _Geometry, verbose: bool):
+    """Clause iii's part that reads only u1: the closure and inner-axiom
+    violations, and the inner uninorm when it is one (else None)."""
+    log = WitnessLog(verbose)
     closed = True
     for x in g.block:
         for y in range(x, g.block.stop):
             if u1(x, y) not in g.block:
                 closed = False
-                log.add(Violation("clause-iii-closure", (x, y), lhs=u1(x, y), rhs=u2.e, subject="u1",
+                log.add(Violation("clause-iii-closure", (x, y), lhs=u1(x, y), rhs=e2, subject="u1",
                                   detail=g.leak))
-    if closed:
-        inner = g.inner(u1)
-        inner_report = validate_uninorm(inner.table, inner.e, verbose=verbose)
-        if not inner_report.verdict:
-            for v in inner_report.violations:
-                log.add(replace(v, law=f"clause-iii-inner-{v.law}", subject="u1", detail=g.subchain))
-        else:
-            for v in check_distributivity(inner, g.boundary(u2), verbose=verbose).violations:
-                log.add(replace(v, law="clause-iii-distributivity", detail=g.subchain))
+    if not closed:
+        return log.report().violations, None
+    inner = g.inner(u1)
+    inner_report = validate_uninorm(inner.table, inner.e, verbose=verbose)
+    for v in inner_report.violations:
+        log.add(replace(v, law=f"clause-iii-inner-{v.law}", subject="u1", detail=g.subchain))
+    return log.report().violations, inner if inner_report.verdict else None
+
+
+def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
+    g = _geometry(u1.n, u1.e, u2.e)
+    # each share is computed once per table and partner neutral: the case
+    # follows from the two neutrals, and the scale was checked equal
+    hypotheses, side_condition, boundary = _once(
+        u2, "unequal-u2", (u1.e, verbose), lambda: _u2_share(u2, g, verbose))
+    block_violations, inner = _once(
+        u1, "unequal-u1", (u2.e, verbose), lambda: _u1_share(u1, u2.e, g, verbose))
+    # the shares' violations are replayed in clause order, each law keeping
+    # its own first witness
+    log = WitnessLog(verbose)
+    for v in hypotheses:
+        log.add(v)
+    _agree_and_choose(log, u1, u2, g.strip, g.block, "clause-i-agreement", "clause-i-choice")
+    for v in side_condition:
+        log.add(v)
+
+    law = f"clause-ii-{g.op.__name__}"  # op(x, y) = x across the near strip
+    _keeps_first(log, g.strip, g.near, ((u1, "u1", law), (u2, "u2", law)))
+
+    for v in block_violations:
+        log.add(v)
+    if inner is not None:
+        for v in check_distributivity(inner, boundary, verbose=verbose).violations:
+            log.add(replace(v, law="clause-iii-distributivity", detail=g.subchain))
     return log.report()
 
 
