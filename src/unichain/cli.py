@@ -52,8 +52,10 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _emit(args, text_body: str, doc: dict) -> None:
-    body = formats.to_json(doc) if args.format == "structured" else text_body
+def _emit(args, text_body, doc) -> None:
+    """Write the report in the chosen format.  ``text_body`` and ``doc`` are
+    zero-argument callables, and only the chosen one is called."""
+    body = formats.to_json(doc()) if args.format == "structured" else text_body()
     if args.out:
         Path(args.out).write_text(body, encoding="utf-8")
     else:
@@ -83,7 +85,7 @@ def _load_valid_uninorm(arg: str, role: str) -> Uninorm:
 def _cmd_validate(args) -> int:
     table, e = _load_operand(args.table)
     report = validate_uninorm(table, e, verbose=args.verbose)
-    _emit(args, formats.render_report(report), formats.report_doc(report))
+    _emit(args, lambda: formats.render_report(report), lambda: formats.report_doc(report))
     _say(f"validate: {'valid uninorm' if report.verdict else 'INVALID'} "
          f"(n={table.scale.n}, e={e})")
     return EXIT_OK if report.verdict else EXIT_FALSE
@@ -100,8 +102,8 @@ def _cmd_classify(args) -> int:
         "idempotent": is_idempotent(u),
         "locally-internal": is_locally_internal(u),
     }
-    doc = {"format-version": formats.FORMAT_VERSION, "kind": "classification", **fields}
-    _emit(args, "".join(f"{key}: {value}\n" for key, value in fields.items()), doc)
+    _emit(args, lambda: "".join(f"{key}: {value}\n" for key, value in fields.items()),
+          lambda: {"format-version": formats.FORMAT_VERSION, "kind": "classification", **fields})
     _say(f"classify: {kind} on L_{u.n} with e={u.e}")
     return EXIT_OK
 
@@ -110,7 +112,7 @@ def _cmd_check(args) -> int:
     u1 = _load_valid_uninorm(args.u1, "u1")
     u2 = _load_valid_uninorm(args.u2, "u2")
     result = classify_and_check(u1, u2, verbose=args.verbose)
-    _emit(args, formats.render_pair_check(result), formats.pair_check_doc(result))
+    _emit(args, lambda: formats.render_pair_check(result), lambda: formats.pair_check_doc(result))
     if not result.agreement:
         _say("check: THEOREM DIVERGENCE - the structural conditions and the "
              "exhaustive scan disagree on this pair; this is the most important "
@@ -124,8 +126,8 @@ def _cmd_decompose(args) -> int:
     u1 = _load_valid_uninorm(args.u1, "u1")
     u2 = _load_valid_uninorm(args.u2, "u2")
     d = decompose(u1, u2)
-    _emit(args, formats.dump_decomposition(d, u1.scale, u1.e, u2.e),
-          formats.decomposition_doc(d, u1.scale, u1.e, u2.e))
+    _emit(args, lambda: formats.dump_decomposition(d, u1.scale, u1.e, u2.e),
+          lambda: formats.decomposition_doc(d, u1.scale, u1.e, u2.e))
     _say(f"decompose: case={d.case.value} inner on L_{d.inner.n} "
          f"boundary on L_{d.boundary_op.n} selection of {len(d.selection)} points")
     return EXIT_OK
@@ -135,14 +137,13 @@ def _cmd_compose(args) -> int:
     text = Path(args.decomposition).read_text(encoding="utf-8")
     d, scale, e1, e2 = formats.parse_decomposition(text, source=args.decomposition)
     u1, u2 = compose(d, scale, e1, e2)
-    text_body = f"# u1\n{formats.dump_table(u1)}\n# u2\n{formats.dump_table(u2)}"
-    doc = {
-        "format-version": formats.FORMAT_VERSION,
-        "kind": "pair",
-        "u1": formats.table_doc(u1),
-        "u2": formats.table_doc(u2),
-    }
-    _emit(args, text_body, doc)
+    _emit(args, lambda: f"# u1\n{formats.dump_table(u1)}\n# u2\n{formats.dump_table(u2)}",
+          lambda: {
+              "format-version": formats.FORMAT_VERSION,
+              "kind": "pair",
+              "u1": formats.table_doc(u1),
+              "u2": formats.table_doc(u2),
+          })
     _say(f"compose: assembled a distributive pair on L_{scale.n} with e1={e1}, e2={e2}")
     return EXIT_OK
 
@@ -156,19 +157,16 @@ def _cmd_enumerate(args) -> int:
     )
     max_n = args.max_n if args.max_n is not None else DEFAULT_ENUMERATION_LIMIT
     tables = list(enumerate_uninorms(task, workers=args.workers, max_n=max_n))
-    text_body = "".join(
-        f"# {i + 1} of {len(tables)}\n{formats.dump_table(u)}\n"
-        for i, u in enumerate(tables)
-    )
-    doc = {
-        "format-version": formats.FORMAT_VERSION,
-        "kind": "enumeration",
-        "scale": args.n,
-        "neutral": args.e,
-        "count": len(tables),
-        "tables": [[list(row) for row in u.rows] for u in tables],
-    }
-    _emit(args, text_body, doc)
+    _emit(args, lambda: "".join(f"# {i + 1} of {len(tables)}\n{formats.dump_table(u)}\n"
+                                for i, u in enumerate(tables)),
+          lambda: {
+              "format-version": formats.FORMAT_VERSION,
+              "kind": "enumeration",
+              "scale": args.n,
+              "neutral": args.e,
+              "count": len(tables),
+              "tables": [u.rows for u in tables],
+          })
     _say(f"enumerate: {len(tables)} uninorms on L_{args.n} with e={args.e}")
     return EXIT_OK
 
@@ -176,33 +174,39 @@ def _cmd_enumerate(args) -> int:
 def _cmd_scan(args) -> int:
     max_n = args.max_n if args.max_n is not None else DEFAULT_CERTIFY_LIMIT
     hits = scan_pairs(ChainScale(args.n), args.e1, args.e2, max_n=max_n)
-    blocks = []
-    for i, hit in enumerate(hits):
-        blocks.append(f"# pair {i + 1} of {len(hits)}\n# u1\n{formats.dump_table(hit.u1)}"
-                      f"\n# u2\n{formats.dump_table(hit.u2)}")
-        if hit.decomposition is not None:
-            blocks.append("# decomposition\n"
-                          + formats.dump_decomposition(hit.decomposition, hit.u1.scale,
-                                                       hit.u1.e, hit.u2.e))
-    doc = {
-        "format-version": formats.FORMAT_VERSION,
-        "kind": "scan",
-        "scale": args.n,
-        "e1": args.e1,
-        "e2": args.e2,
-        "count": len(hits),
-        "pairs": [
-            {
-                "u1": formats.table_doc(hit.u1),
-                "u2": formats.table_doc(hit.u2),
-                "necessity": None if hit.necessity is None else formats.report_doc(hit.necessity),
-                "decomposition": None if hit.decomposition is None else
-                formats.decomposition_doc(hit.decomposition, hit.u1.scale, hit.u1.e, hit.u2.e),
-            }
-            for hit in hits
-        ],
-    }
-    _emit(args, "\n".join(blocks) + ("\n" if blocks else ""), doc)
+
+    def text_body():
+        blocks = []
+        for i, hit in enumerate(hits):
+            blocks.append(f"# pair {i + 1} of {len(hits)}\n# u1\n{formats.dump_table(hit.u1)}"
+                          f"\n# u2\n{formats.dump_table(hit.u2)}")
+            if hit.decomposition is not None:
+                blocks.append("# decomposition\n"
+                              + formats.dump_decomposition(hit.decomposition, hit.u1.scale,
+                                                           hit.u1.e, hit.u2.e))
+        return "\n".join(blocks) + ("\n" if blocks else "")
+
+    def doc():
+        return {
+            "format-version": formats.FORMAT_VERSION,
+            "kind": "scan",
+            "scale": args.n,
+            "e1": args.e1,
+            "e2": args.e2,
+            "count": len(hits),
+            "pairs": [
+                {
+                    "u1": formats.table_doc(hit.u1),
+                    "u2": formats.table_doc(hit.u2),
+                    "necessity": None if hit.necessity is None else formats.report_doc(hit.necessity),
+                    "decomposition": None if hit.decomposition is None else
+                    formats.decomposition_doc(hit.decomposition, hit.u1.scale, hit.u1.e, hit.u2.e),
+                }
+                for hit in hits
+            ],
+        }
+
+    _emit(args, text_body, doc)
     rejected = sum(not hit.classification.agreement for hit in hits)
     if rejected:
         _say(f"scan: THEOREM DIVERGENCE - the structural conditions reject {rejected} of the "
@@ -216,8 +220,8 @@ def _cmd_certify(args) -> int:
     max_n = args.max_n if args.max_n is not None else DEFAULT_CERTIFY_LIMIT
     report = certify(ChainScale(args.n), workers=args.workers, max_n=max_n,
                      pair_budget=args.pair_budget)
-    _emit(args, formats.render_certification(report),
-          formats.certification_doc(report, include_timing=not args.no_timing))
+    _emit(args, lambda: formats.render_certification(report),
+          lambda: formats.certification_doc(report, include_timing=not args.no_timing))
     _say(f"certify: L_{args.n} pairs={report.pairs_checked} "
          f"divergences={len(report.divergences)}"
          + (" PARTIAL" if report.partial else ""))

@@ -17,6 +17,13 @@ A decomposition document carries a small header (case, scale, e1, e2),
 two embedded table blocks introduced by ``inner`` and ``boundary``, and a
 ``selection`` block of ``x y first|second`` lines.  A scale must lie in
 1..``core.MAX_SCALE`` (a larger one is refused) and neutral, e1, e2 in 0..scale.
+
+Structured documents are written by ``to_json``, a small recursive writer
+whose output is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
+newline: with ``indent`` set, ``json.dumps`` runs the pure-Python encoder,
+while the writer joins each list of plain ints in one ``str.join`` and hands
+only keys and other scalars to ``json.dumps``.  Dictionary keys must be
+strings.  The tests hold ``json.dumps`` as its oracle.
 """
 
 from __future__ import annotations
@@ -196,7 +203,42 @@ def parse_decomposition(text: str, source: str = "<input>"):
 # --- structured documents -----------------------------------------------------
 
 def to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2,
+    sort_keys=True)`` writes it where ``newline`` starts each of its lines."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            out.append(separator + json.dumps(key) + ": ")
+            _write_json(value[key], inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+            return
+        separator = "[" + inner
+        for v in value:
+            out.append(separator)
+            _write_json(v, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def violation_doc(v: Violation) -> dict:

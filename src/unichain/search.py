@@ -7,7 +7,9 @@ The search fills the upper triangle of the table in a fixed traversal
 Monotonicity prunes a candidate cell immediately via its neighbour bounds;
 associativity is pruned incrementally by checking the triples whose four
 lookups became determined with the new cell, one of each mirror pair (the
-table is symmetric, so (a, b, c) and (c, b, a) share a verdict).  The task's
+table is symmetric, so (a, b, c) and (c, b, a) share a verdict).  Where the
+new cell is the outer lookup t[ab][c], ab must equal one of its coordinates,
+so a row holding neither value is skipped by one membership test.  The task's
 filters restrict the candidates of the cells they read, all of them free cells.
 Determinism: candidates are tried in ascending order, so tables stream out
 in lexicographic order of their row-major values.
@@ -115,39 +117,48 @@ def _candidates(t, x, y, n, e, task):
     return values
 
 
-def _triple_consistent(t, a, b, c):
-    ab = t[a][b]
-    if ab < 0:
-        return True
-    bc = t[b][c]
-    if bc < 0:
-        return True
-    left = t[ab][c]
-    right = t[a][bc]
-    return left < 0 or right < 0 or left == right
-
-
 def _assoc_ok_after(t, x, y, n):
     # every triple whose four lookups became determined with cell (x, y)
     # references the new cell in one of them.  Cells are set in pairs (-1
     # included), so t is symmetric and the mirror (c, b, a) of a triple reads
     # t[c][b] = t[b][c] and t[b][a] = t[a][b] with the law's sides swapped: one
     # verdict for both.  The new cell as first or outer lookup (ab, c) is
-    # checked; as bc or outer lookup (a, bc) it is the mirror of those.
+    # checked; as bc or outer lookup (a, bc) it is the mirror of those.  A
+    # triple (a, b, c) passes when a lookup is unset (-1) or t[ab][c] equals
+    # t[a][bc].
+    v = t[x][y]
+    tv, tx, ty = t[v], t[x], t[y]
     rng = range(n + 1)
+    # the new cell as ab: triples (x, y, c) and, unless it is the same one,
+    # (y, x, c); both have left side t[v][c]
     for c in rng:
-        if not (_triple_consistent(t, x, y, c) and _triple_consistent(t, y, x, c)):
+        left = tv[c]
+        if left < 0:
+            continue
+        bc = ty[c]
+        if bc >= 0 and 0 <= tx[bc] != left:
             return False
+        if y != x:
+            bc = tx[c]
+            if bc >= 0 and 0 <= ty[bc] != left:
+                return False
+    # the new cell as the outer lookup t[ab][c]: triples (a, b, y) with
+    # ab = x and (a, b, x) with ab = y, both with left side v.  A row that
+    # holds neither value has no such b.
     for a in rng:
         row = t[a]
+        if x not in row and y not in row:
+            continue
         for b in rng:
             ab = row[b]
             if ab == x:
-                if not _triple_consistent(t, a, b, y):
-                    return False
-            if ab == y:
-                if not _triple_consistent(t, a, b, x):
-                    return False
+                bc = ty[b]  # t[b][y], by symmetry
+            elif ab == y:
+                bc = tx[b]
+            else:
+                continue
+            if bc >= 0 and 0 <= row[bc] != v:
+                return False
     return True
 
 

@@ -67,6 +67,39 @@ def find_distributivity_defect(rows1, rows2):
     return None
 
 
+def triple_consistent(t, a, b, c):
+    """Associativity at (a, b, c) of a partial table (-1 = unset), judged
+    only when all four lookups are set."""
+    ab = t[a][b]
+    if ab < 0:
+        return True
+    bc = t[b][c]
+    if bc < 0:
+        return True
+    left = t[ab][c]
+    right = t[a][bc]
+    return left < 0 or right < 0 or left == right
+
+
+def assoc_ok_after(t, x, y):
+    """Every triple whose four lookups are set, and that reads cell (x, y)
+    or (y, x), is associative."""
+    n = len(t) - 1
+    cell = {(x, y), (y, x)}
+    for a, b, c in product(range(n + 1), repeat=3):
+        ab, bc = t[a][b], t[b][c]
+        if ab < 0 or bc < 0:
+            continue
+        left, right = t[ab][c], t[a][bc]
+        if left < 0 or right < 0:
+            continue
+        if cell.isdisjoint({(a, b), (b, c), (ab, c), (a, bc)}):
+            continue
+        if left != right:
+            return False
+    return True
+
+
 def symmetric_neutral_tables(n, e):
     """Every symmetric table on L_n whose row e is the identity.
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import FIXTURES_DIR
 from helpers import flip_conditions, idem_min, luk_upper
-from unichain import ChainScale, cli, decompose, scan_pairs, search
+from unichain import ChainScale, cli, decompose, formats, scan_pairs, search
 from unichain.cli import main
 from unichain.core import MAX_SCALE
 from unichain.formats import dump_decomposition, dump_table, parse_table
@@ -260,6 +260,52 @@ class TestCommands:
         assert code == 1
         assert "u2 fails the uninorm axioms" in err
         assert "u1 fails" not in err
+
+
+def printing_commands(tmp_path):
+    """One successful call of each command that prints a report."""
+    u1, u2 = idem_min(4, 2), idem_min(4, 1)
+    path = tmp_path / "d.txt"
+    path.write_text(dump_decomposition(decompose(u1, u2), u1.scale, 2, 1))
+    return {
+        "validate": ["validate", "--table", "luk-upper(e=2,n=4)"],
+        "classify": ["classify", "--table", "idemmin(e=2,n=4)"],
+        "check": ["check", "--u1", "idemmin(e=2,n=4)", "--u2", "idemmin(e=2,n=4)", "--verbose"],
+        "decompose": ["decompose", "--u1", "idemmin(e=2,n=4)", "--u2", "idemmin(e=1,n=4)"],
+        "compose": ["compose", "--decomposition", str(path)],
+        "enumerate": ["enumerate", "--n", "4", "--e", "2"],
+        "scan": ["scan", "--n", "4", "--e1", "2", "--e2", "1"],
+        "certify": ["certify", "--n", "3", "--no-timing"],
+    }
+
+
+def refuse(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"formats.{name} called")
+    return call
+
+
+class TestRenderOnlyWhatIsPrinted:
+    def test_structured_output_renders_no_text(self, capsys, monkeypatch, tmp_path):
+        commands = printing_commands(tmp_path)
+        expected = {name: run(capsys, *argv, "--format", "structured")[:2]
+                    for name, argv in commands.items()}
+        text_renderers = ["dump_table", "dump_decomposition",
+                          *(name for name in dir(formats) if name.startswith("render_"))]
+        for name in text_renderers:
+            monkeypatch.setattr(formats, name, refuse(name))
+        for name, argv in commands.items():
+            code, out, _ = run(capsys, *argv, "--format", "structured")
+            assert (code, out) == expected[name], name
+            assert code == 0 and out.startswith("{"), name
+
+    def test_text_output_builds_no_document(self, capsys, monkeypatch, tmp_path):
+        commands = printing_commands(tmp_path)
+        for name in ["to_json", *(name for name in dir(formats) if name.endswith("_doc"))]:
+            monkeypatch.setattr(formats, name, refuse(name))
+        for name, argv in commands.items():
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out and not out.startswith("{"), name
 
 
 class TestConsoleScript:

@@ -1,5 +1,7 @@
 """Table and decomposition documents, structured reports, golden regression."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +148,29 @@ class TestDecompositionFormat:
             parse_decomposition("case sideways\nscale 4\n")
 
 
+TRICKY_TEXT = st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r", "\u00e9\u2028",
+                                "\U0001f600", ""])
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-2**80, max_value=2**80)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+    | st.text()
+    | TRICKY_TEXT
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.lists(st.integers(min_value=-2**70, max_value=2**70) | st.booleans(),
+                              max_size=6)
+                   | st.dictionaries(st.text() | TRICKY_TEXT, inner, max_size=5)),
+    max_leaves=25,
+)
+
+
 class TestStructuredDocs:
     def test_report_doc_shape(self):
         report = validate_uninorm(luk_upper(4, 2).table, 2)
@@ -162,6 +187,11 @@ class TestStructuredDocs:
     def test_json_is_stable(self):
         u = idem_min(3, 1)
         assert to_json(table_doc(u)) == to_json(table_doc(u))
+
+    @given(JSON_DOCS)
+    @settings(max_examples=200, deadline=None)
+    def test_json_writer_matches_the_json_module(self, doc):
+        assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestGoldenRegression:

@@ -38,12 +38,14 @@ def rows_set(uninorms):
 FILTERS = ("idempotent", "locally-internal", "conjunctive")
 
 
-def enumeration_pins(max_n):
-    """For every scale up to ``max_n``, neutral element and filter combination:
+def enumeration_pins(scales):
+    """For every scale in ``scales``, neutral element and filter combination:
     the SHA-256 of the enumerated rows, the nodes expanded and the tables
-    emitted.  ``tests/fixtures/enumeration_l5.json`` holds ``enumeration_pins(5)``."""
+    emitted.  ``tests/fixtures/enumeration_l5.json`` holds
+    ``enumeration_pins(range(1, 6))`` and ``enumeration_l6.json``
+    ``enumeration_pins([6])``."""
     pins = {}
-    for n in range(1, max_n + 1):
+    for n in scales:
         for e in range(n + 1):
             for flags in product((False, True), repeat=3):
                 stats = SearchStats()
@@ -148,7 +150,33 @@ class TestPruningSafety:
 
     def test_every_task_through_l5_matches_its_pin(self):
         pins = json.loads((FIXTURES_DIR / "enumeration_l5.json").read_text(encoding="utf-8"))
-        assert enumeration_pins(5) == pins
+        assert enumeration_pins(range(1, 6)) == pins
+
+    def test_every_task_on_l6_matches_its_pin(self):
+        pins = json.loads((FIXTURES_DIR / "enumeration_l6.json").read_text(encoding="utf-8"))
+        assert enumeration_pins([6]) == pins
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_pruning_checks_exactly_the_triples_that_read_the_new_cell(self, n):
+        rng = random.Random(20261019 + n)
+        pts = range(n + 1)
+        verdicts = Counter()
+        for _ in range(6):
+            unset = rng.random()
+            t = [[-1] * (n + 1) for _ in pts]
+            for x in pts:
+                for y in range(x, n + 1):
+                    if rng.random() >= unset:
+                        t[x][y] = t[y][x] = rng.randrange(n + 1)
+            for x in pts:
+                for y in range(x, n + 1):
+                    saved = t[x][y]
+                    t[x][y] = t[y][x] = rng.randrange(n + 1)
+                    verdict = search._assoc_ok_after(t, x, y, n)
+                    assert verdict == oracles.assoc_ok_after(t, x, y), (t, x, y)
+                    verdicts[verdict] += 1
+                    t[x][y] = t[y][x] = saved
+        assert verdicts[True] and verdicts[False], verdicts
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_a_symmetric_table_checks_each_triple_and_its_mirror_alike(self, n):
@@ -161,8 +189,8 @@ class TestPruningSafety:
                 for y in range(x, n + 1):
                     t[x][y] = t[y][x] = rng.randrange(-1, n + 1)
             for a, b, c in product(pts, repeat=3):
-                assert (search._triple_consistent(t, a, b, c)
-                        == search._triple_consistent(t, c, b, a)), (t, a, b, c)
+                assert (oracles.triple_consistent(t, a, b, c)
+                        == oracles.triple_consistent(t, c, b, a)), (t, a, b, c)
 
 
 class TestPartitioning:
