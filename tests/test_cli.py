@@ -136,6 +136,16 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["count"] == 5 and len(doc["tables"]) == 5
 
+    def test_enumerate_document_holds_its_own_lists(self, capsys, monkeypatch):
+        # perfbench/selfcheck.py edits a cell of this document in place to test its gate
+        docs = []
+        write = formats.to_json
+        monkeypatch.setattr(formats, "to_json", lambda doc: docs.append(doc) or write(doc))
+        run(capsys, "enumerate", "--n", "3", "--e", "1", "--format", "structured")
+        (doc,) = docs
+        assert all(type(row) is list for table in doc["tables"] for row in table)
+        doc["tables"][0][1][1] += 1
+
     def test_enumerate_workers_equivalent(self, capsys):
         _, single, _ = run(capsys, "enumerate", "--n", "3", "--e", "1", "--format", "structured")
         _, multi, _ = run(capsys, "enumerate", "--n", "3", "--e", "1", "--workers", "2",
