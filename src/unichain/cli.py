@@ -32,11 +32,13 @@ from .errors import (
     SearchLimitError,
     SpecSyntaxError,
     StructureError,
+    TableFormatError,
 )
 from .search import (
     DEFAULT_CERTIFY_LIMIT,
     DEFAULT_ENUMERATION_LIMIT,
     EnumerationTask,
+    SearchStats,
     certify,
     enumerate_uninorms,
     scan_pairs,
@@ -62,6 +64,16 @@ def _emit(args, text_body, doc) -> None:
         sys.stdout.write(body)
 
 
+def _read_document(path: str) -> str:
+    """The text of a document file; bytes that are not UTF-8 are a parse
+    error naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                               f"at offset {exc.start}", source=path) from None
+
+
 def _load_operand(arg: str):
     """Resolve a CLI operand to (OpTable, neutral index).
 
@@ -69,8 +81,7 @@ def _load_operand(arg: str):
     table document; everything else goes through the family-spec grammar.
     """
     if os.path.exists(arg) or "/" in arg or arg.endswith(".tbl"):
-        text = Path(arg).read_text(encoding="utf-8")
-        return formats.parse_table(text, source=arg)
+        return formats.parse_table(_read_document(arg), source=arg)
     u = catalog.from_string(arg)
     return u.table, u.e
 
@@ -134,8 +145,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    text = Path(args.decomposition).read_text(encoding="utf-8")
-    d, scale, e1, e2 = formats.parse_decomposition(text, source=args.decomposition)
+    d, scale, e1, e2 = formats.parse_decomposition(_read_document(args.decomposition),
+                                                   source=args.decomposition)
     u1, u2 = compose(d, scale, e1, e2)
     _emit(args, lambda: f"# u1\n{formats.dump_table(u1)}\n# u2\n{formats.dump_table(u2)}",
           lambda: {
@@ -156,7 +167,8 @@ def _cmd_enumerate(args) -> int:
         conjunctive_only=args.conjunctive_only,
     )
     max_n = args.max_n if args.max_n is not None else DEFAULT_ENUMERATION_LIMIT
-    tables = list(enumerate_uninorms(task, workers=args.workers, max_n=max_n))
+    stats = SearchStats()
+    tables = list(enumerate_uninorms(task, workers=args.workers, max_n=max_n, stats=stats))
     _emit(args, lambda: "".join(f"# {i + 1} of {len(tables)}\n{formats.dump_table(u)}\n"
                                 for i, u in enumerate(tables)),
           lambda: {
@@ -167,7 +179,8 @@ def _cmd_enumerate(args) -> int:
               "count": len(tables),
               "tables": [[list(row) for row in u.rows] for u in tables],
           })
-    _say(f"enumerate: {len(tables)} uninorms on L_{args.n} with e={args.e}")
+    _say(f"enumerate: {len(tables)} uninorms on L_{args.n} with e={args.e}, "
+         f"{stats.nodes_expanded} nodes expanded")
     return EXIT_OK
 
 

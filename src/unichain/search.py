@@ -5,12 +5,16 @@ distributivity over the full pair space.
 The search fills the upper triangle of the table in a fixed traversal
 (increasing x, then y >= x), with the neutral row propagated first.
 Monotonicity prunes a candidate cell immediately via its neighbour bounds;
-associativity is pruned incrementally by checking the triples whose four
-lookups became determined with the new cell, one of each mirror pair (the
-table is symmetric, so (a, b, c) and (c, b, a) share a verdict).  Where the
-new cell is the outer lookup t[ab][c], ab must equal one of its coordinates,
-so a row holding neither value is skipped by one membership test.  The task's
-filters restrict the candidates of the cells they read, all of them free cells.
+associativity is pruned incrementally, at each new cell (x, y), by three
+triple checks that cover every triple whose four lookups it determined:
+(y, x, c) with the new cell as first lookup, and (a, b, y) with ab = x and
+(a, b, x) with ab = y with it as outer lookup.  The table is symmetric, so
+(a, b, c) and (c, b, a) share a verdict, and (x, y, c) follows from triples
+checked here or at earlier nodes (the proof is at ``_assoc_ok_after``).
+Where the new cell is the outer lookup t[ab][c], ab must equal one of its
+coordinates, so a row holding neither value is skipped by one membership
+test.  The task's filters restrict the candidates of the cells they read,
+all of them free cells.
 Determinism: candidates are tried in ascending order, so tables stream out
 in lexicographic order of their row-major values.
 
@@ -118,30 +122,46 @@ def _candidates(t, x, y, n, e, task):
 
 
 def _assoc_ok_after(t, x, y, n):
-    # every triple whose four lookups became determined with cell (x, y)
-    # references the new cell in one of them.  Cells are set in pairs (-1
-    # included), so t is symmetric and the mirror (c, b, a) of a triple reads
-    # t[c][b] = t[b][c] and t[b][a] = t[a][b] with the law's sides swapped: one
-    # verdict for both.  The new cell as first or outer lookup (ab, c) is
-    # checked; as bc or outer lookup (a, bc) it is the mirror of those.  A
-    # triple (a, b, c) passes when a lookup is unset (-1) or t[ab][c] equals
-    # t[a][bc].
+    # The triples whose four lookups became determined with cell (x, y),
+    # x <= y, at a node of ``_search``.  There the cells before (x, y) in the
+    # traversal are set within ``_candidates``' bounds, so the set cells are
+    # monotone, and every triple determined before passed at an earlier node:
+    # a triple that reads the new cell is the only kind left to check.
+    #
+    # Cells are set in pairs (-1 included), so t is symmetric and the mirror
+    # (c, b, a) of a triple reads t[c][b] = t[b][c] and t[b][a] = t[a][b] with
+    # the law's sides swapped: one verdict for both.  The new cell as bc or as
+    # outer lookup (a, bc) is the mirror of it as ab or as outer lookup
+    # (ab, c), which leaves four kinds: (x, y, c) and (y, x, c), then (a, b, y)
+    # with ab = x and (a, b, x) with ab = y.  The first needs no check of its
+    # own: at x = y it is the second, and for x < y:
+    # - t[y][c] is set only for c <= x and c = e.  At c = x both sides read
+    #   t[v][x] = t[x][v], and at c = e both read v.  So let c < x, and
+    #   w = t[y][c], z = t[x][c], both set.
+    # - If w = y, (x, y, c) says t[v][c] = v, the same equation as
+    #   (c, y, x): the ab = y case.
+    # - Otherwise, where (x, y, c) is determined, z <= x: if z > x, cell
+    #   (c, x) escaped the bound t[e][x] = x, so c > e, and then
+    #   w >= t[y][e] = y by monotonicity: w > y and t[x][w] is unset.  So
+    #   t[y][z] is set and (y, x, c) is checked here.  (y, c, x) reads
+    #   t[y][c], t[c][x], t[w][x] and t[y][z], all set; only t[y][z] can be
+    #   the new cell, at z = x, where (y, c, x) is the mirror of (x, c, y):
+    #   the ab = x case.  Otherwise it passed at an earlier node.
+    # - By symmetry x(yc) = (yc)x = y(cx) = y(xc) = (yx)c = (xy)c: (y, x, c)
+    #   and (y, c, x) give (x, y, c).
+    # A triple (a, b, c) passes when a lookup is unset (-1) or t[ab][c]
+    # equals t[a][bc].
     v = t[x][y]
     tv, tx, ty = t[v], t[x], t[y]
     rng = range(n + 1)
-    # the new cell as ab: triples (x, y, c) and, unless it is the same one,
-    # (y, x, c); both have left side t[v][c]
+    # the new cell as ab: triple (y, x, c), left side t[v][c]
     for c in rng:
         left = tv[c]
         if left < 0:
             continue
-        bc = ty[c]
-        if bc >= 0 and 0 <= tx[bc] != left:
+        bc = tx[c]
+        if bc >= 0 and 0 <= ty[bc] != left:
             return False
-        if y != x:
-            bc = tx[c]
-            if bc >= 0 and 0 <= ty[bc] != left:
-                return False
     # the new cell as the outer lookup t[ab][c]: triples (a, b, y) with
     # ab = x and (a, b, x) with ab = y, both with left side v.  A row that
     # holds neither value has no such b.

@@ -5,6 +5,7 @@ raw row tuples, sharing no code with the package's checkers or with the
 pruned enumerator, so that agreement between the two is meaningful.
 """
 
+from functools import lru_cache
 from itertools import product
 
 
@@ -125,6 +126,67 @@ def naive_uninorms(n, e):
         if monotone_holds(rows) and associative_holds(rows):
             out.append(rows)
     return out
+
+
+def _monotone_at(t, x, y):
+    """Cell (x, y) of a partial table (-1 = unset) is in order with each set
+    neighbour in its row and column."""
+    n = len(t) - 1
+    v = t[x][y]
+    below = (t[x - 1][y] if x else -1, t[x][y - 1] if y else -1)
+    above = (t[x + 1][y] if x < n else -1, t[x][y + 1] if y < n else -1)
+    return all(w <= v for w in below) and all(w < 0 or v <= w for w in above)
+
+
+def _backtrack(t, cells, values, out):
+    """Append to ``out`` every symmetric completion of ``t`` over ``cells``,
+    cell (x, y) taking the values ``values(x, y)``, that stays monotone at each
+    new cell and associative on every triple whose four lookups are set."""
+    if not cells:
+        out.append(tuple(tuple(row) for row in t))
+        return
+    (x, y), rest = cells[0], cells[1:]
+    pts = range(len(t))
+    for v in values(x, y):
+        t[x][y] = t[y][x] = v
+        if _monotone_at(t, x, y) and all(triple_consistent(t, a, b, c)
+                                         for a, b, c in product(pts, repeat=3)):
+            _backtrack(t, rest, values, out)
+    t[x][y] = t[y][x] = -1
+
+
+@lru_cache(maxsize=None)
+def tnorms(m):
+    """Every t-norm on L_m: row 0 all 0, row m the identity, and each cell
+    (x, y) with 0 < x <= y < m at most min(x, y)."""
+    t = [[-1] * (m + 1) for _ in range(m + 1)]
+    for x in range(m + 1):
+        t[0][x] = t[x][0] = 0
+        t[m][x] = t[x][m] = x
+    out = []
+    _backtrack(t, [(x, y) for x in range(1, m) for y in range(x, m)],
+               lambda x, y: range(x + 1), out)
+    return tuple(out)
+
+
+def structure_uninorms(n, e):
+    """Every uninorm on L_n with neutral e, from the structure theorem
+    (Fodor, Yager, Rybalov, "Structure of uninorms", 1997): a t-norm on
+    [0, e]^2, a t-conorm on [e, n]^2 (the dual of a t-norm on L_(n-e),
+    shifted by e), and each cell x < e < y between min and max, x and y.
+    Every table built is checked in full before it counts."""
+    out = []
+    for lower in tnorms(e):
+        for upper in map(dual, tnorms(n - e)):
+            t = [[-1] * (n + 1) for _ in range(n + 1)]
+            for x in range(e + 1):
+                t[x][:e + 1] = lower[x]
+            for x in range(e, n + 1):
+                t[x][e:] = [e + v for v in upper[x - e]]
+            _backtrack(t, [(x, y) for x in range(e) for y in range(e + 1, n + 1)],
+                       lambda x, y: range(x, y + 1), out)
+    return [rows for rows in out
+            if neutral_holds(rows, e) and monotone_holds(rows) and associative_holds(rows)]
 
 
 def dual(rows):

@@ -146,6 +146,14 @@ class TestCommands:
         assert all(type(row) is list for table in doc["tables"] for row in table)
         doc["tables"][0][1][1] += 1
 
+    @pytest.mark.parametrize("workers", ("1", "2"))
+    def test_enumerate_reports_nodes_expanded(self, capsys, workers):
+        stats = search.SearchStats()
+        list(search.enumerate_uninorms(search.EnumerationTask(ChainScale(3), 1), stats=stats))
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--e", "1", "--workers", workers)
+        assert code == 0
+        assert err == f"enumerate: 5 uninorms on L_3 with e=1, {stats.nodes_expanded} nodes expanded\n"
+
     def test_enumerate_workers_equivalent(self, capsys):
         _, single, _ = run(capsys, "enumerate", "--n", "3", "--e", "1", "--format", "structured")
         _, multi, _ = run(capsys, "enumerate", "--n", "3", "--e", "1", "--workers", "2",
@@ -239,6 +247,19 @@ class TestCommands:
         code, out, err = run(capsys, "validate", "--table", str(path))
         assert code == 2 and out == ""
         assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--table", "FILE"),
+        ("check", "--u1", "FILE", "--u2", "max(n=2)"),
+        ("check", "--u1", "max(n=2)", "--u2", "FILE"),
+        ("compose", "--decomposition", "FILE"),
+    ], ids=["table", "u1", "u2", "decomposition"])
+    def test_a_file_that_is_not_utf8_is_status_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "not-utf8.tbl"
+        path.write_bytes(b"scale 2\nneutral 1\n# \xff\n0 0 2\n0 1 2\n2 2 2\n")
+        code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: not UTF-8 text: byte 0xff at offset 20\n"
 
     def test_decompose_refusal_status_one(self, capsys):
         code, out, err = run(capsys, "decompose", "--u1", "idemmin(e=2,n=4)",

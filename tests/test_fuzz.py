@@ -109,6 +109,8 @@ def operand_dir(tmp_path_factory):
              "d.txt": DECOMPOSITIONS[0], "bad-d.txt": DECOMPOSITIONS[0][:-12]}
     for name, text in files.items():
         (root / name).write_text(text, encoding="utf-8")
+    not_utf8 = TABLES[1].replace("\n", "\n# \xff\n", 1).encode("latin-1")
+    (root / "not-utf8.tbl").write_bytes(not_utf8)
     return root
 
 
@@ -118,7 +120,7 @@ OPTIONS = ["--format", "text", "structured", "--verbose", "--max-n", "--n", "--e
            "--e1", "--e2", "--table", "--u1", "--u2", "--decomposition", "--pair-budget",
            "--no-timing", "--idempotent-only", "--locally-internal-only", "--conjunctive-only",
            "-1", "0", "1", "2", "x", "-h", "./valid.tbl", "./broken.tbl", "./d.txt",
-           "./bad-d.txt", "./missing.tbl"]
+           "./bad-d.txt", "./not-utf8.tbl", "./missing.tbl"]
 
 
 @settings(FUZZ, max_examples=150)

@@ -1,5 +1,6 @@
 """Enumeration correctness, pruning safety, partitioning, certification."""
 
+import ast
 import hashlib
 import json
 import os
@@ -7,10 +8,12 @@ import random
 from collections import Counter
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import oracles
+import structure_oracle_check
 from conftest import FIXTURES_DIR
 from helpers import flip_conditions
 from unichain import (
@@ -77,6 +80,17 @@ class TestEnumeration:
             ours = rows_set(enumerate_uninorms(EnumerationTask(ChainScale(n), e)))
             naive = set(oracles.naive_uninorms(n, e))
             assert ours == naive, f"n={n} e={e}"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_structure_theorem_oracle(self, n):
+        assert structure_oracle_check.main(n) == 0  # on L_7 it runs in CI
+
+    def test_the_oracles_import_nothing_from_the_package(self):
+        tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert modules and not any(m.split(".")[0] == "unichain" for m in modules), modules
 
     def test_soundness_on_l4(self, uninorms_by_e):
         for e, us in uninorms_by_e(4).items():
@@ -157,7 +171,10 @@ class TestPruningSafety:
         assert enumeration_pins([6]) == pins
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_the_pruning_checks_exactly_the_triples_that_read_the_new_cell(self, n):
+    def test_the_pruning_rejects_only_what_the_oracle_rejects(self, n):
+        # on any partial table the pruning checks a subset of the triples
+        # that read the new cell; that it checks enough is a property of the
+        # search's nodes, tested below
         rng = random.Random(20261019 + n)
         pts = range(n + 1)
         verdicts = Counter()
@@ -173,9 +190,27 @@ class TestPruningSafety:
                     saved = t[x][y]
                     t[x][y] = t[y][x] = rng.randrange(n + 1)
                     verdict = search._assoc_ok_after(t, x, y, n)
-                    assert verdict == oracles.assoc_ok_after(t, x, y), (t, x, y)
+                    assert verdict or not oracles.assoc_ok_after(t, x, y), (t, x, y)
                     verdicts[verdict] += 1
                     t[x][y] = t[y][x] = saved
+        assert verdicts[True] and verdicts[False], verdicts
+
+    def test_at_every_search_node_the_pruning_equals_the_oracle(self, monkeypatch):
+        # every node of every task on L_1-L_5, every e and filter combination
+        pruning = search._assoc_ok_after
+        verdicts = Counter()
+
+        def checked(t, x, y, n):
+            verdict = pruning(t, x, y, n)
+            assert verdict == oracles.assoc_ok_after(t, x, y), (t, x, y)
+            verdicts[verdict] += 1
+            return verdict
+
+        monkeypatch.setattr(search, "_assoc_ok_after", checked)
+        pins = enumeration_pins(range(1, 6))
+        fixture = FIXTURES_DIR / "enumeration_l5.json"
+        assert pins == json.loads(fixture.read_text(encoding="utf-8"))
+        assert sum(verdicts.values()) == 13645
         assert verdicts[True] and verdicts[False], verdicts
 
     @pytest.mark.parametrize("n", range(1, 7))
