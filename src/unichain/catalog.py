@@ -181,9 +181,9 @@ def _parse_call(cur: _Cursor):
                 cur.skip_ws()
                 if key in ("n", "e"):
                     start = cur.pos
-                    while cur.pos < len(cur.text) and cur.text[cur.pos].isdigit():
+                    while cur.pos < len(cur.text) and cur.text[cur.pos] in string.digits:
                         cur.pos += 1
-                    try:  # no digits, or digits int() does not take, such as superscripts
+                    try:  # no digits, or more than int() converts
                         ints[key] = int(cur.text[start:cur.pos])
                     except ValueError:
                         cur.error("expected an integer", start)

@@ -17,6 +17,7 @@ A decomposition document carries a small header (case, scale, e1, e2),
 two embedded table blocks introduced by ``inner`` and ``boundary``, and a
 ``selection`` block of ``x y first|second`` lines.  A scale must lie in
 1..``core.MAX_SCALE`` (a larger one is refused) and neutral, e1, e2 in 0..scale.
+Every integer is ASCII digits after an optional '-'.
 
 Structured documents are written by ``to_json``, a small recursive writer
 whose output is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
@@ -73,6 +74,15 @@ class _Lines:
         raise TableFormatError(message, lineno, self.source)
 
 
+def _int(text: str) -> int:
+    """``text`` as an integer: ASCII digits after an optional '-'.  Anything
+    else ``int()`` would take (a sign '+', '_' separators, other scripts'
+    digits) raises ValueError, so one document reads one way."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _read_keyword_int(lines: _Lines, keyword: str, n: int | None = None) -> int:
     """A '<keyword> <integer>' line: a scale in 1..MAX_SCALE, or an index in 0..n."""
     lineno, content = lines.next(f"'{keyword} <integer>'")
@@ -80,7 +90,7 @@ def _read_keyword_int(lines: _Lines, keyword: str, n: int | None = None) -> int:
     if len(parts) != 2 or parts[0] != keyword:
         lines.error(f"expected '{keyword} <integer>', got {content!r}", lineno)
     try:
-        value = int(parts[1])
+        value = _int(parts[1])
     except ValueError:
         lines.error(f"{keyword} value {parts[1]!r} is not an integer", lineno)
     if n is None:
@@ -111,7 +121,7 @@ def _read_table_block(lines: _Lines):
         row = []
         for y, p in enumerate(parts):
             try:
-                v = int(p)
+                v = _int(p)
             except ValueError:
                 lines.error(f"row {x}, entry {y}: {p!r} is not an integer", lineno)
             if not 0 <= v <= n:
@@ -187,7 +197,7 @@ def parse_decomposition(text: str, source: str = "<input>"):
         if len(parts) != 3:
             lines.error(f"selection line needs 'x y first|second', got {content!r}", lineno)
         try:
-            x, y = int(parts[0]), int(parts[1])
+            x, y = _int(parts[0]), _int(parts[1])
         except ValueError:
             lines.error(f"selection coordinates must be integers, got {content!r}", lineno)
         try:

@@ -182,6 +182,9 @@ class TestSpecStrings:
         ("luk-upper(T=drastic,S=max,e=2,n=4)", SpecSyntaxError,
          "luk-upper takes no T/S arguments", 0),
         ("min(n=²)", SpecSyntaxError, "expected an integer", 6),
+        ("idemmin(e=\u0661,n=\u0664)", SpecSyntaxError, "expected an integer", 10),
+        ("idemmin(e=2,n=\u0664)", SpecSyntaxError, "expected an integer", 14),
+        ("min(n=+3)", SpecSyntaxError, "expected an integer", 6),
         ("idemmin(e=2,n=4,n=5)", SpecSyntaxError, "repeated key 'n'", 16),
         ("umin(T=min,t=luk,S=max,e=2,n=4)", SpecSyntaxError, "repeated key 't'", 11),
         ("umin(T=min(n=2,N=2),S=max,e=2,n=4)", SpecSyntaxError, "repeated key 'n'", 15),

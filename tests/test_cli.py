@@ -8,7 +8,17 @@ import pytest
 
 from conftest import FIXTURES_DIR
 from helpers import flip_conditions, idem_min, luk_upper
-from unichain import ChainScale, cli, decompose, formats, scan_pairs, search
+from unichain import (
+    ChainScale,
+    classify_and_check,
+    cli,
+    decompose,
+    formats,
+    from_string,
+    scan_pairs,
+    search,
+    validate_uninorm,
+)
 from unichain.cli import main
 from unichain.core import MAX_SCALE
 from unichain.formats import dump_decomposition, dump_table, parse_table
@@ -95,6 +105,21 @@ class TestExitContract:
         assert code == 2
         assert err == ("error: repeated key 'n'\n  idemmin(e=2,n=4,n=5)\n"
                        "                  ^\n")
+
+    @pytest.mark.parametrize("old, new", [("neutral 0", "neutral +0"), ("0 1\n", "0_0 1\n"),
+                                          ("0 1\n", "\u0660 1\n")],
+                             ids=["plus-sign", "underscore", "arabic-indic"])
+    def test_an_integer_that_is_not_ascii_decimal_is_status_two(self, capsys, tmp_path, old, new):
+        path = tmp_path / "t.tbl"
+        path.write_text("scale 1\nneutral 0\n0 1\n1 1\n".replace(old, new, 1), encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--table", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}:") and "is not an integer" in err
+
+    def test_a_spec_digit_that_is_not_ascii_is_status_two(self, capsys):
+        code, out, err = run(capsys, "classify", "--table", "idemmin(e=\u0661,n=\u0664)")
+        assert code == 2 and out == ""
+        assert err.startswith("error: expected an integer\n")
 
     def test_input_scale_above_the_limit_is_status_three(self, capsys, tmp_path):
         path = tmp_path / "large.tbl"
@@ -291,6 +316,65 @@ class TestCommands:
         assert code == 1
         assert "u2 fails the uninorm axioms" in err
         assert "u1 fails" not in err
+
+
+def violation_records(violations):
+    """The structured form of each violation, built field by field."""
+    return [{"law": v.law, "witness": list(v.witness), "lhs": v.lhs, "rhs": v.rhs,
+             "subject": v.subject, "detail": v.detail} for v in violations]
+
+
+def structured(out):
+    """The document printed as ``out``, after checking its bytes against ``json.dumps``."""
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return doc
+
+
+class TestStructuredViolations:
+    @pytest.mark.parametrize("verbose", (False, True), ids=("first", "verbose"))
+    @pytest.mark.parametrize("u1, u2", [
+        ("luk-upper(e=2,n=4)", "luk-upper(e=2,n=4)"),
+        ("idemmin(e=2,n=4)", "luk-upper(e=1,n=4)"),
+    ], ids=("equal", "greater"))
+    def test_check_records_match_the_library(self, capsys, u1, u2, verbose):
+        code, out, _ = run(capsys, "check", "--u1", u1, "--u2", u2, "--format", "structured",
+                           *["--verbose"] * verbose)
+        assert code == 1
+        doc = structured(out)
+        result = classify_and_check(from_string(u1), from_string(u2), verbose=verbose)
+        for route in ("conditions", "exhaustive"):
+            violations = getattr(result, route).violations
+            assert violations, route
+            assert doc[route]["violations"] == violation_records(violations), route
+        assert doc["divergence"] is None
+
+    def test_check_records_carry_every_field(self, capsys):
+        _, out, _ = run(capsys, "check", "--u1", "luk-upper(e=2,n=4)",
+                        "--u2", "luk-upper(e=2,n=4)", "--format", "structured")
+        assert structured(out)["conditions"]["violations"] == [
+            {"law": "idempotency", "witness": [3], "lhs": 4, "rhs": 3, "subject": "u2",
+             "detail": ""}]
+        _, out, _ = run(capsys, "check", "--u1", "idemmin(e=2,n=4)",
+                        "--u2", "luk-upper(e=1,n=4)", "--format", "structured")
+        assert structured(out)["conditions"]["violations"][-1] == {
+            "law": "clause-iii-distributivity", "witness": [2, 1, 1], "lhs": 2, "rhs": 3,
+            "subject": "", "detail": "indices shifted by -e2 onto the upper subchain"}
+
+    @pytest.mark.parametrize("verbose", (False, True), ids=("first", "verbose"))
+    def test_validate_records_match_the_library(self, capsys, tmp_path, verbose):
+        # symmetric, so it parses, but row 2 drops below row 1 in column 2
+        path = tmp_path / "nonmono.tbl"
+        path.write_text("scale 2\nneutral 1\n0 0 2\n0 1 2\n2 2 1\n")
+        code, out, _ = run(capsys, "validate", "--table", str(path), "--format", "structured",
+                           *["--verbose"] * verbose)
+        assert code == 1
+        doc = structured(out)
+        table, e = parse_table(path.read_text())
+        violations = validate_uninorm(table, e, verbose=verbose).violations
+        assert doc["violations"] == violation_records(violations)
+        assert doc["violations"][0] == {"law": "monotonicity", "witness": [1, 2, 2], "lhs": 2,
+                                        "rhs": 1, "subject": "", "detail": ""}
 
 
 def printing_commands(tmp_path):

@@ -17,7 +17,9 @@ from unichain import (
     validate_uninorm,
 )
 from unichain.catalog import make, FamilySpec
+from unichain.cli import main
 from unichain.errors import CompositionInvalid, NotDistributiveError, WrongCaseError
+from unichain.formats import parse_decomposition
 
 
 def max_on(n):
@@ -96,6 +98,35 @@ class TestRoundTrip:
         assert r1.rows == u1.rows and r2.rows == u2.rows
 
 
+# Each block and each pick passes compose's own checks, but this inner (from an
+# L_4 hit with the boundary of another) does not distribute over the boundary.
+SWAPPED_INNER = """\
+case greater-neutral
+scale 4
+e1 3
+e2 1
+inner
+scale 3
+neutral 2
+0 0 0 0
+0 1 1 3
+0 1 2 3
+0 3 3 3
+boundary
+scale 3
+neutral 0
+0 1 2 3
+1 1 2 3
+2 2 3 3
+3 3 3 3
+selection
+0 1 first
+0 2 first
+0 3 first
+0 4 first
+"""
+
+
 class TestCompose:
     def fig_parts(self):
         inner = idem_min(3, 1)
@@ -158,6 +189,31 @@ class TestCompose:
             compose(d, ChainScale(4), 3, 1)  # inner neutral does not match e1 - e2
         with pytest.raises(CompositionInvalid):
             compose(d, ChainScale(5), 2, 1)  # inner lives on the wrong subchain
+
+    def test_boundary_with_the_wrong_neutral_is_rejected(self):
+        d = self.fig_parts()
+        d = Decomposition(d.case, d.inner, idem_min(3, 1), d.selection)
+        with pytest.raises(CompositionInvalid) as err:
+            compose(d, ChainScale(4), 2, 1)
+        assert [(v.law, v.witness) for v in err.value.report.violations] == [("shape", (3, 1))]
+        assert str(err.value) == "boundary must be a t-conorm on L_3: shape at (3,1)"
+
+    def test_assembled_pair_failing_the_case_conditions_is_rejected(self):
+        with pytest.raises(CompositionInvalid) as err:
+            compose(*parse_decomposition(SWAPPED_INNER))
+        assert str(err.value) == "assembled pair fails the case conditions"
+        assert [(v.law, v.witness, v.lhs, v.rhs) for v in err.value.report.violations] == [
+            ("clause-iii-distributivity", (1, 2, 2), 3, 1)]
+
+    def test_assembled_pair_failing_the_case_conditions_is_status_one(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text(SWAPPED_INNER)
+        assert main(["compose", "--decomposition", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("compose rejected: assembled pair fails the case conditions\n"
+                       "verdict: false\n  clause-iii-distributivity at (1,2,2) [lhs=3 rhs=1] "
+                       "(indices shifted by -e2 onto the upper subchain)\n")
 
     def test_selection_domain_must_match(self):
         inner = idem_min(3, 1)

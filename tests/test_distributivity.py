@@ -14,7 +14,9 @@ from unichain import (
     greater_neutral_conditions,
     less_neutral_conditions,
     necessity_conditions,
+    validate_uninorm,
 )
+from unichain.distributivity import _geometry
 from unichain.errors import ScaleMismatchError, WrongCaseError
 
 
@@ -112,6 +114,28 @@ class TestGreaterNeutral:
     def test_wrong_case(self):
         with pytest.raises(WrongCaseError):
             greater_neutral_conditions(idem_min(4, 1), idem_min(4, 2))
+
+
+class TestClauseIiiInner:
+    def test_every_closed_block_is_a_uninorm_on_l1_to_l6(self, uninorms_by_e):
+        # clause iii takes u1 on a closed block as its inner uninorm without
+        # validating it; check that claim over every closed (u1, e2)
+        closed = 0
+        for n in range(1, 7):
+            for e1, us in uninorms_by_e(n).items():
+                for e2 in range(n + 1):
+                    if e2 == e1:
+                        continue
+                    g = _geometry(n, e1, e2)
+                    for u1 in us:
+                        if any(u1(x, y) not in g.block for x in g.block for y in g.block):
+                            continue
+                        closed += 1
+                        inner = g.inner(u1)
+                        assert inner.e == e1 - g.block[0]
+                        report = validate_uninorm(inner.table, inner.e)
+                        assert report.verdict, (u1.rows, e2, report.violations)
+        assert closed == 8370
 
 
 class TestLessNeutral:

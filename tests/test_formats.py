@@ -87,6 +87,12 @@ neutral 1
         ("scale two\n", "scale value 'two' is not an integer", 1),
         ("scale 0\nneutral 0\n", "scale must be at least 1, got 0", 1),
         ("scale 1\nneutral 0\n0 x\n1 1\n", "row 0, entry 1: 'x' is not an integer", 3),
+        # integers are ASCII digits after an optional '-', not all that int() takes
+        ("scale 1\nneutral +0\n", "neutral value '+0' is not an integer", 2),
+        ("scale 1\nneutral 0\n0 0_1\n1 1\n", "row 0, entry 1: '0_1' is not an integer", 3),
+        ("scale 1\nneutral 0\n0 \u0661\n1 1\n", "row 0, entry 1: '\u0661' is not an integer", 3),
+        ("scale \u0662\n", "scale value '\u0662' is not an integer", 1),
+        ("scale 1\nneutral 0\n0 -1\n1 1\n", "row 0, entry 1: value -1 outside 0..1", 3),
     ])
     def test_every_table_error(self, text, message, line):
         with pytest.raises(TableFormatError) as err:
@@ -130,6 +136,9 @@ class TestDecompositionFormat:
          "selection coordinates must be integers, got '0 one first'", 20),
         ("e1 2", "e1 9", "e1 9 outside chain 0..4", 3),
         ("e2 1", "e2 -1", "e2 -1 outside chain 0..4", 4),
+        ("e2 1", "e2 +1", "e2 value '+1' is not an integer", 4),
+        ("0 1 first", "0 \u0661 first",
+         "selection coordinates must be integers, got '0 \u0661 first'", 20),
         ("scale 4", "scale 0", "scale must be at least 1, got 0", 2),
     ])
     def test_every_decomposition_error(self, old, new, message, line):

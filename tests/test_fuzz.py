@@ -123,16 +123,9 @@ OPTIONS = ["--format", "text", "structured", "--verbose", "--max-n", "--n", "--e
            "./bad-d.txt", "./not-utf8.tbl", "./missing.tbl"]
 
 
-@settings(FUZZ, max_examples=150)
-@given(st.data())
-def test_main_exits_with_a_documented_status(operand_dir, data):
-    # no --workers: a fuzzed command line starts no process; it runs in the
-    # operand directory, where any --out lands
-    words = st.sampled_from(OPTIONS) | specs() | edited(SPECS)
-    argv = [data.draw(st.sampled_from(COMMANDS))] + data.draw(st.lists(words, max_size=8))
-    assume(all(small_integers(word) for word in argv))
-    if data.draw(st.booleans()):
-        argv += ["--out", "out.txt"]
+def run_main(operand_dir, argv):
+    """``main(argv)``'s exit status, run in the operand directory, where any
+    --out lands; argparse's exits count as statuses too."""
     sink = io.StringIO()
     cwd = os.getcwd()
     os.chdir(operand_dir)
@@ -143,4 +136,40 @@ def test_main_exits_with_a_documented_status(operand_dir, data):
         code = exc.code
     finally:
         os.chdir(cwd)
-    assert code in (0, 1, 2, 3), (argv, sink.getvalue())
+    return code, sink.getvalue()
+
+
+@settings(FUZZ, max_examples=150)
+@given(st.data())
+def test_main_exits_with_a_documented_status(operand_dir, data):
+    # no --workers: a fuzzed command line starts no process
+    words = st.sampled_from(OPTIONS) | specs() | edited(SPECS)
+    argv = [data.draw(st.sampled_from(COMMANDS))] + data.draw(st.lists(words, max_size=8))
+    assume(all(small_integers(word) for word in argv))
+    if data.draw(st.booleans()):
+        argv += ["--out", "out.txt"]
+    code, output = run_main(operand_dir, argv)
+    assert code in (0, 1, 2, 3), (argv, output)
+
+
+# the commands that read operand files, with the options that name them
+READERS = {"validate": ("--table",), "classify": ("--table",), "check": ("--u1", "--u2"),
+           "decompose": ("--u1", "--u2"), "compose": ("--decomposition",)}
+FILES = [word for word in OPTIONS if word.startswith("./")]
+
+
+@pytest.mark.parametrize("path", FILES)
+@settings(FUZZ, max_examples=12)
+@given(data=st.data())
+def test_file_operands_exit_with_a_documented_status(operand_dir, path, data):
+    # ``path`` is the value of one of the command's reading options, and the
+    # command gets all of them, so it reaches its files
+    command = data.draw(st.sampled_from(sorted(READERS)))
+    target = data.draw(st.sampled_from(READERS[command]))
+    values = st.sampled_from(FILES) | st.sampled_from(SPECS)
+    argv = [command]
+    for option in READERS[command]:
+        argv += [option, path if option == target else data.draw(values)]
+    argv += data.draw(st.sampled_from([[], ["--format", "structured"], ["--out", "out.txt"]]))
+    code, output = run_main(operand_dir, argv)
+    assert code in (0, 1, 2, 3), (argv, output)
