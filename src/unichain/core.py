@@ -178,10 +178,6 @@ class CheckReport:
             raise InternalConsistencyError("report verdict disagrees with its violations")
 
     @classmethod
-    def ok(cls) -> "CheckReport":
-        return cls(True, ())
-
-    @classmethod
     def from_violations(cls, violations: Iterable[Violation]) -> "CheckReport":
         vs = tuple(violations)
         return cls(len(vs) == 0, vs)

@@ -1,17 +1,17 @@
 """Distributivity checking and the structural conditions for distributive pairs.
 
-``check_distributivity`` is the exhaustive ground truth: it scans every
-triple of the law  u1(x, u2(y,z)) = u2(u1(x,y), u1(x,z)).
-``distributivity_matrix`` is the same law, through the same formula, batched:
-the verdict for every pair of two stacks of tables, without witnesses; the
-pair scan uses it to find hits before building any per-pair report.  The three
+``check_distributivity`` is the exhaustive ground truth: it scans the triples
+of the law  u1(x, u2(y,z)) = u2(u1(x,y), u1(x,z))  in a plain loop, up to the
+first failure unless every witness is asked for.
+``distributivity_matrix`` is the same law batched in numpy: the verdict for
+every pair of two stacks of tables, without witnesses; the pair scan uses it
+to find hits before building any per-pair report.  The three
 ``*_conditions`` predicates evaluate the structural characterization for
 the matching order of neutral elements (e1 = e2, e1 > e2, e1 < e2);
 ``classify_and_check`` runs both routes and flags any disagreement as a
 theorem divergence, which is a reportable finding, never silently dropped.
 The unequal cases compute each clause that reads only one table once per
-table and partner neutral element, and ``check_distributivity`` gathers
-u1's side of the law once per table; both are kept on the uninorm itself.
+table and partner neutral element, and keep it on the uninorm itself.
 
 Index-range conventions used by the case predicates (all bounds inclusive
 unless marked strict):
@@ -89,7 +89,7 @@ class Pick(Enum):
 
 
 def _same_scale(u1: Uninorm, u2: Uninorm) -> None:
-    if u1.scale != u2.scale:
+    if u1.n != u2.n:
         raise ScaleMismatchError(f"operands live on L_{u1.n} and L_{u2.n}")
 
 
@@ -110,9 +110,10 @@ def _pair_grid(m: int):
 def _once(u: Uninorm, role: str, key, compute):
     """``compute()``, kept in ``u``'s slot for ``role`` while ``key`` repeats.
 
-    A slot holds only the latest key.  ``certify`` visits pairs u1-outer and
-    e-major, so a slot is almost always hit; and it lives on the uninorm, so
-    nothing outlasts the tables of one run.
+    The unequal cases keep each table's share of the clauses here, keyed by
+    the partner's neutral.  A slot holds only the latest key.  ``certify``
+    visits pairs u1-outer and e-major, so a slot is almost always hit; and it
+    lives on the uninorm, so nothing outlasts the tables of one run.
     """
     slot = u._latest.get(role)
     if slot is None or slot[0] != key:
@@ -120,38 +121,28 @@ def _once(u: Uninorm, role: str, key, compute):
     return slot[1]
 
 
-def _law_sides(a, b, ys, zs, a_ys, a_zs):
-    """u1(x, u2(y,z)) and u2(u1(x,y), u1(x,z)) for every x and every grid pair k.
-
-    ``a`` is u1's table, or a stack of them along leading axes, and ``a_ys``,
-    ``a_zs`` are ``a[..., ys]`` and ``a[..., zs]``: they read only u1, so
-    callers gather them once per first table.  The result has ``a``'s
-    leading axes, then x, then k.
-    """
-    return a[..., b[ys, zs]], b[a_ys, a_zs]
-
-
 def check_distributivity(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
     """Exhaustively test that u1 distributes over u2.
 
     Witnesses are triples (x, y, z) with y <= z carrying both side values,
-    emitted in lexicographic order.
+    emitted in lexicographic order.  Without ``verbose`` the scan stops at
+    the first, the only one the report keeps.
     """
     _same_scale(u1, u2)
-    ys, zs = _pair_grid(u1.n + 1)
-    a = u1.table.array
-    a_ys, a_zs = _once(u1, "law-gathers", (), lambda: (a[:, ys], a[:, zs]))
-    lhs, rhs = _law_sides(a, u2.table.array, ys, zs, a_ys, a_zs)
-    neq = lhs != rhs
-    if not neq.any():
-        return CheckReport.ok()
-    log = WitnessLog(verbose)
-    for x, k in zip(*(w.tolist() for w in np.nonzero(neq))):
-        if not log.wants("distributivity"):
-            break
-        log.add(Violation("distributivity", (x, int(ys[k]), int(zs[k])),
-                          lhs=int(lhs[x, k]), rhs=int(rhs[x, k])))
-    return log.report()
+    a, b = u1.rows, u2.rows
+    pts = range(u1.n + 1)
+    found = []
+    for x in pts:
+        ax = a[x]
+        for y in pts:
+            by, b_axy = b[y], b[ax[y]]
+            for z in pts[y:]:
+                lhs, rhs = ax[by[z]], b_axy[ax[z]]
+                if lhs != rhs:
+                    found.append(Violation("distributivity", (x, y, z), lhs=lhs, rhs=rhs))
+                    if not verbose:
+                        return CheckReport.from_violations(found)
+    return CheckReport.from_violations(found)
 
 
 def distributivity_matrix(firsts, seconds) -> np.ndarray:
@@ -173,18 +164,20 @@ def distributivity_matrix(firsts, seconds) -> np.ndarray:
         raise ScaleMismatchError(f"stacks of shapes {firsts.shape} and {seconds.shape} "
                                  "are not square tables on one chain")
     ys, zs = _pair_grid(m)
+    # u1(x, y) and u1(x, z) read only the firsts: gathered once for every b
     a_ys, a_zs = firsts[..., ys], firsts[..., zs]
     for j, b in enumerate(seconds):
-        lhs, rhs = _law_sides(firsts, b, ys, zs, a_ys, a_zs)
+        lhs, rhs = firsts[..., b[ys, zs]], b[a_ys, a_zs]
         out[:, j] = (lhs == rhs).reshape(len(firsts), -1).all(axis=1)
     return out
 
 
-# One helper per clause shape, adding witnesses in scan order (the pair path's hot loops)
+# One helper per clause shape, adding witnesses in scan order (the pair path's
+# hot loops); a violation is built only where the log keeps it
 def _on_square(log, u2, g, law):
     """u2 = op on its square, x <= y."""
     for x, y, v in g.square:
-        if u2(x, y) != v:
+        if u2(x, y) != v and log.wants(law, "u2"):
             log.add(Violation(law, (x, y), lhs=u2(x, y), rhs=v, subject="u2"))
 
 
@@ -194,10 +187,11 @@ def _agree_and_choose(log, u1, u2, xs, ys, agreement, choice, side_condition="")
         for y in ys:
             a, b = u1(x, y), u2(x, y)
             if a != b:
-                log.add(Violation(agreement, (x, y), lhs=a, rhs=b))
-            elif a not in (x, y):
+                if log.wants(agreement):
+                    log.add(Violation(agreement, (x, y), lhs=a, rhs=b))
+            elif a not in (x, y) and log.wants(choice):
                 log.add(Violation(choice, (x, y), lhs=a))
-            if side_condition and b == y and u2(y, y) != y:
+            if side_condition and b == y and u2(y, y) != y and log.wants(side_condition, "u2"):
                 log.add(Violation(side_condition, (x, y), lhs=u2(y, y), rhs=y, subject="u2"))
 
 
@@ -206,7 +200,7 @@ def _keeps_first(log, xs, ys, checks):
     for x in xs:
         for y in ys:
             for u, subject, law in checks:
-                if u(x, y) != x:
+                if u(x, y) != x and log.wants(law, subject):
                     log.add(Violation(law, (x, y), lhs=u(x, y), rhs=x, subject=subject))
 
 

@@ -2,7 +2,8 @@
 
 The catalog families are built through ``catalog.from_string``, the same
 path the command line takes; ``dual`` lifts the raw-row oracle in
-``oracles`` to a uninorm; ``flip_conditions`` plants one divergence.
+``oracles`` to a uninorm; ``random_symmetric`` draws a table that need not
+be a uninorm; ``flip_conditions`` plants one divergence.
 """
 
 from dataclasses import replace
@@ -44,6 +45,15 @@ def dual(u):
     return Uninorm(OpTable(u.scale, oracles.dual(u.rows)), u.n - u.e)
 
 
+def random_symmetric(rng, n):
+    """Rows of a symmetric table on L_n with every upper cell drawn from ``rng``."""
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for x in range(n + 1):
+        for y in range(x, n + 1):
+            rows[x][y] = rows[y][x] = rng.randrange(n + 1)
+    return tuple(map(tuple, rows))
+
+
 def laws_violated(report):
     """The laws of a report's violations, each once, in order of appearance."""
     return tuple(dict.fromkeys(v.law for v in report.violations))
@@ -58,7 +68,7 @@ def flip_conditions(monkeypatch, module, u1, u2):
     def classify(a, b, **kwargs):
         result = original(a, b, **kwargs)
         if (a.rows, b.rows) == (u1.rows, u2.rows):
-            flipped = planted if result.conditions.verdict else CheckReport.ok()
+            flipped = planted if result.conditions.verdict else CheckReport.from_violations(())
             result = replace(result, conditions=flipped)
         return result
 

@@ -68,6 +68,23 @@ def find_distributivity_defect(rows1, rows2):
     return None
 
 
+def distributivity_defects(rows1, rows2):
+    """Every (x, y, z, lhs, rhs) with y <= z where u1(x, u2(y,z)) and
+    u2(u1(x,y), u1(x,z)) differ, in lexicographic order of (x, y, z)."""
+    n = len(rows1) - 1
+    defects = []
+    for x in range(n + 1):
+        for y in range(n + 1):
+            for z in range(n + 1):
+                if y > z:
+                    continue
+                lhs = rows1[x][rows2[y][z]]
+                rhs = rows2[rows1[x][y]][rows1[x][z]]
+                if lhs != rhs:
+                    defects.append((x, y, z, lhs, rhs))
+    return defects
+
+
 def triple_consistent(t, a, b, c):
     """Associativity at (a, b, c) of a partial table (-1 = unset), judged
     only when all four lookups are set."""

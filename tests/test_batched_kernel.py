@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import random_symmetric
 from unichain import ChainScale, check_distributivity, decompose, scan_pairs
 from unichain import distributivity, search
 from unichain.distributivity import distributivity_matrix
@@ -19,14 +20,6 @@ def matrix_of(firsts, seconds):
 
 def oracle_matrix(firsts, seconds):
     return np.array([[oracles.distributes(a, b) for b in seconds] for a in firsts], dtype=bool)
-
-
-def random_symmetric(rng, n):
-    rows = [[0] * (n + 1) for _ in range(n + 1)]
-    for x in range(n + 1):
-        for y in range(x, n + 1):
-            rows[x][y] = rows[y][x] = rng.randrange(n + 1)
-    return tuple(map(tuple, rows))
 
 
 def symmetric_stack(rng, n, k):

@@ -16,7 +16,7 @@ from unichain import (
     necessity_conditions,
     validate_uninorm,
 )
-from unichain.distributivity import _geometry
+from unichain.distributivity import _geometry, case_of
 from unichain.errors import ScaleMismatchError, WrongCaseError
 
 
@@ -55,10 +55,6 @@ class TestChecker:
         witnesses = [v.witness for v in report.violations]
         assert witnesses == sorted(witnesses)
         assert all(y <= z for _, y, z in witnesses)
-
-    def test_scale_mismatch(self):
-        with pytest.raises(ScaleMismatchError):
-            check_distributivity(idem_min(4, 2), idem_min(3, 2))
 
 
 class TestEqualNeutral:
@@ -192,7 +188,7 @@ class TestClassifyAndCheck:
 
         fake = ClassifyResult(
             TheoremCase.EQUAL_NEUTRAL,
-            CheckReport.ok(),
+            CheckReport.from_violations(()),
             CheckReport.from_violations([Violation("distributivity", (0, 0, 0), lhs=0, rhs=1)]),
         )
         assert not fake.agreement
@@ -226,6 +222,21 @@ class TestNecessityBattery:
         with pytest.raises(WrongCaseError):
             necessity_conditions(idem_min(4, 2), idem_min(4, 2))
 
-    def test_scale_mismatch_is_checked_before_the_case(self):
-        with pytest.raises(ScaleMismatchError, match="operands live on L_3 and L_4"):
-            necessity_conditions(idem_min(3, 1), idem_min(4, 1))
+
+# each entry meets tables on L_3 and L_4 whose neutrals, (e1, e2), fall in a
+# case the entry refuses where it refuses any, so the scale is checked first
+PAIR_ENTRIES = [
+    (case_of, 1, 1),
+    (check_distributivity, 1, 1),
+    (classify_and_check, 1, 1),
+    (equal_neutral_conditions, 1, 2),
+    (greater_neutral_conditions, 1, 2),
+    (less_neutral_conditions, 2, 1),
+    (necessity_conditions, 1, 1),
+]
+
+
+@pytest.mark.parametrize("entry, e1, e2", PAIR_ENTRIES, ids=[f.__name__ for f, *_ in PAIR_ENTRIES])
+def test_every_pair_entry_refuses_mismatched_scales(entry, e1, e2):
+    with pytest.raises(ScaleMismatchError, match="operands live on L_3 and L_4"):
+        entry(idem_min(3, e1), idem_min(4, e2))

@@ -1,0 +1,78 @@
+"""Which witnesses a report keeps, against the verbose report and an oracle.
+
+Without ``verbose`` the exhaustive scan stops at its first witness, and the
+clause loops build a violation only where the report keeps it.  Either way
+a report must hold exactly the verbose report's first violation for each
+(subject, law), and the verbose report must be complete.
+"""
+
+import random
+
+import pytest
+
+import oracles
+from helpers import random_symmetric, table_of
+from unichain import (
+    Uninorm,
+    Violation,
+    check_distributivity,
+    classify_and_check,
+    equal_neutral_conditions,
+    necessity_conditions,
+)
+
+
+def first_per_law(report):
+    """The first violation of each (subject, law), in order of appearance."""
+    kept = {}
+    for v in report.violations:
+        kept.setdefault((v.subject, v.law), v)
+    return tuple(kept.values())
+
+
+def assert_scan_matches_the_oracle(u1, u2):
+    want = tuple(Violation("distributivity", (x, y, z), lhs=lhs, rhs=rhs)
+                 for x, y, z, lhs, rhs in oracles.distributivity_defects(u1.rows, u2.rows))
+    assert check_distributivity(u1, u2).violations == want[:1], (u1.rows, u2.rows)
+    assert check_distributivity(u1, u2, verbose=True).violations == want, (u1.rows, u2.rows)
+
+
+class TestExhaustiveScan:
+    def test_every_l4_pair(self, all_pairs):
+        for u1, u2 in all_pairs(4):
+            assert_scan_matches_the_oracle(u1, u2)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_random_symmetric_tables(self, n):
+        rng = random.Random(20261018 + n)
+        tables = [Uninorm(table_of(random_symmetric(rng, n)), 0) for _ in range(10)]
+        for u1 in tables:
+            for u2 in tables:
+                assert_scan_matches_the_oracle(u1, u2)
+
+
+def test_every_l4_report_keeps_the_first_violation_of_each_law(all_pairs):
+    # classify_and_check's conditions report is the report of the pair's case predicate
+    for u1, u2 in all_pairs(4):
+        full, kept = classify_and_check(u1, u2, verbose=True), classify_and_check(u1, u2)
+        assert kept.conditions.violations == first_per_law(full.conditions), (u1.rows, u2.rows)
+        assert kept.exhaustive.violations == first_per_law(full.exhaustive), (u1.rows, u2.rows)
+        if u1.e != u2.e:
+            full = necessity_conditions(u1, u2, verbose=True)
+            assert necessity_conditions(u1, u2).violations == first_per_law(full), (u1.rows, u2.rows)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_random_symmetric_reports_keep_the_first_violation_of_each_law(n):
+    # the equal-case and necessity predicates are total, so tables that are
+    # not uninorms reach laws no uninorm pair on L_4 fails, such as the choices
+    rng = random.Random(20261019 + n)
+    tables = [table_of(random_symmetric(rng, n)) for _ in range(6)]
+    for t1 in tables:
+        for t2 in tables:
+            for e1 in range(n + 1):
+                for e2 in range(n + 1):
+                    check = equal_neutral_conditions if e1 == e2 else necessity_conditions
+                    u1, u2 = Uninorm(t1, e1), Uninorm(t2, e2)
+                    full = check(u1, u2, verbose=True)
+                    assert check(u1, u2).violations == first_per_law(full), (u1, u2)
