@@ -109,16 +109,18 @@ class Uninorm:
     def scale(self) -> ChainScale:
         return self.table.scale
 
-    @property
+    # cached: the pair loops read both on every pair, and neither is a field,
+    # so equality, hash and repr ignore the cache
+    @cached_property
     def n(self) -> int:
         return self.table.scale.n
 
-    @property
+    @cached_property
     def rows(self) -> tuple:
         return self.table.values
 
     def __call__(self, x: int, y: int) -> int:
-        return self.table.values[x][y]
+        return self.rows[x][y]
 
     @cached_property
     def _latest(self) -> dict:
@@ -199,6 +201,10 @@ class WitnessLog:
 
     def wants(self, law: str, subject: str = "") -> bool:
         return self.verbose or (subject, law) not in self._laws_seen
+
+    @property
+    def violations(self) -> tuple:
+        return tuple(self._items)
 
     def report(self) -> CheckReport:
         return CheckReport.from_violations(self._items)

@@ -10,8 +10,11 @@ to find hits before building any per-pair report.  The three
 the matching order of neutral elements (e1 = e2, e1 > e2, e1 < e2);
 ``classify_and_check`` runs both routes and flags any disagreement as a
 theorem divergence, which is a reportable finding, never silently dropped.
-The unequal cases compute each clause that reads only one table once per
-table and partner neutral element, and keep it on the uninorm itself.
+Each clause that reads only one table is computed once per table (and
+partner neutral element) and kept on the uninorm itself: in the unequal
+cases u2's hypotheses, clause-i side condition, boundary and half of clause
+ii, and u1's half of clause ii and clause-iii closure; in the equal case
+u2's idempotency.
 
 Index-range conventions used by the case predicates (all bounds inclusive
 unless marked strict):
@@ -110,8 +113,11 @@ def _pair_grid(m: int):
 def _once(u: Uninorm, role: str, key, compute):
     """``compute()``, kept in ``u``'s slot for ``role`` while ``key`` repeats.
 
-    The unequal cases keep each table's share of the clauses here, keyed by
-    the partner's neutral.  A slot holds only the latest key.  ``certify``
+    Each table's share of the clauses is kept here: in the unequal cases
+    u1's (clause ii's u1 half, clause-iii closure) and u2's (hypotheses,
+    side condition, clause ii's u2 half, boundary), keyed by the partner's
+    neutral and ``verbose``; in the equal case u2's idempotency, keyed by
+    ``verbose``.  A slot holds only the latest key.  ``certify``
     visits pairs u1-outer and e-major, so a slot is almost always hit; and it
     lives on the uninorm, so nothing outlasts the tables of one run.
     """
@@ -129,8 +135,14 @@ def check_distributivity(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> 
     the first, the only one the report keeps.
     """
     _same_scale(u1, u2)
-    a, b = u1.rows, u2.rows
-    pts = range(u1.n + 1)
+    return CheckReport.from_violations(
+        _distributivity_violations(u1.rows, u2.rows, verbose, "distributivity"))
+
+
+def _distributivity_violations(a, b, verbose: bool, law: str, detail: str = "") -> list:
+    """The failing triples of "rows ``a`` distribute over rows ``b``", as
+    ``law`` violations in scan order; only the first unless ``verbose``."""
+    pts = range(len(a))
     found = []
     for x in pts:
         ax = a[x]
@@ -139,10 +151,10 @@ def check_distributivity(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> 
             for z in pts[y:]:
                 lhs, rhs = ax[by[z]], b_axy[ax[z]]
                 if lhs != rhs:
-                    found.append(Violation("distributivity", (x, y, z), lhs=lhs, rhs=rhs))
+                    found.append(Violation(law, (x, y, z), lhs=lhs, rhs=rhs, detail=detail))
                     if not verbose:
-                        return CheckReport.from_violations(found)
-    return CheckReport.from_violations(found)
+                        return found
+    return found
 
 
 def distributivity_matrix(firsts, seconds) -> np.ndarray:
@@ -173,35 +185,41 @@ def distributivity_matrix(firsts, seconds) -> np.ndarray:
 
 
 # One helper per clause shape, adding witnesses in scan order (the pair path's
-# hot loops); a violation is built only where the log keeps it
+# hot loops, reading row tuples); a violation is built only where the log
+# keeps it
 def _on_square(log, u2, g, law):
     """u2 = op on its square, x <= y."""
+    rows = u2.rows
     for x, y, v in g.square:
-        if u2(x, y) != v and log.wants(law, "u2"):
-            log.add(Violation(law, (x, y), lhs=u2(x, y), rhs=v, subject="u2"))
+        w = rows[x][y]
+        if w != v and log.wants(law, "u2"):
+            log.add(Violation(law, (x, y), lhs=w, rhs=v, subject="u2"))
 
 
 def _agree_and_choose(log, u1, u2, xs, ys, agreement, choice, side_condition=""):
     """u1 = u2 = x or y on xs x ys; with a ``side_condition``, u2 = y only if u2(y, y) = y."""
+    rows1, rows2 = u1.rows, u2.rows
     for x in xs:
+        row1, row2 = rows1[x], rows2[x]
         for y in ys:
-            a, b = u1(x, y), u2(x, y)
+            a, b = row1[y], row2[y]
             if a != b:
                 if log.wants(agreement):
                     log.add(Violation(agreement, (x, y), lhs=a, rhs=b))
-            elif a not in (x, y) and log.wants(choice):
+            elif a != x and a != y and log.wants(choice):
                 log.add(Violation(choice, (x, y), lhs=a))
-            if side_condition and b == y and u2(y, y) != y and log.wants(side_condition, "u2"):
-                log.add(Violation(side_condition, (x, y), lhs=u2(y, y), rhs=y, subject="u2"))
+            if side_condition and b == y and rows2[y][y] != y and log.wants(side_condition, "u2"):
+                log.add(Violation(side_condition, (x, y), lhs=rows2[y][y], rhs=y, subject="u2"))
 
 
-def _keeps_first(log, xs, ys, checks):
-    """u(x, y) = x on xs x ys, for each (u, subject, law) of ``checks`` at every point."""
+def _keeps_first(log, u, subject, law, xs, ys):
+    """u(x, y) = x on xs x ys."""
+    rows = u.rows
     for x in xs:
+        row = rows[x]
         for y in ys:
-            for u, subject, law in checks:
-                if u(x, y) != x and log.wants(law, subject):
-                    log.add(Violation(law, (x, y), lhs=u(x, y), rhs=x, subject=subject))
+            if row[y] != x and log.wants(law, subject):
+                log.add(Violation(law, (x, y), lhs=row[y], rhs=x, subject=subject))
 
 
 def equal_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
@@ -213,12 +231,18 @@ def equal_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False)
     _same_scale(u1, u2)
     if u1.e != u2.e:
         raise WrongCaseError(f"equal-neutral conditions need e1 = e2, got {u1.e} and {u2.e}")
+    idempotency = _once(u2, "equal-u2", verbose, lambda: _idempotency_share(u2, verbose))
     log = WitnessLog(verbose)
-    for x in _non_idempotent_points(u2):
-        log.add(Violation("idempotency", (x,), lhs=u2(x, x), rhs=x, subject="u2"))
     _agree_and_choose(log, u1, u2, range(u1.e), range(u1.e + 1, u1.n + 1),
                       "agreement", "local-internality")
-    return log.report()
+    return CheckReport.from_violations(idempotency + log.violations)
+
+
+def _idempotency_share(u2: Uninorm, verbose: bool) -> tuple:
+    """The equal case's clause that reads only u2: its idempotency violations."""
+    points = _non_idempotent_points(u2)
+    return tuple(Violation("idempotency", (x,), lhs=u2(x, x), rhs=x, subject="u2")
+                 for x in (points if verbose else points[:1]))
 
 
 @dataclass(frozen=True)
@@ -289,12 +313,13 @@ def _geometry(n: int, e1: int, e2: int) -> _Geometry:
 
 def _u2_share(u2: Uninorm, g: _Geometry, verbose: bool):
     """The clauses that read only u2: the hypothesis violations, the clause-i
-    side-condition violations, and u2's boundary operation on the block."""
+    side-condition violations, clause ii's u2 half, and u2's boundary
+    operation on the block."""
     log = WitnessLog(verbose)
     _on_square(log, u2, g, f"hypothesis-{g.unit}")
     for x, y in _non_internal_points(u2):
         log.add(Violation("hypothesis-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
-    hypotheses = log.report().violations
+    hypotheses = log.violations
 
     log = WitnessLog(verbose)
     for x0 in g.strip:
@@ -303,12 +328,19 @@ def _u2_share(u2: Uninorm, g: _Geometry, verbose: bool):
                 log.add(Violation("clause-i-side-condition", (x0, y0),
                                   lhs=u2(y0, y0), rhs=y0, subject="u2",
                                   detail="second argument picked at a non-idempotent point"))
-    return hypotheses, log.report().violations, g.boundary(u2)
+    return hypotheses, log.violations, _clause_ii_half(u2, "u2", g, verbose), g.boundary(u2)
+
+
+def _clause_ii_half(u: Uninorm, subject: str, g: _Geometry, verbose: bool) -> tuple:
+    """Clause ii for one operation: op(x, y) = x across the near strip."""
+    log = WitnessLog(verbose)
+    _keeps_first(log, u, subject, f"clause-ii-{g.op.__name__}", g.strip, g.near)
+    return log.violations
 
 
 def _u1_share(u1: Uninorm, e2: int, g: _Geometry, verbose: bool):
-    """Clause iii's part that reads only u1: the closure violations, and the
-    inner uninorm when there are none (else None).
+    """The clauses that read only u1: clause ii's u1 half; clause iii's
+    closure violations, and the inner uninorm when there are none (else None).
 
     The inner uninorm needs no validation of its own.  Let B be the block,
     which holds e1, and let u1(B x B) lie in B.  Then u1 on B shifted by -lo
@@ -322,36 +354,29 @@ def _u1_share(u1: Uninorm, e2: int, g: _Geometry, verbose: bool):
             if u1(x, y) not in g.block:
                 log.add(Violation("clause-iii-closure", (x, y), lhs=u1(x, y), rhs=e2, subject="u1",
                                   detail=g.leak))
-    leaks = log.report().violations
-    return leaks, None if leaks else g.inner(u1)
+    leaks = log.violations
+    return _clause_ii_half(u1, "u1", g, verbose), leaks, None if leaks else g.inner(u1)
 
 
 def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
     g = _geometry(u1.n, u1.e, u2.e)
     # each share is computed once per table and partner neutral: the case
     # follows from the two neutrals, and the scale was checked equal
-    hypotheses, side_condition, boundary = _once(
+    hypotheses, side_condition, u2_clause_ii, boundary = _once(
         u2, "unequal-u2", (u1.e, verbose), lambda: _u2_share(u2, g, verbose))
-    block_violations, inner = _once(
+    u1_clause_ii, leaks, inner = _once(
         u1, "unequal-u1", (u2.e, verbose), lambda: _u1_share(u1, u2.e, g, verbose))
-    # the shares' violations are replayed in clause order, each law keeping
-    # its own first witness
+    # each clause keeps its own witnesses: no two clauses share a law, so
+    # the lists are concatenated in clause order
     log = WitnessLog(verbose)
-    for v in hypotheses:
-        log.add(v)
     _agree_and_choose(log, u1, u2, g.strip, g.block, "clause-i-agreement", "clause-i-choice")
-    for v in side_condition:
-        log.add(v)
-
-    law = f"clause-ii-{g.op.__name__}"  # op(x, y) = x across the near strip
-    _keeps_first(log, g.strip, g.near, ((u1, "u1", law), (u2, "u2", law)))
-
-    for v in block_violations:
-        log.add(v)
-    if inner is not None:
-        for v in check_distributivity(inner, boundary, verbose=verbose).violations:
-            log.add(replace(v, law="clause-iii-distributivity", detail=g.subchain))
-    return log.report()
+    # clause ii's halves in scan order; the sort is stable, so at a point
+    # where both fail, u1 comes before u2
+    clause_ii = sorted(u1_clause_ii + u2_clause_ii, key=lambda v: v.witness)
+    clause_iii = () if inner is None else _distributivity_violations(
+        inner.rows, boundary.rows, verbose, "clause-iii-distributivity", g.subchain)
+    return CheckReport.from_violations(
+        (*hypotheses, *log.violations, *side_condition, *clause_ii, *leaks, *clause_iii))
 
 
 def greater_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
@@ -402,8 +427,8 @@ def necessity_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> 
     log = WitnessLog(verbose)
     _on_square(log, u2, g, f"necessity-i-{g.unit}")
     # on side x near, x <= e2 <= y (mirrored in the less case), so op(x, y) = x
-    _keeps_first(log, g.side, g.near, ((u1, "u1", f"necessity-ii-u1-{g.op.__name__}"),))
-    _keeps_first(log, g.strip, g.near, ((u2, "u2", f"necessity-iii-u2-{g.op.__name__}"),))
+    _keeps_first(log, u1, "u1", f"necessity-ii-u1-{g.op.__name__}", g.side, g.near)
+    _keeps_first(log, u2, "u2", f"necessity-iii-u2-{g.op.__name__}", g.strip, g.near)
     _agree_and_choose(log, u1, u2, g.strip, g.far, "necessity-iv-agreement",
                       "necessity-iv-choice", "necessity-iv-side-condition")
     for x, y in _non_internal_points(u2):

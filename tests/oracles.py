@@ -227,3 +227,100 @@ def region_of(x, y, e):
     if x >= e and y >= e:
         return UPPER_SQUARE
     return OFF_DIAGONAL
+
+
+class _WitnessLog:
+    """Keeps the first violation of each (subject, law), or all when verbose."""
+
+    def __init__(self, verbose):
+        self.verbose = verbose
+        self.items = []
+        self.seen = set()
+
+    def add(self, law, witness, lhs=None, rhs=None, subject="", detail=""):
+        if self.verbose or (subject, law) not in self.seen:
+            self.seen.add((subject, law))
+            self.items.append((law, witness, lhs, rhs, subject, detail))
+
+
+def condition_violations(rows1, e1, rows2, e2, verbose):
+    """The case conditions' violations for u1 = (rows1, e1) and u2 = (rows2, e2),
+    as (law, witness, lhs, rhs, subject, detail) tuples.
+
+    Every clause is one loop over the pair reading u(x, y), and all of them
+    add to one log in clause order; clause iii's distributivity is the
+    brute-force ``distributivity_defects`` of the inner block over u2's
+    boundary block.
+    """
+    n = len(rows1) - 1
+
+    def u1(x, y):
+        return rows1[x][y]
+
+    def u2(x, y):
+        return rows2[x][y]
+
+    log = _WitnessLog(verbose)
+
+    def agree_and_choose(xs, ys, agreement, choice):
+        for x in xs:
+            for y in ys:
+                a, b = u1(x, y), u2(x, y)
+                if a != b:
+                    log.add(agreement, (x, y), a, b)
+                elif a not in (x, y):
+                    log.add(choice, (x, y), a)
+
+    if e1 == e2:
+        for x in range(n + 1):
+            if u2(x, x) != x:
+                log.add("idempotency", (x,), u2(x, x), x, "u2")
+        agree_and_choose(range(e1), range(e1 + 1, n + 1), "agreement", "local-internality")
+        return log.items
+
+    if e1 > e2:
+        block, side, strip = range(e2, n + 1), range(e2 + 1), range(e2)
+        near, far, op, unit = range(e2, e1 + 1), range(e1, n + 1), min, "tnorm-min"
+        leak = "upper block leaks below e2, no inner uninorm exists"
+        subchain = "indices shifted by -e2 onto the upper subchain"
+    else:
+        block, side, strip = range(e2 + 1), range(e2, n + 1), range(e2 + 1, n + 1)
+        near, far, op, unit = range(e1, e2 + 1), range(e1 + 1), max, "tconorm-max"
+        leak = "lower block leaks above e2, no inner uninorm exists"
+        subchain = "restricted to the lower subchain"
+    lo = block[0]
+
+    for x in side:
+        for y in range(x, side.stop):
+            if u2(x, y) != op(x, y):
+                log.add(f"hypothesis-{unit}", (x, y), u2(x, y), op(x, y), "u2")
+    for x in range(e2):
+        for y in range(e2 + 1, n + 1):
+            if u2(x, y) not in (x, y):
+                log.add("hypothesis-local-internality", (x, y), u2(x, y), None, "u2")
+
+    agree_and_choose(strip, block, "clause-i-agreement", "clause-i-choice")
+    for x in strip:
+        for y in far:
+            if u2(x, y) == y and u2(y, y) != y:
+                log.add("clause-i-side-condition", (x, y), u2(y, y), y, "u2",
+                        "second argument picked at a non-idempotent point")
+
+    for x in strip:
+        for y in near:
+            for u, subject in ((u1, "u1"), (u2, "u2")):
+                if u(x, y) != x:
+                    log.add(f"clause-ii-{op.__name__}", (x, y), u(x, y), x, subject)
+
+    closed = True
+    for x in block:
+        for y in range(x, block.stop):
+            if u1(x, y) not in block:
+                closed = False
+                log.add("clause-iii-closure", (x, y), u1(x, y), e2, "u1", leak)
+    if closed:
+        inner = [[u1(x, y) - lo for y in block] for x in block]
+        boundary = [[u2(x, y) - lo for y in block] for x in block]
+        for x, y, z, lhs, rhs in distributivity_defects(inner, boundary):
+            log.add("clause-iii-distributivity", (x, y, z), lhs, rhs, "", subchain)
+    return log.items

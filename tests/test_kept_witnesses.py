@@ -76,3 +76,27 @@ def test_random_symmetric_reports_keep_the_first_violation_of_each_law(n):
                     u1, u2 = Uninorm(t1, e1), Uninorm(t2, e2)
                     full = check(u1, u2, verbose=True)
                     assert check(u1, u2).violations == first_per_law(full), (u1, u2)
+
+
+def clause_ii_ties(violations):
+    """The points where u1 and u2 both fail clause ii."""
+    points = {}
+    for v in violations:
+        if v.law.startswith("clause-ii-"):
+            points.setdefault(v.witness, set()).add(v.subject)
+    return [p for p, subjects in points.items() if subjects == {"u1", "u2"}]
+
+
+def test_every_l4_conditions_report_equals_the_per_pair_loops(all_pairs):
+    # the shares split clause ii into a u1 half and a u2 half and merge them
+    # per pair; a pair failing both at one point pins the order of the merge
+    # (on L_4 only verbose reports keep such a point)
+    tied = 0
+    for verbose in (False, True):
+        for u1, u2 in all_pairs(4):
+            want = tuple(Violation(*v) for v in
+                         oracles.condition_violations(u1.rows, u1.e, u2.rows, u2.e, verbose))
+            got = classify_and_check(u1, u2, verbose=verbose).conditions.violations
+            assert got == want, (u1.rows, u1.e, u2.rows, u2.e, verbose)
+            tied += verbose and bool(clause_ii_ties(want))
+    assert tied == 140

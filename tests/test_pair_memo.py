@@ -19,6 +19,25 @@ def fresh(u):
     return Uninorm(OpTable(u.scale, u.rows), u.e)
 
 
+def fails(law, subject, u1, u2):
+    """The violations of ``subject`` whose law starts with ``law``, in the
+    verbose conditions report of fresh copies of u1 and u2."""
+    report = classify_and_check(fresh(u1), fresh(u2), verbose=True).conditions
+    return [v for v in report.violations if v.law.startswith(law) and v.subject == subject]
+
+
+def assert_calls_match_fresh_copies(calls):
+    for first, second, verbose in calls:
+        shared = classify_and_check(first, second, verbose=verbose)
+        expected = classify_and_check(fresh(first), fresh(second), verbose=verbose)
+        assert shared == expected, (first.rows, first.e, second.rows, second.e, verbose)
+
+
+def firsts(by_e):
+    """One table for each neutral element."""
+    return {e: us[0] for e, us in by_e.items()}
+
+
 def test_shuffled_l4_pairs_match_fresh_copies(all_pairs):
     rng = random.Random(20261018)
     pairs = list(all_pairs(4))
@@ -42,11 +61,47 @@ def test_one_table_alternating_partners_and_verbosity(uninorms_by_e):
                 for us in by_e.values() if i < len(us)]
     calls = [(p, v) for p in partners for v in (False, True)]
     calls += [(p, v) for v in (False, True) for p in partners]
-    for partner, verbose in calls:
-        for first, second in ((u, partner), (partner, u)):
-            shared = classify_and_check(first, second, verbose=verbose)
-            expected = classify_and_check(fresh(first), fresh(second), verbose=verbose)
-            assert shared == expected, (partner.rows, partner.e, verbose, first is u)
+    assert_calls_match_fresh_copies([pair + (verbose,) for partner, verbose in calls
+                                     for pair in ((u, partner), (partner, u))])
+
+
+def test_u1_clause_ii_share_follows_e2(uninorms_by_e):
+    # u1's half of clause ii fails against one e2 and holds against another
+    # in the same case; a share that ignored e2 would carry one verdict over
+    # to the other
+    by_e = uninorms_by_e(4)
+    partner = firsts(by_e)
+    u, a, b = next((u, a, b) for e1 in by_e for u in by_e[e1] for a in by_e for b in by_e
+                   if e1 not in (a, b) and (a < e1) == (b < e1)
+                   and fails("clause-ii-", "u1", u, partner[a])
+                   and not fails("clause-ii-", "u1", u, partner[b]))
+    u = fresh(u)
+    pa, pb = fresh(partner[a]), fresh(partner[b])
+    assert_calls_match_fresh_copies([(u, p, v) for v in (False, True) for _ in range(2)
+                                     for p in (pa, pb)])
+
+
+def test_u2_clause_ii_share_follows_e1(uninorms_by_e):
+    # the same for u2's half across the partner's e1, within one case
+    by_e = uninorms_by_e(4)
+    partner = firsts(by_e)
+    u, a, b = next((u, a, b) for e2 in by_e for u in by_e[e2] for a in by_e for b in by_e
+                   if e2 < a and e2 < b and fails("clause-ii-", "u2", partner[a], u)
+                   and not fails("clause-ii-", "u2", partner[b], u))
+    u = fresh(u)
+    pa, pb = fresh(partner[a]), fresh(partner[b])
+    assert_calls_match_fresh_copies([(p, u, v) for v in (False, True) for _ in range(2)
+                                     for p in (pa, pb)])
+
+
+def test_equal_case_idempotency_share_follows_verbose(uninorms_by_e):
+    # a u2 with several non-idempotent points: the verbose report keeps them
+    # all, the quiet one only the first
+    by_e = uninorms_by_e(4)
+    u1, u2 = next((u1, u2) for e in by_e for u2 in by_e[e] for u1 in by_e[e][:1]
+                  if len(fails("idempotency", "u2", u1, u2)) > 1)
+    u1, u2 = fresh(u1), fresh(u2)
+    assert_calls_match_fresh_copies([(u1, u2, v) for _ in range(2) for v in (False, True)])
 
 
 def test_the_memo_is_invisible(uninorms_by_e):
