@@ -74,23 +74,26 @@ def _read_document(path: str) -> str:
                                f"at offset {exc.start}", source=path) from None
 
 
-def _load_operand(arg: str):
-    """Resolve a CLI operand to (OpTable, neutral index).
+def _is_document(arg: str) -> bool:
+    """Anything that exists on disk (or looks like a path) is a table
+    document; everything else goes through the family-spec grammar."""
+    return os.path.exists(arg) or "/" in arg or arg.endswith(".tbl")
 
-    Anything that exists on disk (or looks like a path) is parsed as a
-    table document; everything else goes through the family-spec grammar.
-    """
-    if os.path.exists(arg) or "/" in arg or arg.endswith(".tbl"):
+
+def _load_operand(arg: str):
+    """Resolve a CLI operand to (OpTable, neutral index)."""
+    if _is_document(arg):
         return formats.parse_table(_read_document(arg), source=arg)
     u = catalog.from_string(arg)
     return u.table, u.e
 
 
 def _load_valid_uninorm(arg: str, role: str) -> Uninorm:
-    """An operand that must satisfy the uninorm axioms; a failure is reported
-    under ``role`` with status 1."""
-    table, e = _load_operand(arg)
-    return Uninorm.checked(table, e, subject=role)
+    """An operand that must satisfy the uninorm axioms: a spec operand is
+    valid once built, a failing table document is reported under ``role``."""
+    if not _is_document(arg):
+        return catalog.from_string(arg)
+    return Uninorm.checked(*_load_operand(arg), subject=role)
 
 
 def _cmd_validate(args) -> int:

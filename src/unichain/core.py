@@ -8,7 +8,7 @@ region A(e) is the complement of the squares [0,e]^2 and [e,n]^2, where any
 uninorm stays between min and max.
 
 Tables read from outside the program are refused above ``MAX_SCALE``
-before any table is built: the axiom check holds (n+1)^3 entries.
+before any table is built: the axiom check reads (n+1)^2 (n+2)/2 triples.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .errors import (
     EmptyRestrictionError,
@@ -73,11 +71,6 @@ class OpTable:
         pts = scale.points
         return cls(scale, tuple(tuple(op(x, y) for y in pts) for x in pts))
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        arr = np.array(self.values, dtype=np.intp)
-        arr.setflags(write=False)
-        return arr
 
 @dataclass(frozen=True)
 class Uninorm:
@@ -235,9 +228,11 @@ def validate_uninorm(table: OpTable, e: int, *, verbose: bool = False) -> CheckR
     """Check the uninorm axioms for (table, e).
 
     Shape, range and symmetry are :class:`OpTable`'s own checks; an ``e``
-    outside the chain is reported as a ``structure`` violation.  Axioms are
-    scanned in the order neutrality, monotonicity, associativity; by default
-    only the first witness per law is kept (all under ``verbose``).
+    outside the chain is reported as a ``structure`` violation.  The row
+    tuples are scanned for neutrality (ascending x), monotonicity (row x
+    against row x + 1, row-major), then associativity ((x, y, z) with x <= z,
+    lexicographic).  Only the first witness per law is kept unless
+    ``verbose``, so the scan stops at the first associativity witness.
     """
     log = WitnessLog(verbose)
     n = table.scale.n
@@ -245,37 +240,29 @@ def validate_uninorm(table: OpTable, e: int, *, verbose: bool = False) -> CheckR
         log.add(Violation("structure", (e,), detail=f"neutral index outside chain 0..{n}"))
         return log.report()
 
-    arr = table.array
-    idx = np.arange(n + 1)
+    rows = table.values
+    pts = range(n + 1)
+    for x, v in enumerate(rows[e]):
+        if v != x and log.wants("neutrality"):
+            log.add(Violation("neutrality", (x,), lhs=v, rhs=x))
 
-    bad = np.nonzero(arr[e] != idx)[0]
-    for x in bad:
-        if not log.wants("neutrality"):
-            break
-        log.add(Violation("neutrality", (int(x),), lhs=int(arr[e, x]), rhs=int(x)))
-
-    drop = arr[:-1, :] > arr[1:, :]
-    if drop.any():
-        for x, y in np.argwhere(drop):
-            if not log.wants("monotonicity"):
-                break
-            log.add(Violation("monotonicity", (int(x), int(x) + 1, int(y)),
-                              lhs=int(arr[x, y]), rhs=int(arr[x + 1, y])))
+    for x in range(n):
+        row, below = rows[x], rows[x + 1]
+        for y in pts:
+            if row[y] > below[y] and log.wants("monotonicity"):
+                log.add(Violation("monotonicity", (x, x + 1, y), lhs=row[y], rhs=below[y]))
 
     # (x*y)*z vs x*(y*z); swapping x and z yields the mirrored equation, so
-    # reporting is restricted to x <= z.
-    left = arr[arr, :]
-    right = arr[:, arr]
-    neq = left != right
-    if neq.any():
-        xs, ys, zs = np.nonzero(neq)
-        for x, y, z in sorted(zip(xs.tolist(), ys.tolist(), zs.tolist())):
-            if x > z:
-                continue
-            if not log.wants("associativity"):
-                break
-            log.add(Violation("associativity", (x, y, z),
-                              lhs=int(arr[arr[x, y], z]), rhs=int(arr[x, arr[y, z]])))
+    # the scan is restricted to x <= z
+    for x in pts:
+        rx, zs = rows[x], pts[x:]
+        for y in pts:
+            ry, rxy = rows[y], rows[rx[y]]
+            for z in zs:
+                if rxy[z] != rx[ry[z]]:
+                    log.add(Violation("associativity", (x, y, z), lhs=rxy[z], rhs=rx[ry[z]]))
+                    if not verbose:
+                        return log.report()
     return log.report()
 
 

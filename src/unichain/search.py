@@ -39,13 +39,12 @@ the CPUs available to this process, and a worker count below 1 is refused.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, product
-
-import numpy as np
 
 from .core import ChainScale, OpTable, Uninorm
 from .distributivity import (
@@ -61,7 +60,7 @@ from .distributivity import (
 from .errors import DomainError, InternalConsistencyError, SearchLimitError, StructureError
 
 DEFAULT_ENUMERATION_LIMIT = 6
-DEFAULT_CERTIFY_LIMIT = 4
+DEFAULT_CERTIFY_LIMIT = 5
 PARTITION_DEPTH = 2
 
 
@@ -230,10 +229,19 @@ def _map(fn, jobs, workers):
 
 def _refuse_above(what: str, n: int, max_n: int) -> None:
     """Scales above ``max_n`` need a deliberate override, not a default:
-    the search space grows too fast."""
+    the search space grows too fast.  Whatever ``max_n``, ``_search`` must
+    fit on the stack above the caller: it recurses once per free cell, and
+    the cells with x <= y, less the n+1 on the neutral row, are n(n+1)/2."""
     if n > max_n:
         raise SearchLimitError(f"{what} on L_{n} refused: limit is n <= {max_n}; "
                                f"pass max_n={n} to override")
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    cells, limit = n * (n + 1) // 2, sys.getrecursionlimit()
+    if depth + cells >= limit:
+        raise SearchLimitError(f"{what} on L_{n} refused: its search recurses once per "
+                               f"free cell, {cells} of them, past the recursion limit {limit}")
 
 
 def enumerate_uninorms(task: EnumerationTask, *,
@@ -376,7 +384,7 @@ def certify(scale: ChainScale, *,
     _refuse_above("certification", n, max_n)
     started = time.perf_counter()
     stats = SearchStats()
-    by_e = [list(enumerate_uninorms(EnumerationTask(scale, e), max_n=max(max_n, n), stats=stats))
+    by_e = [list(enumerate_uninorms(EnumerationTask(scale, e), max_n=max_n, stats=stats))
             for e in range(n + 1)]
     uninorms = [(e, i, u) for e, us in enumerate(by_e) for i, u in enumerate(us)]
     total_pairs = len(uninorms) ** 2
@@ -431,13 +439,13 @@ def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
     """
     n = scale.n
     _refuse_above("pair scan", n, max_n)
-    firsts = list(enumerate_uninorms(EnumerationTask(scale, e1), max_n=max(max_n, n)))
+    firsts = list(enumerate_uninorms(EnumerationTask(scale, e1), max_n=max_n))
     seconds = firsts if e1 == e2 else list(
-        enumerate_uninorms(EnumerationTask(scale, e2), max_n=max(max_n, n)))
+        enumerate_uninorms(EnumerationTask(scale, e2), max_n=max_n))
     distributes = distributivity_matrix([u.rows for u in firsts], [u.rows for u in seconds])
     hits = []
     decomposable = _proper_unequal(n, e1, e2)
-    for i1, i2 in zip(*np.nonzero(distributes)):
+    for i1, i2 in zip(*distributes.nonzero()):
         u1, u2 = firsts[i1], seconds[i2]
         result = classify_and_check(u1, u2)
         if not result.exhaustive.verdict:

@@ -243,6 +243,33 @@ class _WitnessLog:
             self.items.append((law, witness, lhs, rhs, subject, detail))
 
 
+def axiom_violations(rows, e, verbose):
+    """The uninorm axioms' violations for (rows, e), as (law, witness, lhs,
+    rhs, subject, detail) tuples: neutrality at each x, monotonicity down
+    each column from row x to x + 1, associativity at each (x, y, z) with
+    x <= z, each law in lexicographic order and all added to one log.  An e
+    outside the chain is one structure violation and nothing else."""
+    n = len(rows) - 1
+    log = _WitnessLog(verbose)
+    if not 0 <= e <= n:
+        log.add("structure", (e,), detail=f"neutral index outside chain 0..{n}")
+        return log.items
+    for x in range(n + 1):
+        if rows[e][x] != x:
+            log.add("neutrality", (x,), rows[e][x], x)
+    for x in range(n):
+        for y in range(n + 1):
+            if rows[x][y] > rows[x + 1][y]:
+                log.add("monotonicity", (x, x + 1, y), rows[x][y], rows[x + 1][y])
+    for x in range(n + 1):
+        for y in range(n + 1):
+            for z in range(n + 1):
+                lhs, rhs = rows[rows[x][y]][z], rows[x][rows[y][z]]
+                if x <= z and lhs != rhs:
+                    log.add("associativity", (x, y, z), lhs, rhs)
+    return log.items
+
+
 def condition_violations(rows1, e1, rows2, e2, verbose):
     """The case conditions' violations for u1 = (rows1, e1) and u2 = (rows2, e2),
     as (law, witness, lhs, rhs, subject, detail) tuples.

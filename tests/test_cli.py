@@ -86,6 +86,24 @@ class TestExitContract:
         code, out, err = run(capsys, "certify", "--n", "2", "--max-n", "3")
         assert code == 0
 
+    @pytest.mark.parametrize("n", ["46", "99999999999"])
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--e", "1"),
+        ("scan", "--e1", "1", "--e2", "1"),
+        ("certify",),
+    ], ids=["enumerate", "scan", "certify"])
+    def test_a_search_past_the_recursion_limit_is_status_three(self, capsys, monkeypatch,
+                                                               argv, n):
+        # L_46 has 1,081 free cells, one recursion level each; a refusal
+        # comes before the free cells are listed
+        def no_cells(n, e):
+            raise AssertionError(f"free cells of L_{n} listed before the refusal")
+
+        monkeypatch.setattr(search, "_free_cells", no_cells)
+        code, out, err = run(capsys, argv[0], "--n", n, "--max-n", n, *argv[1:])
+        assert code == 3 and out == ""
+        assert err.startswith("refused: ") and "recursion limit" in err
+
     def test_negative_pair_budget_is_status_two(self, capsys):
         code, out, err = run(capsys, "certify", "--n", "2", "--pair-budget", "-5")
         assert code == 2
@@ -226,10 +244,12 @@ class TestCommands:
         assert code == 0
         assert out == (FIXTURES_DIR / "certify_l2.json").read_text(encoding="utf-8")
 
-    def test_certify_l4_matches_golden(self, capsys):
-        golden = (FIXTURES_DIR / "certify_l4.json").read_text(encoding="utf-8")
+    @pytest.mark.parametrize("n", ("4", "5"))
+    def test_certify_matches_golden(self, capsys, n):
+        # the default limit admits L_5; a parallel run gives the serial bytes
+        golden = (FIXTURES_DIR / f"certify_l{n}.json").read_text(encoding="utf-8")
         for workers in ("1", "2"):
-            code, out, err = run(capsys, "certify", "--n", "4", "--format", "structured",
+            code, out, err = run(capsys, "certify", "--n", n, "--format", "structured",
                                  "--no-timing", "--workers", workers)
             assert code == 0, f"--workers {workers}"
             assert out == golden, f"--workers {workers}"

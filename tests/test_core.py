@@ -1,15 +1,28 @@
 """Table construction, axiom validation, regions, predicates and duality."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from helpers import dual, idem_max, idem_min, laws_violated, luk_upper, min_tnorm, table_of
+from helpers import (
+    dual,
+    idem_max,
+    idem_min,
+    laws_violated,
+    luk_upper,
+    min_tnorm,
+    random_symmetric,
+    table_of,
+)
 from unichain import (
     ChainScale,
     OpTable,
     Uninorm,
+    Violation,
     is_conjunctive,
     is_idempotent,
     is_locally_internal,
@@ -169,6 +182,47 @@ class TestValidateUninorm:
                         elif viol.law == "associativity":
                             a, b, c = viol.witness
                             assert rows[rows[a][b]][c] != rows[a][rows[b][c]]
+
+
+def assert_matches_the_axiom_oracle(rows, e):
+    table = table_of(rows)
+    for verbose in (False, True):
+        want = tuple(Violation(*v) for v in oracles.axiom_violations(rows, e, verbose))
+        got = validate_uninorm(table, e, verbose=verbose).violations
+        assert got == want, (rows, e, verbose)
+
+
+class TestValidateAgainstTheOracle:
+    def test_every_l4_uninorm_under_every_neutral(self, uninorms_by_e):
+        for us in uninorms_by_e(4).values():
+            for u in us:
+                for e in range(5):
+                    assert_matches_the_axiom_oracle(u.rows, e)
+
+    def test_random_symmetric_tables(self):
+        # half of the tables get an identity row at e, so the monotonicity and
+        # associativity scans also run on tables that pass neutrality
+        rng = random.Random(16)
+        for n in range(1, 8):
+            for _ in range(300):
+                rows = random_symmetric(rng, n)
+                e = rng.randrange(-1, n + 2)
+                if 0 <= e <= n and rng.random() < 0.5:
+                    rows = [list(row) for row in rows]
+                    for y in range(n + 1):
+                        rows[e][y] = rows[y][e] = y
+                assert_matches_the_axiom_oracle(tuple(map(tuple, rows)), e)
+
+    def test_an_invalid_l128_table_is_validated_in_little_memory(self):
+        table = table_of(random_symmetric(random.Random(128), 128))
+        tracemalloc.start()
+        try:
+            report = validate_uninorm(table, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.verdict
+        assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestPredicates:

@@ -112,6 +112,12 @@ class TestEnumeration:
         with pytest.raises(SearchLimitError, match="max_n"):
             list(enumerate_uninorms(EnumerationTask(ChainScale(7), 3)))
 
+    def test_an_override_below_the_recursion_limit_still_enumerates(self):
+        # the only idempotent t-norm is min
+        task = EnumerationTask(ChainScale(8), 8, idempotent_only=True)
+        tables = [u.rows for u in enumerate_uninorms(task, max_n=8)]
+        assert tables == [tuple(tuple(min(x, y) for y in range(9)) for x in range(9))]
+
     @pytest.mark.parametrize("workers", (0, -2))
     def test_worker_count_below_one_refused(self, workers):
         stats = SearchStats()
@@ -318,7 +324,7 @@ class TestCertify:
 
     def test_refusal_above_limit(self):
         with pytest.raises(SearchLimitError):
-            certify(ChainScale(5))
+            certify(ChainScale(6))
 
     @pytest.mark.parametrize("field", ("uninorm_counts", "pair_case_counts",
                                        "distributive_case_counts"))
