@@ -58,6 +58,19 @@ def make(spec: FamilySpec) -> Uninorm:
     producing an invalid table would be a bug and raises
     :class:`InternalConsistencyError`.
     """
+    u = _build(spec)
+    report = validate_uninorm(u.table, u.e)
+    if not report.verdict:
+        raise InternalConsistencyError(
+            f"constructor {spec.family} produced an invalid table: "
+            f"{report.violations[0].describe()}"
+        )
+    return u
+
+
+def _build(spec: FamilySpec) -> Uninorm:
+    """The table selected by ``spec``, its parameters checked but not its
+    uninorm axioms."""
     family, n, e = spec.family, spec.scale.n, spec.e
     if family not in FAMILIES:
         raise ConstructionError(f"unknown family {family!r}")
@@ -82,8 +95,13 @@ def make(spec: FamilySpec) -> Uninorm:
         raise ConstructionError(f"{family} takes no T/S sub-operations")
 
     if family in _PROPER:
-        t = spec.t or make(FamilySpec("min", ChainScale(e), e))
-        s = spec.s or make(FamilySpec("max", ChainScale(n - e), 0))
+        # T and S are not checked on their own.  [0, e]^2 and [e, n]^2 are
+        # closed under op, both hold e, and op is T on the first and S
+        # shifted by e on the second, so the uninorm axioms of the whole
+        # table restricted to them are T's t-norm axioms and S's t-conorm
+        # axioms: make's one check of the whole table covers both.
+        t = spec.t or _build(FamilySpec("min", ChainScale(e), e))
+        s = spec.s or _build(FamilySpec("max", ChainScale(n - e), 0))
         off_diag = min if family in ("umin-idempotent", "umin-of") else max
 
         def op(x, y):
@@ -99,13 +117,7 @@ def make(spec: FamilySpec) -> Uninorm:
         def op(x, y):
             return r(tnorm(r(x), r(y), n))
 
-    table = OpTable.from_func(spec.scale, op)
-    report = validate_uninorm(table, e)
-    if not report.verdict:
-        raise InternalConsistencyError(
-            f"constructor {family} produced an invalid table: {report.violations[0].describe()}"
-        )
-    return Uninorm(table, e)
+    return Uninorm(OpTable.from_func(spec.scale, op), e)
 
 
 # --- compact spec strings -------------------------------------------------
@@ -220,7 +232,7 @@ def _build_sub(call, value_pos: int, slot: str, sub_n: int, text: str) -> Uninor
     if "e" in ints:
         raise SpecSyntaxError("sub-operations fix their own neutral element", text, value_pos)
     e = n if slot == "t" else 0
-    return make(FamilySpec(family, ChainScale(n), e))
+    return _build(FamilySpec(family, ChainScale(n), e))
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -259,8 +271,8 @@ def parse_family_spec(text: str) -> FamilySpec:
     if family in ("umin-of", "umax-of", "luk-upper") and not 0 < e < n:
         raise ConstructionError(f"{family} needs 0 < e < n, got e={e}, n={n}")
     if family == "luk-upper":
-        t = make(FamilySpec("min", ChainScale(e), e))
-        s = make(FamilySpec("lukasiewicz-tconorm", ChainScale(n - e), 0))
+        t = _build(FamilySpec("min", ChainScale(e), e))
+        s = _build(FamilySpec("lukasiewicz-tconorm", ChainScale(n - e), 0))
         family = "umin-of"
     elif family in ("umin-of", "umax-of"):
         if "t" not in subs or "s" not in subs:

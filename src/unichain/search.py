@@ -12,9 +12,12 @@ triple checks that cover every triple whose four lookups it determined:
 (a, b, c) and (c, b, a) share a verdict, and (x, y, c) follows from triples
 checked here or at earlier nodes (the proof is at ``_assoc_ok_after``).
 Where the new cell is the outer lookup t[ab][c], ab must equal one of its
-coordinates, so a row holding neither value is skipped by one membership
-test.  The task's filters restrict the candidates of the cells they read,
-all of them free cells.
+coordinates, so the check reads only the cells that hold x or y: the search
+keeps an index from each value to the set cells holding it, pushing a cell
+(and its mirror) when it sets it and popping it when it unsets it.  The
+task's filters restrict the candidates of the cells they read, all of them
+free cells.  The search is a plain recursion, one level per free cell, that
+appends each table it completes to one list.
 Determinism: candidates are tried in ascending order, so tables stream out
 in lexicographic order of their row-major values.
 
@@ -120,7 +123,18 @@ def _candidates(t, x, y, n, e, task):
     return values
 
 
-def _assoc_ok_after(t, x, y, n):
+def _index(t):
+    """``pos[w]``: the set cells (a, b) of ``t`` with t[a][b] = w, for every
+    value w, mirrors included."""
+    pos = [[] for _ in t]
+    for a, row in enumerate(t):
+        for b, w in enumerate(row):
+            if w >= 0:
+                pos[w].append((a, b))
+    return pos
+
+
+def _assoc_ok_after(t, pos, x, y, n):
     # The triples whose four lookups became determined with cell (x, y),
     # x <= y, at a node of ``_search``.  There the cells before (x, y) in the
     # traversal are set within ``_candidates``' bounds, so the set cells are
@@ -152,9 +166,8 @@ def _assoc_ok_after(t, x, y, n):
     # equals t[a][bc].
     v = t[x][y]
     tv, tx, ty = t[v], t[x], t[y]
-    rng = range(n + 1)
     # the new cell as ab: triple (y, x, c), left side t[v][c]
-    for c in rng:
+    for c in range(n + 1):
         left = tv[c]
         if left < 0:
             continue
@@ -162,37 +175,45 @@ def _assoc_ok_after(t, x, y, n):
         if bc >= 0 and 0 <= ty[bc] != left:
             return False
     # the new cell as the outer lookup t[ab][c]: triples (a, b, y) with
-    # ab = x and (a, b, x) with ab = y, both with left side v.  A row that
-    # holds neither value has no such b.
-    for a in rng:
-        row = t[a]
-        if x not in row and y not in row:
-            continue
-        for b in rng:
-            ab = row[b]
-            if ab == x:
-                bc = ty[b]  # t[b][y], by symmetry
-            elif ab == y:
-                bc = tx[b]
-            else:
-                continue
-            if bc >= 0 and 0 <= row[bc] != v:
+    # ab = x and (a, b, x) with ab = y, both with left side v.  ``pos``
+    # indexes the set cells by value, so only the cells holding x or y are
+    # read.
+    for a, b in pos[x]:
+        bc = ty[b]  # t[b][y], by symmetry
+        if bc >= 0 and 0 <= t[a][bc] != v:
+            return False
+    if y != x:
+        for a, b in pos[y]:
+            bc = tx[b]
+            if bc >= 0 and 0 <= t[a][bc] != v:
                 return False
     return True
 
 
-def _search(t, cells, i, n, e, task, stats):
-    """Yield every table that fills ``cells[i:]`` within the pruning rules."""
+def _search(t, pos, cells, i, n, e, task, stats, out):
+    """Append to ``out`` every table that fills ``cells[i:]`` within the
+    pruning rules.  ``pos`` is ``_index(t)``, kept so while cells are set and
+    unset: each entry is pushed and popped in stack order."""
     if i == len(cells):
-        yield tuple(tuple(row) for row in t)
+        out.append(tuple(map(tuple, t)))
         return
     x, y = cells[i]
-    for v in _candidates(t, x, y, n, e, task):
-        t[x][y] = t[y][x] = v
-        stats.nodes_expanded += 1
-        if _assoc_ok_after(t, x, y, n):
-            yield from _search(t, cells, i + 1, n, e, task, stats)
-        t[x][y] = t[y][x] = -1
+    tx, ty = t[x], t[y]
+    mirrored = x != y
+    values = _candidates(t, x, y, n, e, task)
+    stats.nodes_expanded += len(values)
+    for v in values:
+        tx[y] = ty[x] = v
+        at = pos[v]
+        at.append((x, y))
+        if mirrored:
+            at.append((y, x))
+        if _assoc_ok_after(t, pos, x, y, n):
+            _search(t, pos, cells, i + 1, n, e, task, stats, out)
+        at.pop()
+        if mirrored:
+            at.pop()
+    tx[y] = ty[x] = -1
 
 
 def _completions(job):
@@ -205,7 +226,8 @@ def _completions(job):
     for (x, y), v in zip(cells, prefix):
         t[x][y] = t[y][x] = v
     stats = SearchStats()
-    tables = list(_search(t, cells, len(prefix), n, e, task, stats))
+    tables = []
+    _search(t, _index(t), cells, len(prefix), n, e, task, stats, tables)
     return tables, stats.nodes_expanded
 
 
@@ -231,17 +253,29 @@ def _refuse_above(what: str, n: int, max_n: int) -> None:
     """Scales above ``max_n`` need a deliberate override, not a default:
     the search space grows too fast.  Whatever ``max_n``, ``_search`` must
     fit on the stack above the caller: it recurses once per free cell, and
-    the cells with x <= y, less the n+1 on the neutral row, are n(n+1)/2."""
+    the cells with x <= y, less the n+1 on the neutral row, are n(n+1)/2.
+    The caller searches the first k = ``PARTITION_DEPTH`` of them, k + 1
+    levels deep, and ``_completions``, which ``_map`` calls from C, the
+    rest, cells - k + 2 levels deep (CPython 3.11).  The guard tries that
+    depth rather than counting frames: what a stack has left under the
+    limit depends on the C calls between its frames as well."""
     if n > max_n:
         raise SearchLimitError(f"{what} on L_{n} refused: limit is n <= {max_n}; "
                                f"pass max_n={n} to override")
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
     cells, limit = n * (n + 1) // 2, sys.getrecursionlimit()
-    if depth + cells >= limit:
+    cut = min(PARTITION_DEPTH, cells)
+    levels = max(cut + 1, cells - cut + 2)
+    if levels >= limit or not _stack_takes(levels):
         raise SearchLimitError(f"{what} on L_{n} refused: its search recurses once per "
                                f"free cell, {cells} of them, past the recursion limit {limit}")
+
+
+def _stack_takes(levels: int) -> bool:
+    """Whether ``levels`` more nested calls fit under the recursion limit."""
+    try:
+        return levels <= 1 or _stack_takes(levels - 1)
+    except RecursionError:
+        return False
 
 
 def enumerate_uninorms(task: EnumerationTask, *,
@@ -267,8 +301,9 @@ def enumerate_uninorms(task: EnumerationTask, *,
     if task.conjunctive_only and e == 0:
         return  # row 0 is the identity, so u(0, n) = n: nothing qualifies
     heads = _free_cells(n, e)[:PARTITION_DEPTH]
-    prefixes = [tuple(rows[x][y] for x, y in heads)
-                for rows in _search(_neutral_table(n, e), heads, 0, n, e, task, stats)]
+    t, found = _neutral_table(n, e), []
+    _search(t, _index(t), heads, 0, n, e, task, stats, found)
+    prefixes = [tuple(rows[x][y] for x, y in heads) for rows in found]
     previous = ()
     for tables, nodes in _map(_completions, [(task, p) for p in prefixes], workers):
         stats.nodes_expanded += nodes

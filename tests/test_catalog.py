@@ -5,9 +5,15 @@ import pytest
 import oracles
 from helpers import dual, table_of
 from unichain import ChainScale, FamilySpec, from_string, make, validate_uninorm
+from unichain import catalog
 from unichain.catalog import parse_family_spec
 from unichain.core import MAX_SCALE
-from unichain.errors import ConstructionError, SearchLimitError, SpecSyntaxError
+from unichain.errors import (
+    ConstructionError,
+    InternalConsistencyError,
+    SearchLimitError,
+    SpecSyntaxError,
+)
 
 
 def spec(family, n, e, t=None, s=None):
@@ -128,6 +134,26 @@ class TestConsistency:
     def test_unknown_family(self):
         with pytest.raises(ConstructionError, match="unknown family"):
             make(spec("product", 4, 4))
+
+    @pytest.mark.parametrize("family, build", [
+        ("min", lambda: make(spec("umin-idempotent", 5, 3))),
+        ("min", lambda: make(spec("umax-idempotent", 5, 3))),
+        ("min", lambda: from_string("umax(T=min,S=drastic,e=3,n=5)")),
+        ("min", lambda: from_string("umin(T=luk,S=max,e=2,n=5)")),  # S = max, min's twin
+        ("lukasiewicz-tnorm", lambda: from_string("umin(T=luk,S=max,e=3,n=5)")),
+        ("lukasiewicz-tnorm", lambda: from_string("luk-upper(e=2,n=5)")),
+        ("drastic-tnorm", lambda: from_string("umin(T=min,S=drastic,e=2,n=5)")),
+    ])
+    def test_a_broken_sub_operation_fails_the_whole_table_check(self, monkeypatch,
+                                                                family, build):
+        # T(x, n) = x - 1 for 0 < x < n, so n is no longer neutral (and 0 no
+        # longer neutral for the twin t-conorm).  The sub-operations are not
+        # checked on their own: only the check of the whole table sees it.
+        formula = catalog._TNORMS[family]
+        monkeypatch.setitem(catalog._TNORMS, family, lambda x, y, n: (
+            formula(x, y, n) - (0 < min(x, y) < n == max(x, y))))
+        with pytest.raises(InternalConsistencyError, match="produced an invalid table"):
+            build()
 
 
 class TestSpecStrings:

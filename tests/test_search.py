@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -36,6 +37,16 @@ from unichain.search import PairDivergence, SearchStats, _check_pair_block
 
 def rows_set(uninorms):
     return set(u.rows for u in uninorms)
+
+
+def value_index(t):
+    """The set cells (a, b) of ``t`` by value, mirrors included, sorted."""
+    pos = [[] for _ in t]
+    for a, row in enumerate(t):
+        for b, w in enumerate(row):
+            if w >= 0:
+                pos[w].append((a, b))
+    return pos
 
 
 FILTERS = ("idempotent", "locally-internal", "conjunctive")
@@ -111,6 +122,28 @@ class TestEnumeration:
     def test_refusal_above_limit(self):
         with pytest.raises(SearchLimitError, match="max_n"):
             list(enumerate_uninorms(EnumerationTask(ChainScale(7), 3)))
+
+    @pytest.mark.parametrize("depth", (0, 1, 2, 99))
+    def test_the_recursion_guard_refuses_exactly_what_would_not_fit(self, monkeypatch, depth):
+        # min, the only idempotent t-norm on L_20, has 210 free cells: at the
+        # smallest recursion limit the guard accepts the search finishes, and
+        # one below it is refused, never a RecursionError.  pytest's own
+        # stack, C calls included, sits below the search.
+        monkeypatch.setattr(search, "PARTITION_DEPTH", depth)
+        task = EnumerationTask(ChainScale(20), 20, idempotent_only=True)
+        default, limit = sys.getrecursionlimit(), 100
+        try:
+            while True:
+                sys.setrecursionlimit(limit)
+                try:
+                    tables = [u.rows for u in enumerate_uninorms(task, max_n=20)]
+                    break
+                except SearchLimitError:
+                    limit += 1
+        finally:
+            sys.setrecursionlimit(default)
+        assert limit > 100
+        assert tables == [tuple(tuple(min(x, y) for y in range(21)) for x in range(21))]
 
     def test_an_override_below_the_recursion_limit_still_enumerates(self):
         # the only idempotent t-norm is min
@@ -195,7 +228,7 @@ class TestPruningSafety:
                 for y in range(x, n + 1):
                     saved = t[x][y]
                     t[x][y] = t[y][x] = rng.randrange(n + 1)
-                    verdict = search._assoc_ok_after(t, x, y, n)
+                    verdict = search._assoc_ok_after(t, value_index(t), x, y, n)
                     assert verdict or not oracles.assoc_ok_after(t, x, y), (t, x, y)
                     verdicts[verdict] += 1
                     t[x][y] = t[y][x] = saved
@@ -206,8 +239,8 @@ class TestPruningSafety:
         pruning = search._assoc_ok_after
         verdicts = Counter()
 
-        def checked(t, x, y, n):
-            verdict = pruning(t, x, y, n)
+        def checked(t, pos, x, y, n):
+            verdict = pruning(t, pos, x, y, n)
             assert verdict == oracles.assoc_ok_after(t, x, y), (t, x, y)
             verdicts[verdict] += 1
             return verdict
@@ -218,6 +251,25 @@ class TestPruningSafety:
         assert pins == json.loads(fixture.read_text(encoding="utf-8"))
         assert sum(verdicts.values()) == 13645
         assert verdicts[True] and verdicts[False], verdicts
+
+    @pytest.mark.parametrize("depth", (0, 1, 2, 99))
+    def test_at_every_search_node_the_index_holds_the_set_cells(self, monkeypatch, depth):
+        # every node of every task on L_1-L_5, every e and filter combination,
+        # on each side of the partition cut
+        pruning = search._assoc_ok_after
+        nodes = []
+
+        def checked(t, pos, x, y, n):
+            assert [sorted(cells) for cells in pos] == value_index(t), (t, pos)
+            nodes.append((x, y))
+            return pruning(t, pos, x, y, n)
+
+        monkeypatch.setattr(search, "_assoc_ok_after", checked)
+        monkeypatch.setattr(search, "PARTITION_DEPTH", depth)
+        pins = enumeration_pins(range(1, 6))
+        fixture = FIXTURES_DIR / "enumeration_l5.json"
+        assert pins == json.loads(fixture.read_text(encoding="utf-8"))
+        assert len(nodes) == 13645
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_a_symmetric_table_checks_each_triple_and_its_mirror_alike(self, n):
