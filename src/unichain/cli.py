@@ -171,7 +171,7 @@ def _cmd_enumerate(args) -> int:
     )
     max_n = args.max_n if args.max_n is not None else DEFAULT_ENUMERATION_LIMIT
     stats = SearchStats()
-    tables = list(enumerate_uninorms(task, workers=args.workers, max_n=max_n, stats=stats))
+    tables = list(enumerate_uninorms(task, max_n=max_n, stats=stats))
     _emit(args, lambda: "".join(f"# {i + 1} of {len(tables)}\n{formats.dump_table(u)}\n"
                                 for i, u in enumerate(tables)),
           lambda: {
@@ -294,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--idempotent-only", action="store_true")
     p.add_argument("--locally-internal-only", action="store_true")
     p.add_argument("--conjunctive-only", action="store_true")
-    p.add_argument("--workers", type=int, default=1,
-                   help="partition the search tree across processes")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("scan", parents=[common, limited],

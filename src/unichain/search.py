@@ -21,14 +21,9 @@ appends each table it completes to one list.
 Determinism: candidates are tried in ascending order, so tables stream out
 in lexicographic order of their row-major values.
 
-The tree is cut after ``PARTITION_DEPTH`` free cells and each prefix is
-expanded on its own, in this process or in worker processes; the parts are
-merged in prefix order.  Neither the cut nor the worker count changes the
-tables, their order, or the ``SearchStats`` counts.
-
 ``certify`` enumerates once, then classifies every pair through
 ``classify_and_check`` in contiguous slices of the canonical pair list over
-the same worker map; each slice returns its own tally, which ``certify``
+a worker map; each slice returns its own tally, which ``certify``
 adds up.
 ``scan_pairs`` first finds its hits with the batched exhaustive kernel
 (``distributivity_matrix``: one numpy evaluation per u2 against the whole
@@ -64,7 +59,6 @@ from .errors import DomainError, InternalConsistencyError, SearchLimitError, Str
 
 DEFAULT_ENUMERATION_LIMIT = 6
 DEFAULT_CERTIFY_LIMIT = 5
-PARTITION_DEPTH = 2
 
 
 @dataclass
@@ -216,21 +210,6 @@ def _search(t, pos, cells, i, n, e, task, stats, out):
     tx[y] = ty[x] = -1
 
 
-def _completions(job):
-    """For ``job = (task, prefix)``: the tables whose first free cells hold
-    ``prefix``, and the number of nodes expanded below it."""
-    task, prefix = job
-    n, e = task.scale.n, task.e
-    t = _neutral_table(n, e)
-    cells = _free_cells(n, e)
-    for (x, y), v in zip(cells, prefix):
-        t[x][y] = t[y][x] = v
-    stats = SearchStats()
-    tables = []
-    _search(t, _index(t), cells, len(prefix), n, e, task, stats, tables)
-    return tables, stats.nodes_expanded
-
-
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -253,18 +232,15 @@ def _refuse_above(what: str, n: int, max_n: int) -> None:
     """Scales above ``max_n`` need a deliberate override, not a default:
     the search space grows too fast.  Whatever ``max_n``, ``_search`` must
     fit on the stack above the caller: it recurses once per free cell, and
-    the cells with x <= y, less the n+1 on the neutral row, are n(n+1)/2.
-    The caller searches the first k = ``PARTITION_DEPTH`` of them, k + 1
-    levels deep, and ``_completions``, which ``_map`` calls from C, the
-    rest, cells - k + 2 levels deep (CPython 3.11).  The guard tries that
-    depth rather than counting frames: what a stack has left under the
-    limit depends on the C calls between its frames as well."""
+    the cells with x <= y, less the n+1 on the neutral row, are n(n+1)/2,
+    so it runs cells + 1 levels deep.  The guard tries that depth rather
+    than counting frames: what a stack has left under the limit depends on
+    the C calls between its frames as well."""
     if n > max_n:
         raise SearchLimitError(f"{what} on L_{n} refused: limit is n <= {max_n}; "
                                f"pass max_n={n} to override")
     cells, limit = n * (n + 1) // 2, sys.getrecursionlimit()
-    cut = min(PARTITION_DEPTH, cells)
-    levels = max(cut + 1, cells - cut + 2)
+    levels = cells + 1
     if levels >= limit or not _stack_takes(levels):
         raise SearchLimitError(f"{what} on L_{n} refused: its search recurses once per "
                                f"free cell, {cells} of them, past the recursion limit {limit}")
@@ -279,41 +255,31 @@ def _stack_takes(levels: int) -> bool:
 
 
 def enumerate_uninorms(task: EnumerationTask, *,
-                       workers: int = 1,
                        max_n: int = DEFAULT_ENUMERATION_LIMIT,
                        stats: SearchStats | None = None):
     """Yield every uninorm on the task's chain with the task's neutral element.
 
     Each table appears exactly once, in lexicographic order of its rows.
-    The tree is cut after ``PARTITION_DEPTH`` free cells; the parts below
-    the cut are expanded in prefix order, here or across ``workers``
-    processes, and ``stats`` ends the same for any worker count.  A table
-    not strictly greater than the one before it is a search bug and raises
-    :class:`InternalConsistencyError`.  Scales above ``max_n`` are refused,
-    and so is a worker count below 1 (:class:`DomainError`).
+    A table not strictly greater than the one before it is a search bug and
+    raises :class:`InternalConsistencyError`.  Scales above ``max_n`` are
+    refused.
     """
     n, e = task.scale.n, task.e
-    if workers < 1:
-        raise DomainError(f"worker count must be at least 1, got {workers}")
     _refuse_above("enumeration", n, max_n)
     if stats is None:
         stats = SearchStats()
     if task.conjunctive_only and e == 0:
         return  # row 0 is the identity, so u(0, n) = n: nothing qualifies
-    heads = _free_cells(n, e)[:PARTITION_DEPTH]
-    t, found = _neutral_table(n, e), []
-    _search(t, _index(t), heads, 0, n, e, task, stats, found)
-    prefixes = [tuple(rows[x][y] for x, y in heads) for rows in found]
+    t, tables = _neutral_table(n, e), []
+    _search(t, _index(t), _free_cells(n, e), 0, n, e, task, stats, tables)
     previous = ()
-    for tables, nodes in _map(_completions, [(task, p) for p in prefixes], workers):
-        stats.nodes_expanded += nodes
-        for rows in tables:
-            if rows <= previous:
-                raise InternalConsistencyError(
-                    f"enumeration on L_{n} with e={e} left lexicographic order at {rows}")
-            previous = rows
-            stats.emitted += 1
-            yield Uninorm(OpTable(task.scale, rows), e)
+    for rows in tables:
+        if rows <= previous:
+            raise InternalConsistencyError(
+                f"enumeration on L_{n} with e={e} left lexicographic order at {rows}")
+        previous = rows
+        stats.emitted += 1
+        yield Uninorm(OpTable(task.scale, rows), e)
 
 
 @dataclass(frozen=True)

@@ -109,14 +109,19 @@ class TestExitContract:
         assert code == 2
         assert "pair budget" in err and out == ""
 
-    @pytest.mark.parametrize("argv", [
-        ("certify", "--n", "3", "--workers", "0"),
-        ("enumerate", "--n", "3", "--e", "1", "--workers", "-2"),
-    ], ids=["certify", "enumerate"])
-    def test_worker_count_below_one_is_status_two(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+    def test_worker_count_below_one_is_status_two(self, capsys):
+        code, out, err = run(capsys, "certify", "--n", "3", "--workers", "0")
         assert code == 2
         assert "worker count must be at least 1" in err and out == ""
+
+    def test_enumerate_has_no_workers_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["enumerate", "--n", "3", "--e", "1", "--workers", "2"])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert "unrecognized arguments: --workers 2" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_repeated_spec_key_is_status_two_with_caret(self, capsys):
         code, out, err = run(capsys, "validate", "--table", "idemmin(e=2,n=4,n=5)")
@@ -189,19 +194,12 @@ class TestCommands:
         assert all(type(row) is list for table in doc["tables"] for row in table)
         doc["tables"][0][1][1] += 1
 
-    @pytest.mark.parametrize("workers", ("1", "2"))
-    def test_enumerate_reports_nodes_expanded(self, capsys, workers):
+    def test_enumerate_reports_nodes_expanded(self, capsys):
         stats = search.SearchStats()
         list(search.enumerate_uninorms(search.EnumerationTask(ChainScale(3), 1), stats=stats))
-        code, out, err = run(capsys, "enumerate", "--n", "3", "--e", "1", "--workers", workers)
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--e", "1")
         assert code == 0
         assert err == f"enumerate: 5 uninorms on L_3 with e=1, {stats.nodes_expanded} nodes expanded\n"
-
-    def test_enumerate_workers_equivalent(self, capsys):
-        _, single, _ = run(capsys, "enumerate", "--n", "3", "--e", "1", "--format", "structured")
-        _, multi, _ = run(capsys, "enumerate", "--n", "3", "--e", "1", "--workers", "2",
-                          "--format", "structured")
-        assert single == multi
 
     def test_out_of_range_neutral_is_usage_error(self, capsys):
         code, out, err = run(capsys, "enumerate", "--n", "3", "--e", "9")

@@ -1,4 +1,4 @@
-"""Enumeration correctness, pruning safety, partitioning, certification."""
+"""Enumeration correctness, pruning safety, certification."""
 
 import ast
 import hashlib
@@ -123,13 +123,11 @@ class TestEnumeration:
         with pytest.raises(SearchLimitError, match="max_n"):
             list(enumerate_uninorms(EnumerationTask(ChainScale(7), 3)))
 
-    @pytest.mark.parametrize("depth", (0, 1, 2, 99))
-    def test_the_recursion_guard_refuses_exactly_what_would_not_fit(self, monkeypatch, depth):
+    def test_the_recursion_guard_refuses_exactly_what_would_not_fit(self):
         # min, the only idempotent t-norm on L_20, has 210 free cells: at the
         # smallest recursion limit the guard accepts the search finishes, and
         # one below it is refused, never a RecursionError.  pytest's own
         # stack, C calls included, sits below the search.
-        monkeypatch.setattr(search, "PARTITION_DEPTH", depth)
         task = EnumerationTask(ChainScale(20), 20, idempotent_only=True)
         default, limit = sys.getrecursionlimit(), 100
         try:
@@ -151,19 +149,31 @@ class TestEnumeration:
         tables = [u.rows for u in enumerate_uninorms(task, max_n=8)]
         assert tables == [tuple(tuple(min(x, y) for y in range(9)) for x in range(9))]
 
-    @pytest.mark.parametrize("workers", (0, -2))
-    def test_worker_count_below_one_refused(self, workers):
-        stats = SearchStats()
-        with pytest.raises(DomainError, match=f"worker count must be at least 1, got {workers}"):
-            next(enumerate_uninorms(EnumerationTask(ChainScale(3), 1), workers=workers,
-                                    stats=stats))
-        assert stats.nodes_expanded == 0
-
     def test_stats_count_nodes(self):
         stats = SearchStats()
         list(enumerate_uninorms(EnumerationTask(ChainScale(3), 1), stats=stats))
         assert stats.nodes_expanded > 0
         assert stats.emitted == 5
+
+    @pytest.mark.parametrize("tamper", ("repeat", "reverse", "duplicate"))
+    def test_a_repeated_or_misordered_table_raises(self, monkeypatch, tamper):
+        original = search._search
+
+        def tampered(t, pos, cells, i, n, e, task, stats, out):
+            original(t, pos, cells, i, n, e, task, stats, out)
+            if i > 0:  # the recursion calls the tampered search too
+                return
+            assert len(out) > 2
+            if tamper == "repeat":
+                out.append(out[-1])
+            elif tamper == "reverse":
+                out.reverse()
+            else:
+                out.insert(2, out[1])
+
+        monkeypatch.setattr(search, "_search", tampered)
+        with pytest.raises(InternalConsistencyError, match="lexicographic order"):
+            list(enumerate_uninorms(EnumerationTask(ChainScale(3), 1)))
 
 
 class TestPruningSafety:
@@ -252,10 +262,8 @@ class TestPruningSafety:
         assert sum(verdicts.values()) == 13645
         assert verdicts[True] and verdicts[False], verdicts
 
-    @pytest.mark.parametrize("depth", (0, 1, 2, 99))
-    def test_at_every_search_node_the_index_holds_the_set_cells(self, monkeypatch, depth):
-        # every node of every task on L_1-L_5, every e and filter combination,
-        # on each side of the partition cut
+    def test_at_every_search_node_the_index_holds_the_set_cells(self, monkeypatch):
+        # every node of every task on L_1-L_5, every e and filter combination
         pruning = search._assoc_ok_after
         nodes = []
 
@@ -265,7 +273,6 @@ class TestPruningSafety:
             return pruning(t, pos, x, y, n)
 
         monkeypatch.setattr(search, "_assoc_ok_after", checked)
-        monkeypatch.setattr(search, "PARTITION_DEPTH", depth)
         pins = enumeration_pins(range(1, 6))
         fixture = FIXTURES_DIR / "enumeration_l5.json"
         assert pins == json.loads(fixture.read_text(encoding="utf-8"))
@@ -284,55 +291,6 @@ class TestPruningSafety:
             for a, b, c in product(pts, repeat=3):
                 assert (oracles.triple_consistent(t, a, b, c)
                         == oracles.triple_consistent(t, c, b, a)), (t, a, b, c)
-
-
-class TestPartitioning:
-    @pytest.mark.parametrize("workers", (1, 2))
-    @pytest.mark.parametrize("depth", (0, 1, 2, 99))
-    def test_equivalent_to_single_stream(self, monkeypatch, workers, depth):
-        task = EnumerationTask(ChainScale(3), 1)
-        reference_stats = SearchStats()
-        reference = [u.rows for u in enumerate_uninorms(task, stats=reference_stats)]
-        monkeypatch.setattr(search, "PARTITION_DEPTH", depth)
-        stats = SearchStats()
-        got = [u.rows for u in enumerate_uninorms(task, workers=workers, stats=stats)]
-        assert got == reference
-        assert stats == reference_stats
-
-    def test_partitioned_filters(self):
-        task = EnumerationTask(ChainScale(3), 2, idempotent_only=True)
-        reference = [u.rows for u in enumerate_uninorms(task)]
-        got = [u.rows for u in enumerate_uninorms(task, workers=2)]
-        assert got == reference
-
-    @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_two_workers_give_the_same_stream_and_stats(self, n):
-        for e in range(n + 1):
-            task = EnumerationTask(ChainScale(n), e)
-            runs = []
-            for workers in (1, 2):
-                stats = SearchStats()
-                runs.append(([u.rows for u in enumerate_uninorms(task, workers=workers, stats=stats)],
-                             stats))
-            assert runs[0] == runs[1], f"n={n} e={e}"
-
-    @pytest.mark.parametrize("tamper", ("repeat", "reverse", "duplicate"))
-    def test_a_repeated_or_misordered_part_raises(self, monkeypatch, tamper):
-        original = search._map
-
-        def tampered(fn, jobs, workers):
-            parts = [part for part in original(fn, jobs, workers) if part[0]]
-            assert len(parts) > 1
-            if tamper == "repeat":
-                return parts + parts[-1:]
-            if tamper == "reverse":
-                return parts[::-1]
-            tables, nodes = parts[0]
-            return [(tables + tables[-1:], nodes)] + parts[1:]
-
-        monkeypatch.setattr(search, "_map", tampered)
-        with pytest.raises(InternalConsistencyError, match="lexicographic order"):
-            list(enumerate_uninorms(EnumerationTask(ChainScale(3), 1)))
 
 
 class TestCertify:
@@ -470,13 +428,6 @@ class TestWorkerCount:
         assert list(search._map(abs, [-1, -2, -3], 8)) == [1, 2, 3]
         assert list(search._map(abs, [-1], 8)) == [1]
         assert pool_sizes == [3]
-
-    def test_enumeration_is_capped_too(self, monkeypatch, pool_sizes):
-        task = EnumerationTask(ChainScale(3), 1)
-        serial = [u.rows for u in enumerate_uninorms(task)]
-        set_cpus(monkeypatch, 2, 2)
-        assert [u.rows for u in enumerate_uninorms(task, workers=5)] == serial
-        assert pool_sizes == [2]
 
 
 class TestDivergenceReporting:
