@@ -123,6 +123,13 @@ class TestExitContract:
         assert "unrecognized arguments: --workers 2" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_only_certify_takes_a_worker_count(self, capsys):
+        for command, offered in (("enumerate", False), ("certify", True)):
+            with pytest.raises(SystemExit) as exit_:
+                main([command, "--help"])
+            assert exit_.value.code == 0
+            assert ("--workers" in capsys.readouterr().out) == offered, command
+
     def test_repeated_spec_key_is_status_two_with_caret(self, capsys):
         code, out, err = run(capsys, "validate", "--table", "idemmin(e=2,n=4,n=5)")
         assert code == 2

@@ -123,25 +123,27 @@ class TestEnumeration:
         with pytest.raises(SearchLimitError, match="max_n"):
             list(enumerate_uninorms(EnumerationTask(ChainScale(7), 3)))
 
-    def test_the_recursion_guard_refuses_exactly_what_would_not_fit(self):
-        # min, the only idempotent t-norm on L_20, has 210 free cells: at the
-        # smallest recursion limit the guard accepts the search finishes, and
-        # one below it is refused, never a RecursionError.  pytest's own
-        # stack, C calls included, sits below the search.
-        task = EnumerationTask(ChainScale(20), 20, idempotent_only=True)
+    @pytest.mark.parametrize("n", (20, 19, 18, 16))
+    def test_the_recursion_guard_refuses_exactly_what_would_not_fit(self, n):
+        # min, the only idempotent t-norm on L_n, has n(n+1)/2 free cells
+        # (210 on L_20): at the smallest recursion limit the guard accepts
+        # the search finishes, and one below it is refused, never a
+        # RecursionError.  pytest's own stack, C calls included, sits below
+        # the search.
+        task = EnumerationTask(ChainScale(n), n, idempotent_only=True)
         default, limit = sys.getrecursionlimit(), 100
         try:
             while True:
                 sys.setrecursionlimit(limit)
                 try:
-                    tables = [u.rows for u in enumerate_uninorms(task, max_n=20)]
+                    tables = [u.rows for u in enumerate_uninorms(task, max_n=n)]
                     break
                 except SearchLimitError:
                     limit += 1
         finally:
             sys.setrecursionlimit(default)
         assert limit > 100
-        assert tables == [tuple(tuple(min(x, y) for y in range(21)) for x in range(21))]
+        assert tables == [tuple(tuple(min(x, y) for y in range(n + 1)) for x in range(n + 1))]
 
     def test_an_override_below_the_recursion_limit_still_enumerates(self):
         # the only idempotent t-norm is min
@@ -155,7 +157,8 @@ class TestEnumeration:
         assert stats.nodes_expanded > 0
         assert stats.emitted == 5
 
-    @pytest.mark.parametrize("tamper", ("repeat", "reverse", "duplicate"))
+    @pytest.mark.parametrize("tamper", ("repeat", "reverse", "duplicate", "swap-last-two",
+                                        "repeat-first"))
     def test_a_repeated_or_misordered_table_raises(self, monkeypatch, tamper):
         original = search._search
 
@@ -168,12 +171,79 @@ class TestEnumeration:
                 out.append(out[-1])
             elif tamper == "reverse":
                 out.reverse()
-            else:
+            elif tamper == "duplicate":
                 out.insert(2, out[1])
+            elif tamper == "swap-last-two":
+                out[-2], out[-1] = out[-1], out[-2]
+            else:
+                out.insert(0, out[0])
 
         monkeypatch.setattr(search, "_search", tampered)
         with pytest.raises(InternalConsistencyError, match="lexicographic order"):
             list(enumerate_uninorms(EnumerationTask(ChainScale(3), 1)))
+
+    @pytest.mark.parametrize("at", range(1, 6))
+    def test_the_tables_before_the_first_fault_are_yielded(self, monkeypatch, at):
+        # L_3 with e=1 has 5 tables; a copy of table at-1 is put at index at
+        task = EnumerationTask(ChainScale(3), 1)
+        reference = [u.rows for u in enumerate_uninorms(task)]
+        original = search._search
+
+        def tampered(t, pos, cells, i, n, e, task, stats, out):
+            original(t, pos, cells, i, n, e, task, stats, out)
+            if i == 0:
+                out.insert(at, out[at - 1])
+
+        monkeypatch.setattr(search, "_search", tampered)
+        stats, got = SearchStats(), []
+        with pytest.raises(InternalConsistencyError, match="lexicographic order"):
+            for u in enumerate_uninorms(task, stats=stats):
+                got.append(u.rows)
+        assert got == reference[:at]
+        assert stats.emitted == at
+
+    @pytest.mark.parametrize("task, max_n", [
+        (EnumerationTask(ChainScale(7), 3), None),
+        (EnumerationTask(ChainScale(4), 1), 3),
+        (EnumerationTask(ChainScale(46), 1), 46),
+    ], ids=["default-limit", "max-n", "recursion-limit"])
+    def test_a_refusal_comes_at_the_first_step_and_expands_nothing(self, monkeypatch, task,
+                                                                  max_n):
+        def no_cells(n, e):
+            raise AssertionError(f"free cells of L_{n} listed before the refusal")
+
+        monkeypatch.setattr(search, "_free_cells", no_cells)
+        stats = SearchStats()
+        kwargs = {} if max_n is None else {"max_n": max_n}
+        stream = enumerate_uninorms(task, stats=stats, **kwargs)  # a generator: lazy
+        with pytest.raises(SearchLimitError, match="refused"):
+            next(stream)
+        assert stats == SearchStats()
+
+    def test_there_is_no_worker_count(self):
+        with pytest.raises(TypeError, match="workers"):
+            enumerate_uninorms(EnumerationTask(ChainScale(3), 1), workers=2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_search_from_the_root_runs_cells_plus_one_deep(self, monkeypatch, n):
+        # the depth _refuse_above tries: one root call over every free cell,
+        # n(n+1)/2 of them, and a leaf call per table one level below the last
+        original = search._search
+        roots, deepest = [], Counter()
+
+        def spied(t, pos, cells, i, n_, e, task, stats, out):
+            if i == 0:
+                roots.append(list(cells))
+            deepest[e] = max(deepest[e], i)
+            original(t, pos, cells, i, n_, e, task, stats, out)
+
+        monkeypatch.setattr(search, "_search", spied)
+        for e in range(n + 1):
+            roots.clear()
+            emitted = len(list(enumerate_uninorms(EnumerationTask(ChainScale(n), e))))
+            assert roots == [search._free_cells(n, e)]
+            assert len(roots[0]) == n * (n + 1) // 2
+            assert emitted and deepest[e] == len(roots[0])
 
 
 class TestPruningSafety:
@@ -206,6 +276,25 @@ class TestPruningSafety:
         assert rows_set(internal) == set(u.rows for u in everything if is_locally_internal(u))
         conj = list(enumerate_uninorms(EnumerationTask(ChainScale(3), 1, conjunctive_only=True)))
         assert rows_set(conj) == set(u.rows for u in everything if u(0, 3) == 0)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_filter_keeps_the_unfiltered_order(self, n):
+        # a filter prunes the one search, so its stream is the unfiltered
+        # stream less the tables that fail it
+        for e in range(n + 1):
+            everything = [u.rows for u in enumerate_uninorms(EnumerationTask(ChainScale(n), e))]
+            for idempotent, internal, conjunctive in product((False, True), repeat=3):
+                expected = [rows for rows in everything
+                            if not (idempotent and any(rows[x][x] != x for x in range(n + 1)))
+                            and not (internal and any(rows[x][y] not in (x, y)
+                                                      for x in range(e)
+                                                      for y in range(e + 1, n + 1)))
+                            and not (conjunctive and rows[0][n] != 0)]
+                task = EnumerationTask(ChainScale(n), e, idempotent_only=idempotent,
+                                       locally_internal_only=internal,
+                                       conjunctive_only=conjunctive)
+                got = [u.rows for u in enumerate_uninorms(task)]
+                assert got == expected, f"e={e} filters={(idempotent, internal, conjunctive)}"
 
     def test_conjunctive_filter_with_bottom_neutral_is_empty(self):
         task = EnumerationTask(ChainScale(3), 0, conjunctive_only=True)
