@@ -163,19 +163,18 @@ class Violation:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Verdict of a law check plus the witnesses for every failed law."""
+    """The witnesses for every failed law of a check; it holds when there
+    are none."""
 
-    verdict: bool
     violations: tuple = ()
 
-    def __post_init__(self):
-        if self.verdict != (len(self.violations) == 0):
-            raise InternalConsistencyError("report verdict disagrees with its violations")
+    @property
+    def verdict(self) -> bool:
+        return not self.violations
 
     @classmethod
     def from_violations(cls, violations: Iterable[Violation]) -> "CheckReport":
-        vs = tuple(violations)
-        return cls(len(vs) == 0, vs)
+        return cls(tuple(violations))
 
 
 class WitnessLog:

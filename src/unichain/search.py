@@ -22,9 +22,9 @@ Determinism: candidates are tried in ascending order, so tables stream out
 in lexicographic order of their row-major values.
 
 ``certify`` enumerates once, then classifies every pair through
-``classify_and_check`` in contiguous slices of the canonical pair list over
-a worker map; each slice returns its own tally, which ``certify``
-adds up.
+``classify_and_check`` in contiguous slices of the canonical pair list, one
+slice per worker process; each slice returns its own tally and divergences,
+which ``certify`` adds up in slice order.
 ``scan_pairs`` first finds its hits with the batched exhaustive kernel
 (``distributivity_matrix``: one numpy evaluation per u2 against the whole
 u1 stack) and runs the per-pair evidence path on the hits only: one
@@ -218,16 +218,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map(fn, jobs, workers):
-    """``fn`` over ``jobs``, results in job order: lazily in this process, or
-    across at most ``workers`` processes, one per job and per available CPU."""
-    workers = min(workers, len(jobs), _cpus())
-    if workers <= 1:
-        return map(fn, jobs)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def _refuse_above(what: str, n: int, max_n: int) -> None:
     """Scales above ``max_n`` need a deliberate override, not a default:
     the search space grows too fast.  Whatever ``max_n``, ``_search`` must
@@ -291,10 +281,14 @@ class PairDivergence:
     e2: int
     index2: int
     case: str
-    conditions_verdict: bool
     exhaustive_verdict: bool
     u1_rows: tuple
     u2_rows: tuple
+
+    @property
+    def conditions_verdict(self) -> bool:
+        """The routes disagree, so the conditions say the opposite."""
+        return not self.exhaustive_verdict
 
 
 @dataclass(frozen=True)
@@ -311,7 +305,6 @@ class CertificationReport:
     pairs_checked: int
     pair_case_counts: tuple        # ((case value, pairs), ...)
     distributive_case_counts: tuple
-    agreements: int
     divergences: tuple
     nodes_expanded: int
     wall_time_s: float
@@ -337,31 +330,28 @@ class CertificationReport:
                     raise InternalConsistencyError(
                         f"{label} counts differ between the greater ({greater}) "
                         f"and less ({less}) cases")
-        if (len(self.divergences) == 0) != (self.agreements == self.pairs_checked):
-            raise InternalConsistencyError("divergence list disagrees with the agreement count")
+
+    @property
+    def agreements(self) -> int:
+        return self.pairs_checked - len(self.divergences)
 
 
 def _check_pair_block(args):
     """Classify a contiguous slice of the canonical pair list over
     ``uninorms``, a list of ``(e, index, uninorm)``.  Returns the pairs per
-    ``(case, distributive)``, the agreements and the divergences."""
+    ``(case, distributive)`` and the divergences."""
     uninorms, start, stop = args
     tally = Counter()
-    agreements = 0
     divergences = []
     for (e1, i1, u1), (e2, i2, u2) in islice(product(uninorms, repeat=2), start, stop):
         result = classify_and_check(u1, u2)
         case = result.case.value
-        tally[case, result.exhaustive.verdict] += 1
-        if result.agreement:
-            agreements += 1
-        else:
-            divergences.append(PairDivergence(
-                e1, i1, e2, i2, case,
-                result.conditions.verdict, result.exhaustive.verdict,
-                u1.rows, u2.rows,
-            ))
-    return tally, agreements, divergences
+        distributive = result.exhaustive.verdict
+        tally[case, distributive] += 1
+        if not result.agreement:
+            divergences.append(PairDivergence(e1, i1, e2, i2, case, distributive,
+                                              u1.rows, u2.rows))
+    return tally, divergences
 
 
 def certify(scale: ChainScale, *,
@@ -391,14 +381,19 @@ def certify(scale: ChainScale, *,
     total_pairs = len(uninorms) ** 2
     limit = total_pairs if pair_budget is None else min(pair_budget, total_pairs)
 
+    # at most one slice, and one process, per worker and per available CPU
+    workers = min(workers, _cpus())
     step = -(-limit // workers) or 1
     jobs = [(uninorms, lo, min(lo + step, limit)) for lo in range(0, limit, step)]
+    if len(jobs) <= 1:
+        blocks = map(_check_pair_block, jobs)
+    else:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            blocks = list(pool.map(_check_pair_block, jobs))
     tally = Counter()
-    agreements = 0
     divergences: list[PairDivergence] = []
-    for part, agree, div in _map(_check_pair_block, jobs, workers):
+    for part, div in blocks:
         tally += part
-        agreements += agree
         divergences += div
 
     case_order = [c.value for c in TheoremCase]
@@ -408,7 +403,6 @@ def certify(scale: ChainScale, *,
         pairs_checked=limit,
         pair_case_counts=tuple((c, tally[c, True] + tally[c, False]) for c in case_order),
         distributive_case_counts=tuple((c, tally[c, True]) for c in case_order),
-        agreements=agreements,
         divergences=tuple(divergences),
         nodes_expanded=stats.nodes_expanded,
         wall_time_s=time.perf_counter() - started,

@@ -259,6 +259,32 @@ class TestCommands:
             assert code == 0, f"--workers {workers}"
             assert out == golden, f"--workers {workers}"
 
+    @pytest.mark.parametrize("planted", [
+        {"e1": 2, "index1": 3, "e2": 1, "index2": 4, "case": "greater-neutral",
+         "conditions-verdict": True, "exhaustive-verdict": False,
+         "u1-rows": [[0, 0, 0, 3], [0, 0, 1, 3], [0, 1, 2, 3], [3, 3, 3, 3]],
+         "u2-rows": [[0, 0, 2, 3], [0, 1, 2, 3], [2, 2, 3, 3], [3, 3, 3, 3]]},
+        {"e1": 1, "index1": 3, "e2": 2, "index2": 3, "case": "less-neutral",
+         "conditions-verdict": False, "exhaustive-verdict": True,
+         "u1-rows": [[0, 0, 2, 3], [0, 1, 2, 3], [2, 2, 2, 3], [3, 3, 3, 3]],
+         "u2-rows": [[0, 0, 0, 3], [0, 0, 1, 3], [0, 1, 2, 3], [3, 3, 3, 3]]},
+    ], ids=["conditions-accept-a-non-distributive-pair",
+            "conditions-reject-a-distributive-pair"])
+    def test_certify_structured_reports_a_planted_divergence(self, capsys, monkeypatch,
+                                                             uninorms_by_e, planted):
+        by_e = uninorms_by_e(3)
+        u1 = by_e[planted["e1"]][planted["index1"]]
+        u2 = by_e[planted["e2"]][planted["index2"]]
+        flip_conditions(monkeypatch, search, u1, u2)
+        code, out, err = run(capsys, "certify", "--n", "3", "--format", "structured",
+                             "--no-timing")
+        assert code == 1
+        assert err == "certify: L_3 pairs=484 divergences=1\n"
+        # the counts per case are the exhaustive verdicts', which the flip leaves alone
+        expected = json.loads((FIXTURES_DIR / "certify_l3.json").read_text(encoding="utf-8"))
+        expected.update({"agreements": 483, "divergences": [planted]})
+        assert json.loads(out) == expected
+
     def test_decompose_compose_file_round_trip(self, capsys, tmp_path):
         dec_path = tmp_path / "d.txt"
         code, out, err = run(capsys, "decompose", "--u1", "idemmin(e=2,n=4)",

@@ -347,12 +347,11 @@ class TestCheckedConstructor:
 
 class TestCheckReport:
     def test_verdict_must_match_violations(self):
-        from unichain import CheckReport, Violation
-        from unichain.errors import InternalConsistencyError
+        from dataclasses import fields
 
-        with pytest.raises(InternalConsistencyError):
-            CheckReport(True, (Violation("neutrality", (1,)),))
-        with pytest.raises(InternalConsistencyError):
-            CheckReport(False, ())
+        from unichain import CheckReport, Violation
+
+        # the verdict is read off the violations, so the two cannot disagree
+        assert [f.name for f in fields(CheckReport)] == ["violations"]
         assert CheckReport.from_violations([]).verdict
         assert not CheckReport.from_violations([Violation("neutrality", (1,))]).verdict
