@@ -295,41 +295,42 @@ class PairDivergence:
 class CertificationReport:
     """Outcome of comparing both distributivity routes over a full pair space.
 
-    A complete report asserts what duality implies: palindromic uninorm
-    counts, and equal greater- and less-case counts for all pairs and for
-    distributive pairs.
+    Asserts that the tallied cases cover every pair, and what duality
+    implies: palindromic uninorm counts, and equal greater- and less-case
+    counts for all pairs and for distributive pairs.
     """
 
     scale_n: int
     uninorm_counts: tuple          # ((e, count), ...) for e = 0..n
-    pairs_checked: int
     pair_case_counts: tuple        # ((case value, pairs), ...)
     distributive_case_counts: tuple
     divergences: tuple
     nodes_expanded: int
     wall_time_s: float
-    partial: bool = False
 
     def __post_init__(self):
-        if not self.partial:
-            by_e = dict(self.uninorm_counts)
-            expected = sum(by_e[e1] * by_e[e2] for e1 in by_e for e2 in by_e)
-            if self.pairs_checked != expected:
-                raise InternalConsistencyError("pair count does not match the enumeration counts")
-            # duality x -> n - x maps neutral e to n - e and the greater case
-            # onto the less case, distributivity included
-            counts = [c for _, c in self.uninorm_counts]
-            if counts != counts[::-1]:
-                raise InternalConsistencyError(f"uninorm counts {counts} are not palindromic")
-            for label, by_case in (("pair", self.pair_case_counts),
-                                   ("distributive", self.distributive_case_counts)):
-                by_case = dict(by_case)
-                greater = by_case.get(TheoremCase.GREATER_NEUTRAL.value, 0)
-                less = by_case.get(TheoremCase.LESS_NEUTRAL.value, 0)
-                if greater != less:
-                    raise InternalConsistencyError(
-                        f"{label} counts differ between the greater ({greater}) "
-                        f"and less ({less}) cases")
+        tallied = sum(c for _, c in self.pair_case_counts)
+        if tallied != self.pairs_checked:
+            raise InternalConsistencyError(
+                f"pair case counts add up to {tallied}, not {self.pairs_checked}")
+        # duality x -> n - x maps neutral e to n - e and the greater case
+        # onto the less case, distributivity included
+        counts = [c for _, c in self.uninorm_counts]
+        if counts != counts[::-1]:
+            raise InternalConsistencyError(f"uninorm counts {counts} are not palindromic")
+        for label, by_case in (("pair", self.pair_case_counts),
+                               ("distributive", self.distributive_case_counts)):
+            by_case = dict(by_case)
+            greater = by_case.get(TheoremCase.GREATER_NEUTRAL.value, 0)
+            less = by_case.get(TheoremCase.LESS_NEUTRAL.value, 0)
+            if greater != less:
+                raise InternalConsistencyError(
+                    f"{label} counts differ between the greater ({greater}) "
+                    f"and less ({less}) cases")
+
+    @property
+    def pairs_checked(self) -> int:
+        return sum(c for _, c in self.uninorm_counts) ** 2
 
     @property
     def agreements(self) -> int:
@@ -356,20 +357,15 @@ def _check_pair_block(args):
 
 def certify(scale: ChainScale, *,
             workers: int = 1,
-            max_n: int = DEFAULT_CERTIFY_LIMIT,
-            pair_budget: int | None = None) -> CertificationReport:
+            max_n: int = DEFAULT_CERTIFY_LIMIT) -> CertificationReport:
     """Enumerate every uninorm for every neutral element and classify every
     ordered pair, comparing the case conditions against the exhaustive scan.
 
     Deterministic for a given scale: counts, ordering and divergence lists
-    do not depend on the worker count (only the wall time does).  If a
-    ``pair_budget`` is given and the pair space is larger, the canonical
-    prefix is checked and the report is marked partial.  A negative budget
-    or a worker count below 1 raises :class:`DomainError`.
+    do not depend on the worker count (only the wall time does).  A worker
+    count below 1 raises :class:`DomainError`.
     """
     n = scale.n
-    if pair_budget is not None and pair_budget < 0:
-        raise DomainError(f"pair budget must be at least 0, got {pair_budget}")
     if workers < 1:
         raise DomainError(f"worker count must be at least 1, got {workers}")
     _refuse_above("certification", n, max_n)
@@ -379,12 +375,11 @@ def certify(scale: ChainScale, *,
             for e in range(n + 1)]
     uninorms = [(e, i, u) for e, us in enumerate(by_e) for i, u in enumerate(us)]
     total_pairs = len(uninorms) ** 2
-    limit = total_pairs if pair_budget is None else min(pair_budget, total_pairs)
 
     # at most one slice, and one process, per worker and per available CPU
     workers = min(workers, _cpus())
-    step = -(-limit // workers) or 1
-    jobs = [(uninorms, lo, min(lo + step, limit)) for lo in range(0, limit, step)]
+    step = -(-total_pairs // workers)
+    jobs = [(uninorms, lo, min(lo + step, total_pairs)) for lo in range(0, total_pairs, step)]
     if len(jobs) <= 1:
         blocks = map(_check_pair_block, jobs)
     else:
@@ -400,13 +395,11 @@ def certify(scale: ChainScale, *,
     return CertificationReport(
         scale_n=n,
         uninorm_counts=tuple((e, len(us)) for e, us in enumerate(by_e)),
-        pairs_checked=limit,
         pair_case_counts=tuple((c, tally[c, True] + tally[c, False]) for c in case_order),
         distributive_case_counts=tuple((c, tally[c, True]) for c in case_order),
         divergences=tuple(divergences),
         nodes_expanded=stats.nodes_expanded,
         wall_time_s=time.perf_counter() - started,
-        partial=limit < total_pairs,
     )
 
 

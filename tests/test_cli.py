@@ -1,8 +1,11 @@
 """Command-line interface: exit statuses, formats, file round trips."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,23 +107,22 @@ class TestExitContract:
         assert code == 3 and out == ""
         assert err.startswith("refused: ") and "recursion limit" in err
 
-    def test_negative_pair_budget_is_status_two(self, capsys):
-        code, out, err = run(capsys, "certify", "--n", "2", "--pair-budget", "-5")
-        assert code == 2
-        assert "pair budget" in err and out == ""
-
     def test_worker_count_below_one_is_status_two(self, capsys):
         code, out, err = run(capsys, "certify", "--n", "3", "--workers", "0")
         assert code == 2
         assert "worker count must be at least 1" in err and out == ""
 
-    def test_enumerate_has_no_workers_option(self, capsys):
+    @pytest.mark.parametrize("argv, removed", [
+        (["enumerate", "--n", "3", "--e", "1"], ["--workers", "2"]),
+        (["certify", "--n", "2"], ["--pair-budget", "3"]),
+    ], ids=["enumerate-workers", "certify-pair-budget"])
+    def test_a_removed_option_is_a_usage_error(self, capsys, argv, removed):
         with pytest.raises(SystemExit) as exit_:
-            main(["enumerate", "--n", "3", "--e", "1", "--workers", "2"])
+            main(argv + removed)
         captured = capsys.readouterr()
         assert exit_.value.code == 2 and captured.out == ""
         assert captured.err.startswith("usage: ")
-        assert "unrecognized arguments: --workers 2" in captured.err
+        assert f"unrecognized arguments: {' '.join(removed)}" in captured.err
         assert "Traceback" not in captured.err
 
     def test_only_certify_takes_a_worker_count(self, capsys):
@@ -483,3 +485,33 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "distributive: true" in proc.stdout
+
+
+class TestReadme:
+    """README's command table names each subcommand's own options."""
+
+    README = Path(__file__).parents[1] / "README.md"
+    SHARED = {"-h", "--help", "--format", "--out", "--max-n"}
+
+    @staticmethod
+    def subparsers():
+        action, = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_each_row_names_its_command_options(self):
+        rows = {}
+        for line in self.README.read_text(encoding="utf-8").splitlines():
+            row = re.match(r"\| `([a-z]+) [^|]*\|", line)
+            if row and row[1] in self.subparsers():
+                rows[row[1]] = set(re.findall(r"--[a-z][a-z0-9-]*", line)) - self.SHARED
+        for name, parser in self.subparsers().items():
+            options = {o for a in parser._actions for o in a.option_strings} - self.SHARED
+            assert rows.get(name) == options, name
+
+    def test_the_max_n_sentence_names_the_limited_commands(self):
+        text = " ".join(self.README.read_text(encoding="utf-8").split())
+        sentence = re.search(r"`--max-n N` to (.*?)\.", text)[1]
+        limited = {name for name, parser in self.subparsers().items()
+                   if "--max-n" in parser._option_string_actions}
+        assert set(re.findall(r"`([a-z]+)`", sentence)) == limited

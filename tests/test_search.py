@@ -400,7 +400,6 @@ class TestCertify:
         assert report.pairs_checked == 484
         assert report.agreements == 484
         assert not report.divergences
-        assert not report.partial
         # golden distributive-pair counts, frozen from the first verified run
         assert report.distributive_case_counts == (
             ("equal-neutral", 22),
@@ -415,38 +414,43 @@ class TestCertify:
             docs.append(to_json(certification_doc(report, include_timing=False)))
         assert len(set(docs)) == 1
 
-    def test_partial_budget(self):
-        report = certify(ChainScale(3), pair_budget=100)
-        assert report.partial
-        assert report.pairs_checked == 100
-        assert report.agreements == 100
-
     def test_refusal_above_limit(self):
         with pytest.raises(SearchLimitError):
             certify(ChainScale(6))
 
-    @pytest.mark.parametrize("field", ("uninorm_counts", "pair_case_counts",
-                                       "distributive_case_counts"))
-    def test_a_broken_duality_count_raises(self, field):
+    @pytest.mark.parametrize("field, loss, match", [
+        # the second entry loses what the first gains: totals stay put
+        ("uninorm_counts", 1, "palindromic"),
+        ("pair_case_counts", 1, "differ"),
+        ("distributive_case_counts", 1, "differ"),
+        # a gain nothing offsets: the pair space or its tally moves alone
+        ("uninorm_counts", 0, "pair case counts add up to 484, not 529"),
+        ("pair_case_counts", 0, "pair case counts add up to 485, not 484"),
+    ])
+    def test_a_broken_duality_count_raises(self, field, loss, match):
         report = certify(ChainScale(3))
         counts = [list(item) for item in getattr(report, field)]
-        counts[0][1] += 1  # the second entry loses what the first gains: totals stay put
-        counts[1][1] -= 1
-        with pytest.raises(InternalConsistencyError, match="palindromic|differ"):
+        counts[0][1] += 1
+        counts[1][1] -= loss
+        with pytest.raises(InternalConsistencyError, match=match):
             replace(report, **{field: tuple(map(tuple, counts))})
-        replace(report, **{field: tuple(map(tuple, counts))}, partial=True)
+
+    def test_a_pair_dropped_from_a_slice_raises(self, monkeypatch):
+        check = search._check_pair_block
+
+        def drop_one_equal_pair(args):
+            tally, divergences = check(args)
+            key = next(k for k in sorted(tally) if k[0] == "equal-neutral")
+            tally[key] -= 1  # duality still holds: only the pair total is off
+            return tally, divergences
+
+        monkeypatch.setattr(search, "_check_pair_block", drop_one_equal_pair)
+        with pytest.raises(InternalConsistencyError, match="add up to 35, not 36"):
+            certify(ChainScale(2))
 
     def test_quick_limit_override(self):
         report = certify(ChainScale(2), max_n=2)
         assert report.pairs_checked == 36
-
-    def test_negative_pair_budget_refused_before_enumerating(self, monkeypatch):
-        enumerated = []
-        monkeypatch.setattr(search, "enumerate_uninorms",
-                            lambda task, **kwargs: enumerated.append(task) or iter(()))
-        with pytest.raises(DomainError, match="pair budget must be at least 0, got -5"):
-            certify(ChainScale(2), pair_budget=-5)
-        assert enumerated == []
 
     @pytest.mark.parametrize("workers", (0, -3))
     def test_worker_count_below_one_refused_before_enumerating(self, monkeypatch, workers):
@@ -456,10 +460,6 @@ class TestCertify:
         with pytest.raises(DomainError, match=f"worker count must be at least 1, got {workers}"):
             certify(ChainScale(2), workers=workers)
         assert enumerated == []
-
-    def test_zero_pair_budget_is_an_empty_partial_report(self):
-        report = certify(ChainScale(2), pair_budget=0)
-        assert report.partial and report.pairs_checked == 0 and report.agreements == 0
 
 
 @pytest.fixture
@@ -497,8 +497,8 @@ def set_cpus(monkeypatch, affinity, count):
 
 
 class TestWorkerCount:
-    def certify_doc(self, **kwargs):
-        return to_json(certification_doc(certify(ChainScale(2), **kwargs), include_timing=False))
+    def certify_doc(self, n=2, **kwargs):
+        return to_json(certification_doc(certify(ChainScale(n), **kwargs), include_timing=False))
 
     @pytest.mark.parametrize("affinity, count, expected", [
         (2, 8, [2]),     # the CPUs this process may use, not the machine's
@@ -513,11 +513,10 @@ class TestWorkerCount:
         assert pool_sizes == expected
 
     def test_no_more_processes_than_jobs(self, monkeypatch, pool_sizes):
-        serial = self.certify_doc(workers=1, pair_budget=3)
+        serial = self.certify_doc(1, workers=1)
         set_cpus(monkeypatch, 16, 16)
-        assert self.certify_doc(workers=8, pair_budget=3) == serial
-        assert self.certify_doc(workers=8, pair_budget=1) == self.certify_doc(pair_budget=1)
-        assert pool_sizes == [3]  # three pairs, three jobs; one pair, no pool
+        assert self.certify_doc(1, workers=8) == serial
+        assert pool_sizes == [4]  # L_1 has four pairs: four jobs of one pair each
 
 
 class TestDivergenceReporting:
