@@ -55,8 +55,9 @@ class ChainScale:
 class OpTable:
     """A commutative binary operation on L_n, stored as a full square table.
 
-    Symmetry and index range are enforced at construction; the remaining
-    uninorm axioms are checked by :func:`validate_uninorm`.
+    The constructor and :meth:`from_func` enforce shape, integer entries,
+    range and symmetry (the search and the parser, which ensure them, use
+    ``_built``); :func:`validate_uninorm` checks the remaining axioms.
     """
 
     scale: ChainScale
@@ -65,6 +66,13 @@ class OpTable:
     def __post_init__(self):
         for violation in _structural_violations(self.values, self.scale.n):
             raise StructureError(violation.describe())
+
+    @classmethod
+    def _built(cls, scale: ChainScale, values: tuple) -> "OpTable":
+        table = object.__new__(cls)
+        object.__setattr__(table, "scale", scale)
+        object.__setattr__(table, "values", values)
+        return table
 
     @classmethod
     def from_func(cls, scale: ChainScale, op) -> "OpTable":

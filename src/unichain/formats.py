@@ -21,15 +21,20 @@ Every integer is ASCII digits after an optional '-'.
 
 Structured documents are written by ``to_json``, a small recursive writer
 whose output is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
-newline: with ``indent`` set, ``json.dumps`` runs the pure-Python encoder,
-while the writer joins each list of plain ints in one ``str.join`` and hands
-only keys and other scalars to ``json.dumps``.  Dictionary keys must be
-strings.  The tests hold ``json.dumps`` as its oracle.
+newline: with ``indent`` set, ``json.dumps`` runs the pure-Python encoder.
+The writer dispatches on exact type: keys and str values go through
+``encode_basestring_ascii`` as in ``json.dumps``, ints through ``str``, None
+and bools are literals, and anything else (floats, subclasses) goes to
+``json.dumps``.  A list of plain ints (bools fail that type test) is joined
+once per distinct row and indentation, in a cache local to one ``to_json``
+call.  A dictionary key that is not a string raises TypeError.  The tests
+hold ``json.dumps`` as its oracle.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .core import CheckReport, ChainScale, OpTable, Uninorm, Violation, refuse_large_scale
 from .distributivity import ClassifyResult, Decomposition, Pick, TheoremCase
@@ -135,7 +140,7 @@ def _read_table_block(lines: _Lines):
                 lines.error(
                     f"asymmetry: row {y}, entry {x} is {rows[y][x]} but row {x}, "
                     f"entry {y} is {rows[x][y]}", row_lines[y])
-    return OpTable(ChainScale(n), tuple(rows)), e
+    return OpTable._built(ChainScale(n), tuple(rows)), e
 
 
 def parse_table(text: str, source: str = "<input>"):
@@ -214,39 +219,56 @@ def parse_decomposition(text: str, source: str = "<input>"):
 
 def to_json(doc: dict) -> str:
     out = []
-    _write_json(doc, "\n", out)
+    _write_json(doc, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(value, newline: str, out: list) -> None:
+def _write_json(value, newline: str, out: list, rows: dict) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(value, indent=2,
-    sort_keys=True)`` writes it where ``newline`` starts each of its lines."""
-    if isinstance(value, dict):
+    sort_keys=True)`` writes it where ``newline`` starts each of its lines;
+    ``rows`` holds the text of each list of plain ints written so far."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(str(value))
+    elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
         inner = newline + "  "
         separator = "{" + inner
         for key in sorted(value):
-            out.append(separator + json.dumps(key) + ": ")
-            _write_json(value[key], inner, out)
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out, rows)
             separator = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
-        inner = newline + "  "
         if set(map(type, value)) == {int}:
-            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+            key = (tuple(value), newline)
+            text = rows.get(key)
+            if text is None:
+                inner = newline + "  "
+                text = rows[key] = "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
+            out.append(text)
             return
+        inner = newline + "  "
         separator = "[" + inner
         for v in value:
             out.append(separator)
-            _write_json(v, inner, out)
+            _write_json(v, inner, out, rows)
             separator = "," + inner
         out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
     else:
         out.append(json.dumps(value))
 

@@ -20,6 +20,9 @@ free cells.  The search is a plain recursion, one level per free cell, that
 appends each table it completes to one list.
 Determinism: candidates are tried in ascending order, so tables stream out
 in lexicographic order of their row-major values.
+Its tables skip ``OpTable``'s structural re-check: ``_search`` sets each
+cell with its mirror (``tx[y] = ty[x] = v``) to an int in ``_candidates``'
+bounds, 0..n, so every completed table is square, symmetric and in range.
 
 ``certify`` enumerates once, then classifies every pair through
 ``classify_and_check`` in contiguous slices of the canonical pair list, one
@@ -269,7 +272,7 @@ def enumerate_uninorms(task: EnumerationTask, *,
                 f"enumeration on L_{n} with e={e} left lexicographic order at {rows}")
         previous = rows
         stats.emitted += 1
-        yield Uninorm(OpTable(task.scale, rows), e)
+        yield Uninorm(OpTable._built(task.scale, rows), e)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Table and decomposition documents, structured reports, golden regression."""
 
 import json
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from helpers import idem_min, luk_upper
 from unichain import (
     ChainScale,
     EnumerationTask,
+    OpTable,
     certify,
     decompose,
     enumerate_uninorms,
@@ -50,6 +52,13 @@ class TestTableFormat:
         assert table.values == u.rows and e == u.e
         # a second trip is byte-identical
         assert dump_table(u) == dump_table(type(u)(table, e))
+
+    def test_a_parsed_table_equals_the_checked_construction(self):
+        # the parser builds its table without OpTable's check, after its own
+        for u in L3_UNINORMS:
+            table, e = parse_table(dump_table(u))
+            assert table == OpTable(ChainScale(3), table.values) and e == u.e
+            assert all(type(v) is int for row in table.values for v in row)
 
     def test_comments_and_blank_lines_ignored(self):
         text = """
@@ -180,6 +189,11 @@ JSON_DOCS = st.recursive(
 )
 
 
+class Grade(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
 class TestStructuredDocs:
     def test_report_doc_shape(self):
         report = validate_uninorm(luk_upper(4, 2).table, 2)
@@ -201,6 +215,23 @@ class TestStructuredDocs:
     @settings(max_examples=200, deadline=None)
     def test_json_writer_matches_the_json_module(self, doc):
         assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"a": [1, 2], "b": {"c": [1, 2], "d": [[1, 2], [1, 2]]}, "e": [1, 2]},
+        [[1, 0], [True, 0], [0, True], [1, 0], [False, 1], [0, 1]],
+        [[Grade.ONE, Grade.TWO], [1, 2], [1, Grade.TWO], Grade.ONE, {"k": Grade.TWO}],
+        [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, [0.0, 0], [1.0, 1]],
+        {"\u00e9": "\u00e9\u2028", "\ud800": ["\udfff", "\ud83d"], "\U0001f600": "\ud800x"},
+    ], ids=["row-at-two-depths", "bools-beside-ints", "int-enum", "special-floats",
+            "non-ascii-and-surrogates"])
+    def test_json_writer_on_cases_hypothesis_rarely_draws(self, doc):
+        assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [{1: "a"}, {"a": {2: [0]}}, {None: 0}, {True: 0},
+                                     {("a",): 0}, {1: 0, "b": 0}])
+    def test_a_key_that_is_not_a_string_is_refused(self, doc):
+        with pytest.raises(TypeError):
+            to_json(doc)
 
 
 class TestGoldenRegression:

@@ -30,6 +30,7 @@ from unichain import (
     validate_uninorm,
 )
 from unichain import search
+from unichain.core import _structural_violations
 from unichain.errors import DomainError, InternalConsistencyError, SearchLimitError
 from unichain.formats import certification_doc, render_certification, to_json
 from unichain.search import PairDivergence, SearchStats, _check_pair_block
@@ -103,10 +104,15 @@ class TestEnumeration:
         modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         assert modules and not any(m.split(".")[0] == "unichain" for m in modules), modules
 
-    def test_soundness_on_l4(self, uninorms_by_e):
-        for e, us in uninorms_by_e(4).items():
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_soundness(self, n, uninorms_by_e):
+        # the search's tables skip OpTable's structural check: this is that
+        # check, the exact-int entries the parser also guarantees, and the axioms
+        for e, us in uninorms_by_e(n).items():
             for u in us:
-                assert validate_uninorm(u.table, u.e).verdict
+                assert not list(_structural_violations(u.rows, n)), u
+                assert all(type(v) is int for row in u.rows for v in row), u
+                assert validate_uninorm(u.table, u.e).verdict, u
 
     def test_deterministic_order(self):
         task = EnumerationTask(ChainScale(3), 1)
