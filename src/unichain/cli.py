@@ -180,7 +180,7 @@ def _cmd_enumerate(args) -> int:
               "scale": args.n,
               "neutral": args.e,
               "count": len(tables),
-              "tables": [[list(row) for row in u.rows] for u in tables],
+              "tables": [list(map(list, u.rows)) for u in tables],
           })
     _say(f"enumerate: {len(tables)} uninorms on L_{args.n} with e={args.e}, "
          f"{stats.nodes_expanded} nodes expanded")

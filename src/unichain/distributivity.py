@@ -52,8 +52,6 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable
 
-import numpy as np
-
 from .core import (
     CheckReport,
     ChainScale,
@@ -107,6 +105,7 @@ def case_of(u1: Uninorm, u2: Uninorm) -> TheoremCase:
 def _pair_grid(m: int):
     # unordered (y, z) pairs; swapping y and z leaves both sides unchanged,
     # so each pair is evaluated once
+    import numpy as np  # loaded on first use: most commands never need it
     return np.triu_indices(m)
 
 
@@ -157,7 +156,7 @@ def _distributivity_violations(a, b, verbose: bool, law: str, detail: str = "") 
     return found
 
 
-def distributivity_matrix(firsts, seconds) -> np.ndarray:
+def distributivity_matrix(firsts, seconds):
     """The (k1, k2) boolean matrix of "firsts[i] distributes over seconds[j]".
 
     ``firsts`` and ``seconds`` are stacks of tables, shapes (k1, m, m) and
@@ -166,6 +165,7 @@ def distributivity_matrix(firsts, seconds) -> np.ndarray:
     uninorm axiom is assumed.  One numpy evaluation per second table covers
     the whole first stack, so memory is O(k1 * m * m(m+1)/2).
     """
+    import numpy as np
     firsts = np.asarray(firsts, dtype=np.intp)
     seconds = np.asarray(seconds, dtype=np.intp)
     out = np.zeros((len(firsts), len(seconds)), dtype=bool)

@@ -262,8 +262,13 @@ def _write_json(value, newline: str, out: list, rows: dict) -> None:
         separator = "[" + inner
         for v in value:
             out.append(separator)
-            _write_json(v, inner, out, rows)
             separator = "," + inner
+            if isinstance(v, (list, tuple)) and set(map(type, v)) == {int}:  # (True,) == (1,)
+                text = rows.get((tuple(v), inner))
+                if text is not None:
+                    out.append(text)
+                    continue
+            _write_json(v, inner, out, rows)
         out.append(newline + "]")
     elif value is None:
         out.append("null")

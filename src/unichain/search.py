@@ -18,11 +18,16 @@ keeps an index from each value to the set cells holding it, pushing a cell
 task's filters restrict the candidates of the cells they read, all of them
 free cells.  The search is a plain recursion, one level per free cell, that
 appends each table it completes to one list.
+Orientation: x -> n - x maps the uninorms with neutral e onto those with
+neutral n - e, and the search is far cheaper from the high side: a task with
+e < n - e runs its dual's native search, under the same pruning proof, then
+the order guard, then reflects each table, t'[x][y] = n - t[n-x][n-y], and
+sorts; conjunctive tasks, u(0, n) = 0 not being self-dual, run natively.
 Determinism: candidates are tried in ascending order, so tables stream out
 in lexicographic order of their row-major values.
 Its tables skip ``OpTable``'s structural re-check: ``_search`` sets each
-cell with its mirror (``tx[y] = ty[x] = v``) to an int in ``_candidates``'
-bounds, 0..n, so every completed table is square, symmetric and in range.
+cell with its mirror (``tx[y] = ty[x] = v``) within its bounds, 0..n, so
+every completed table, and its reflection, is square, symmetric and in range.
 
 ``certify`` enumerates once, then classifies every pair through
 ``classify_and_check`` in contiguous slices of the canonical pair list, one
@@ -45,7 +50,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product
 
 from .core import ChainScale, OpTable, Uninorm
 from .distributivity import (
@@ -99,22 +104,11 @@ def _neutral_table(n: int, e: int):
     return t
 
 
-def _candidates(t, x, y, n, e, task):
-    lo = 0
-    if x > 0:
-        lo = max(lo, t[x - 1][y])
-    if y > 0:
-        lo = max(lo, t[x][y - 1])
-    hi = n
-    if x < e:
-        hi = min(hi, t[e][y])
-    if y < e:
-        hi = min(hi, t[x][e])
-    values = range(lo, hi + 1)
+def _candidates(values, x, y, n, e, task):
     if task.idempotent_only and x == y:
-        values = [x] if lo <= x <= hi else []
+        values = [x] if x in values else []
     elif task.locally_internal_only and x < e < y:
-        values = [v for v in (x, y) if lo <= v <= hi]
+        values = [v for v in (x, y) if v in values]
     if task.conjunctive_only and (x, y) == (0, n):
         values = [0] if 0 in values else []
     return values
@@ -134,7 +128,7 @@ def _index(t):
 def _assoc_ok_after(t, pos, x, y, n):
     # The triples whose four lookups became determined with cell (x, y),
     # x <= y, at a node of ``_search``.  There the cells before (x, y) in the
-    # traversal are set within ``_candidates``' bounds, so the set cells are
+    # traversal are set within their monotone bounds, so the set cells are
     # monotone, and every triple determined before passed at an earlier node:
     # a triple that reads the new cell is the only kind left to check.
     #
@@ -197,7 +191,11 @@ def _search(t, pos, cells, i, n, e, task, stats, out):
     x, y = cells[i]
     tx, ty = t[x], t[y]
     mirrored = x != y
-    values = _candidates(t, x, y, n, e, task)
+    # monotone bounds: the set cells above and left of (x, y), u(x, e) = x, u(e, y) = y
+    values = range(max(t[x - 1][y] if x else 0, tx[y - 1] if y else 0),
+                   (x if y < e else y if x < e else n) + 1)
+    if x == y or x < e < y or x == 0 and y == n:  # the cells a filter reads
+        values = _candidates(values, x, y, n, e, task)
     stats.nodes_expanded += len(values)
     for v in values:
         tx[y] = ty[x] = v
@@ -253,9 +251,11 @@ def enumerate_uninorms(task: EnumerationTask, *,
     """Yield every uninorm on the task's chain with the task's neutral element.
 
     Each table appears exactly once, in lexicographic order of its rows.
-    A table not strictly greater than the one before it is a search bug and
-    raises :class:`InternalConsistencyError`.  Scales above ``max_n`` are
-    refused.
+    Where e < n - e, a task that is not conjunctive is searched with neutral
+    n - e and its tables reflected back by x -> n - x.  A table of the search's
+    stream not strictly greater than the one before it is a search bug and
+    raises :class:`InternalConsistencyError`, which a reflected task raises
+    before its first table.  Scales above ``max_n`` are refused.
     """
     n, e = task.scale.n, task.e
     _refuse_above("enumeration", n, max_n)
@@ -263,16 +263,26 @@ def enumerate_uninorms(task: EnumerationTask, *,
         stats = SearchStats()
     if task.conjunctive_only and e == 0:
         return  # row 0 is the identity, so u(0, n) = n: nothing qualifies
-    t, tables = _neutral_table(n, e), []
-    _search(t, _index(t), _free_cells(n, e), 0, n, e, task, stats, tables)
-    previous = ()
-    for rows in tables:
+    searched = n - e if e < n - e and not task.conjunctive_only else e
+    t, tables = _neutral_table(n, searched), []
+    _search(t, _index(t), _free_cells(n, searched), 0, n, searched, task, stats, tables)
+    checked = _in_order(tables, n, searched)
+    if searched != e:  # sorted() checks the whole stream before the first yield
+        mirror = {row: tuple(n - v for v in reversed(row))  # each distinct row, reflected
+                  for row in set(chain.from_iterable(tables))}
+        checked = sorted(tuple(map(mirror.__getitem__, rows[::-1])) for rows in checked)
+    for rows in checked:
+        stats.emitted += 1
+        yield Uninorm(OpTable._built(task.scale, rows), e)
+
+
+def _in_order(tables, n, e):
+    """The search's ``tables`` up to the first not above the one before, which raises."""
+    for previous, rows in zip([()] + tables, tables):
         if rows <= previous:
             raise InternalConsistencyError(
                 f"enumeration on L_{n} with e={e} left lexicographic order at {rows}")
-        previous = rows
-        stats.emitted += 1
-        yield Uninorm(OpTable._built(task.scale, rows), e)
+        yield rows
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -25,6 +26,8 @@ from unichain import (
 from unichain.cli import main
 from unichain.core import MAX_SCALE
 from unichain.formats import dump_decomposition, dump_table, parse_table
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -485,6 +488,22 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "distributive: true" in proc.stdout
+
+
+class TestStartUp:
+    def test_numpy_loads_only_with_the_batched_kernel(self, capsys):
+        # enumerate, validate and classify never need numpy; scan does
+        argv = ["scan", "--n", "3", "--e1", "2", "--e2", "1", "--format", "structured"]
+        script = ("import sys, unichain.cli as cli\n"
+                  "assert 'numpy' not in sys.modules, 'numpy loaded by the import'\n"
+                  f"code = cli.main({argv!r})\n"
+                  "assert 'numpy' in sys.modules, 'scan ran without numpy'\n"
+                  "sys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and proc.stdout == out and out.startswith("{")
 
 
 class TestReadme:

@@ -227,6 +227,18 @@ class TestStructuredDocs:
     def test_json_writer_on_cases_hypothesis_rarely_draws(self, doc):
         assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("doc", [
+        [[1, 1], [True, True]],
+        [[(1, 1), (True, True)]],
+        {"a": [[1, 1]], "b": [[True, True], [1, 1]]},
+    ], ids=["rows", "tuple-rows", "rows-across-keys"])
+    def test_a_bool_row_after_its_int_twin_is_written_as_bools(self, doc):
+        # (True, True) == (1, 1) and both hash alike: the row cache must not
+        # hand the bool row the int row's text
+        text = to_json(doc)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert text.count("true") == 2
+
     @pytest.mark.parametrize("doc", [{1: "a"}, {"a": {2: [0]}}, {None: 0}, {True: 0},
                                      {("a",): 0}, {1: 0, "b": 0}])
     def test_a_key_that_is_not_a_string_is_refused(self, doc):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -163,9 +164,12 @@ class TestEnumeration:
         assert stats.nodes_expanded > 0
         assert stats.emitted == 5
 
+    # L_3 with e=2 is searched as it is; e=1 is searched with neutral 2 and
+    # reflected, and the guard checks that search's stream before reflecting
+    @pytest.mark.parametrize("e", (2, 1), ids=["native", "reflected"])
     @pytest.mark.parametrize("tamper", ("repeat", "reverse", "duplicate", "swap-last-two",
                                         "repeat-first"))
-    def test_a_repeated_or_misordered_table_raises(self, monkeypatch, tamper):
+    def test_a_repeated_or_misordered_table_raises(self, monkeypatch, tamper, e):
         original = search._search
 
         def tampered(t, pos, cells, i, n, e, task, stats, out):
@@ -186,13 +190,11 @@ class TestEnumeration:
 
         monkeypatch.setattr(search, "_search", tampered)
         with pytest.raises(InternalConsistencyError, match="lexicographic order"):
-            list(enumerate_uninorms(EnumerationTask(ChainScale(3), 1)))
+            list(enumerate_uninorms(EnumerationTask(ChainScale(3), e)))
 
-    @pytest.mark.parametrize("at", range(1, 6))
-    def test_the_tables_before_the_first_fault_are_yielded(self, monkeypatch, at):
-        # L_3 with e=1 has 5 tables; a copy of table at-1 is put at index at
-        task = EnumerationTask(ChainScale(3), 1)
-        reference = [u.rows for u in enumerate_uninorms(task)]
+    @staticmethod
+    def insert_a_copy(monkeypatch, at):
+        """Make the search put a copy of its table at-1 at index at."""
         original = search._search
 
         def tampered(t, pos, cells, i, n, e, task, stats, out):
@@ -201,12 +203,30 @@ class TestEnumeration:
                 out.insert(at, out[at - 1])
 
         monkeypatch.setattr(search, "_search", tampered)
+
+    @pytest.mark.parametrize("at", range(1, 6))
+    def test_the_tables_before_the_first_fault_are_yielded(self, monkeypatch, at):
+        # L_3 with e=2, searched as it is, has 5 tables
+        task = EnumerationTask(ChainScale(3), 2)
+        reference = [u.rows for u in enumerate_uninorms(task)]
+        self.insert_a_copy(monkeypatch, at)
         stats, got = SearchStats(), []
         with pytest.raises(InternalConsistencyError, match="lexicographic order"):
             for u in enumerate_uninorms(task, stats=stats):
                 got.append(u.rows)
         assert got == reference[:at]
         assert stats.emitted == at
+
+    @pytest.mark.parametrize("at", range(1, 6))
+    def test_a_reflected_task_yields_nothing_before_the_fault(self, monkeypatch, at):
+        # L_3 with e=1 is searched with neutral 2: the whole stream is checked
+        # before the reflected tables are sorted and yielded
+        self.insert_a_copy(monkeypatch, at)
+        stats, got = SearchStats(), []
+        with pytest.raises(InternalConsistencyError, match="L_3 with e=2 left lexicographic"):
+            for u in enumerate_uninorms(EnumerationTask(ChainScale(3), 1), stats=stats):
+                got.append(u.rows)
+        assert got == [] and stats.emitted == 0
 
     @pytest.mark.parametrize("task, max_n", [
         (EnumerationTask(ChainScale(7), 3), None),
@@ -233,23 +253,37 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_one_search_from_the_root_runs_cells_plus_one_deep(self, monkeypatch, n):
         # the depth _refuse_above tries: one root call over every free cell,
-        # n(n+1)/2 of them, and a leaf call per table one level below the last
+        # n(n+1)/2 of them, and a leaf call per table one level below the last;
+        # the search runs with the greater of e and n - e
         original = search._search
-        roots, deepest = [], Counter()
+        roots, depths = [], []
 
         def spied(t, pos, cells, i, n_, e, task, stats, out):
             if i == 0:
                 roots.append(list(cells))
-            deepest[e] = max(deepest[e], i)
+            depths.append(i)
             original(t, pos, cells, i, n_, e, task, stats, out)
 
         monkeypatch.setattr(search, "_search", spied)
         for e in range(n + 1):
             roots.clear()
+            depths.clear()
             emitted = len(list(enumerate_uninorms(EnumerationTask(ChainScale(n), e))))
-            assert roots == [search._free_cells(n, e)]
+            assert roots == [search._free_cells(n, max(e, n - e))]
             assert len(roots[0]) == n * (n + 1) // 2
-            assert emitted and deepest[e] == len(roots[0])
+            assert emitted and max(depths) == len(roots[0])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_a_reflected_task_equals_its_native_search(self, n):
+        # every task with e < n - e, against the search run with neutral e
+        for e in range((n + 1) // 2):
+            for idempotent, internal in product((False, True), repeat=2):
+                task = EnumerationTask(ChainScale(n), e, idempotent, internal)
+                t, native = search._neutral_table(n, e), []
+                search._search(t, search._index(t), search._free_cells(n, e), 0, n, e, task,
+                               SearchStats(), native)
+                got = [u.rows for u in enumerate_uninorms(task)]
+                assert got == native, f"e={e} filters={(idempotent, internal)}"
 
 
 class TestPruningSafety:
@@ -314,6 +348,23 @@ class TestPruningSafety:
         pins = json.loads((FIXTURES_DIR / "enumeration_l6.json").read_text(encoding="utf-8"))
         assert enumeration_pins([6]) == pins
 
+    def test_the_self_dual_pins_are_palindromic_in_e(self):
+        # a task with e < n - e runs the search of neutral n - e, and the
+        # idempotent and locally-internal filters are self-dual: its node and
+        # table counts are those of n - e
+        pins = {}
+        for name in ("enumeration_l5.json", "enumeration_l6.json"):
+            pins.update(json.loads((FIXTURES_DIR / name).read_text(encoding="utf-8")))
+        checked = 0
+        for key, pin in pins.items():
+            n, e, chosen = re.fullmatch(r"n=(\d+) e=(\d+) filters=(.*)", key).groups()
+            if "conjunctive" not in chosen:
+                mirror = pins[f"n={n} e={int(n) - int(e)} filters={chosen}"]
+                assert (pin["nodes-expanded"], pin["emitted"]) == (
+                    mirror["nodes-expanded"], mirror["emitted"]), key
+                checked += 1
+        assert checked == len(pins) // 2
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_the_pruning_rejects_only_what_the_oracle_rejects(self, n):
         # on any partial table the pruning checks a subset of the triples
@@ -354,7 +405,7 @@ class TestPruningSafety:
         pins = enumeration_pins(range(1, 6))
         fixture = FIXTURES_DIR / "enumeration_l5.json"
         assert pins == json.loads(fixture.read_text(encoding="utf-8"))
-        assert sum(verdicts.values()) == 13645
+        assert sum(verdicts.values()) == 10594
         assert verdicts[True] and verdicts[False], verdicts
 
     def test_at_every_search_node_the_index_holds_the_set_cells(self, monkeypatch):
@@ -371,7 +422,7 @@ class TestPruningSafety:
         pins = enumeration_pins(range(1, 6))
         fixture = FIXTURES_DIR / "enumeration_l5.json"
         assert pins == json.loads(fixture.read_text(encoding="utf-8"))
-        assert len(nodes) == 13645
+        assert len(nodes) == 10594
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_a_symmetric_table_checks_each_triple_and_its_mirror_alike(self, n):
