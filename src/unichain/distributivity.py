@@ -3,13 +3,14 @@
 ``check_distributivity`` is the exhaustive ground truth: it scans the triples
 of the law  u1(x, u2(y,z)) = u2(u1(x,y), u1(x,z))  in a plain loop, up to the
 first failure unless every witness is asked for.
-``distributivity_matrix`` is the same law batched in numpy: the verdict for
-every pair of two stacks of tables, without witnesses; the pair scan uses it
-to find hits before building any per-pair report.  The three
-``*_conditions`` predicates evaluate the structural characterization for
-the matching order of neutral elements (e1 = e2, e1 > e2, e1 < e2);
-``classify_and_check`` runs both routes and flags any disagreement as a
-theorem divergence, which is a reportable finding, never silently dropped.
+``distributivity_matrix`` is the same law for every pair of two stacks of
+tables, without witnesses: u1 distributes over u2 exactly when each row
+y -> u1(x, y) is an endomorphism of u2, so each distinct row is tested once
+per u2.  The pair scan uses it to find hits before any per-pair report.
+The three ``*_conditions`` predicates evaluate the structural
+characterization for the matching order of neutral elements (e1 = e2,
+e1 > e2, e1 < e2); ``classify_and_check`` runs both routes and flags any
+disagreement as a theorem divergence, a reportable finding, never dropped.
 Each clause that reads only one table is computed once per table (and
 partner neutral element) and kept on the uninorm itself: in the unequal
 cases u2's hypotheses, clause-i side condition, boundary and half of clause
@@ -50,6 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Callable
 
 from .core import (
@@ -101,14 +104,6 @@ def case_of(u1: Uninorm, u2: Uninorm) -> TheoremCase:
     return TheoremCase.GREATER_NEUTRAL if u1.e > u2.e else TheoremCase.LESS_NEUTRAL
 
 
-@lru_cache(maxsize=None)
-def _pair_grid(m: int):
-    # unordered (y, z) pairs; swapping y and z leaves both sides unchanged,
-    # so each pair is evaluated once
-    import numpy as np  # loaded on first use: most commands never need it
-    return np.triu_indices(m)
-
-
 def _once(u: Uninorm, role: str, key, compute):
     """``compute()``, kept in ``u``'s slot for ``role`` while ``key`` repeats.
 
@@ -157,31 +152,32 @@ def _distributivity_violations(a, b, verbose: bool, law: str, detail: str = "") 
 
 
 def distributivity_matrix(firsts, seconds):
-    """The (k1, k2) boolean matrix of "firsts[i] distributes over seconds[j]".
+    """The k1 lists of k2 verdicts "firsts[i] distributes over seconds[j]".
 
-    ``firsts`` and ``seconds`` are stacks of tables, shapes (k1, m, m) and
-    (k2, m, m).  The law is checked exactly as in :func:`check_distributivity`,
-    for every x and y <= z, which is exact for any symmetric second table: no
-    uninorm axiom is assumed.  One numpy evaluation per second table covers
-    the whole first stack, so memory is O(k1 * m * m(m+1)/2).
+    ``firsts`` and ``seconds`` are stacks of square tables on one chain;
+    anything else raises :class:`ScaleMismatchError`.  Fixing x in the law
+    makes it say that row x of u1, y -> u1(x, y), is an endomorphism of u2,
+    so u1 distributes over u2 exactly when each of its rows does.  Each
+    distinct row of the firsts is tested once against each second table, for
+    every y <= z, which is exact for any symmetric second table: no uninorm
+    axiom is assumed, and the firsts need not be symmetric.
     """
-    import numpy as np
-    firsts = np.asarray(firsts, dtype=np.intp)
-    seconds = np.asarray(seconds, dtype=np.intp)
-    out = np.zeros((len(firsts), len(seconds)), dtype=bool)
-    if out.size == 0:
-        return out
-    m = firsts.shape[-1]
-    if firsts.shape[1:] != (m, m) or seconds.shape[1:] != (m, m):
-        raise ScaleMismatchError(f"stacks of shapes {firsts.shape} and {seconds.shape} "
-                                 "are not square tables on one chain")
-    ys, zs = _pair_grid(m)
-    # u1(x, y) and u1(x, z) read only the firsts: gathered once for every b
-    a_ys, a_zs = firsts[..., ys], firsts[..., zs]
-    for j, b in enumerate(seconds):
-        lhs, rhs = firsts[..., b[ys, zs]], b[a_ys, a_zs]
-        out[:, j] = (lhs == rhs).reshape(len(firsts), -1).all(axis=1)
-    return out
+    if not firsts or not seconds:
+        return [[] for _ in firsts]
+    m, ids = len(firsts[0]), {}
+    uses = [{ids.setdefault(tuple(row), len(ids)) for row in t} for t in firsts]
+    if not m or any(len(t) != m for t in chain(firsts, seconds)) or any(
+            len(row) != m or min(row) < 0 or max(row) >= m for row in chain(ids, *seconds)):
+        raise ScaleMismatchError("the stacks are not square tables on one chain")
+    pairs = [(y, z) for y in range(m) for z in range(y, m)]
+    # u2(u1(x, y), u1(x, z)), read from u2's flattened table by one getter per row
+    right = [(row, itemgetter(*[row[y] * m + row[z] for y, z in pairs])) for row in ids]
+    kept = []  # per second table, the ids of the rows that are its endomorphisms
+    for b in seconds:
+        flat = tuple(chain.from_iterable(b))
+        left = itemgetter(*[b[y][z] for y, z in pairs])  # u1(x, u2(y, z))
+        kept.append({i for i, (row, gets) in enumerate(right) if left(row) == gets(flat)})
+    return [[used <= ok for ok in kept] for used in uses]
 
 
 # One helper per clause shape, adding witnesses in scan order (the pair path's

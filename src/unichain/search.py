@@ -33,13 +33,14 @@ every completed table, and its reflection, is square, symmetric and in range.
 ``classify_and_check`` in contiguous slices of the canonical pair list, one
 slice per worker process; each slice returns its own tally and divergences,
 which ``certify`` adds up in slice order.
-``scan_pairs`` first finds its hits with the batched exhaustive kernel
-(``distributivity_matrix``: one numpy evaluation per u2 against the whole
-u1 stack) and runs the per-pair evidence path on the hits only: one
-classification each, the necessity battery, and the decomposition built from
-that classification; a hit the per-pair scan rejects is an internal
-inconsistency, never dropped.  Worker processes never outnumber the jobs or
-the CPUs available to this process, and a worker count below 1 is refused.
+``scan_pairs`` first finds its hits with the row kernel
+(``distributivity_matrix``: each distinct row of the u1 tables tested once
+as an endomorphism of each u2) and runs the per-pair evidence path on the
+hits only: one classification each, the necessity battery, and the
+decomposition built from that classification; a hit the per-pair scan
+rejects is an internal inconsistency, never dropped.  Worker processes never
+outnumber the jobs or the CPUs available to this process, and a worker count
+below 1 is refused.
 """
 
 from __future__ import annotations
@@ -446,7 +447,8 @@ def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
     distributes = distributivity_matrix([u.rows for u in firsts], [u.rows for u in seconds])
     hits = []
     decomposable = _proper_unequal(n, e1, e2)
-    for i1, i2 in zip(*distributes.nonzero()):
+    for i1, i2 in ((i1, i2) for i1, verdicts in enumerate(distributes)
+                   for i2, hit in enumerate(verdicts) if hit):
         u1, u2 = firsts[i1], seconds[i2]
         result = classify_and_check(u1, u2)
         if not result.exhaustive.verdict:

@@ -1,0 +1,92 @@
+"""Pin the distributive pairs that ``distributivity_matrix`` finds on one chain,
+block by block, and compare them with ``tests/fixtures/hits_l<n>.json``.
+
+    PYTHONPATH=src python tests/hit_pins.py 6            # compare
+    PYTHONPATH=src python tests/hit_pins.py 6 --write    # rewrite the fixture
+
+A block is every pair (u1, u2) with u1 of neutral e1 and u2 of neutral e2;
+its hits are the index pairs (i1, i2) into the two enumerations whose cell
+the kernel marks True, u1 outer and u2 inner, the order ``scan_pairs`` reads
+them in.  The fixture holds, per block, the hit count and the SHA-256 of the
+hits written as one ``"i1 i2\\n"`` line each.  So a hit that moves inside a
+block, or between blocks of one case, changes a pin even where the case
+totals of the ``certify`` goldens do not.
+
+Comparing prints one line per block that differs, with its pinned and its
+computed count, and exits 1 if any does.  Tier-1 compares L_5.
+"""
+
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+from unichain import ChainScale, EnumerationTask, enumerate_uninorms
+from unichain.distributivity import distributivity_matrix
+
+FIXTURES_DIR = Path(__file__).parent / "fixtures"
+
+
+def fixture_path(n: int) -> Path:
+    return FIXTURES_DIR / f"hits_l{n}.json"
+
+
+def tables_by_e(n: int) -> list:
+    """The rows of every uninorm on L_n, one list per neutral element."""
+    return [[u.rows for u in enumerate_uninorms(EnumerationTask(ChainScale(n), e), max_n=n)]
+            for e in range(n + 1)]
+
+
+def block_hits(firsts, seconds) -> list:
+    """The (i1, i2) with ``firsts[i1]`` distributing over ``seconds[i2]``, in scan order."""
+    return [(i1, i2) for i1, verdicts in enumerate(distributivity_matrix(firsts, seconds))
+            for i2, verdict in enumerate(verdicts) if verdict]
+
+
+def pins(n: int) -> dict:
+    by_e = tables_by_e(n)
+    blocks = []
+    for e1, firsts in enumerate(by_e):
+        for e2, seconds in enumerate(by_e):
+            hits = block_hits(firsts, seconds)
+            text = "".join(f"{i1} {i2}\n" for i1, i2 in hits)
+            blocks.append({"e1": e1, "e2": e2, "hits": len(hits),
+                           "sha256": hashlib.sha256(text.encode()).hexdigest()})
+    return {"n": n, "blocks": blocks}
+
+
+def render(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def differing_blocks(pinned: dict, computed: dict) -> list:
+    """One line per block whose count or digest differs, or that only one side has."""
+    def keyed(doc):
+        return {(b["e1"], b["e2"]): b for b in doc["blocks"]}
+
+    theirs, ours = keyed(pinned), keyed(computed)
+    return [f"block e1={e1} e2={e2}: pinned {theirs.get((e1, e2), {}).get('hits')} hits, "
+            f"computed {ours.get((e1, e2), {}).get('hits')}"
+            for e1, e2 in sorted(theirs.keys() | ours.keys())
+            if theirs.get((e1, e2)) != ours.get((e1, e2))]
+
+
+def main(argv: list) -> int:
+    n, write = int(argv[0]), argv[1:] == ["--write"]
+    started = time.process_time()
+    computed = pins(n)
+    print(f"L_{n}: {len(computed['blocks'])} blocks, "
+          f"{sum(b['hits'] for b in computed['blocks'])} hits, "
+          f"{time.process_time() - started:.1f} s of CPU")
+    if write:
+        fixture_path(n).write_text(render(computed), encoding="utf-8")
+        return 0
+    differ = differing_blocks(json.loads(fixture_path(n).read_text(encoding="utf-8")), computed)
+    for line in differ:
+        print(line)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,11 +1,13 @@
-"""The batched distributivity kernel against independent oracles, and the
-scan that takes its hits from it."""
+"""The row-endomorphism distributivity kernel against independent oracles,
+its hits against pins and against duality, and the scan that takes its hits
+from it."""
 
+import json
 import random
 
-import numpy as np
 import pytest
 
+import hit_pins
 import oracles
 from helpers import random_symmetric
 from unichain import ChainScale, check_distributivity, decompose, scan_pairs
@@ -19,7 +21,7 @@ def matrix_of(firsts, seconds):
 
 
 def oracle_matrix(firsts, seconds):
-    return np.array([[oracles.distributes(a, b) for b in seconds] for a in firsts], dtype=bool)
+    return [[oracles.distributes(a, b) for b in seconds] for a in firsts]
 
 
 def symmetric_stack(rng, n, k):
@@ -31,6 +33,15 @@ def symmetric_stack(rng, n, k):
     return [random_symmetric(rng, n) for _ in range(k)] + fixed
 
 
+def random_rows(rng, n):
+    """Rows of a table on L_n, each the identity, a constant end or drawn from
+    ``rng``: rarely symmetric, and often distributing over min and max."""
+    pts = range(n + 1)
+    kept = [tuple(pts), (0,) * (n + 1), (n,) * (n + 1)]
+    return tuple(rng.choice(kept) if rng.random() < 0.8 else
+                 tuple(rng.randrange(n + 1) for _ in pts) for _ in pts)
+
+
 class TestKernel:
     def test_matches_the_oracle_on_every_l3_uninorm_pair(self, uninorms_by_e):
         by_e = uninorms_by_e(3)
@@ -38,39 +49,62 @@ class TestKernel:
             for e2 in by_e:
                 got = matrix_of(by_e[e1], by_e[e2])
                 want = oracle_matrix([u.rows for u in by_e[e1]], [u.rows for u in by_e[e2]])
-                assert np.array_equal(got, want), (e1, e2)
+                assert got == want, (e1, e2)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_the_oracle_on_random_symmetric_tables(self, n):
+        # the second tables must be symmetric, the first need not be: the
+        # kernel reads u1 by rows, so asymmetric firsts come along too
         rng = random.Random(20261018 + n)
-        firsts, seconds = symmetric_stack(rng, n, 12), symmetric_stack(rng, n, 9)
+        firsts = symmetric_stack(rng, n, 12) + [random_rows(rng, n) for _ in range(6)]
+        seconds = symmetric_stack(rng, n, 9)
         got = distributivity_matrix(firsts, seconds)
         want = oracle_matrix(firsts, seconds)
-        assert got.shape == (16, 13)
-        assert want.any() and not want.all()
-        assert np.array_equal(got, want)
+        assert [len(verdicts) for verdicts in got] == [13] * 22
+        assert any(map(any, want)) and not all(map(all, want))
+        asymmetric = [i for i, t in enumerate(firsts) if t != tuple(zip(*t))]
+        assert any(any(want[i]) for i in asymmetric), "no asymmetric first table distributes"
+        assert got == want
+        as_lists = [[list(row) for row in t] for t in firsts]
+        assert distributivity_matrix(as_lists, [list(map(list, t)) for t in seconds]) == want
 
     def test_matches_the_per_pair_checker_on_all_l4_pairs(self, uninorms_by_e):
         everything = [u for us in uninorms_by_e(4).values() for u in us]
         got = matrix_of(everything, everything)
-        assert got.shape == (92, 92)
+        assert [len(verdicts) for verdicts in got] == [92] * 92
         for i, u1 in enumerate(everything):
             for j, u2 in enumerate(everything):
-                assert got[i, j] == check_distributivity(u1, u2).verdict, (i, j)
+                assert got[i][j] == check_distributivity(u1, u2).verdict, (i, j)
 
     def test_empty_and_mismatched_stacks(self, uninorms_by_e):
         us = uninorms_by_e(3)[1]
-        assert matrix_of([], us).shape == (0, len(us))
-        assert matrix_of(us, []).shape == (len(us), 0)
+        assert matrix_of([], us) == []
+        assert matrix_of(us, []) == [[] for _ in us]
         with pytest.raises(ScaleMismatchError):
             matrix_of(us, uninorms_by_e(2)[1])
+        with pytest.raises(ScaleMismatchError):
+            matrix_of(uninorms_by_e(2)[1], us)
+
+    @pytest.mark.parametrize("bad", [
+        [()],                                  # no point
+        [((0, 1), (1,))],                      # a short row
+        [((0, 1), (1, 1), (1, 1))],            # a row too many
+        [((0, 2), (2, 1))],                    # a value above the chain
+        [((0, -1), (-1, 1))],                  # a value below it
+    ])
+    def test_a_table_off_the_chain_is_refused(self, bad):
+        good = [((0, 0), (0, 1))]
+        for firsts, seconds in ((bad, good), (good, bad)):
+            with pytest.raises(ScaleMismatchError):
+                distributivity_matrix(firsts, seconds)
 
 
 class TestScanOnTheKernel:
     def test_a_flipped_kernel_cell_raises(self, monkeypatch):
         def flipped(firsts, seconds):
             out = distributivity_matrix(firsts, seconds)
-            out[np.unravel_index(np.argmin(out), out.shape)] = True  # first non-distributive cell
+            i = next(i for i, verdicts in enumerate(out) if not all(verdicts))
+            out[i][out[i].index(False)] = True  # the first non-distributive cell
             return out
 
         monkeypatch.setattr(search, "distributivity_matrix", flipped)
@@ -117,3 +151,66 @@ class TestOneClassificationPerHit:
         hits = scan_pairs(ChainScale(4), e1, e2)
         assert hits
         assert calls == [(hit.u1.rows, hit.u2.rows) for hit in hits]
+
+
+# distributive pairs per block of L_7, e1 rows against e2 columns, as both the
+# numpy kernel (378 s of CPU) and the row kernel found them before the pins
+L7_BLOCK_COUNTS = [
+    [2386, 451, 188, 132, 132, 188, 451, 2386],
+    [12249, 1214, 444, 296, 312, 464, 1136, 5926],
+    [8174, 2157, 772, 432, 402, 588, 1407, 7007],
+    [6996, 1617, 845, 629, 526, 660, 1475, 6937],
+    [6937, 1475, 660, 526, 629, 845, 1617, 6996],
+    [7007, 1407, 588, 402, 432, 772, 2157, 8174],
+    [5926, 1136, 464, 312, 296, 444, 1214, 12249],
+    [2386, 451, 188, 132, 132, 188, 451, 2386],
+]
+
+
+class TestHitPins:
+    def test_the_l5_hits_match_their_pins(self):
+        pinned = hit_pins.fixture_path(5).read_text(encoding="utf-8")
+        assert hit_pins.render(hit_pins.pins(5)) == pinned
+
+    def test_a_hit_moved_inside_its_block_is_caught(self, monkeypatch):
+        calls = []
+
+        def moved(firsts, seconds):
+            out = distributivity_matrix(firsts, seconds)
+            calls.append(len(firsts))
+            if len(calls) == 2 * 6 + 2:  # block (2, 1): e1 outer, e2 inner, 6 neutrals each
+                cells = [(i, j) for i in range(len(out)) for j in range(len(out[i]))]
+                hit = next(c for c in cells if out[c[0]][c[1]])
+                miss = next(c for c in cells if not out[c[0]][c[1]])
+                out[hit[0]][hit[1]], out[miss[0]][miss[1]] = False, True
+            return out
+
+        monkeypatch.setattr(hit_pins, "distributivity_matrix", moved)
+        pinned = json.loads(hit_pins.fixture_path(5).read_text(encoding="utf-8"))
+        differ = hit_pins.differing_blocks(pinned, hit_pins.pins(5))
+        assert differ == ["block e1=2 e2=1: pinned 67 hits, computed 67"]
+
+    def test_the_l7_pins_hold_the_cross_checked_counts(self):
+        pinned = json.loads(hit_pins.fixture_path(7).read_text(encoding="utf-8"))
+        counts = {(b["e1"], b["e2"]): b["hits"] for b in pinned["blocks"]}
+        assert counts == {(e1, e2): c for e1, row in enumerate(L7_BLOCK_COUNTS)
+                          for e2, c in enumerate(row)}
+        by_case = [sum(c for (e1, e2), c in counts.items() if test(e1, e2)) for test in
+                   (int.__eq__, int.__gt__, int.__lt__)]
+        assert by_case == [10002, 63978, 63978]
+
+
+class TestDuality:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_each_block_reflects_onto_its_dual_block(self, uninorms_by_e, n):
+        # x -> n - x maps a pair (u1, u2) that distributes onto (u1', u2'),
+        # u' reflected, with neutrals n - e1 and n - e2: hit by hit, not only in total
+        by_e = uninorms_by_e(n)
+        tables = [[u.rows for u in by_e[e]] for e in range(n + 1)]
+        hits = {(e1, e2): {(firsts[i1], seconds[i2])
+                           for i1, i2 in hit_pins.block_hits(firsts, seconds)}
+                for e1, firsts in enumerate(tables) for e2, seconds in enumerate(tables)}
+        for (e1, e2), pairs in hits.items():
+            reflected = {(oracles.dual(a), oracles.dual(b)) for a, b in pairs}
+            assert reflected == hits[n - e1, n - e2], (e1, e2)
+        assert sum(map(len, hits.values())) == {2: 18, 3: 90, 4: 496, 5: 2978}[n]
