@@ -172,16 +172,21 @@ def _cmd_enumerate(args) -> int:
     max_n = args.max_n if args.max_n is not None else DEFAULT_ENUMERATION_LIMIT
     stats = SearchStats()
     tables = list(enumerate_uninorms(task, max_n=max_n, stats=stats))
+
+    def doc():
+        # one list per distinct row, shared by the tables that hold it
+        lists = {row: list(row) for row in {row for u in tables for row in u.rows}}
+        return {
+            "format-version": formats.FORMAT_VERSION,
+            "kind": "enumeration",
+            "scale": args.n,
+            "neutral": args.e,
+            "count": len(tables),
+            "tables": [list(map(lists.__getitem__, u.rows)) for u in tables],
+        }
+
     _emit(args, lambda: "".join(f"# {i + 1} of {len(tables)}\n{formats.dump_table(u)}\n"
-                                for i, u in enumerate(tables)),
-          lambda: {
-              "format-version": formats.FORMAT_VERSION,
-              "kind": "enumeration",
-              "scale": args.n,
-              "neutral": args.e,
-              "count": len(tables),
-              "tables": [list(map(list, u.rows)) for u in tables],
-          })
+                                for i, u in enumerate(tables)), doc)
     _say(f"enumerate: {len(tables)} uninorms on L_{args.n} with e={args.e}, "
          f"{stats.nodes_expanded} nodes expanded")
     return EXIT_OK

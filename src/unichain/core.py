@@ -94,10 +94,13 @@ class Uninorm:
     e: int
 
     def __post_init__(self):
-        if not 0 <= self.e <= self.table.scale.n:
-            raise StructureError(
-                f"neutral index {self.e} outside chain 0..{self.table.scale.n}"
-            )
+        n = self.table.scale.n
+        if not 0 <= self.e <= n:
+            raise StructureError(f"neutral index {self.e} outside chain 0..{n}")
+        # plain attributes, read by the pair loops on every pair; neither is
+        # a field, so equality, hash and repr see only table and e
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", self.table.values)
 
     @classmethod
     def checked(cls, table: OpTable, e: int, subject: str = "table") -> "Uninorm":
@@ -109,16 +112,6 @@ class Uninorm:
     @property
     def scale(self) -> ChainScale:
         return self.table.scale
-
-    # cached: the pair loops read both on every pair, and neither is a field,
-    # so equality, hash and repr ignore the cache
-    @cached_property
-    def n(self) -> int:
-        return self.table.scale.n
-
-    @cached_property
-    def rows(self) -> tuple:
-        return self.table.values
 
     def __call__(self, x: int, y: int) -> int:
         return self.rows[x][y]
@@ -275,13 +268,14 @@ def validate_uninorm(table: OpTable, e: int, *, verbose: bool = False) -> CheckR
 
 def _non_idempotent_points(u: Uninorm) -> list:
     """The x with u(x, x) != x, ascending."""
-    return [x for x in u.scale.points if u(x, x) != x]
+    return [x for x, row in enumerate(u.rows) if row[x] != x]
 
 
 def _non_internal_points(u: Uninorm) -> list:
     """The (x, y) of A(e), x < e < y, where u returns neither argument, in scan order."""
     e, n = u.e, u.n
-    return [(x, y) for x in range(e) for y in range(e + 1, n + 1) if u(x, y) not in (x, y)]
+    return [(x, y) for x, row in enumerate(u.rows[:e]) for y in range(e + 1, n + 1)
+            if row[y] not in (x, y)]
 
 
 def is_idempotent(u: Uninorm) -> bool:
@@ -311,8 +305,7 @@ def is_conjunctive(u: Uninorm) -> bool:
 
 
 def _restriction(u: Uninorm, lo: int, hi: int, new_e: int) -> Uninorm:
-    pts = range(lo, hi + 1)
-    rows = tuple(tuple(u(x, y) - lo for y in pts) for x in pts)
+    rows = tuple(tuple(v - lo for v in row[lo:hi + 1]) for row in u.rows[lo:hi + 1])
     return Uninorm(OpTable(ChainScale(hi - lo), rows), new_e)
 
 

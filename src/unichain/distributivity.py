@@ -15,7 +15,8 @@ Each clause that reads only one table is computed once per table (and
 partner neutral element) and kept on the uninorm itself: in the unequal
 cases u2's hypotheses, clause-i side condition, boundary and half of clause
 ii, and u1's half of clause ii and clause-iii closure; in the equal case
-u2's idempotency.
+u2's idempotency.  A decomposition reads u1's inner uninorm and u2's boundary
+from those shares, so each restriction is built once per table and partner.
 
 Index-range conventions used by the case predicates (all bounds inclusive
 unless marked strict):
@@ -311,18 +312,20 @@ def _u2_share(u2: Uninorm, g: _Geometry, verbose: bool):
     """The clauses that read only u2: the hypothesis violations, the clause-i
     side-condition violations, clause ii's u2 half, and u2's boundary
     operation on the block."""
+    rows = u2.rows
     log = WitnessLog(verbose)
     _on_square(log, u2, g, f"hypothesis-{g.unit}")
     for x, y in _non_internal_points(u2):
-        log.add(Violation("hypothesis-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
+        log.add(Violation("hypothesis-local-internality", (x, y), lhs=rows[x][y], subject="u2"))
     hypotheses = log.violations
 
     log = WitnessLog(verbose)
     for x0 in g.strip:
+        row = rows[x0]
         for y0 in g.far:
-            if u2(x0, y0) == y0 and u2(y0, y0) != y0:
+            if row[y0] == y0 and rows[y0][y0] != y0:
                 log.add(Violation("clause-i-side-condition", (x0, y0),
-                                  lhs=u2(y0, y0), rhs=y0, subject="u2",
+                                  lhs=rows[y0][y0], rhs=y0, subject="u2",
                                   detail="second argument picked at a non-idempotent point"))
     return hypotheses, log.violations, _clause_ii_half(u2, "u2", g, verbose), g.boundary(u2)
 
@@ -344,24 +347,29 @@ def _u1_share(u1: Uninorm, e2: int, g: _Geometry, verbose: bool):
     it is a restriction; its neutral is e1 - lo because u1(e1, x) = x; and it
     is associative because every intermediate u1(x, y) stays in B.
     """
-    log = WitnessLog(verbose)
+    log, lo, stop = WitnessLog(verbose), g.block[0], g.block.stop
     for x in g.block:
-        for y in range(x, g.block.stop):
-            if u1(x, y) not in g.block:
-                log.add(Violation("clause-iii-closure", (x, y), lhs=u1(x, y), rhs=e2, subject="u1",
+        row = u1.rows[x]
+        for y in range(x, stop):
+            if not lo <= row[y] < stop:
+                log.add(Violation("clause-iii-closure", (x, y), lhs=row[y], rhs=e2, subject="u1",
                                   detail=g.leak))
     leaks = log.violations
     return _clause_ii_half(u1, "u1", g, verbose), leaks, None if leaks else g.inner(u1)
 
 
+def _shares(u1: Uninorm, u2: Uninorm, g: _Geometry, verbose: bool) -> tuple:
+    """u2's and u1's shares of an unequal-neutral pair, each computed once per
+    table and partner neutral: the case follows from the two neutrals, and
+    the scale was checked equal."""
+    return (_once(u2, "unequal-u2", (u1.e, verbose), lambda: _u2_share(u2, g, verbose)),
+            _once(u1, "unequal-u1", (u2.e, verbose), lambda: _u1_share(u1, u2.e, g, verbose)))
+
+
 def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
     g = _geometry(u1.n, u1.e, u2.e)
-    # each share is computed once per table and partner neutral: the case
-    # follows from the two neutrals, and the scale was checked equal
-    hypotheses, side_condition, u2_clause_ii, boundary = _once(
-        u2, "unequal-u2", (u1.e, verbose), lambda: _u2_share(u2, g, verbose))
-    u1_clause_ii, leaks, inner = _once(
-        u1, "unequal-u1", (u2.e, verbose), lambda: _u1_share(u1, u2.e, g, verbose))
+    (hypotheses, side_condition, u2_clause_ii, boundary), (u1_clause_ii, leaks, inner) = _shares(
+        u1, u2, g, verbose)
     # each clause keeps its own witnesses: no two clauses share a law, so
     # the lists are concatenated in clause order
     log = WitnessLog(verbose)
@@ -531,13 +539,14 @@ def decompose(u1: Uninorm, u2: Uninorm) -> Decomposition:
 
 def _decompose_checked(u1: Uninorm, u2: Uninorm, case: TheoremCase) -> Decomposition:
     """The blocks of a pair its caller has classified as distributive under
-    ``case``, with proper unequal neutrals; nothing is re-checked."""
+    ``case``, with proper unequal neutrals; nothing is re-checked.  The inner
+    uninorm and the boundary are the ones that classification kept in the
+    tables' shares."""
     g = _geometry(u1.n, u1.e, u2.e)
-    inner = g.inner(u1)
-    selection = tuple(
-        (x, y, Pick.FIRST if u1(x, y) == x else Pick.SECOND) for x, y in g.domain
-    )
-    return Decomposition(case, inner, g.boundary(u2), selection)
+    (*_, boundary), (*_, inner) = _shares(u1, u2, g, False)
+    rows = u1.rows
+    selection = tuple((x, y, Pick.FIRST if rows[x][y] == x else Pick.SECOND) for x, y in g.domain)
+    return Decomposition(case, inner, boundary, selection)
 
 
 def _reject(law: str, witness: tuple, message: str, **kw) -> CompositionInvalid:
@@ -556,8 +565,11 @@ def compose(d: Decomposition, scale: ChainScale, e1: int, e2: int):
 
     The block diagram fixes everything except the free corner of u1, which
     is filled canonically (min below e2 in the greater case, max above e2
-    in the less case).  Both candidates must pass full axiom validation,
-    the case conditions and the exhaustive distributivity scan; an
+    in the less case).  The cells outside the block are the same in both
+    candidates, so they are computed once and shared by both tables; each
+    block is filled from its operation's rows.  Both candidates must pass
+    full axiom validation, the case conditions and the exhaustive
+    distributivity scan; an
     arbitrary selection map can break associativity, and a selection that
     picks the second argument at a point where the boundary operation is
     not idempotent is rejected before assembly.
@@ -578,33 +590,34 @@ def compose(d: Decomposition, scale: ChainScale, e1: int, e2: int):
     if tuple(sorted(sel)) != g.domain or len(sel) != len(d.selection):
         raise _reject("selection-domain", (len(sel),),
                       "selection must cover the off-diagonal strip exactly once")
+    seconds = set()
     for (x, y), pick in sel.items():
         if pick is Pick.FIRST:
             continue
         if y in g.near:
             raise _reject("clause-ii-selection", (x, y),
                           f"{g.forced}, cannot pick the second argument")
-        picked = lo + d.boundary_op(y - lo, y - lo)  # y is in the far range
+        picked = lo + d.boundary_op.rows[y - lo][y - lo]  # y is in the far range
         if picked != y:
             raise _reject("side-condition", (x, y), "second argument picked at a "
                           "point where the boundary operation is not idempotent",
                           lhs=picked, rhs=y)
+        seconds.add((x, y))
 
-    def assembled(block_op: Uninorm):
-        # block_op on the block, the selection on the strip beyond the near
-        # range, min/max on the rest (a pick in the near range is the first)
-        def value(x, y):
-            if x in g.block and y in g.block:
-                return lo + block_op(x - lo, y - lo)
-            if x in g.block:
-                x, y = y, x
-            if y in g.block and y not in g.near:
-                return x if sel[(x, y)] is Pick.FIRST else y
-            return g.op(x, y)
-        return value
+    # the strip's rows: the selection beyond the near range, min/max on the
+    # rest (a first pick equals min/max there); by symmetry, column x of
+    # them starts or ends row x of the block
+    strip = tuple(tuple(y if (x, y) in seconds else g.op(x, y) for y in scale.points)
+                  for x in g.strip)
+    columns = tuple(zip(*strip))
 
-    table1 = OpTable.from_func(scale, assembled(d.inner))
-    table2 = OpTable.from_func(scale, assembled(d.boundary_op))
+    def assembled(block_op: Uninorm) -> OpTable:
+        block = [tuple(lo + v for v in row) for row in block_op.rows]
+        if lo:  # greater case: the strip lies below the block
+            return OpTable(scale, strip + tuple(map(tuple.__add__, columns[lo:], block)))
+        return OpTable(scale, tuple(map(tuple.__add__, block, columns)) + strip)
+
+    table1, table2 = assembled(d.inner), assembled(d.boundary_op)
     for subject, table, e in (("u1", table1, e1), ("u2", table2, e2)):
         rep = validate_uninorm(table, e)
         if not rep.verdict:

@@ -203,7 +203,10 @@ class TestCommands:
         monkeypatch.setattr(formats, "to_json", lambda doc: docs.append(doc) or write(doc))
         run(capsys, "enumerate", "--n", "3", "--e", "1", "--format", "structured")
         (doc,) = docs
-        assert all(type(row) is list for table in doc["tables"] for row in table)
+        rows = [row for table in doc["tables"] for row in table]
+        assert all(type(row) is list for row in rows)
+        # one list per distinct row, shared by every table that holds it
+        assert len({id(row) for row in rows}) == len({tuple(row) for row in rows}) < len(rows)
         doc["tables"][0][1][1] += 1
 
     def test_enumerate_reports_nodes_expanded(self, capsys):

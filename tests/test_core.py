@@ -312,6 +312,22 @@ class TestUnderlyingOps:
         with pytest.raises(EmptyRestrictionError):
             underlying_tconorm(min_tnorm(3))  # e = n
 
+    # the plain constructor takes any symmetric table, so a square can leak
+    # out of its subchain; the restriction's structural check refuses it
+    def test_a_lower_square_above_e_is_refused(self):
+        rows = [[max(x, y) for y in range(5)] for x in range(5)]
+        rows[0][1] = rows[1][0] = 3
+        with pytest.raises(StructureError) as caught:
+            underlying_tnorm(Uninorm(table_of(rows), 2))
+        assert str(caught.value) == "structure at (0,1) [lhs=3 rhs=None] (entry out of range 0..2)"
+
+    def test_an_upper_square_below_e_is_refused(self):
+        rows = [[min(x, y) for y in range(5)] for x in range(5)]
+        rows[3][4] = rows[4][3] = 1
+        with pytest.raises(StructureError) as caught:
+            underlying_tconorm(Uninorm(table_of(rows), 2))
+        assert str(caught.value) == "structure at (1,2) [lhs=-1 rhs=None] (entry out of range 0..2)"
+
     def test_internality_on_region_is_a_consequence(self, uninorms_by_e):
         for n in (3, 4):
             for e, us in uninorms_by_e(n).items():
