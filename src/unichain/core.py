@@ -118,9 +118,9 @@ class Uninorm:
 
     @cached_property
     def _latest(self) -> dict:
-        """role -> (key, value): the last value a caller derived from this
-        uninorm alone under ``role`` and ``key``, kept until a call with
-        another key.  Not a field, so equality, hash and repr ignore it."""
+        """name -> (arguments, value): the last value a function of that name
+        derived from this uninorm and ``arguments``, kept until a call with
+        other arguments.  Not a field, so equality, hash and repr ignore it."""
         return {}
 
     @property

@@ -11,12 +11,12 @@ The three ``*_conditions`` predicates evaluate the structural
 characterization for the matching order of neutral elements (e1 = e2,
 e1 > e2, e1 < e2); ``classify_and_check`` runs both routes and flags any
 disagreement as a theorem divergence, a reportable finding, never dropped.
-Each clause that reads only one table is computed once per table (and
-partner neutral element) and kept on the uninorm itself: in the unequal
-cases u2's hypotheses, clause-i side condition, boundary and half of clause
-ii, and u1's half of clause ii and clause-iii closure; in the equal case
-u2's idempotency.  A decomposition reads u1's inner uninorm and u2's boundary
-from those shares, so each restriction is built once per table and partner.
+Each clause that reads only one table is a share, kept on the uninorm once
+per table and partner neutral by ``_kept_on_table``: in the unequal cases
+u2's hypotheses, clause-i side condition, boundary and clause ii half, and
+u1's clause ii half and clause-iii closure; in the equal case u2's
+idempotency.  Decompositions read u1's inner uninorm and u2's boundary from
+them, so each restriction is built once per table and partner.
 
 Index-range conventions used by the case predicates (all bounds inclusive
 unless marked strict):
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import chain
 from operator import itemgetter
 from typing import Callable
@@ -105,21 +105,25 @@ def case_of(u1: Uninorm, u2: Uninorm) -> TheoremCase:
     return TheoremCase.GREATER_NEUTRAL if u1.e > u2.e else TheoremCase.LESS_NEUTRAL
 
 
-def _once(u: Uninorm, role: str, key, compute):
-    """``compute()``, kept in ``u``'s slot for ``role`` while ``key`` repeats.
+def _kept_on_table(share):
+    """``share(u, *args)``, kept in ``u._latest`` while ``args`` repeat.
 
-    Each table's share of the clauses is kept here: in the unequal cases
-    u1's (clause ii's u1 half, clause-iii closure) and u2's (hypotheses,
-    side condition, clause ii's u2 half, boundary), keyed by the partner's
-    neutral and ``verbose``; in the equal case u2's idempotency, keyed by
-    ``verbose``.  A slot holds only the latest key.  ``certify``
-    visits pairs u1-outer and e-major, so a slot is almost always hit; and it
-    lives on the uninorm, so nothing outlasts the tables of one run.
+    A slot holds only the latest arguments (the partner's neutral, ``verbose``):
+    ``certify`` visits pairs u1-outer and e-major, so it is almost always hit,
+    and nothing outlasts the tables of one run.  The slot is keyed by the
+    function's name: ``certify`` pickles classified uninorms to its workers,
+    and pickle cannot find a wrapped function under its module attribute.
     """
-    slot = u._latest.get(role)
-    if slot is None or slot[0] != key:
-        slot = u._latest[role] = (key, compute())
-    return slot[1]
+    name = share.__name__
+
+    @wraps(share)
+    def kept(u: Uninorm, *args):
+        slot = u._latest.get(name)
+        if slot is None or slot[0] != args:
+            slot = u._latest[name] = (args, share(u, *args))
+        return slot[1]
+
+    return kept
 
 
 def check_distributivity(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
@@ -228,13 +232,14 @@ def equal_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False)
     _same_scale(u1, u2)
     if u1.e != u2.e:
         raise WrongCaseError(f"equal-neutral conditions need e1 = e2, got {u1.e} and {u2.e}")
-    idempotency = _once(u2, "equal-u2", verbose, lambda: _idempotency_share(u2, verbose))
+    idempotency = _idempotency_share(u2, verbose)
     log = WitnessLog(verbose)
     _agree_and_choose(log, u1, u2, range(u1.e), range(u1.e + 1, u1.n + 1),
                       "agreement", "local-internality")
     return CheckReport.from_violations(idempotency + log.violations)
 
 
+@_kept_on_table
 def _idempotency_share(u2: Uninorm, verbose: bool) -> tuple:
     """The equal case's clause that reads only u2: its idempotency violations."""
     points = _non_idempotent_points(u2)
@@ -308,11 +313,11 @@ def _geometry(n: int, e1: int, e2: int) -> _Geometry:
     )
 
 
-def _u2_share(u2: Uninorm, g: _Geometry, verbose: bool):
-    """The clauses that read only u2: the hypothesis violations, the clause-i
-    side-condition violations, clause ii's u2 half, and u2's boundary
-    operation on the block."""
-    rows = u2.rows
+@_kept_on_table
+def _u2_share(u2: Uninorm, e1: int, verbose: bool):
+    """The clauses that read only u2, partnered with neutral ``e1``: hypotheses,
+    clause-i side condition, clause ii's u2 half, and the boundary on the block."""
+    g, rows = _geometry(u2.n, e1, u2.e), u2.rows
     log = WitnessLog(verbose)
     _on_square(log, u2, g, f"hypothesis-{g.unit}")
     for x, y in _non_internal_points(u2):
@@ -337,7 +342,8 @@ def _clause_ii_half(u: Uninorm, subject: str, g: _Geometry, verbose: bool) -> tu
     return log.violations
 
 
-def _u1_share(u1: Uninorm, e2: int, g: _Geometry, verbose: bool):
+@_kept_on_table
+def _u1_share(u1: Uninorm, e2: int, verbose: bool):
     """The clauses that read only u1: clause ii's u1 half; clause iii's
     closure violations, and the inner uninorm when there are none (else None).
 
@@ -347,6 +353,7 @@ def _u1_share(u1: Uninorm, e2: int, g: _Geometry, verbose: bool):
     it is a restriction; its neutral is e1 - lo because u1(e1, x) = x; and it
     is associative because every intermediate u1(x, y) stays in B.
     """
+    g = _geometry(u1.n, u1.e, e2)
     log, lo, stop = WitnessLog(verbose), g.block[0], g.block.stop
     for x in g.block:
         row = u1.rows[x]
@@ -358,18 +365,10 @@ def _u1_share(u1: Uninorm, e2: int, g: _Geometry, verbose: bool):
     return _clause_ii_half(u1, "u1", g, verbose), leaks, None if leaks else g.inner(u1)
 
 
-def _shares(u1: Uninorm, u2: Uninorm, g: _Geometry, verbose: bool) -> tuple:
-    """u2's and u1's shares of an unequal-neutral pair, each computed once per
-    table and partner neutral: the case follows from the two neutrals, and
-    the scale was checked equal."""
-    return (_once(u2, "unequal-u2", (u1.e, verbose), lambda: _u2_share(u2, g, verbose)),
-            _once(u1, "unequal-u1", (u2.e, verbose), lambda: _u1_share(u1, u2.e, g, verbose)))
-
-
 def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
     g = _geometry(u1.n, u1.e, u2.e)
-    (hypotheses, side_condition, u2_clause_ii, boundary), (u1_clause_ii, leaks, inner) = _shares(
-        u1, u2, g, verbose)
+    hypotheses, side_condition, u2_clause_ii, boundary = _u2_share(u2, u1.e, verbose)
+    u1_clause_ii, leaks, inner = _u1_share(u1, u2.e, verbose)
     # each clause keeps its own witnesses: no two clauses share a law, so
     # the lists are concatenated in clause order
     log = WitnessLog(verbose)
@@ -539,11 +538,10 @@ def decompose(u1: Uninorm, u2: Uninorm) -> Decomposition:
 
 def _decompose_checked(u1: Uninorm, u2: Uninorm, case: TheoremCase) -> Decomposition:
     """The blocks of a pair its caller has classified as distributive under
-    ``case``, with proper unequal neutrals; nothing is re-checked.  The inner
-    uninorm and the boundary are the ones that classification kept in the
-    tables' shares."""
+    ``case``, with proper unequal neutrals; nothing is re-checked, and the
+    inner uninorm and the boundary are that classification's shares."""
     g = _geometry(u1.n, u1.e, u2.e)
-    (*_, boundary), (*_, inner) = _shares(u1, u2, g, False)
+    boundary, inner = _u2_share(u2, u1.e, False)[-1], _u1_share(u1, u2.e, False)[-1]
     rows = u1.rows
     selection = tuple((x, y, Pick.FIRST if rows[x][y] == x else Pick.SECOND) for x, y in g.domain)
     return Decomposition(case, inner, boundary, selection)
@@ -569,10 +567,9 @@ def compose(d: Decomposition, scale: ChainScale, e1: int, e2: int):
     candidates, so they are computed once and shared by both tables; each
     block is filled from its operation's rows.  Both candidates must pass
     full axiom validation, the case conditions and the exhaustive
-    distributivity scan; an
-    arbitrary selection map can break associativity, and a selection that
-    picks the second argument at a point where the boundary operation is
-    not idempotent is rejected before assembly.
+    distributivity scan; an arbitrary selection map can break associativity,
+    and a selection that picks the second argument at a point where the
+    boundary operation is not idempotent is rejected before assembly.
     """
     n = scale.n
     g = _geometry(n, e1, e2) if _proper_unequal(n, e1, e2) else None

@@ -14,20 +14,21 @@ checked here or at earlier nodes (the proof is at ``_assoc_ok_after``).
 Where the new cell is the outer lookup t[ab][c], ab must equal one of its
 coordinates, so the check reads only the cells that hold x or y: the search
 keeps an index from each value to the set cells holding it, pushing a cell
-(and its mirror) when it sets it and popping it when it unsets it.  The
-task's filters restrict the candidates of the cells they read, all of them
-free cells.  The search is a plain recursion, one level per free cell, that
-appends each table it completes to one list.
+(and its mirror) when it sets it and popping it when it unsets it.  Each
+free cell carries its upper bound and the values the task's filters admit,
+prepared once; a node reads only its lower bound.  The search is a plain
+recursion, one level per free cell, that appends each table to one list.
 Orientation: x -> n - x maps the uninorms with neutral e onto those with
-neutral n - e, and the search is far cheaper from the high side: a task with
-e < n - e runs its dual's native search, under the same pruning proof, then
-the order guard, then reflects each table, t'[x][y] = n - t[n-x][n-y], and
-sorts; conjunctive tasks, u(0, n) = 0 not being self-dual, run natively.
-Determinism: candidates are tried in ascending order, so tables stream out
-in lexicographic order of their row-major values.
+neutral n - e (and the conjunctive ones onto the disjunctive ones), and the
+search is far cheaper from the high side: a task with e < n - e runs its
+dual's search, under the same pruning proof, then reflects each table,
+t'[x][y] = n - t[n-x][n-y], and sorts.
+Determinism: candidates are tried in ascending order, so the search's list
+is in lexicographic order of its row-major values, which a guard checks over
+the whole list before any reflection and before the first table is yielded.
 Its tables skip ``OpTable``'s structural re-check: ``_search`` sets each
-cell with its mirror (``tx[y] = ty[x] = v``) within its bounds, 0..n, so
-every completed table, and its reflection, is square, symmetric and in range.
+cell with its mirror within its bounds, 0..n, so every completed table, and
+its reflection, is square, symmetric and in range.
 
 ``certify`` enumerates once, then classifies every pair through
 ``classify_and_check`` in contiguous slices of the canonical pair list, one
@@ -105,14 +106,18 @@ def _neutral_table(n: int, e: int):
     return t
 
 
-def _candidates(values, x, y, n, e, task):
-    if task.idempotent_only and x == y:
-        values = [x] if x in values else []
-    elif task.locally_internal_only and x < e < y:
-        values = [v for v in (x, y) if v in values]
-    if task.conjunctive_only and (x, y) == (0, n):
-        values = [0] if 0 in values else []
-    return values
+def _cells(task: EnumerationTask, e: int):
+    """``task``'s free cells with neutral ``e`` as ``(x, y, hi, admitted)``: the
+    static monotone bound, and None or the ascending values the filters leave.
+    Off the diagonal and with both ends in A(e), (0, n) admits the conjunctive
+    bottom alone: 0, or n in the dual, as u(0, n) = 0 reflects to u(0, n) = n."""
+    n = task.scale.n
+    bottom = 0 if e == task.e else n
+    return [(x, y, x if y < e else y if x < e else n,
+             (bottom,) if task.conjunctive_only and (x, y) == (0, n) else
+             (x,) if task.idempotent_only and x == y else
+             (x, y) if task.locally_internal_only and x < e < y else None)
+            for x, y in _free_cells(n, e)]
 
 
 def _index(t):
@@ -182,21 +187,19 @@ def _assoc_ok_after(t, pos, x, y, n):
     return True
 
 
-def _search(t, pos, cells, i, n, e, task, stats, out):
-    """Append to ``out`` every table that fills ``cells[i:]`` within the
-    pruning rules.  ``pos`` is ``_index(t)``, kept so while cells are set and
-    unset: each entry is pushed and popped in stack order."""
+def _search(t, pos, cells, i, n, stats, out):
+    """Append to ``out`` every table that fills ``cells[i:]`` (from ``_cells``)
+    within the pruning rules.  ``pos`` is ``_index(t)``, kept so while cells
+    are set and unset: each entry is pushed and popped in stack order."""
     if i == len(cells):
         out.append(tuple(map(tuple, t)))
         return
-    x, y = cells[i]
+    x, y, hi, admitted = cells[i]
     tx, ty = t[x], t[y]
     mirrored = x != y
-    # monotone bounds: the set cells above and left of (x, y), u(x, e) = x, u(e, y) = y
-    values = range(max(t[x - 1][y] if x else 0, tx[y - 1] if y else 0),
-                   (x if y < e else y if x < e else n) + 1)
-    if x == y or x < e < y or x == 0 and y == n:  # the cells a filter reads
-        values = _candidates(values, x, y, n, e, task)
+    # the monotone lower bound: the set cells above and left of (x, y)
+    lo = max(t[x - 1][y] if x else 0, tx[y - 1] if y else 0)
+    values = range(lo, hi + 1) if admitted is None else [v for v in admitted if lo <= v <= hi]
     stats.nodes_expanded += len(values)
     for v in values:
         tx[y] = ty[x] = v
@@ -205,7 +208,7 @@ def _search(t, pos, cells, i, n, e, task, stats, out):
         if mirrored:
             at.append((y, x))
         if _assoc_ok_after(t, pos, x, y, n):
-            _search(t, pos, cells, i + 1, n, e, task, stats, out)
+            _search(t, pos, cells, i + 1, n, stats, out)
         at.pop()
         if mirrored:
             at.pop()
@@ -221,16 +224,15 @@ def _cpus() -> int:
 
 
 def _refuse_above(what: str, n: int, max_n: int) -> None:
-    """Scales above ``max_n`` need a deliberate override, not a default:
-    the search space grows too fast.  Whatever ``max_n``, ``_search`` must
-    fit on the stack above the caller: it recurses once per free cell, and
-    the cells with x <= y, less the n+1 on the neutral row, are n(n+1)/2,
-    so it runs cells + 1 levels deep.  The guard tries that depth rather
-    than counting frames: what a stack has left under the limit depends on
+    """Scales above ``max_n`` need a deliberate override: the search space
+    grows too fast.  Whatever ``max_n``, ``_search`` must fit on the stack
+    above the caller: it recurses once per free cell, n(n+1)/2 of them, so it
+    runs cells + 1 levels deep.  The guard tries that depth rather than
+    counting frames, since what a stack has left under the limit depends on
     the C calls between its frames as well."""
     if n > max_n:
         raise SearchLimitError(f"{what} on L_{n} refused: limit is n <= {max_n}; "
-                               f"pass max_n={n} to override")
+                               f"pass max_n={n} (--max-n {n}) to override")
     cells, limit = n * (n + 1) // 2, sys.getrecursionlimit()
     levels = cells + 1
     if levels >= limit or not _stack_takes(levels):
@@ -252,38 +254,31 @@ def enumerate_uninorms(task: EnumerationTask, *,
     """Yield every uninorm on the task's chain with the task's neutral element.
 
     Each table appears exactly once, in lexicographic order of its rows.
-    Where e < n - e, a task that is not conjunctive is searched with neutral
-    n - e and its tables reflected back by x -> n - x.  A table of the search's
-    stream not strictly greater than the one before it is a search bug and
-    raises :class:`InternalConsistencyError`, which a reflected task raises
-    before its first table.  Scales above ``max_n`` are refused.
+    Where e < n - e, the task is searched with neutral n - e and its tables
+    reflected back by x -> n - x.  A table of the search's list not strictly
+    greater than the one before it is a search bug and raises
+    :class:`InternalConsistencyError` before the first table is yielded.
+    Scales above ``max_n`` are refused.
     """
     n, e = task.scale.n, task.e
     _refuse_above("enumeration", n, max_n)
-    if stats is None:
-        stats = SearchStats()
+    stats = stats or SearchStats()
     if task.conjunctive_only and e == 0:
         return  # row 0 is the identity, so u(0, n) = n: nothing qualifies
-    searched = n - e if e < n - e and not task.conjunctive_only else e
+    searched = n - e if e < n - e else e
     t, tables = _neutral_table(n, searched), []
-    _search(t, _index(t), _free_cells(n, searched), 0, n, searched, task, stats, tables)
-    checked = _in_order(tables, n, searched)
-    if searched != e:  # sorted() checks the whole stream before the first yield
-        mirror = {row: tuple(n - v for v in reversed(row))  # each distinct row, reflected
-                  for row in set(chain.from_iterable(tables))}
-        checked = sorted(tuple(map(mirror.__getitem__, rows[::-1])) for rows in checked)
-    for rows in checked:
-        stats.emitted += 1
-        yield Uninorm(OpTable._built(task.scale, rows), e)
-
-
-def _in_order(tables, n, e):
-    """The search's ``tables`` up to the first not above the one before, which raises."""
-    for previous, rows in zip([()] + tables, tables):
+    _search(t, _index(t), _cells(task, searched), 0, n, stats, tables)
+    for previous, rows in zip(tables, tables[1:]):
         if rows <= previous:
             raise InternalConsistencyError(
-                f"enumeration on L_{n} with e={e} left lexicographic order at {rows}")
-        yield rows
+                f"enumeration on L_{n} with e={searched} left lexicographic order at {rows}")
+    if searched != e:
+        mirror = {row: tuple(n - v for v in reversed(row))  # each distinct row, reflected
+                  for row in set(chain.from_iterable(tables))}
+        tables = sorted(tuple(map(mirror.__getitem__, rows[::-1])) for rows in tables)
+    for rows in tables:
+        stats.emitted += 1
+        yield Uninorm(OpTable._built(task.scale, rows), e)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,18 @@ class TestExitContract:
         assert code == 3
         assert "refused" in err
 
+    @pytest.mark.parametrize("argv, what, limit", [
+        (("enumerate", "--n", "7", "--e", "3"), "enumeration", 6),
+        (("scan", "--n", "6", "--e1", "1", "--e2", "1"), "pair scan", 5),
+        (("certify", "--n", "6"), "certification", 5),
+    ], ids=["enumerate", "scan", "certify"])
+    def test_a_limit_refusal_names_the_option(self, capsys, argv, what, limit):
+        code, out, err = run(capsys, *argv)
+        n = argv[2]
+        assert code == 3 and out == ""
+        assert err == (f"refused: {what} on L_{n} refused: limit is n <= {limit}; "
+                       f"pass max_n={n} (--max-n {n}) to override\n")
+
     def test_max_n_tightens_the_limit(self, capsys):
         code, out, err = run(capsys, "certify", "--n", "4", "--max-n", "3")
         assert code == 3

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from unichain import ChainScale, OpTable, Uninorm, certify, classify_and_check
+from unichain import ChainScale, OpTable, Uninorm, certify, classify_and_check, decompose
 from unichain import core, distributivity
 
 
@@ -134,3 +134,29 @@ def test_nothing_carries_over_between_runs(monkeypatch):
         counts.append(len(calls))
     assert counts[0] > 0
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("e1, e2", [(3, 1), (1, 3)], ids=["greater", "less"])
+def test_decompose_after_classification_builds_no_table(monkeypatch, uninorms_by_e, e1, e2):
+    # the inner uninorm and the boundary are read from the shares the
+    # classification kept; a restriction built again would construct an OpTable
+    by_e = uninorms_by_e(4)
+    u1, u2 = next((fresh(u1), fresh(u2)) for u1 in by_e[e1] for u2 in by_e[e2]
+                  if classify_and_check(fresh(u1), fresh(u2)).verdict)
+    built = []
+    original = OpTable.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(OpTable, "__init__", counted)
+    decompose(fresh(u1), fresh(u2))
+    assert built, "a fresh pair's classification restricts no table"
+    built.clear()
+    classify_and_check(u1, u2)
+    assert built
+    built.clear()
+    d = decompose(u1, u2)
+    assert built == []
+    assert d == decompose(fresh(u1), fresh(u2))
