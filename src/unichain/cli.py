@@ -239,7 +239,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_certify(args) -> int:
     max_n = args.max_n if args.max_n is not None else DEFAULT_CERTIFY_LIMIT
-    report = certify(ChainScale(args.n), workers=args.workers, max_n=max_n)
+    report = certify(ChainScale(args.n), max_n=max_n)
     _emit(args, lambda: formats.render_certification(report),
           lambda: formats.certification_doc(report, include_timing=not args.no_timing))
     _say(f"certify: L_{args.n} pairs={report.pairs_checked} "
@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", parents=[common, limited],
                        help="compare both distributivity routes over the full pair space")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-timing", action="store_true",
                    help="omit the wall-time field from structured output")
     p.set_defaults(func=_cmd_certify)
@@ -340,7 +339,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except SearchLimitError as exc:
-        sys.stderr.write(f"refused: {exc}\n")
+        sys.stderr.write(f"{exc}\n")  # each message names what it refused
         return EXIT_LIMIT
 
 

@@ -111,8 +111,8 @@ def _kept_on_table(share):
     A slot holds only the latest arguments (the partner's neutral, ``verbose``):
     ``certify`` visits pairs u1-outer and e-major, so it is almost always hit,
     and nothing outlasts the tables of one run.  The slot is keyed by the
-    function's name: ``certify`` pickles classified uninorms to its workers,
-    and pickle cannot find a wrapped function under its module attribute.
+    function's name, so a classified uninorm stays picklable: pickle cannot
+    find a wrapped function under its module attribute.
     """
     name = share.__name__
 

@@ -31,28 +31,22 @@ cell with its mirror within its bounds, 0..n, so every completed table, and
 its reflection, is square, symmetric and in range.
 
 ``certify`` enumerates once, then classifies every pair through
-``classify_and_check`` in contiguous slices of the canonical pair list, one
-slice per worker process; each slice returns its own tally and divergences,
-which ``certify`` adds up in slice order.
+``classify_and_check`` in one process, in the canonical order (e1, i1, e2, i2).
 ``scan_pairs`` first finds its hits with the row kernel
 (``distributivity_matrix``: each distinct row of the u1 tables tested once
 as an endomorphism of each u2) and runs the per-pair evidence path on the
 hits only: one classification each, the necessity battery, and the
 decomposition built from that classification; a hit the per-pair scan
-rejects is an internal inconsistency, never dropped.  Worker processes never
-outnumber the jobs or the CPUs available to this process, and a worker count
-below 1 is refused.
+rejects is an internal inconsistency, never dropped.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import chain, product
 
 from .core import ChainScale, OpTable, Uninorm
 from .distributivity import (
@@ -65,7 +59,7 @@ from .distributivity import (
     _decompose_checked,
     _proper_unequal,
 )
-from .errors import DomainError, InternalConsistencyError, SearchLimitError, StructureError
+from .errors import InternalConsistencyError, SearchLimitError, StructureError
 
 DEFAULT_ENUMERATION_LIMIT = 6
 DEFAULT_CERTIFY_LIMIT = 5
@@ -215,14 +209,6 @@ def _search(t, pos, cells, i, n, stats, out):
     tx[y] = ty[x] = -1
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _refuse_above(what: str, n: int, max_n: int) -> None:
     """Scales above ``max_n`` need a deliberate override: the search space
     grows too fast.  Whatever ``max_n``, ``_search`` must fit on the stack
@@ -346,14 +332,13 @@ class CertificationReport:
         return self.pairs_checked - len(self.divergences)
 
 
-def _check_pair_block(args):
-    """Classify a contiguous slice of the canonical pair list over
-    ``uninorms``, a list of ``(e, index, uninorm)``.  Returns the pairs per
+def _check_pairs(uninorms):
+    """Classify every ordered pair over ``uninorms``, a list of
+    ``(e, index, uninorm)``, in the canonical order.  Returns the pairs per
     ``(case, distributive)`` and the divergences."""
-    uninorms, start, stop = args
     tally = Counter()
     divergences = []
-    for (e1, i1, u1), (e2, i2, u2) in islice(product(uninorms, repeat=2), start, stop):
+    for (e1, i1, u1), (e2, i2, u2) in product(uninorms, repeat=2):
         result = classify_and_check(u1, u2)
         case = result.case.value
         distributive = result.exhaustive.verdict
@@ -365,40 +350,21 @@ def _check_pair_block(args):
 
 
 def certify(scale: ChainScale, *,
-            workers: int = 1,
             max_n: int = DEFAULT_CERTIFY_LIMIT) -> CertificationReport:
     """Enumerate every uninorm for every neutral element and classify every
     ordered pair, comparing the case conditions against the exhaustive scan.
 
     Deterministic for a given scale: counts, ordering and divergence lists
-    do not depend on the worker count (only the wall time does).  A worker
-    count below 1 raises :class:`DomainError`.
+    are the same on every run (only the wall time differs).
     """
     n = scale.n
-    if workers < 1:
-        raise DomainError(f"worker count must be at least 1, got {workers}")
     _refuse_above("certification", n, max_n)
     started = time.perf_counter()
     stats = SearchStats()
     by_e = [list(enumerate_uninorms(EnumerationTask(scale, e), max_n=max_n, stats=stats))
             for e in range(n + 1)]
     uninorms = [(e, i, u) for e, us in enumerate(by_e) for i, u in enumerate(us)]
-    total_pairs = len(uninorms) ** 2
-
-    # at most one slice, and one process, per worker and per available CPU
-    workers = min(workers, _cpus())
-    step = -(-total_pairs // workers)
-    jobs = [(uninorms, lo, min(lo + step, total_pairs)) for lo in range(0, total_pairs, step)]
-    if len(jobs) <= 1:
-        blocks = map(_check_pair_block, jobs)
-    else:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            blocks = list(pool.map(_check_pair_block, jobs))
-    tally = Counter()
-    divergences: list[PairDivergence] = []
-    for part, div in blocks:
-        tally += part
-        divergences += div
+    tally, divergences = _check_pairs(uninorms)
 
     case_order = [c.value for c in TheoremCase]
     return CertificationReport(

@@ -252,11 +252,11 @@ def test_criterion_8_universal_max_min(announce, uninorms_by_e):
                 assert check_distributivity(u, bottom).verdict
 
 
-def test_criterion_9_determinism_and_parallel_equivalence(announce):
-    with criterion(announce, 9, "certification reports byte-identical across runs and workers"):
+def test_criterion_9_determinism(announce):
+    with criterion(announce, 9, "certification reports byte-identical across runs"):
         docs = set()
-        for workers in (1, 1, 2, 4):
-            report = certify(ChainScale(3), workers=workers)
+        for _ in range(3):
+            report = certify(ChainScale(3))
             assert not report.divergences
             docs.add(to_json(certification_doc(report, include_timing=False)))
         assert len(docs) == 1

@@ -142,7 +142,7 @@ def run_main(operand_dir, argv):
 @settings(FUZZ, max_examples=150)
 @given(st.data())
 def test_main_exits_with_a_documented_status(operand_dir, data):
-    # no --workers: a fuzzed command line starts no process
+    # every command runs in this process, so a fuzzed command line starts none
     words = st.sampled_from(OPTIONS) | specs() | edited(SPECS)
     argv = [data.draw(st.sampled_from(COMMANDS))] + data.draw(st.lists(words, max_size=8))
     assume(all(small_integers(word) for word in argv))

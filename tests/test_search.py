@@ -3,7 +3,6 @@
 import ast
 import hashlib
 import json
-import os
 import random
 import re
 import sys
@@ -32,9 +31,9 @@ from unichain import (
 )
 from unichain import search
 from unichain.core import _structural_violations
-from unichain.errors import DomainError, InternalConsistencyError, SearchLimitError
+from unichain.errors import InternalConsistencyError, SearchLimitError
 from unichain.formats import certification_doc, render_certification, to_json
-from unichain.search import PairDivergence, SearchStats, _check_pair_block
+from unichain.search import PairDivergence, SearchStats, _check_pairs
 
 
 def rows_set(uninorms):
@@ -482,12 +481,10 @@ class TestCertify:
             ("less-neutral", 34),
         )
 
-    def test_deterministic_across_runs_and_workers(self):
-        docs = []
-        for workers in (1, 1, 2, 3):
-            report = certify(ChainScale(3), workers=workers)
-            docs.append(to_json(certification_doc(report, include_timing=False)))
-        assert len(set(docs)) == 1
+    def test_deterministic_across_runs(self):
+        docs = {to_json(certification_doc(certify(ChainScale(3)), include_timing=False))
+                for _ in range(3)}
+        assert len(docs) == 1
 
     def test_refusal_above_limit(self):
         with pytest.raises(SearchLimitError):
@@ -510,16 +507,16 @@ class TestCertify:
         with pytest.raises(InternalConsistencyError, match=match):
             replace(report, **{field: tuple(map(tuple, counts))})
 
-    def test_a_pair_dropped_from_a_slice_raises(self, monkeypatch):
-        check = search._check_pair_block
+    def test_a_dropped_pair_raises(self, monkeypatch):
+        check = search._check_pairs
 
-        def drop_one_equal_pair(args):
-            tally, divergences = check(args)
+        def drop_one_equal_pair(uninorms):
+            tally, divergences = check(uninorms)
             key = next(k for k in sorted(tally) if k[0] == "equal-neutral")
             tally[key] -= 1  # duality still holds: only the pair total is off
             return tally, divergences
 
-        monkeypatch.setattr(search, "_check_pair_block", drop_one_equal_pair)
+        monkeypatch.setattr(search, "_check_pairs", drop_one_equal_pair)
         with pytest.raises(InternalConsistencyError, match="add up to 35, not 36"):
             certify(ChainScale(2))
 
@@ -527,80 +524,16 @@ class TestCertify:
         report = certify(ChainScale(2), max_n=2)
         assert report.pairs_checked == 36
 
-    @pytest.mark.parametrize("workers", (0, -3))
-    def test_worker_count_below_one_refused_before_enumerating(self, monkeypatch, workers):
-        enumerated = []
-        monkeypatch.setattr(search, "enumerate_uninorms",
-                            lambda task, **kwargs: enumerated.append(task) or iter(()))
-        with pytest.raises(DomainError, match=f"worker count must be at least 1, got {workers}"):
-            certify(ChainScale(2), workers=workers)
-        assert enumerated == []
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool with one that runs in this process and
-    records the ``max_workers`` it was asked for."""
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
-    return sizes
-
-
-def set_cpus(monkeypatch, affinity, count):
-    """Pretend this process may run on ``affinity`` CPUs (None: the platform
-    has no affinity call) of a machine with ``count``."""
-    if affinity is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
-                            raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
-
-
-class TestWorkerCount:
-    def certify_doc(self, n=2, **kwargs):
-        return to_json(certification_doc(certify(ChainScale(n), **kwargs), include_timing=False))
-
-    @pytest.mark.parametrize("affinity, count, expected", [
-        (2, 8, [2]),     # the CPUs this process may use, not the machine's
-        (None, 3, [3]),  # no affinity call: the machine's CPU count
-        (1, 8, []),      # one CPU: no pool at all
-        (None, None, []),
-    ], ids=["affinity", "cpu-count", "one-cpu", "unknown"])
-    def test_no_more_processes_than_cpus(self, monkeypatch, pool_sizes, affinity, count, expected):
-        serial = self.certify_doc(workers=1)
-        set_cpus(monkeypatch, affinity, count)
-        assert self.certify_doc(workers=6) == serial
-        assert pool_sizes == expected
-
-    def test_no_more_processes_than_jobs(self, monkeypatch, pool_sizes):
-        serial = self.certify_doc(1, workers=1)
-        set_cpus(monkeypatch, 16, 16)
-        assert self.certify_doc(1, workers=8) == serial
-        assert pool_sizes == [4]  # L_1 has four pairs: four jobs of one pair each
+    def test_there_is_no_worker_count(self):
+        with pytest.raises(TypeError, match="workers"):
+            certify(ChainScale(2), workers=2)
 
 
 class TestDivergenceReporting:
     """A conditions verdict flipped on one chosen L_3 pair surfaces as exactly
-    one divergence, with the pair's indices and rows, however the pair space
-    is sliced."""
+    one divergence, with the pair's indices and rows."""
 
     E1, I1, E2, I2 = 2, 3, 1, 4
-    INDEX = (11 + 3) * 22 + (6 + 4)  # canonical position: counts are 6, 5, 5, 6
 
     @pytest.fixture
     def flipped(self, monkeypatch, uninorms_by_e):
@@ -614,29 +547,15 @@ class TestDivergenceReporting:
         assert expected.conditions_verdict is True
         return uninorms, expected
 
-    @pytest.mark.parametrize("start, stop", [(0, 484), (0, 319), (318, 319), (300, 400),
-                                             (319, 484), (0, 318)])
-    def test_a_block_reports_the_flipped_pair(self, flipped, start, stop):
+    def test_the_pair_loop_reports_the_flipped_pair(self, flipped):
         uninorms, expected = flipped
-        tally, divergences = _check_pair_block((uninorms, start, stop))
-        inside = start <= self.INDEX < stop
-        assert divergences == ([expected] if inside else [])
-        assert sum(tally.values()) == stop - start
-
-    def test_blocks_concatenate_to_the_full_run(self, flipped):
-        uninorms, _ = flipped
-        full = _check_pair_block((uninorms, 0, 484))
-        cuts = (0, 100, 318, 319, 483, 484)
-        tally, divergences = Counter(), []
-        for start, stop in zip(cuts, cuts[1:]):
-            part, div = _check_pair_block((uninorms, start, stop))
-            tally += part
-            divergences += div
-        assert (tally, divergences) == full
+        tally, divergences = _check_pairs(uninorms)
+        assert divergences == [expected]
+        assert sum(tally.values()) == 484
 
     def test_certify_reports_the_divergence(self, flipped):
         _, expected = flipped
-        report = certify(ChainScale(3), workers=1)
+        report = certify(ChainScale(3))
         assert report.divergences == (expected,)
         assert report.agreements == 483
         text = render_certification(report)
