@@ -126,8 +126,10 @@ class TestExitContract:
     @pytest.mark.parametrize("argv, removed", [
         (["enumerate", "--n", "3", "--e", "1"], ["--workers", "2"]),
         (["certify", "--n", "2"], ["--workers", "2"]),
+        (["certify", "--n", "3"], ["--workers", "0"]),
         (["certify", "--n", "2"], ["--pair-budget", "3"]),
-    ], ids=["enumerate-workers", "certify-workers", "certify-pair-budget"])
+    ], ids=["enumerate-workers", "certify-workers", "certify-workers-zero",
+            "certify-pair-budget"])
     def test_a_removed_option_is_a_usage_error(self, capsys, argv, removed):
         with pytest.raises(SystemExit) as exit_:
             main(argv + removed)

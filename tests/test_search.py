@@ -524,34 +524,93 @@ class TestCertify:
         report = certify(ChainScale(2), max_n=2)
         assert report.pairs_checked == 36
 
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_the_pairs_are_checked_in_the_canonical_order(self, monkeypatch, uninorms_by_e, n):
+        # one process walks (e1, i1, e2, i2) lexicographically, each pair once
+        by_e = uninorms_by_e(n)
+        position = {u.rows: (e, i) for e, us in by_e.items() for i, u in enumerate(us)}
+        classify = search.classify_and_check
+        seen = []
+
+        def recorded(u1, u2, **kwargs):
+            seen.append(position[u1.rows] + position[u2.rows])
+            return classify(u1, u2, **kwargs)
+
+        monkeypatch.setattr(search, "classify_and_check", recorded)
+        report = certify(ChainScale(n))
+        keys = sorted(position.values())
+        assert seen == [a + b for a, b in product(keys, repeat=2)]
+        assert report.pairs_checked == len(seen)
+
     def test_there_is_no_worker_count(self):
         with pytest.raises(TypeError, match="workers"):
             certify(ChainScale(2), workers=2)
 
 
 class TestDivergenceReporting:
-    """A conditions verdict flipped on one chosen L_3 pair surfaces as exactly
-    one divergence, with the pair's indices and rows."""
+    """A conditions verdict flipped on chosen L_3 pairs surfaces as exactly
+    those divergences, with each pair's indices and rows, in the canonical
+    order (e1, i1, e2, i2)."""
 
     E1, I1, E2, I2 = 2, 3, 1, 4
+
+    # (e1, i1, e2, i2, case) on L_3, whose counts per e are 6, 5, 5, 6: the
+    # first and the last pair of the canonical order, the pairs on each side
+    # of the step from e1 = 0 to e1 = 1, and every case, distributive or not
+    PAIRS = {
+        "first": (0, 0, 0, 0, "equal-neutral"),
+        "last": (3, 5, 3, 5, "equal-neutral"),
+        "greater": (2, 3, 1, 4, "greater-neutral"),
+        "less": (1, 4, 2, 3, "less-neutral"),
+        "last-of-e1-0": (0, 5, 1, 0, "less-neutral"),
+        "first-of-e1-1": (1, 0, 0, 5, "greater-neutral"),
+        "equal-inner": (1, 2, 1, 3, "equal-neutral"),
+        "less-distributive": (2, 0, 3, 5, "less-neutral"),
+    }
+
+    @staticmethod
+    def plant(monkeypatch, by_e, e1, i1, e2, i2, case):
+        """Flip the conditions verdict on one pair; return its divergence."""
+        u1, u2 = by_e[e1][i1], by_e[e2][i2]
+        flip_conditions(monkeypatch, search, u1, u2)
+        return PairDivergence(e1, i1, e2, i2, case, oracles.distributes(u1.rows, u2.rows),
+                              u1.rows, u2.rows)
+
+    @staticmethod
+    def listed(by_e):
+        return [(e, i, u) for e, us in sorted(by_e.items()) for i, u in enumerate(us)]
 
     @pytest.fixture
     def flipped(self, monkeypatch, uninorms_by_e):
         by_e = uninorms_by_e(3)
-        u1, u2 = by_e[self.E1][self.I1], by_e[self.E2][self.I2]
-        assert not oracles.distributes(u1.rows, u2.rows)
-        flip_conditions(monkeypatch, search, u1, u2)
-        uninorms = [(e, i, u) for e, us in sorted(by_e.items()) for i, u in enumerate(us)]
-        expected = PairDivergence(self.E1, self.I1, self.E2, self.I2, "greater-neutral",
-                                  False, u1.rows, u2.rows)
+        expected = self.plant(monkeypatch, by_e, self.E1, self.I1, self.E2, self.I2,
+                              "greater-neutral")
         assert expected.conditions_verdict is True
-        return uninorms, expected
+        return self.listed(by_e), expected
 
-    def test_the_pair_loop_reports_the_flipped_pair(self, flipped):
-        uninorms, expected = flipped
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_the_pair_loop_reports_the_flipped_pair(self, monkeypatch, uninorms_by_e, name):
+        uninorms = self.listed(uninorms_by_e(3))
+        unflipped, clean = _check_pairs(uninorms)
+        assert clean == []
+        expected = self.plant(monkeypatch, uninorms_by_e(3), *self.PAIRS[name])
         tally, divergences = _check_pairs(uninorms)
         assert divergences == [expected]
+        assert tally == unflipped  # the tally counts the exhaustive verdicts
         assert sum(tally.values()) == 484
+
+    def test_flipped_pairs_are_reported_in_the_canonical_order(self, monkeypatch,
+                                                               uninorms_by_e):
+        by_e = uninorms_by_e(3)
+        planted = [self.plant(monkeypatch, by_e, *pair)
+                   for pair in reversed(list(self.PAIRS.values()))]
+        expected = sorted(planted, key=lambda d: (d.e1, d.index1, d.e2, d.index2))
+        tally, divergences = _check_pairs(self.listed(by_e))
+        assert divergences == expected
+        assert sum(tally.values()) == 484
+        report = certify(ChainScale(3))
+        assert report.divergences == tuple(expected)
+        assert report.agreements == 484 - len(self.PAIRS)
 
     def test_certify_reports_the_divergence(self, flipped):
         _, expected = flipped
