@@ -294,9 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common, limited], help="enumerate uninorms")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--idempotent-only", action="store_true")
-    p.add_argument("--locally-internal-only", action="store_true")
-    p.add_argument("--conjunctive-only", action="store_true")
+    p.add_argument("--idempotent-only", action="store_true", help="keep u(x, x) = x for all x")
+    p.add_argument("--locally-internal-only", action="store_true",
+                   help="keep u(x, y) in {x, y} wherever x < e < y (locally internal on A(e))")
+    p.add_argument("--conjunctive-only", action="store_true", help="keep u(0, n) = 0: all "
+                   "t-norms with --e n, none with --e 0 (classify: conjunctive needs 0 < e < n)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("scan", parents=[common, limited],

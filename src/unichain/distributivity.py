@@ -3,10 +3,10 @@
 ``check_distributivity`` is the exhaustive ground truth: it scans the triples
 of the law  u1(x, u2(y,z)) = u2(u1(x,y), u1(x,z))  in a plain loop, up to the
 first failure unless every witness is asked for.
-``distributivity_matrix`` is the same law for every pair of two stacks of
-tables, without witnesses: u1 distributes over u2 exactly when each row
-y -> u1(x, y) is an endomorphism of u2, so each distinct row is tested once
-per u2.  The pair scan uses it to find hits before any per-pair report.
+``distributive_pairs`` is the same law for every pair of two stacks of
+tables, returning those that hold: u1 distributes over u2 exactly when each
+row y -> u1(x, y) is an endomorphism of u2, so each distinct row is tested
+once per u2.  The pair scan reads its hits from it before any report.
 The three ``*_conditions`` predicates evaluate the structural
 characterization for the matching order of neutral elements (e1 = e2,
 e1 > e2, e1 < e2); ``classify_and_check`` runs both routes and flags any
@@ -74,6 +74,7 @@ from .errors import (
     CompositionInvalid,
     NotDistributiveError,
     ScaleMismatchError,
+    StructureError,
     WrongCaseError,
 )
 
@@ -156,24 +157,35 @@ def _distributivity_violations(a, b, verbose: bool, law: str, detail: str = "") 
     return found
 
 
-def distributivity_matrix(firsts, seconds):
-    """The k1 lists of k2 verdicts "firsts[i] distributes over seconds[j]".
+def distributive_pairs(firsts, seconds):
+    """The lexicographic list of (i1, i2) with firsts[i1] distributing over seconds[i2].
 
     ``firsts`` and ``seconds`` are stacks of square tables on one chain;
     anything else raises :class:`ScaleMismatchError`.  Fixing x in the law
     makes it say that row x of u1, y -> u1(x, y), is an endomorphism of u2,
     so u1 distributes over u2 exactly when each of its rows does.  Each
     distinct row of the firsts is tested once against each second table, for
-    every y <= z, which is exact for any symmetric second table: no uninorm
-    axiom is assumed, and the firsts need not be symmetric.
+    every y <= z, which is exact only for a symmetric second table: an
+    asymmetric one, or an entry that is not an ``int`` (1.0 hashes as 1),
+    raises :class:`StructureError`, as in :class:`OpTable`.  No uninorm axiom
+    is assumed, and the firsts need not be symmetric.
     """
     if not firsts or not seconds:
-        return [[] for _ in firsts]
+        return []
+    for name, stack in (("firsts", firsts), ("seconds", seconds)):
+        if {*map(type, chain.from_iterable(chain.from_iterable(stack)))} - {int}:
+            k, x, y, v = next((k, x, y, v) for k, t in enumerate(stack) for x, row in enumerate(t)
+                              for y, v in enumerate(row) if type(v) is not int)
+            raise StructureError(f"{name}[{k}] holds {v!r} at ({x}, {y}), not an int")
     m, ids = len(firsts[0]), {}
     uses = [{ids.setdefault(tuple(row), len(ids)) for row in t} for t in firsts]
     if not m or any(len(t) != m for t in chain(firsts, seconds)) or any(
             len(row) != m or min(row) < 0 or max(row) >= m for row in chain(ids, *seconds)):
         raise ScaleMismatchError("the stacks are not square tables on one chain")
+    for k, b in enumerate(seconds):
+        if tuple(map(tuple, b)) != tuple(zip(*b)):
+            x, y = next((x, y) for x in range(m) for y in range(x + 1, m) if b[x][y] != b[y][x])
+            raise StructureError(f"seconds[{k}] is asymmetric at ({x}, {y}): {b[x][y]} != {b[y][x]}")
     pairs = [(y, z) for y in range(m) for z in range(y, m)]
     # u2(u1(x, y), u1(x, z)), read from u2's flattened table by one getter per row
     right = [(row, itemgetter(*[row[y] * m + row[z] for y, z in pairs])) for row in ids]
@@ -182,7 +194,7 @@ def distributivity_matrix(firsts, seconds):
         flat = tuple(chain.from_iterable(b))
         left = itemgetter(*[b[y][z] for y, z in pairs])  # u1(x, u2(y, z))
         kept.append({i for i, (row, gets) in enumerate(right) if left(row) == gets(flat)})
-    return [[used <= ok for ok in kept] for used in uses]
+    return [(i1, i2) for i1, used in enumerate(uses) for i2, ok in enumerate(kept) if used <= ok]
 
 
 # One helper per clause shape, adding witnesses in scan order (the pair path's

@@ -32,8 +32,8 @@ its reflection, is square, symmetric and in range.
 
 ``certify`` enumerates once, then classifies every pair through
 ``classify_and_check`` in one process, in the canonical order (e1, i1, e2, i2).
-``scan_pairs`` first finds its hits with the row kernel
-(``distributivity_matrix``: each distinct row of the u1 tables tested once
+``scan_pairs`` reads its hits from the row kernel
+(``distributive_pairs``: each distinct row of the u1 tables tested once
 as an endomorphism of each u2) and runs the per-pair evidence path on the
 hits only: one classification each, the necessity battery, and the
 decomposition built from that classification; a hit the per-pair scan
@@ -54,7 +54,7 @@ from .distributivity import (
     Decomposition,
     TheoremCase,
     classify_and_check,
-    distributivity_matrix,
+    distributive_pairs,
     necessity_conditions,
     _decompose_checked,
     _proper_unequal,
@@ -393,7 +393,7 @@ def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
                max_n: int = DEFAULT_CERTIFY_LIMIT) -> list:
     """All distributive pairs (u1 with neutral e1, u2 with neutral e2).
 
-    The hits are the True cells of ``distributivity_matrix`` over the two
+    The hits are the index pairs ``distributive_pairs`` returns for the two
     enumerations, u1 outer and u2 inner.  Only the hits take the per-pair
     evidence path: each carries the classification of both routes; for
     e1 != e2 also the necessity battery, and for proper unequal neutrals the
@@ -405,11 +405,9 @@ def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
     firsts = list(enumerate_uninorms(EnumerationTask(scale, e1), max_n=max_n))
     seconds = firsts if e1 == e2 else list(
         enumerate_uninorms(EnumerationTask(scale, e2), max_n=max_n))
-    distributes = distributivity_matrix([u.rows for u in firsts], [u.rows for u in seconds])
     hits = []
     decomposable = _proper_unequal(n, e1, e2)
-    for i1, i2 in ((i1, i2) for i1, verdicts in enumerate(distributes)
-                   for i2, hit in enumerate(verdicts) if hit):
+    for i1, i2 in distributive_pairs([u.rows for u in firsts], [u.rows for u in seconds]):
         u1, u2 = firsts[i1], seconds[i2]
         result = classify_and_check(u1, u2)
         if not result.exhaustive.verdict:

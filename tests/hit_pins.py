@@ -1,29 +1,31 @@
-"""Pin the distributive pairs that ``distributivity_matrix`` finds on one chain,
+"""Pin the distributive pairs that ``distributive_pairs`` finds on one chain,
 block by block, and compare them with ``tests/fixtures/hits_l<n>.json``.
 
     PYTHONPATH=src python tests/hit_pins.py 6            # compare
     PYTHONPATH=src python tests/hit_pins.py 6 --write    # rewrite the fixture
 
 A block is every pair (u1, u2) with u1 of neutral e1 and u2 of neutral e2;
-its hits are the index pairs (i1, i2) into the two enumerations whose cell
-the kernel marks True, u1 outer and u2 inner, the order ``scan_pairs`` reads
-them in.  The fixture holds, per block, the hit count and the SHA-256 of the
+its hits are the index pairs (i1, i2) into the two enumerations that the
+kernel returns, u1 outer and u2 inner, the order ``scan_pairs`` reads them
+in.  The fixture holds, per block, the hit count and the SHA-256 of the
 hits written as one ``"i1 i2\\n"`` line each.  So a hit that moves inside a
 block, or between blocks of one case, changes a pin even where the case
 totals of the ``certify`` goldens do not.
 
-Comparing prints one line per block that differs, with its pinned and its
-computed count, and exits 1 if any does.  Tier-1 compares L_5.
+Both modes print the totals with the CPU time and the peak resident memory
+of the run.  Comparing then prints one line per block that differs, with its
+pinned and its computed count, and exits 1 if any does.  Tier-1 compares L_5.
 """
 
 import hashlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
 
 from unichain import ChainScale, EnumerationTask, enumerate_uninorms
-from unichain.distributivity import distributivity_matrix
+from unichain.distributivity import distributive_pairs
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
@@ -38,18 +40,12 @@ def tables_by_e(n: int) -> list:
             for e in range(n + 1)]
 
 
-def block_hits(firsts, seconds) -> list:
-    """The (i1, i2) with ``firsts[i1]`` distributing over ``seconds[i2]``, in scan order."""
-    return [(i1, i2) for i1, verdicts in enumerate(distributivity_matrix(firsts, seconds))
-            for i2, verdict in enumerate(verdicts) if verdict]
-
-
 def pins(n: int) -> dict:
     by_e = tables_by_e(n)
     blocks = []
     for e1, firsts in enumerate(by_e):
         for e2, seconds in enumerate(by_e):
-            hits = block_hits(firsts, seconds)
+            hits = distributive_pairs(firsts, seconds)
             text = "".join(f"{i1} {i2}\n" for i1, i2 in hits)
             blocks.append({"e1": e1, "e2": e2, "hits": len(hits),
                            "sha256": hashlib.sha256(text.encode()).hexdigest()})
@@ -78,7 +74,8 @@ def main(argv: list) -> int:
     computed = pins(n)
     print(f"L_{n}: {len(computed['blocks'])} blocks, "
           f"{sum(b['hits'] for b in computed['blocks'])} hits, "
-          f"{time.process_time() - started:.1f} s of CPU")
+          f"{time.process_time() - started:.1f} s of CPU, "
+          f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB peak")
     if write:
         fixture_path(n).write_text(render(computed), encoding="utf-8")
         return 0

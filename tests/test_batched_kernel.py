@@ -12,16 +12,17 @@ import oracles
 from helpers import random_symmetric
 from unichain import ChainScale, check_distributivity, decompose, scan_pairs
 from unichain import distributivity, search
-from unichain.distributivity import distributivity_matrix
-from unichain.errors import InternalConsistencyError, ScaleMismatchError
+from unichain.distributivity import distributive_pairs
+from unichain.errors import InternalConsistencyError, ScaleMismatchError, StructureError
 
 
-def matrix_of(firsts, seconds):
-    return distributivity_matrix([u.rows for u in firsts], [u.rows for u in seconds])
+def pairs_of(firsts, seconds):
+    return distributive_pairs([u.rows for u in firsts], [u.rows for u in seconds])
 
 
-def oracle_matrix(firsts, seconds):
-    return [[oracles.distributes(a, b) for b in seconds] for a in firsts]
+def oracle_pairs(firsts, seconds):
+    return [(i, j) for i, a in enumerate(firsts) for j, b in enumerate(seconds)
+            if oracles.distributes(a, b)]
 
 
 def symmetric_stack(rng, n, k):
@@ -47,8 +48,8 @@ class TestKernel:
         by_e = uninorms_by_e(3)
         for e1 in by_e:
             for e2 in by_e:
-                got = matrix_of(by_e[e1], by_e[e2])
-                want = oracle_matrix([u.rows for u in by_e[e1]], [u.rows for u in by_e[e2]])
+                got = pairs_of(by_e[e1], by_e[e2])
+                want = oracle_pairs([u.rows for u in by_e[e1]], [u.rows for u in by_e[e2]])
                 assert got == want, (e1, e2)
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -58,32 +59,30 @@ class TestKernel:
         rng = random.Random(20261018 + n)
         firsts = symmetric_stack(rng, n, 12) + [random_rows(rng, n) for _ in range(6)]
         seconds = symmetric_stack(rng, n, 9)
-        got = distributivity_matrix(firsts, seconds)
-        want = oracle_matrix(firsts, seconds)
-        assert [len(verdicts) for verdicts in got] == [13] * 22
-        assert any(map(any, want)) and not all(map(all, want))
-        asymmetric = [i for i, t in enumerate(firsts) if t != tuple(zip(*t))]
-        assert any(any(want[i]) for i in asymmetric), "no asymmetric first table distributes"
+        got = distributive_pairs(firsts, seconds)
+        want = oracle_pairs(firsts, seconds)
+        assert 0 < len(want) < 22 * 13
+        asymmetric = {i for i, t in enumerate(firsts) if t != tuple(zip(*t))}
+        assert any(i in asymmetric for i, _ in want), "no asymmetric first table distributes"
         assert got == want
         as_lists = [[list(row) for row in t] for t in firsts]
-        assert distributivity_matrix(as_lists, [list(map(list, t)) for t in seconds]) == want
+        assert distributive_pairs(as_lists, [list(map(list, t)) for t in seconds]) == want
 
     def test_matches_the_per_pair_checker_on_all_l4_pairs(self, uninorms_by_e):
         everything = [u for us in uninorms_by_e(4).values() for u in us]
-        got = matrix_of(everything, everything)
-        assert [len(verdicts) for verdicts in got] == [92] * 92
-        for i, u1 in enumerate(everything):
-            for j, u2 in enumerate(everything):
-                assert got[i][j] == check_distributivity(u1, u2).verdict, (i, j)
+        want = [(i, j) for i, u1 in enumerate(everything) for j, u2 in enumerate(everything)
+                if check_distributivity(u1, u2).verdict]
+        assert len(everything) == 92
+        assert pairs_of(everything, everything) == want
 
     def test_empty_and_mismatched_stacks(self, uninorms_by_e):
         us = uninorms_by_e(3)[1]
-        assert matrix_of([], us) == []
-        assert matrix_of(us, []) == [[] for _ in us]
+        assert pairs_of([], us) == []
+        assert pairs_of(us, []) == []
         with pytest.raises(ScaleMismatchError):
-            matrix_of(us, uninorms_by_e(2)[1])
+            pairs_of(us, uninorms_by_e(2)[1])
         with pytest.raises(ScaleMismatchError):
-            matrix_of(uninorms_by_e(2)[1], us)
+            pairs_of(uninorms_by_e(2)[1], us)
 
     @pytest.mark.parametrize("bad", [
         [()],                                  # no point
@@ -96,18 +95,40 @@ class TestKernel:
         good = [((0, 0), (0, 1))]
         for firsts, seconds in ((bad, good), (good, bad)):
             with pytest.raises(ScaleMismatchError):
-                distributivity_matrix(firsts, seconds)
+                distributive_pairs(firsts, seconds)
+
+    def test_an_asymmetric_second_table_is_refused(self):
+        # the kernel tests only y <= z, so it would call this pair distributive,
+        # yet the law fails at (0, 1, 0): u1(0, u2(1, 0)) = 2, u2(u1(0, 1), u1(0, 0)) = 0
+        a = ((0, 2, 2), (0, 1, 2), (2, 2, 2))
+        b = ((2, 0, 0), (1, 1, 2), (0, 0, 2))
+        assert not oracles.distributes(a, b)
+        with pytest.raises(StructureError, match=r"seconds\[1\] is asymmetric at \(0, 1\): 0 != 1"):
+            distributive_pairs([a], [((0, 0, 0), (0, 1, 1), (0, 1, 2)), b])
+        pts = range(3)
+        lower = tuple(tuple(min(x, y) for y in pts) for x in pts)
+        assert distributive_pairs([a, b], [lower]) == [(0, 0)]  # asymmetric firsts are judged
+
+    @pytest.mark.parametrize("value", [1.0, True])
+    def test_an_entry_that_is_not_an_int_is_refused(self, value):
+        good = ((0, 0), (0, 1))
+        bad = ((0, 0), (0, value))
+        for firsts, seconds, name in (([good, bad], [good], "firsts"),
+                                      ([good], [good, bad], "seconds")):
+            with pytest.raises(StructureError, match=rf"{name}\[1\] holds {value!r} at \(1, 1\), "
+                                                     "not an int"):
+                distributive_pairs(firsts, seconds)
 
 
 class TestScanOnTheKernel:
     def test_a_flipped_kernel_cell_raises(self, monkeypatch):
         def flipped(firsts, seconds):
-            out = distributivity_matrix(firsts, seconds)
-            i = next(i for i, verdicts in enumerate(out) if not all(verdicts))
-            out[i][out[i].index(False)] = True  # the first non-distributive cell
-            return out
+            out = distributive_pairs(firsts, seconds)
+            cells = [(i, j) for i in range(len(firsts)) for j in range(len(seconds))]
+            missing = next(c for c in cells if c not in out)  # the first non-distributive pair
+            return sorted(out + [missing])
 
-        monkeypatch.setattr(search, "distributivity_matrix", flipped)
+        monkeypatch.setattr(search, "distributive_pairs", flipped)
         with pytest.raises(InternalConsistencyError, match="disagree"):
             scan_pairs(ChainScale(3), 2, 1)
 
@@ -176,16 +197,15 @@ class TestHitPins:
         calls = []
 
         def moved(firsts, seconds):
-            out = distributivity_matrix(firsts, seconds)
+            out = distributive_pairs(firsts, seconds)
             calls.append(len(firsts))
             if len(calls) == 2 * 6 + 2:  # block (2, 1): e1 outer, e2 inner, 6 neutrals each
-                cells = [(i, j) for i in range(len(out)) for j in range(len(out[i]))]
-                hit = next(c for c in cells if out[c[0]][c[1]])
-                miss = next(c for c in cells if not out[c[0]][c[1]])
-                out[hit[0]][hit[1]], out[miss[0]][miss[1]] = False, True
+                cells = [(i, j) for i in range(len(firsts)) for j in range(len(seconds))]
+                miss = next(c for c in cells if c not in out)
+                out = sorted(out[1:] + [miss])  # the first hit swapped for the first miss
             return out
 
-        monkeypatch.setattr(hit_pins, "distributivity_matrix", moved)
+        monkeypatch.setattr(hit_pins, "distributive_pairs", moved)
         pinned = json.loads(hit_pins.fixture_path(5).read_text(encoding="utf-8"))
         differ = hit_pins.differing_blocks(pinned, hit_pins.pins(5))
         assert differ == ["block e1=2 e2=1: pinned 67 hits, computed 67"]
@@ -208,7 +228,7 @@ class TestDuality:
         by_e = uninorms_by_e(n)
         tables = [[u.rows for u in by_e[e]] for e in range(n + 1)]
         hits = {(e1, e2): {(firsts[i1], seconds[i2])
-                           for i1, i2 in hit_pins.block_hits(firsts, seconds)}
+                           for i1, i2 in distributive_pairs(firsts, seconds)}
                 for e1, firsts in enumerate(tables) for e2, seconds in enumerate(tables)}
         for (e1, e2), pairs in hits.items():
             reflected = {(oracles.dual(a), oracles.dual(b)) for a, b in pairs}
