@@ -5,8 +5,12 @@ of the law  u1(x, u2(y,z)) = u2(u1(x,y), u1(x,z))  in a plain loop, up to the
 first failure unless every witness is asked for.
 ``distributive_pairs`` is the same law for every pair of two stacks of
 tables, returning those that hold: u1 distributes over u2 exactly when each
-row y -> u1(x, y) is an endomorphism of u2, so each distinct row is tested
-once per u2.  The pair scan reads its hits from it before any report.
+row y -> u1(x, y) is an endomorphism of u2.  It reads the second stack by
+columns: the bitset of the u2 that hold w at (y, z), built once per stack,
+gives each distinct row the bitset of the u2 it is an endomorphism of in
+about (n+1)^3/2 big-int operations, however many u2 there are, and a u1's
+hits are the AND over its rows.  The pair scan reads its hits from it before
+any report.
 The three ``*_conditions`` predicates evaluate the structural
 characterization for the matching order of neutral elements (e1 = e2,
 e1 > e2, e1 < e2); ``classify_and_check`` runs both routes and flags any
@@ -51,9 +55,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, lru_cache, wraps
-from itertools import chain
-from operator import itemgetter
+from functools import cached_property, lru_cache, reduce, wraps
+from itertools import chain, product
+from operator import and_
 from typing import Callable
 
 from .core import (
@@ -163,38 +167,78 @@ def distributive_pairs(firsts, seconds):
     ``firsts`` and ``seconds`` are stacks of square tables on one chain;
     anything else raises :class:`ScaleMismatchError`.  Fixing x in the law
     makes it say that row x of u1, y -> u1(x, y), is an endomorphism of u2,
-    so u1 distributes over u2 exactly when each of its rows does.  Each
-    distinct row of the firsts is tested once against each second table, for
-    every y <= z, which is exact only for a symmetric second table: an
-    asymmetric one, or an entry that is not an ``int`` (1.0 hashes as 1),
-    raises :class:`StructureError`, as in :class:`OpTable`.  No uninorm axiom
-    is assumed, and the firsts need not be symmetric.
+    so u1 distributes over u2 exactly when each of its rows does.  The test
+    is column-wise: ``_endomorphisms`` gives each distinct row of the firsts
+    the bitset of the second tables it is an endomorphism of, whatever their
+    number, and a first table's hits are the AND of its rows' bitsets.  It
+    reads the cells y <= z only, which is exact only for a symmetric second
+    table: an asymmetric one, or an entry that is not an ``int`` (1.0 hashes
+    as 1), raises :class:`StructureError`, as in :class:`OpTable`.  No
+    uninorm axiom is assumed, and the firsts need not be symmetric.  An empty
+    stack has no pairs, once the other stack has passed these checks.
     """
-    if not firsts or not seconds:
-        return []
     for name, stack in (("firsts", firsts), ("seconds", seconds)):
         if {*map(type, chain.from_iterable(chain.from_iterable(stack)))} - {int}:
             k, x, y, v = next((k, x, y, v) for k, t in enumerate(stack) for x, row in enumerate(t)
                               for y, v in enumerate(row) if type(v) is not int)
             raise StructureError(f"{name}[{k}] holds {v!r} at ({x}, {y}), not an int")
-    m, ids = len(firsts[0]), {}
+    tables = [*firsts, *seconds]
+    if not tables:
+        return []
+    m, ids = len(tables[0]), {}
     uses = [{ids.setdefault(tuple(row), len(ids)) for row in t} for t in firsts]
-    if not m or any(len(t) != m for t in chain(firsts, seconds)) or any(
-            len(row) != m or min(row) < 0 or max(row) >= m for row in chain(ids, *seconds)):
+    rows = [*ids, *chain.from_iterable(seconds)]
+    if not m or {*map(len, tables)} != {m} or {*map(len, rows)} != {m} or (
+            min(map(min, rows)) < 0 or max(map(max, rows)) >= m):
         raise ScaleMismatchError("the stacks are not square tables on one chain")
     for k, b in enumerate(seconds):
         if tuple(map(tuple, b)) != tuple(zip(*b)):
             x, y = next((x, y) for x in range(m) for y in range(x + 1, m) if b[x][y] != b[y][x])
             raise StructureError(f"seconds[{k}] is asymmetric at ({x}, {y}): {b[x][y]} != {b[y][x]}")
-    pairs = [(y, z) for y in range(m) for z in range(y, m)]
-    # u2(u1(x, y), u1(x, z)), read from u2's flattened table by one getter per row
-    right = [(row, itemgetter(*[row[y] * m + row[z] for y, z in pairs])) for row in ids]
-    kept = []  # per second table, the ids of the rows that are its endomorphisms
-    for b in seconds:
-        flat = tuple(chain.from_iterable(b))
-        left = itemgetter(*[b[y][z] for y, z in pairs])  # u1(x, u2(y, z))
-        kept.append({i for i, (row, gets) in enumerate(right) if left(row) == gets(flat)})
-    return [(i1, i2) for i1, used in enumerate(uses) for i2, ok in enumerate(kept) if used <= ok]
+    if not firsts or not seconds:
+        return []
+    kept = _endomorphisms(list(ids), seconds)
+    pairs = []
+    for i1, used in enumerate(uses):
+        hits = reduce(and_, map(kept.__getitem__, used))
+        while hits:  # the set bits, lowest first
+            low = hits & -hits
+            pairs.append((i1, low.bit_length() - 1))
+            hits ^= low
+    return pairs
+
+
+def _endomorphisms(rows, seconds):
+    """Per row r, the bitset of the symmetric ``seconds`` that r is an endomorphism of.
+
+    Bit j stands for ``seconds[j]``.  ``column[y][z][w]`` is the bitset of the
+    tables that hold w at (y, z), built once; a table is kept by row r at the
+    cell (y, z) when it holds, for the w it has there, r[w] at (r[y], r[z]).
+    So r costs one AND per cell and value held, (n+1)^3/2 at most, however
+    many tables there are, and stops once no table is left.  The rows and
+    tables are taken as checked: square, in range and symmetric.
+    """
+    m = len(seconds[0])
+    column = [[None] * m for _ in range(m)]
+    for (y, z), held in zip(product(range(m), repeat=2), zip(*map(chain.from_iterable, seconds))):
+        if y <= z:
+            # one character per table, seconds[0] last, so that it is bit 0 of the number read
+            text, zeros = "".join(map(chr, reversed(held))), dict.fromkeys(held, "0")
+            column[y][z] = column[z][y] = {w: int(text.translate({**zeros, w: "1"}), 2)
+                                           for w in zeros}
+    cells = [(y, z, tuple(column[y][z].items())) for y in range(m) for z in range(y, m)]
+    everything, kept = (1 << len(seconds)) - 1, []
+    for r in rows:
+        left = everything
+        for y, z, held in cells:
+            image, kept_here = column[r[y]][r[z]], 0
+            for w, bits in held:
+                kept_here |= bits & image.get(r[w], 0)
+            left &= kept_here
+            if not left:
+                break
+        kept.append(left)
+    return kept
 
 
 # One helper per clause shape, adding witnesses in scan order (the pair path's

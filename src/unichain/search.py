@@ -32,12 +32,13 @@ its reflection, is square, symmetric and in range.
 
 ``certify`` enumerates once, then classifies every pair through
 ``classify_and_check`` in one process, in the canonical order (e1, i1, e2, i2).
-``scan_pairs`` reads its hits from the row kernel
-(``distributive_pairs``: each distinct row of the u1 tables tested once
-as an endomorphism of each u2) and runs the per-pair evidence path on the
-hits only: one classification each, the necessity battery, and the
-decomposition built from that classification; a hit the per-pair scan
-rejects is an internal inconsistency, never dropped.
+``scan_pairs`` reads its hits from the column-wise kernel
+(``distributive_pairs``: the u2 tables read as one bitset per cell and
+value, which gives each distinct row of the u1 tables the bitset of the u2
+it is an endomorphism of; a u1's hits are the AND over its rows) and runs
+the per-pair evidence path on the hits only: one classification each, the
+necessity battery, and the decomposition built from that classification; a
+hit the per-pair scan rejects is an internal inconsistency, never dropped.
 """
 
 from __future__ import annotations

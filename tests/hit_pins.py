@@ -14,7 +14,7 @@ totals of the ``certify`` goldens do not.
 
 Both modes print the totals with the CPU time and the peak resident memory
 of the run.  Comparing then prints one line per block that differs, with its
-pinned and its computed count, and exits 1 if any does.  Tier-1 compares L_5.
+pinned and its computed count, and exits 1 if any does.  Tier-1 compares L_5-L_7.
 """
 
 import hashlib

@@ -6,7 +6,8 @@ pruned enumerator, so that agreement between the two is meaningful.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 
 
 def neutral_holds(rows, e):
@@ -83,6 +84,30 @@ def distributivity_defects(rows1, rows2):
                 if lhs != rhs:
                     defects.append((x, y, z, lhs, rhs))
     return defects
+
+
+def row_distributive_pairs(firsts, seconds):
+    """The (i1, i2) with firsts[i1] distributing over seconds[i2], in
+    lexicographic order, tested row by row: each distinct row of the firsts
+    against each second table, as an endomorphism over the cells y <= z.
+
+    The reference for the column-wise ``distributive_pairs``, which replaced
+    this form in the package.  It takes the stacks as that kernel has checked
+    them: square tables on one chain, ints only, symmetric seconds.
+    """
+    if not firsts or not seconds:
+        return []
+    m, ids = len(firsts[0]), {}
+    uses = [{ids.setdefault(tuple(row), len(ids)) for row in t} for t in firsts]
+    pairs = [(y, z) for y in range(m) for z in range(y, m)]
+    # u2(u1(x, y), u1(x, z)), read from u2's flattened table by one getter per row
+    right = [(row, itemgetter(*[row[y] * m + row[z] for y, z in pairs])) for row in ids]
+    kept = []  # per second table, the ids of the rows that are its endomorphisms
+    for b in seconds:
+        flat = tuple(chain.from_iterable(b))
+        left = itemgetter(*[b[y][z] for y, z in pairs])  # u1(x, u2(y, z))
+        kept.append({i for i, (row, gets) in enumerate(right) if left(row) == gets(flat)})
+    return [(i1, i2) for i1, used in enumerate(uses) for i2, ok in enumerate(kept) if used <= ok]
 
 
 def triple_consistent(t, a, b, c):

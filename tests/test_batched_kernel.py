@@ -1,6 +1,6 @@
-"""The row-endomorphism distributivity kernel against independent oracles,
-its hits against pins and against duality, and the scan that takes its hits
-from it."""
+"""The column-wise distributivity kernel against independent oracles and
+against the row-by-row form it replaced, its hits against pins (L_5-L_7) and
+against duality, and the scan that takes its hits from it."""
 
 import json
 import random
@@ -52,10 +52,11 @@ class TestKernel:
                 want = oracle_pairs([u.rows for u in by_e[e1]], [u.rows for u in by_e[e2]])
                 assert got == want, (e1, e2)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_the_oracle_on_random_symmetric_tables(self, n):
         # the second tables must be symmetric, the first need not be: the
-        # kernel reads u1 by rows, so asymmetric firsts come along too
+        # kernel reads u1 by rows, so asymmetric firsts come along too; the
+        # row-by-row form it replaced must find the same pairs
         rng = random.Random(20261018 + n)
         firsts = symmetric_stack(rng, n, 12) + [random_rows(rng, n) for _ in range(6)]
         seconds = symmetric_stack(rng, n, 9)
@@ -64,7 +65,7 @@ class TestKernel:
         assert 0 < len(want) < 22 * 13
         asymmetric = {i for i, t in enumerate(firsts) if t != tuple(zip(*t))}
         assert any(i in asymmetric for i, _ in want), "no asymmetric first table distributes"
-        assert got == want
+        assert got == want == oracles.row_distributive_pairs(firsts, seconds)
         as_lists = [[list(row) for row in t] for t in firsts]
         assert distributive_pairs(as_lists, [list(map(list, t)) for t in seconds]) == want
 
@@ -74,6 +75,21 @@ class TestKernel:
                 if check_distributivity(u1, u2).verdict]
         assert len(everything) == 92
         assert pairs_of(everything, everything) == want
+
+    @pytest.mark.parametrize("firsts, seconds, error, message", [
+        # a ragged, non-int, off-chain first table: the float is what is named
+        ([((0, 1.5), (7,))], [], StructureError, r"firsts\[0\] holds 1.5 at \(0, 1\), not an int"),
+        ([], [((0, 1.5),)], StructureError, r"seconds\[0\] holds 1.5 at \(0, 1\), not an int"),
+        ([((0, 1), (7,))], [], ScaleMismatchError, "not square tables on one chain"),
+        ([], [((0, 1), (1, 2))], ScaleMismatchError, "not square tables on one chain"),
+        ([], [((0, 1), (0, 1))], StructureError, r"seconds\[0\] is asymmetric at \(0, 1\): 1 != 0"),
+    ])
+    def test_a_bad_table_beside_an_empty_stack_is_refused(self, firsts, seconds, error, message):
+        # the refusal it meets beside a good stack, not an empty list of pairs
+        good = [((0, 0), (0, 1))]
+        for beside in ((firsts, seconds), (firsts or good, seconds or good)):
+            with pytest.raises(error, match=message):
+                distributive_pairs(*beside)
 
     def test_empty_and_mismatched_stacks(self, uninorms_by_e):
         us = uninorms_by_e(3)[1]
@@ -118,6 +134,57 @@ class TestKernel:
             with pytest.raises(StructureError, match=rf"{name}\[1\] holds {value!r} at \(1, 1\), "
                                                      "not an int"):
                 distributive_pairs(firsts, seconds)
+
+
+class TestColumnsAgainstTheRowForm:
+    """The column-wise kernel against ``oracles.row_distributive_pairs``, the
+    row-by-row form it replaced, where the bitsets have edge cases, and its
+    endomorphism bitsets against the oracle."""
+
+    def test_duplicated_second_tables(self):
+        rng = random.Random(7)
+        stack = symmetric_stack(rng, 3, 8)
+        seconds = stack + stack[::-1] + [stack[0]] * 3
+        firsts = stack + [random_rows(rng, 3) for _ in range(12)]
+        got = distributive_pairs(firsts, seconds)
+        assert got == oracles.row_distributive_pairs(firsts, seconds)
+        hit = set(got)
+        for j, b in enumerate(seconds):  # each copy is hit by the same first tables
+            k = stack.index(b)
+            assert {i for i, _ in enumerate(firsts) if (i, j) in hit} == \
+                   {i for i, _ in enumerate(firsts) if (i, k) in hit}
+
+    def test_a_one_point_chain(self):
+        point = ((0,),)
+        assert distributive_pairs([point], [point]) == [(0, 0)]
+        assert distributive_pairs([point] * 2, [point] * 3) == \
+               oracles.row_distributive_pairs([point] * 2, [point] * 3) == \
+               [(i, j) for i in range(2) for j in range(3)]
+
+    @pytest.mark.parametrize("k", [65, 1200])
+    def test_bits_above_one_machine_word(self, k):
+        # the hits of seconds[64] and beyond are read from bits past the first word
+        rng = random.Random(k)
+        seconds = symmetric_stack(rng, 2, k)
+        firsts = symmetric_stack(rng, 2, 6) + [random_rows(rng, 2) for _ in range(8)]
+        got = distributive_pairs(firsts, seconds)
+        assert got == oracles.row_distributive_pairs(firsts, seconds)
+        assert max(j for _, j in got) == k + 3  # the last of the fixed tables, the constant n
+        assert sum(j >= 64 for _, j in got) > k // 4
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_each_endomorphism_bit_is_the_oracle_verdict(self, n):
+        # bit j for row r: the table whose every row is r distributes over seconds[j]
+        rng = random.Random(100 + n)
+        seconds = symmetric_stack(rng, n, 40)
+        rows = sorted({row for t in [random_rows(rng, n) for _ in range(20)] for row in t})
+        kept = distributivity._endomorphisms(rows, seconds)
+        assert len(kept) == len(rows)
+        for r, bits in zip(rows, kept):
+            assert bits < 1 << len(seconds)
+            assert [bits >> j & 1 for j in range(len(seconds))] == \
+                   [oracles.distributes((r,) * (n + 1), b) for b in seconds], r
+        assert any(kept) and not all(kept)
 
 
 class TestScanOnTheKernel:
@@ -189,9 +256,10 @@ L7_BLOCK_COUNTS = [
 
 
 class TestHitPins:
-    def test_the_l5_hits_match_their_pins(self):
-        pinned = hit_pins.fixture_path(5).read_text(encoding="utf-8")
-        assert hit_pins.render(hit_pins.pins(5)) == pinned
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_the_hits_match_their_pins(self, n):
+        pinned = hit_pins.fixture_path(n).read_text(encoding="utf-8")
+        assert hit_pins.render(hit_pins.pins(n)) == pinned
 
     def test_a_hit_moved_inside_its_block_is_caught(self, monkeypatch):
         calls = []
