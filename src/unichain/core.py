@@ -56,8 +56,11 @@ class OpTable:
     """A commutative binary operation on L_n, stored as a full square table.
 
     The constructor and :meth:`from_func` enforce shape, integer entries,
-    range and symmetry (the search and the parser, which ensure them, use
-    ``_built``); :func:`validate_uninorm` checks the remaining axioms.
+    range and symmetry, and keep the rows as tuples, so list and tuple rows
+    give equal tables; :func:`validate_uninorm` checks the remaining axioms.
+    ``_built`` skips all of it, for callers that pass such tuples (the search
+    and the parser; tests hold both to it): ``distributive_pairs`` relies on
+    every table being well formed and checks none of it again.
     """
 
     scale: ChainScale
@@ -66,6 +69,7 @@ class OpTable:
     def __post_init__(self):
         for violation in _structural_violations(self.values, self.scale.n):
             raise StructureError(violation.describe())
+        object.__setattr__(self, "values", tuple(map(tuple, self.values)))
 
     @classmethod
     def _built(cls, scale: ChainScale, values: tuple) -> "OpTable":

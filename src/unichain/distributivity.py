@@ -4,13 +4,13 @@
 of the law  u1(x, u2(y,z)) = u2(u1(x,y), u1(x,z))  in a plain loop, up to the
 first failure unless every witness is asked for.
 ``distributive_pairs`` is the same law for every pair of two stacks of
-tables, returning those that hold: u1 distributes over u2 exactly when each
-row y -> u1(x, y) is an endomorphism of u2.  It reads the second stack by
-columns: the bitset of the u2 that hold w at (y, z), built once per stack,
+``OpTable``, returning those that hold: u1 distributes over u2 exactly when
+each row y -> u1(x, y) is an endomorphism of u2.  It reads the second stack
+by columns: the bitset of the u2 that hold w at (y, z), built once per stack,
 gives each distinct row the bitset of the u2 it is an endomorphism of in
 about (n+1)^3/2 big-int operations, however many u2 there are, and a u1's
-hits are the AND over its rows.  The pair scan reads its hits from it before
-any report.
+hits are the AND over its rows.  It checks no structure: that is ``OpTable``'s.
+The pair scan reads its hits from it before any report.
 The three ``*_conditions`` predicates evaluate the structural
 characterization for the matching order of neutral elements (e1 = e2,
 e1 > e2, e1 < e2); ``classify_and_check`` runs both routes and flags any
@@ -78,7 +78,6 @@ from .errors import (
     CompositionInvalid,
     NotDistributiveError,
     ScaleMismatchError,
-    StructureError,
     WrongCaseError,
 )
 
@@ -164,40 +163,28 @@ def _distributivity_violations(a, b, verbose: bool, law: str, detail: str = "") 
 def distributive_pairs(firsts, seconds):
     """The lexicographic list of (i1, i2) with firsts[i1] distributing over seconds[i2].
 
-    ``firsts`` and ``seconds`` are stacks of square tables on one chain;
-    anything else raises :class:`ScaleMismatchError`.  Fixing x in the law
-    makes it say that row x of u1, y -> u1(x, y), is an endomorphism of u2,
-    so u1 distributes over u2 exactly when each of its rows does.  The test
-    is column-wise: ``_endomorphisms`` gives each distinct row of the firsts
-    the bitset of the second tables it is an endomorphism of, whatever their
-    number, and a first table's hits are the AND of its rows' bitsets.  It
-    reads the cells y <= z only, which is exact only for a symmetric second
-    table: an asymmetric one, or an entry that is not an ``int`` (1.0 hashes
-    as 1), raises :class:`StructureError`, as in :class:`OpTable`.  No
-    uninorm axiom is assumed, and the firsts need not be symmetric.  An empty
-    stack has no pairs, once the other stack has passed these checks.
+    ``firsts`` and ``seconds`` are stacks of :class:`OpTable`, the tables
+    that ``Uninorm.table`` holds; tables on more than one chain raise
+    :class:`ScaleMismatchError`, and an empty stack has no pairs.  Fixing x
+    in the law makes it say that row x of u1, y -> u1(x, y), is an
+    endomorphism of u2, so u1 distributes over u2 exactly when each of its
+    rows does.  The test is column-wise: ``_endomorphisms`` gives each
+    distinct row of the firsts the bitset of the second tables it is an
+    endomorphism of, whatever their number, and a first table's hits are the
+    AND of its rows' bitsets.  Reading the cells y <= z only and keying rows
+    by their tuples is exact because an ``OpTable`` is square, symmetric and
+    holds tuples of ints on its chain; nothing of that is checked again here.
+    No uninorm axiom is assumed.
     """
-    for name, stack in (("firsts", firsts), ("seconds", seconds)):
-        if {*map(type, chain.from_iterable(chain.from_iterable(stack)))} - {int}:
-            k, x, y, v = next((k, x, y, v) for k, t in enumerate(stack) for x, row in enumerate(t)
-                              for y, v in enumerate(row) if type(v) is not int)
-            raise StructureError(f"{name}[{k}] holds {v!r} at ({x}, {y}), not an int")
-    tables = [*firsts, *seconds]
-    if not tables:
-        return []
-    m, ids = len(tables[0]), {}
-    uses = [{ids.setdefault(tuple(row), len(ids)) for row in t} for t in firsts]
-    rows = [*ids, *chain.from_iterable(seconds)]
-    if not m or {*map(len, tables)} != {m} or {*map(len, rows)} != {m} or (
-            min(map(min, rows)) < 0 or max(map(max, rows)) >= m):
-        raise ScaleMismatchError("the stacks are not square tables on one chain")
-    for k, b in enumerate(seconds):
-        if tuple(map(tuple, b)) != tuple(zip(*b)):
-            x, y = next((x, y) for x in range(m) for y in range(x + 1, m) if b[x][y] != b[y][x])
-            raise StructureError(f"seconds[{k}] is asymmetric at ({x}, {y}): {b[x][y]} != {b[y][x]}")
+    chains = sorted({t.scale.n for t in chain(firsts, seconds)})
+    if len(chains) > 1:
+        raise ScaleMismatchError("the stacks hold tables on more than one chain: "
+                                 + ", ".join(f"L_{n}" for n in chains))
     if not firsts or not seconds:
         return []
-    kept = _endomorphisms(list(ids), seconds)
+    ids = {}
+    uses = [{ids.setdefault(row, len(ids)) for row in t.values} for t in firsts]
+    kept = _endomorphisms(list(ids), [t.values for t in seconds])
     pairs = []
     for i1, used in enumerate(uses):
         hits = reduce(and_, map(kept.__getitem__, used))
@@ -216,7 +203,8 @@ def _endomorphisms(rows, seconds):
     cell (y, z) when it holds, for the w it has there, r[w] at (r[y], r[z]).
     So r costs one AND per cell and value held, (n+1)^3/2 at most, however
     many tables there are, and stops once no table is left.  The rows and
-    tables are taken as checked: square, in range and symmetric.
+    tables are raw row tuples, taken as :class:`OpTable` holds them: ints on
+    one chain, and each table square and symmetric.
     """
     m = len(seconds[0])
     column = [[None] * m for _ in range(m)]

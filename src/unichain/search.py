@@ -26,15 +26,15 @@ t'[x][y] = n - t[n-x][n-y], and sorts.
 Determinism: candidates are tried in ascending order, so the search's list
 is in lexicographic order of its row-major values, which a guard checks over
 the whole list before any reflection and before the first table is yielded.
-Its tables skip ``OpTable``'s structural re-check: ``_search`` sets each
-cell with its mirror within its bounds, 0..n, so every completed table, and
-its reflection, is square, symmetric and in range.
+Its tables skip ``OpTable``'s structural re-check (``_built``): ``_search``
+sets each cell with its mirror within its bounds, 0..n, and keeps row tuples,
+so every completed table, and its reflection, is well formed.
 
 ``certify`` enumerates once, then classifies every pair through
 ``classify_and_check`` in one process, in the canonical order (e1, i1, e2, i2).
 ``scan_pairs`` reads its hits from the column-wise kernel
-(``distributive_pairs``: the u2 tables read as one bitset per cell and
-value, which gives each distinct row of the u1 tables the bitset of the u2
+(``distributive_pairs`` on the uninorms' tables: the u2 read as one bitset
+per cell and value, which gives each distinct u1 row the bitset of the u2
 it is an endomorphism of; a u1's hits are the AND over its rows) and runs
 the per-pair evidence path on the hits only: one classification each, the
 necessity battery, and the decomposition built from that classification; a
@@ -395,10 +395,10 @@ def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
     """All distributive pairs (u1 with neutral e1, u2 with neutral e2).
 
     The hits are the index pairs ``distributive_pairs`` returns for the two
-    enumerations, u1 outer and u2 inner.  Only the hits take the per-pair
-    evidence path: each carries the classification of both routes; for
-    e1 != e2 also the necessity battery, and for proper unequal neutrals the
-    block decomposition, built from that one classification.  A hit the
+    enumerations' tables, u1 outer and u2 inner.  Only the hits take the
+    per-pair evidence path: each carries the classification of both routes;
+    for e1 != e2 also the necessity battery, and for proper unequal neutrals
+    the block decomposition, built from that one classification.  A hit the
     per-pair exhaustive scan rejects raises :class:`InternalConsistencyError`.
     """
     n = scale.n
@@ -408,7 +408,7 @@ def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
         enumerate_uninorms(EnumerationTask(scale, e2), max_n=max_n))
     hits = []
     decomposable = _proper_unequal(n, e1, e2)
-    for i1, i2 in distributive_pairs([u.rows for u in firsts], [u.rows for u in seconds]):
+    for i1, i2 in distributive_pairs([u.table for u in firsts], [u.table for u in seconds]):
         u1, u2 = firsts[i1], seconds[i2]
         result = classify_and_check(u1, u2)
         if not result.exhaustive.verdict:

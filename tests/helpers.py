@@ -37,7 +37,7 @@ def max_tconorm(n):
 
 def table_of(rows):
     """An operation table on L_{len(rows) - 1}, checked for shape, range and symmetry."""
-    return OpTable(ChainScale(len(rows) - 1), tuple(tuple(row) for row in rows))
+    return OpTable(ChainScale(len(rows) - 1), rows)
 
 
 def dual(u):

@@ -6,17 +6,20 @@ block by block, and compare them with ``tests/fixtures/hits_l<n>.json``.
 
 A block is every pair (u1, u2) with u1 of neutral e1 and u2 of neutral e2;
 its hits are the index pairs (i1, i2) into the two enumerations that the
-kernel returns, u1 outer and u2 inner, the order ``scan_pairs`` reads them
-in.  The fixture holds, per block, the hit count and the SHA-256 of the
-hits written as one ``"i1 i2\\n"`` line each.  So a hit that moves inside a
-block, or between blocks of one case, changes a pin even where the case
-totals of the ``certify`` goldens do not.
+kernel returns for their ``OpTable`` stacks, u1 outer and u2 inner, the
+order ``scan_pairs`` reads them in.  The fixture holds, per block, the hit
+count and the SHA-256 of the hits written as one ``"i1 i2\\n"`` line each.
+So a hit that moves inside a block, or between blocks of one case, changes
+a pin even where the case totals of the ``certify`` goldens do not.
 
 Both modes print the totals with the CPU time and the peak resident memory
 of the run.  Comparing then prints one line per block that differs, with its
-pinned and its computed count, and exits 1 if any does.  Tier-1 compares L_5-L_7.
+pinned and its computed count, and exits 1 if any does.  A call without a
+scale, or with an unknown option, prints the usage and exits 2.  Tier-1
+compares L_5-L_7.
 """
 
+import argparse
 import hashlib
 import json
 import resource
@@ -35,8 +38,8 @@ def fixture_path(n: int) -> Path:
 
 
 def tables_by_e(n: int) -> list:
-    """The rows of every uninorm on L_n, one list per neutral element."""
-    return [[u.rows for u in enumerate_uninorms(EnumerationTask(ChainScale(n), e), max_n=n)]
+    """The table of every uninorm on L_n, one list per neutral element."""
+    return [[u.table for u in enumerate_uninorms(EnumerationTask(ChainScale(n), e), max_n=n)]
             for e in range(n + 1)]
 
 
@@ -69,14 +72,19 @@ def differing_blocks(pinned: dict, computed: dict) -> list:
 
 
 def main(argv: list) -> int:
-    n, write = int(argv[0]), argv[1:] == ["--write"]
+    parser = argparse.ArgumentParser(prog="hit_pins.py", allow_abbrev=False,
+                                     description="Compare or rewrite the hit pins of L_n.")
+    parser.add_argument("n", type=int, help="the chain L_n")
+    parser.add_argument("--write", action="store_true", help="rewrite the fixture")
+    args = parser.parse_args(argv)
+    n = args.n
     started = time.process_time()
     computed = pins(n)
     print(f"L_{n}: {len(computed['blocks'])} blocks, "
           f"{sum(b['hits'] for b in computed['blocks'])} hits, "
-          f"{time.process_time() - started:.1f} s of CPU, "
+          f"{time.process_time() - started:.2f} s of CPU, "
           f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB peak")
-    if write:
+    if args.write:
         fixture_path(n).write_text(render(computed), encoding="utf-8")
         return 0
     differ = differing_blocks(json.loads(fixture_path(n).read_text(encoding="utf-8")), computed)

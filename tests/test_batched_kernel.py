@@ -1,6 +1,7 @@
-"""The column-wise distributivity kernel against independent oracles and
-against the row-by-row form it replaced, its hits against pins (L_5-L_7) and
-against duality, and the scan that takes its hits from it."""
+"""The column-wise distributivity kernel on ``OpTable`` stacks against
+independent oracles and against the row-by-row form it replaced, its hits
+against pins (L_5-L_7) and against duality, and the scan that takes its hits
+from it."""
 
 import json
 import random
@@ -9,15 +10,20 @@ import pytest
 
 import hit_pins
 import oracles
-from helpers import random_symmetric
-from unichain import ChainScale, check_distributivity, decompose, scan_pairs
+from helpers import random_symmetric, table_of
+from unichain import ChainScale, OpTable, check_distributivity, decompose, scan_pairs
 from unichain import distributivity, search
 from unichain.distributivity import distributive_pairs
 from unichain.errors import InternalConsistencyError, ScaleMismatchError, StructureError
 
 
+def tables(stack):
+    """The ``OpTable`` of each table of a stack of rows."""
+    return [table_of(rows) for rows in stack]
+
+
 def pairs_of(firsts, seconds):
-    return distributive_pairs([u.rows for u in firsts], [u.rows for u in seconds])
+    return distributive_pairs([u.table for u in firsts], [u.table for u in seconds])
 
 
 def oracle_pairs(firsts, seconds):
@@ -34,13 +40,30 @@ def symmetric_stack(rng, n, k):
     return [random_symmetric(rng, n) for _ in range(k)] + fixed
 
 
+def monotone_stack(rng, n, k):
+    """``k`` tables f(min(x, y)) or f(max(x, y)), f a monotone map on L_n drawn
+    from ``rng``: symmetric, and each distributes over min and max."""
+    stack = []
+    for _ in range(k):
+        f = sorted(rng.randrange(n + 1) for _ in range(n + 1))
+        op = rng.choice((min, max))
+        stack.append(tuple(tuple(f[op(x, y)] for y in range(n + 1)) for x in range(n + 1)))
+    return stack
+
+
 def random_rows(rng, n):
     """Rows of a table on L_n, each the identity, a constant end or drawn from
-    ``rng``: rarely symmetric, and often distributing over min and max."""
+    ``rng``: rarely symmetric, and often endomorphisms of min and max."""
     pts = range(n + 1)
     kept = [tuple(pts), (0,) * (n + 1), (n,) * (n + 1)]
     return tuple(rng.choice(kept) if rng.random() < 0.8 else
                  tuple(rng.randrange(n + 1) for _ in pts) for _ in pts)
+
+
+# u1(0, u2(1, 0)) = 2 but u2(u1(0, 1), u1(0, 0)) = 0: A does not distribute
+# over the asymmetric B, yet every row of A keeps B on the cells y <= z
+A = ((0, 2, 2), (0, 1, 2), (2, 2, 2))
+B = ((2, 0, 0), (1, 1, 2), (0, 0, 2))
 
 
 class TestKernel:
@@ -54,20 +77,18 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_the_oracle_on_random_symmetric_tables(self, n):
-        # the second tables must be symmetric, the first need not be: the
-        # kernel reads u1 by rows, so asymmetric firsts come along too; the
-        # row-by-row form it replaced must find the same pairs
+        # none need be a uninorm; the row-by-row form the kernel replaced must
+        # find the same pairs, and tables built from lists the same again
         rng = random.Random(20261018 + n)
-        firsts = symmetric_stack(rng, n, 12) + [random_rows(rng, n) for _ in range(6)]
+        firsts = symmetric_stack(rng, n, 12) + monotone_stack(rng, n, 6)
         seconds = symmetric_stack(rng, n, 9)
-        got = distributive_pairs(firsts, seconds)
+        got = distributive_pairs(tables(firsts), tables(seconds))
         want = oracle_pairs(firsts, seconds)
         assert 0 < len(want) < 22 * 13
-        asymmetric = {i for i, t in enumerate(firsts) if t != tuple(zip(*t))}
-        assert any(i in asymmetric for i, _ in want), "no asymmetric first table distributes"
+        assert any(i >= 16 for i, _ in want), "no monotone first table distributes"
         assert got == want == oracles.row_distributive_pairs(firsts, seconds)
-        as_lists = [[list(row) for row in t] for t in firsts]
-        assert distributive_pairs(as_lists, [list(map(list, t)) for t in seconds]) == want
+        as_lists = [OpTable(ChainScale(n), [list(row) for row in t]) for t in firsts]
+        assert distributive_pairs(as_lists, tables(seconds)) == want
 
     def test_matches_the_per_pair_checker_on_all_l4_pairs(self, uninorms_by_e):
         everything = [u for us in uninorms_by_e(4).values() for u in us]
@@ -76,64 +97,39 @@ class TestKernel:
         assert len(everything) == 92
         assert pairs_of(everything, everything) == want
 
-    @pytest.mark.parametrize("firsts, seconds, error, message", [
-        # a ragged, non-int, off-chain first table: the float is what is named
-        ([((0, 1.5), (7,))], [], StructureError, r"firsts\[0\] holds 1.5 at \(0, 1\), not an int"),
-        ([], [((0, 1.5),)], StructureError, r"seconds\[0\] holds 1.5 at \(0, 1\), not an int"),
-        ([((0, 1), (7,))], [], ScaleMismatchError, "not square tables on one chain"),
-        ([], [((0, 1), (1, 2))], ScaleMismatchError, "not square tables on one chain"),
-        ([], [((0, 1), (0, 1))], StructureError, r"seconds\[0\] is asymmetric at \(0, 1\): 1 != 0"),
+    @pytest.mark.parametrize("n, rows", [
+        pytest.param(0, (), id="no-point"),                       # ChainScale refuses L_0
+        pytest.param(1, ((0, 1.5), (7,)), id="ragged-float-off-chain"),
+        pytest.param(1, ((0, 1.5),), id="a-row-too-few"),
+        pytest.param(1, ((0, 1), (7,)), id="a-short-row"),
+        pytest.param(1, ((0, 1), (1, 1), (1, 1)), id="a-row-too-many"),
+        pytest.param(1, ((0, 2), (2, 1)), id="above-the-chain"),
+        pytest.param(1, ((0, -1), (-1, 1)), id="below-the-chain"),
+        pytest.param(1, ((0, 0), (0, 1.0)), id="float"),          # 1.0 hashes as 1
+        pytest.param(1, ((0, 0), (0, True)), id="bool"),
+        pytest.param(1, ((0, 1), (0, 1)), id="asymmetric"),
+        pytest.param(2, B, id="asymmetric-B"),
     ])
-    def test_a_bad_table_beside_an_empty_stack_is_refused(self, firsts, seconds, error, message):
-        # the refusal it meets beside a good stack, not an empty list of pairs
-        good = [((0, 0), (0, 1))]
-        for beside in ((firsts, seconds), (firsts or good, seconds or good)):
-            with pytest.raises(error, match=message):
-                distributive_pairs(*beside)
+    def test_each_table_the_kernel_once_refused_is_refused_by_optable(self, n, rows):
+        # the kernel checks no structure: a table that reaches it is well formed
+        with pytest.raises(StructureError):
+            OpTable(ChainScale(n), rows)
+
+    def test_an_asymmetric_second_table_would_be_misjudged(self):
+        # why OpTable's symmetry check is load-bearing for the kernel
+        assert not oracles.distributes(A, B)
+        rows = sorted(set(A))
+        assert distributivity._endomorphisms(rows, [B]) == [1] * len(rows)
 
     def test_empty_and_mismatched_stacks(self, uninorms_by_e):
-        us = uninorms_by_e(3)[1]
+        us, others = uninorms_by_e(3)[1], uninorms_by_e(2)[1]
         assert pairs_of([], us) == []
         assert pairs_of(us, []) == []
-        with pytest.raises(ScaleMismatchError):
-            pairs_of(us, uninorms_by_e(2)[1])
-        with pytest.raises(ScaleMismatchError):
-            pairs_of(uninorms_by_e(2)[1], us)
-
-    @pytest.mark.parametrize("bad", [
-        [()],                                  # no point
-        [((0, 1), (1,))],                      # a short row
-        [((0, 1), (1, 1), (1, 1))],            # a row too many
-        [((0, 2), (2, 1))],                    # a value above the chain
-        [((0, -1), (-1, 1))],                  # a value below it
-    ])
-    def test_a_table_off_the_chain_is_refused(self, bad):
-        good = [((0, 0), (0, 1))]
-        for firsts, seconds in ((bad, good), (good, bad)):
-            with pytest.raises(ScaleMismatchError):
-                distributive_pairs(firsts, seconds)
-
-    def test_an_asymmetric_second_table_is_refused(self):
-        # the kernel tests only y <= z, so it would call this pair distributive,
-        # yet the law fails at (0, 1, 0): u1(0, u2(1, 0)) = 2, u2(u1(0, 1), u1(0, 0)) = 0
-        a = ((0, 2, 2), (0, 1, 2), (2, 2, 2))
-        b = ((2, 0, 0), (1, 1, 2), (0, 0, 2))
-        assert not oracles.distributes(a, b)
-        with pytest.raises(StructureError, match=r"seconds\[1\] is asymmetric at \(0, 1\): 0 != 1"):
-            distributive_pairs([a], [((0, 0, 0), (0, 1, 1), (0, 1, 2)), b])
-        pts = range(3)
-        lower = tuple(tuple(min(x, y) for y in pts) for x in pts)
-        assert distributive_pairs([a, b], [lower]) == [(0, 0)]  # asymmetric firsts are judged
-
-    @pytest.mark.parametrize("value", [1.0, True])
-    def test_an_entry_that_is_not_an_int_is_refused(self, value):
-        good = ((0, 0), (0, 1))
-        bad = ((0, 0), (0, value))
-        for firsts, seconds, name in (([good, bad], [good], "firsts"),
-                                      ([good], [good, bad], "seconds")):
-            with pytest.raises(StructureError, match=rf"{name}\[1\] holds {value!r} at \(1, 1\), "
-                                                     "not an int"):
-                distributive_pairs(firsts, seconds)
+        assert pairs_of([], []) == []
+        for firsts, seconds in ((us, others), (others, us), ([], us + others),
+                                (others + us, [])):
+            with pytest.raises(ScaleMismatchError, match="more than one chain: L_2, L_3"):
+                pairs_of(firsts, seconds)
 
 
 class TestColumnsAgainstTheRowForm:
@@ -145,8 +141,8 @@ class TestColumnsAgainstTheRowForm:
         rng = random.Random(7)
         stack = symmetric_stack(rng, 3, 8)
         seconds = stack + stack[::-1] + [stack[0]] * 3
-        firsts = stack + [random_rows(rng, 3) for _ in range(12)]
-        got = distributive_pairs(firsts, seconds)
+        firsts = stack + monotone_stack(rng, 3, 12)
+        got = distributive_pairs(tables(firsts), tables(seconds))
         assert got == oracles.row_distributive_pairs(firsts, seconds)
         hit = set(got)
         for j, b in enumerate(seconds):  # each copy is hit by the same first tables
@@ -155,10 +151,10 @@ class TestColumnsAgainstTheRowForm:
                    {i for i, _ in enumerate(firsts) if (i, k) in hit}
 
     def test_a_one_point_chain(self):
+        # no OpTable lives on L_0, but the endomorphism bitsets of its raw rows are exact
         point = ((0,),)
-        assert distributive_pairs([point], [point]) == [(0, 0)]
-        assert distributive_pairs([point] * 2, [point] * 3) == \
-               oracles.row_distributive_pairs([point] * 2, [point] * 3) == \
+        assert distributivity._endomorphisms([(0,)], [point] * 3) == [0b111]
+        assert oracles.row_distributive_pairs([point] * 2, [point] * 3) == \
                [(i, j) for i in range(2) for j in range(3)]
 
     @pytest.mark.parametrize("k", [65, 1200])
@@ -166,8 +162,8 @@ class TestColumnsAgainstTheRowForm:
         # the hits of seconds[64] and beyond are read from bits past the first word
         rng = random.Random(k)
         seconds = symmetric_stack(rng, 2, k)
-        firsts = symmetric_stack(rng, 2, 6) + [random_rows(rng, 2) for _ in range(8)]
-        got = distributive_pairs(firsts, seconds)
+        firsts = symmetric_stack(rng, 2, 6) + monotone_stack(rng, 2, 8)
+        got = distributive_pairs(tables(firsts), tables(seconds))
         assert got == oracles.row_distributive_pairs(firsts, seconds)
         assert max(j for _, j in got) == k + 3  # the last of the fixed tables, the constant n
         assert sum(j >= 64 for _, j in got) > k // 4
@@ -278,6 +274,13 @@ class TestHitPins:
         differ = hit_pins.differing_blocks(pinned, hit_pins.pins(5))
         assert differ == ["block e1=2 e2=1: pinned 67 hits, computed 67"]
 
+    @pytest.mark.parametrize("argv", [[], ["5", "--wrte"], ["five"], ["5", "--wr"]])
+    def test_a_bad_call_prints_the_usage_and_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as caught:
+            hit_pins.main(argv)
+        assert caught.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: hit_pins.py")
+
     def test_the_l7_pins_hold_the_cross_checked_counts(self):
         pinned = json.loads(hit_pins.fixture_path(7).read_text(encoding="utf-8"))
         counts = {(b["e1"], b["e2"]): b["hits"] for b in pinned["blocks"]}
@@ -293,11 +296,10 @@ class TestDuality:
     def test_each_block_reflects_onto_its_dual_block(self, uninorms_by_e, n):
         # x -> n - x maps a pair (u1, u2) that distributes onto (u1', u2'),
         # u' reflected, with neutrals n - e1 and n - e2: hit by hit, not only in total
-        by_e = uninorms_by_e(n)
-        tables = [[u.rows for u in by_e[e]] for e in range(n + 1)]
-        hits = {(e1, e2): {(firsts[i1], seconds[i2])
-                           for i1, i2 in distributive_pairs(firsts, seconds)}
-                for e1, firsts in enumerate(tables) for e2, seconds in enumerate(tables)}
+        by_e = [uninorms_by_e(n)[e] for e in range(n + 1)]
+        hits = {(e1, e2): {(firsts[i1].rows, seconds[i2].rows)
+                           for i1, i2 in pairs_of(firsts, seconds)}
+                for e1, firsts in enumerate(by_e) for e2, seconds in enumerate(by_e)}
         for (e1, e2), pairs in hits.items():
             reflected = {(oracles.dual(a), oracles.dual(b)) for a, b in pairs}
             assert reflected == hits[n - e1, n - e2], (e1, e2)

@@ -30,6 +30,7 @@ from unichain import (
     underlying_tnorm,
     validate_uninorm,
 )
+from unichain.distributivity import distributive_pairs
 from unichain.errors import (
     EmptyRestrictionError,
     InvalidUninormError,
@@ -68,6 +69,17 @@ class TestOpTable:
         with pytest.raises(StructureError) as caught:
             OpTable(ChainScale(2), tuple(map(tuple, rows)))
         assert str(caught.value) == message
+
+    def test_rows_given_as_lists_are_kept_as_tuples(self):
+        lists = [[0, 0, 0], [0, 1, 2], [0, 2, 2]]
+        built = OpTable(ChainScale(2), lists)
+        twin = OpTable(ChainScale(2), tuple(map(tuple, lists)))
+        assert built.values == twin.values and all(type(row) is tuple for row in built.values)
+        assert built == twin and hash(built) == hash(twin)
+        assert Uninorm(built, 1) == Uninorm(twin, 1)
+        assert hash(Uninorm(built, 1)) == hash(Uninorm(twin, 1))
+        assert distributive_pairs([built], [built, twin]) == \
+               distributive_pairs([twin], [twin, built]) == [(0, 0), (0, 1)]
 
     def test_bad_neutral_index(self):
         table = table_of([[0, 0], [0, 1]])

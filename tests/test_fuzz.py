@@ -1,7 +1,8 @@
 """Fuzzing the parsers and the command line: every input ends in a
 documented error or exit status, never in a traceback.
 
-The parsers may raise only ``ChainError`` subclasses; ``main`` may only
+The parsers may raise only ``ChainError`` subclasses, and every table they
+return, built without ``OpTable``'s check, must pass it; ``main`` may only
 return, or exit through argparse, with a status from 0 to 3.  Inputs are
 valid documents and command lines with random edits.  Integers stay small,
 so no run builds a large table.
@@ -20,6 +21,7 @@ from helpers import idem_max, idem_min, luk_upper
 from unichain import decompose
 from unichain.catalog import parse_family_spec
 from unichain.cli import main
+from unichain.core import _structural_violations
 from unichain.errors import ChainError
 from unichain.formats import dump_decomposition, dump_table, parse_decomposition, parse_table
 
@@ -59,6 +61,17 @@ def edited(draw, bases):
 
 
 @st.composite
+def cell_edited(draw, bases):
+    """One of ``bases`` with up to three of its numbers replaced: a document
+    that mostly keeps its shape, so its table reaches the structure checks."""
+    parts = re.split(r"(\d+)", draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(range(1, len(parts), 2)))  # the numbers split out
+        parts[i] = draw(st.sampled_from(["0", "1", "2", "3", "4", "5", "-1", "1.5"]))
+    return "".join(parts)
+
+
+@st.composite
 def specs(draw, depth=1):
     """Spec strings from the grammar's pieces: names, keys and values."""
     name = draw(st.sampled_from(NAMES))
@@ -74,22 +87,32 @@ def small_integers(text):
     return all(int(d) <= 64 for d in re.findall(r"\d+", text))
 
 
+def assert_well_formed(table):
+    """What ``OpTable``'s constructor would check, on a table the parser
+    built through ``_built``: the kernel relies on it unchecked."""
+    assert not list(_structural_violations(table.values, table.scale.n)), table
+    assert type(table.values) is tuple and all(type(row) is tuple for row in table.values)
+
+
 @FUZZ
-@given(edited(TABLES) | st.text(max_size=60))
+@given(edited(TABLES) | cell_edited(TABLES) | st.text(max_size=60))
 def test_parse_table_raises_only_chain_errors(text):
     try:
-        parse_table(text)
+        table, _ = parse_table(text)
     except ChainError:
-        pass
+        return
+    assert_well_formed(table)
 
 
 @FUZZ
-@given(edited(DECOMPOSITIONS) | st.text(max_size=60))
+@given(edited(DECOMPOSITIONS) | cell_edited(DECOMPOSITIONS) | st.text(max_size=60))
 def test_parse_decomposition_raises_only_chain_errors(text):
     try:
-        parse_decomposition(text)
+        d, _, _, _ = parse_decomposition(text)
     except ChainError:
-        pass
+        return
+    assert_well_formed(d.inner.table)
+    assert_well_formed(d.boundary_op.table)
 
 
 @FUZZ

@@ -3,8 +3,10 @@
 import ast
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -15,6 +17,7 @@ import pytest
 
 import oracles
 import structure_oracle_check
+import unichain
 from conftest import FIXTURES_DIR
 from helpers import flip_conditions
 from unichain import (
@@ -102,6 +105,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_the_structure_theorem_oracle(self, n):
         assert structure_oracle_check.main(n) == 0  # on L_7 it runs in CI
+
+    def test_a_call_without_a_scale_prints_the_usage_and_exits_2(self):
+        src = Path(unichain.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-B", structure_oracle_check.__file__],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: structure_oracle_check.py")
 
     def test_the_oracles_import_nothing_from_the_package(self):
         tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
