@@ -55,12 +55,12 @@ class ChainScale:
 class OpTable:
     """A commutative binary operation on L_n, stored as a full square table.
 
-    The constructor and :meth:`from_func` enforce shape, integer entries,
-    range and symmetry, and keep the rows as tuples, so list and tuple rows
-    give equal tables; :func:`validate_uninorm` checks the remaining axioms.
-    ``_built`` skips all of it, for callers that pass such tuples (the search
-    and the parser; tests hold both to it): ``distributive_pairs`` relies on
-    every table being well formed and checks none of it again.
+    The constructor and :meth:`from_func` refuse what ``_structural_violations``
+    finds (shape, integer entries, range, symmetry) and keep the rows as tuples,
+    so list and tuple rows give equal tables; :func:`validate_uninorm` checks
+    the remaining axioms.  ``_built`` skips the check for tuple rows known well
+    formed: the search's by construction (tests hold it to that), the parser's
+    by the same checker.  ``distributive_pairs`` checks none of it again.
     """
 
     scale: ChainScale
@@ -68,7 +68,7 @@ class OpTable:
 
     def __post_init__(self):
         for violation in _structural_violations(self.values, self.scale.n):
-            raise StructureError(violation.describe())
+            raise StructureError(violation.detail)
         object.__setattr__(self, "values", tuple(map(tuple, self.values)))
 
     @classmethod
@@ -208,6 +208,7 @@ class WitnessLog:
 
 
 def _structural_violations(values, n: int) -> Iterator[Violation]:
+    """Why ``values`` is no table on L_n, in order; an asymmetry is witnessed at its later row (y, x)."""
     if len(values) != n + 1:
         yield Violation("structure", (len(values),), detail=f"expected {n + 1} rows, got {len(values)}")
         return
@@ -218,14 +219,17 @@ def _structural_violations(values, n: int) -> Iterator[Violation]:
     for x, row in enumerate(values):
         for y, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool):
-                yield Violation("structure", (x, y), detail=f"entry {v!r} is not an integer")
+                yield Violation("structure", (x, y), detail=f"row {x}, entry {y}: {v!r} is not an integer")
             elif not 0 <= v <= n:
-                yield Violation("structure", (x, y), lhs=v, detail=f"entry out of range 0..{n}")
-    for x in range(n + 1):
-        for y in range(x + 1, n + 1):
-            if values[x][y] != values[y][x]:
-                yield Violation("structure", (x, y), lhs=values[x][y], rhs=values[y][x],
-                                detail="table is not symmetric")
+                yield Violation("structure", (x, y), lhs=v,
+                                detail=f"row {x}, entry {y}: value {v} outside 0..{n}")
+    for x, column in enumerate(zip(*values)):  # column x against row x, after the diagonal
+        row = values[x]
+        if tuple(row) != column:
+            for y in range(x + 1, n + 1):
+                if row[y] != column[y]:
+                    yield Violation("structure", (y, x), lhs=column[y], rhs=row[y], detail=(
+                        f"asymmetry: row {y}, entry {x} is {column[y]} but row {x}, entry {y} is {row[y]}"))
 
 
 def validate_uninorm(table: OpTable, e: int, *, verbose: bool = False) -> CheckReport:

@@ -11,8 +11,8 @@ Table document, bit-exact:
     0 1 3 3 4
     0 1 4 4 4
 
-``#`` starts a comment anywhere; the full square is required and the
-symmetric redundancy is checked, with positioned messages on rejection.
+``#`` starts a comment anywhere; the full square is required, and range
+and symmetry are judged by ``core``, raised at the offending row's line.
 A decomposition document carries a small header (case, scale, e1, e2),
 two embedded table blocks introduced by ``inner`` and ``boundary``, and a
 ``selection`` block of ``x y first|second`` lines.  A scale must lie in
@@ -36,7 +36,8 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 
-from .core import CheckReport, ChainScale, OpTable, Uninorm, Violation, refuse_large_scale
+from .core import (CheckReport, ChainScale, OpTable, Uninorm, Violation, _structural_violations,
+                   refuse_large_scale)
 from .distributivity import ClassifyResult, Decomposition, Pick, TheoremCase
 from .errors import TableFormatError
 from .search import CertificationReport
@@ -126,28 +127,22 @@ def _read_table_block(lines: _Lines):
         row = []
         for y, p in enumerate(parts):
             try:
-                v = _int(p)
+                row.append(_int(p))
             except ValueError:
                 lines.error(f"row {x}, entry {y}: {p!r} is not an integer", lineno)
-            if not 0 <= v <= n:
-                lines.error(f"row {x}, entry {y}: value {v} outside 0..{n}", lineno)
-            row.append(v)
         rows.append(tuple(row))
         row_lines.append(lineno)
-    for x in range(n + 1):
-        for y in range(x + 1, n + 1):
-            if rows[x][y] != rows[y][x]:
-                lines.error(
-                    f"asymmetry: row {y}, entry {x} is {rows[y][x]} but row {x}, "
-                    f"entry {y} is {rows[x][y]}", row_lines[y])
-    return OpTable._built(ChainScale(n), tuple(rows)), e
+    for violation in _structural_violations(rows, n):
+        lines.error(violation.detail, row_lines[violation.witness[0]])
+    return OpTable._built(ChainScale(n), tuple(rows)), e  # passed the constructor's checker
 
 
 def parse_table(text: str, source: str = "<input>"):
     """Parse a table document into (OpTable, neutral index).
 
-    Structure (shape, range, symmetry) is checked here with positioned
-    errors; the uninorm axioms are not, so feed the result to
+    The parser reads each row's entry count and integers; range and symmetry
+    are judged by ``core``'s structural check, raised with the offending row's
+    line.  The uninorm axioms are not checked, so feed the result to
     ``validate_uninorm`` or ``Uninorm.checked``.
     """
     lines = _Lines(text, source)

@@ -19,7 +19,7 @@ from unichain import (
     validate_uninorm,
 )
 from unichain.core import MAX_SCALE
-from unichain.errors import SearchLimitError, TableFormatError
+from unichain.errors import SearchLimitError, StructureError, TableFormatError
 from unichain.formats import (
     certification_doc,
     dump_decomposition,
@@ -164,6 +164,38 @@ class TestDecompositionFormat:
     def test_bad_case_line(self):
         with pytest.raises(TableFormatError, match="case"):
             parse_decomposition("case sideways\nscale 4\n")
+
+
+
+INNER_L3 = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 2, 3), (0, 3, 3, 3))
+
+
+@pytest.mark.parametrize("cells, row", [
+    ([(1, 2, 4), (2, 1, 4)], 1),  # a value above the chain
+    ([(2, 3, -1), (3, 2, -1)], 2),  # -1
+    ([(2, 1, 3)], 2),  # an asymmetric pair, edited in the lower triangle
+    ([(0, 3, 1)], 3),  # edited in the upper triangle: reported at the later row
+    ([(2, 1, 3), (3, 0, 1)], 3),  # two asymmetries: entry 0 comes first, in the later row
+])
+def test_the_parser_and_optable_refuse_a_table_in_the_same_words(cells, row):
+    rows = [list(r) for r in INNER_L3]
+    for x, y, v in cells:
+        rows[x][y] = v
+    with pytest.raises(StructureError) as built:
+        OpTable(ChainScale(3), rows)
+
+    def block(table):
+        return "\n".join(" ".join(map(str, r)) for r in table)
+
+    with pytest.raises(TableFormatError) as alone:
+        parse_table(f"scale 3\nneutral 1\n{block(rows)}\n")
+    assert (alone.value.message, alone.value.line) == (str(built.value), 3 + row)
+    u1, u2 = idem_min(4, 2), idem_min(4, 1)
+    document = dump_decomposition(decompose(u1, u2), u1.scale, 2, 1)
+    assert document.splitlines()[4:11] == ["inner", "scale 3", "neutral 1", *block(INNER_L3).splitlines()]
+    with pytest.raises(TableFormatError) as inner:
+        parse_decomposition(document.replace(block(INNER_L3), block(rows), 1))
+    assert (inner.value.message, inner.value.line) == (str(built.value), 8 + row)
 
 
 TRICKY_TEXT = st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r", "\u00e9\u2028",

@@ -2,7 +2,8 @@
 documented error or exit status, never in a traceback.
 
 The parsers may raise only ``ChainError`` subclasses, and every table they
-return, built without ``OpTable``'s check, must pass it; ``main`` may only
+return through ``OpTable._built`` must pass ``OpTable``'s check, the same
+``_structural_violations`` the table parser raises from; ``main`` may only
 return, or exit through argparse, with a status from 0 to 3.  Inputs are
 valid documents and command lines with random edits.  Integers stay small,
 so no run builds a large table.
@@ -88,8 +89,9 @@ def small_integers(text):
 
 
 def assert_well_formed(table):
-    """What ``OpTable``'s constructor would check, on a table the parser
-    built through ``_built``: the kernel relies on it unchecked."""
+    """``OpTable``'s own check, and tuple rows, on a table the parser built
+    through ``_built`` after running that check: the kernel relies on both
+    unchecked."""
     assert not list(_structural_violations(table.values, table.scale.n)), table
     assert type(table.values) is tuple and all(type(row) is tuple for row in table.values)
 
