@@ -208,28 +208,26 @@ class WitnessLog:
 
 
 def _structural_violations(values, n: int) -> Iterator[Violation]:
-    """Why ``values`` is no table on L_n, in order; an asymmetry is witnessed at its later row (y, x)."""
+    """Why ``values`` is no table on L_n, in reading order: the row count, then
+    row by row its length (the walk stops at a wrong one), each entry's type
+    and range, and its asymmetries with the rows above, witnessed at (y, x), x < y."""
     if len(values) != n + 1:
         yield Violation("structure", (len(values),), detail=f"expected {n + 1} rows, got {len(values)}")
         return
-    for x, row in enumerate(values):
+    for y, row in enumerate(values):
         if len(row) != n + 1:
-            yield Violation("structure", (x,), detail=f"row {x} has {len(row)} entries, expected {n + 1}")
+            yield Violation("structure", (y,), detail=f"row {y} has {len(row)} entries, expected {n + 1}")
             return
-    for x, row in enumerate(values):
-        for y, v in enumerate(row):
+        for x, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool):
-                yield Violation("structure", (x, y), detail=f"row {x}, entry {y}: {v!r} is not an integer")
+                yield Violation("structure", (y, x), detail=f"row {y}, entry {x}: {v!r} is not an integer")
             elif not 0 <= v <= n:
-                yield Violation("structure", (x, y), lhs=v,
-                                detail=f"row {x}, entry {y}: value {v} outside 0..{n}")
-    for x, column in enumerate(zip(*values)):  # column x against row x, after the diagonal
-        row = values[x]
-        if tuple(row) != column:
-            for y in range(x + 1, n + 1):
-                if row[y] != column[y]:
-                    yield Violation("structure", (y, x), lhs=column[y], rhs=row[y], detail=(
-                        f"asymmetry: row {y}, entry {x} is {column[y]} but row {x}, entry {y} is {row[y]}"))
+                yield Violation("structure", (y, x), lhs=v,
+                                detail=f"row {y}, entry {x}: value {v} outside 0..{n}")
+        for x, above in enumerate(values[:y]):
+            if row[x] != above[y]:
+                yield Violation("structure", (y, x), lhs=row[x], rhs=above[y], detail=(
+                    f"asymmetry: row {y}, entry {x} is {row[x]} but row {x}, entry {y} is {above[y]}"))
 
 
 def validate_uninorm(table: OpTable, e: int, *, verbose: bool = False) -> CheckReport:

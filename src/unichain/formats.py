@@ -11,8 +11,10 @@ Table document, bit-exact:
     0 1 3 3 4
     0 1 4 4 4
 
-``#`` starts a comment anywhere; the full square is required, and range
-and symmetry are judged by ``core``, raised at the offending row's line.
+``#`` starts a comment anywhere.  The parser only splits the n+1 row lines
+into numbers; ``core`` judges each row in reading order (its length, then
+each entry, then its symmetry with the rows above), so an error is raised at
+the earliest wrong row's line.
 A decomposition document carries a small header (case, scale, e1, e2),
 two embedded table blocks introduced by ``inner`` and ``boundary``, and a
 ``selection`` block of ``x y first|second`` lines.  A scale must lie in
@@ -22,13 +24,15 @@ Every integer is ASCII digits after an optional '-'.
 Structured documents are written by ``to_json``, a small recursive writer
 whose output is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
 newline: with ``indent`` set, ``json.dumps`` runs the pure-Python encoder.
-The writer dispatches on exact type: keys and str values go through
-``encode_basestring_ascii`` as in ``json.dumps``, ints through ``str``, None
-and bools are literals, and anything else (floats, subclasses) goes to
-``json.dumps``.  A list of plain ints (bools fail that type test) is joined
-once per distinct row and indentation, in a cache local to one ``to_json``
-call.  A dictionary key that is not a string raises TypeError.  The tests
-hold ``json.dumps`` as its oracle.
+The writer dispatches once on exact type, lists first: keys and str values
+go through ``encode_basestring_ascii`` as in ``json.dumps``, ints through
+``str``, None and bools are literals, a list, tuple or dict subclass is
+written as its base type, and any other value (floats, int subclasses) goes
+to ``json.dumps``.  A list of plain ints (bools fail that type test) is
+joined once per distinct row and indentation, in a cache local to one
+``to_json`` call.  A dictionary key that is not a string raises TypeError,
+from ``encode_basestring_ascii`` or ``sorted``.  The tests hold
+``json.dumps`` as its oracle.
 """
 
 from __future__ import annotations
@@ -80,13 +84,11 @@ class _Lines:
         raise TableFormatError(message, lineno, self.source)
 
 
-def _int(text: str) -> int:
-    """``text`` as an integer: ASCII digits after an optional '-'.  Anything
-    else ``int()`` would take (a sign '+', '_' separators, other scripts'
-    digits) raises ValueError, so one document reads one way."""
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise ValueError(text)
-    return int(text)
+def _token(text: str):
+    """``text`` as an int if it is ASCII digits after an optional '-', else
+    ``text`` itself: whatever else ``int()`` would take (a sign '+', '_'
+    separators, other scripts' digits) stays text, so one document reads one way."""
+    return int(text) if text.isascii() and text.removeprefix("-").isdigit() else text
 
 
 def _read_keyword_int(lines: _Lines, keyword: str, n: int | None = None) -> int:
@@ -95,9 +97,8 @@ def _read_keyword_int(lines: _Lines, keyword: str, n: int | None = None) -> int:
     parts = content.split()
     if len(parts) != 2 or parts[0] != keyword:
         lines.error(f"expected '{keyword} <integer>', got {content!r}", lineno)
-    try:
-        value = _int(parts[1])
-    except ValueError:
+    value = _token(parts[1])
+    if type(value) is not int:
         lines.error(f"{keyword} value {parts[1]!r} is not an integer", lineno)
     if n is None:
         refuse_large_scale(value, f"{lines.source}:{lineno}")
@@ -117,20 +118,10 @@ def _read_keyword(lines: _Lines, keyword: str) -> None:
 def _read_table_block(lines: _Lines):
     n = _read_keyword_int(lines, "scale")
     e = _read_keyword_int(lines, "neutral", n)
-    rows = []
-    row_lines = []
+    rows, row_lines = [], []
     for x in range(n + 1):
         lineno, content = lines.next(f"row {x} of the table")
-        parts = content.split()
-        if len(parts) != n + 1:
-            lines.error(f"row {x} has {len(parts)} entries, expected {n + 1}", lineno)
-        row = []
-        for y, p in enumerate(parts):
-            try:
-                row.append(_int(p))
-            except ValueError:
-                lines.error(f"row {x}, entry {y}: {p!r} is not an integer", lineno)
-        rows.append(tuple(row))
+        rows.append(tuple(map(_token, content.split())))
         row_lines.append(lineno)
     for violation in _structural_violations(rows, n):
         lines.error(violation.detail, row_lines[violation.witness[0]])
@@ -140,10 +131,11 @@ def _read_table_block(lines: _Lines):
 def parse_table(text: str, source: str = "<input>"):
     """Parse a table document into (OpTable, neutral index).
 
-    The parser reads each row's entry count and integers; range and symmetry
-    are judged by ``core``'s structural check, raised with the offending row's
-    line.  The uninorm axioms are not checked, so feed the result to
-    ``validate_uninorm`` or ``Uninorm.checked``.
+    The parser splits each row into numbers (a word that is none stays
+    text); ``core``'s structural check judges the rows in reading order, and
+    its first violation is raised at that row's line.  The uninorm axioms
+    are not checked, so feed the result to ``validate_uninorm`` or
+    ``Uninorm.checked``.
     """
     lines = _Lines(text, source)
     table, e = _read_table_block(lines)
@@ -196,9 +188,8 @@ def parse_decomposition(text: str, source: str = "<input>"):
         parts = content.split()
         if len(parts) != 3:
             lines.error(f"selection line needs 'x y first|second', got {content!r}", lineno)
-        try:
-            x, y = _int(parts[0]), _int(parts[1])
-        except ValueError:
+        x, y = _token(parts[0]), _token(parts[1])
+        if type(x) is not int or type(y) is not int:
             lines.error(f"selection coordinates must be integers, got {content!r}", lineno)
         try:
             pick = Pick(parts[2])
@@ -224,51 +215,47 @@ def _write_json(value, newline: str, out: list, rows: dict) -> None:
     sort_keys=True)`` writes it where ``newline`` starts each of its lines;
     ``rows`` holds the text of each list of plain ints written so far."""
     kind = type(value)
-    if kind is str:
-        out.append(encode_basestring_ascii(value))
-    elif kind is int:
-        out.append(str(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(separator + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], inner, out, rows)
-            separator = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        if set(map(type, value)) == {int}:
+    if kind is list or kind is tuple:
+        if set(map(type, value)) == {int}:  # not bools: (True,) == (1,) would share a text
             key = (tuple(value), newline)
             text = rows.get(key)
             if text is None:
                 inner = newline + "  "
                 text = rows[key] = "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
             out.append(text)
+        elif not value:
+            out.append("[]")
+        else:
+            inner = newline + "  "
+            separator = "[" + inner
+            for v in value:
+                out.append(separator)
+                separator = "," + inner
+                _write_json(v, inner, out, rows)
+            out.append(newline + "]")
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(str(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
             return
         inner = newline + "  "
-        separator = "[" + inner
-        for v in value:
-            out.append(separator)
+        separator = "{" + inner
+        for key in sorted(value):
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out, rows)
             separator = "," + inner
-            if isinstance(v, (list, tuple)) and set(map(type, v)) == {int}:  # (True,) == (1,)
-                text = rows.get((tuple(v), inner))
-                if text is not None:
-                    out.append(text)
-                    continue
-            _write_json(v, inner, out, rows)
-        out.append(newline + "]")
+        out.append(newline + "}")
     elif value is None:
         out.append("null")
     elif kind is bool:
         out.append("true" if value else "false")
+    elif isinstance(value, dict):  # a subclass is written as its base type
+        _write_json(dict(value), newline, out, rows)
+    elif isinstance(value, (list, tuple)):
+        _write_json(list(value), newline, out, rows)
     else:
         out.append(json.dumps(value))
 

@@ -5,9 +5,11 @@ block by block, and compare them with ``tests/fixtures/hits_l<n>.json``.
     PYTHONPATH=src python tests/hit_pins.py 6 --write    # rewrite the fixture
 
 A block is every pair (u1, u2) with u1 of neutral e1 and u2 of neutral e2;
-its hits are the index pairs (i1, i2) into the two enumerations that the
-kernel returns for their ``OpTable`` stacks, u1 outer and u2 inner, the
-order ``scan_pairs`` reads them in.  The fixture holds, per block, the hit
+its hits are the index pairs (i1, i2) into the two enumerations, u1 outer
+and u2 inner, the order ``scan_pairs`` reads them in.  The kernel runs once
+per second stack, with the first stacks of every e1 end to end as its
+first stack (n+1 calls, not (n+1)^2); its lexicographic hits are split into
+blocks at the first stacks' offsets.  The fixture holds, per block, the hit
 count and the SHA-256 of the hits written as one ``"i1 i2\\n"`` line each.
 So a hit that moves inside a block, or between blocks of one case, changes
 a pin even where the case totals of the ``certify`` goldens do not.
@@ -25,6 +27,8 @@ import json
 import resource
 import sys
 import time
+from bisect import bisect_right
+from itertools import accumulate
 from pathlib import Path
 
 from unichain import ChainScale, EnumerationTask, enumerate_uninorms
@@ -45,13 +49,18 @@ def tables_by_e(n: int) -> list:
 
 def pins(n: int) -> dict:
     by_e = tables_by_e(n)
+    starts = list(accumulate(map(len, by_e), initial=0))  # each first stack's offset
+    firsts = [t for tables in by_e for t in tables]
     blocks = []
-    for e1, firsts in enumerate(by_e):
-        for e2, seconds in enumerate(by_e):
-            hits = distributive_pairs(firsts, seconds)
-            text = "".join(f"{i1} {i2}\n" for i1, i2 in hits)
-            blocks.append({"e1": e1, "e2": e2, "hits": len(hits),
-                           "sha256": hashlib.sha256(text.encode()).hexdigest()})
+    for e2, seconds in enumerate(by_e):
+        lines = [[] for _ in by_e]  # per e1, the block's hits, one "i1 i2\n" each
+        for i, i2 in distributive_pairs(firsts, seconds):
+            e1 = bisect_right(starts, i) - 1
+            lines[e1].append(f"{i - starts[e1]} {i2}\n")
+        blocks.extend({"e1": e1, "e2": e2, "hits": len(hits),
+                       "sha256": hashlib.sha256("".join(hits).encode()).hexdigest()}
+                      for e1, hits in enumerate(lines))
+    blocks.sort(key=lambda block: (block["e1"], block["e2"]))
     return {"n": n, "blocks": blocks}
 
 

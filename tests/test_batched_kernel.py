@@ -259,20 +259,26 @@ class TestHitPins:
 
     def test_a_hit_moved_inside_its_block_is_caught(self, monkeypatch):
         calls = []
+        by_e = hit_pins.tables_by_e(5)
+        start = len(by_e[0]) + len(by_e[1])  # where the e1 = 2 firsts begin in each call
 
         def moved(firsts, seconds):
             out = distributive_pairs(firsts, seconds)
-            calls.append(len(firsts))
-            if len(calls) == 2 * 6 + 2:  # block (2, 1): e1 outer, e2 inner, 6 neutrals each
-                cells = [(i, j) for i in range(len(firsts)) for j in range(len(seconds))]
-                miss = next(c for c in cells if c not in out)
-                out = sorted(out[1:] + [miss])  # the first hit swapped for the first miss
+            calls.append(len(seconds))
+            if len(calls) == 2:  # the e2 = 1 call, which holds block (2, 1)
+                hits = set(out)
+                cells = [(i, j) for i in range(start, start + len(by_e[2]))
+                         for j in range(len(seconds))]
+                hit = next(c for c in cells if c in hits)
+                miss = next(c for c in cells if c not in hits)
+                out = sorted(hits - {hit} | {miss})  # the block's first hit swapped for its first miss
             return out
 
         monkeypatch.setattr(hit_pins, "distributive_pairs", moved)
         pinned = json.loads(hit_pins.fixture_path(5).read_text(encoding="utf-8"))
         differ = hit_pins.differing_blocks(pinned, hit_pins.pins(5))
         assert differ == ["block e1=2 e2=1: pinned 67 hits, computed 67"]
+        assert calls == [len(seconds) for seconds in by_e]  # one kernel call per second stack
 
     @pytest.mark.parametrize("argv", [[], ["5", "--wrte"], ["five"], ["5", "--wr"]])
     def test_a_bad_call_prints_the_usage_and_exits_2(self, capsys, argv):

@@ -221,6 +221,13 @@ class TestCommands:
         assert len({id(row) for row in rows}) == len({tuple(row) for row in rows}) < len(rows)
         doc["tables"][0][1][1] += 1
 
+    @pytest.mark.parametrize("e", range(6))
+    def test_enumerate_structured_bytes_are_the_json_modules(self, capsys, e):
+        # the document's shared row lists go through the writer's row cache
+        code, out, err = run(capsys, "enumerate", "--n", "5", "--e", str(e), "--format", "structured")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
     def test_enumerate_reports_nodes_expanded(self, capsys):
         stats = search.SearchStats()
         list(search.enumerate_uninorms(search.EnumerationTask(ChainScale(3), 1), stats=stats))

@@ -66,6 +66,8 @@ class TestOpTable:
         ([[0, 0, 0], [0, 1], [0, 2, 2]], "row 1 has 2 entries, expected 3"),
         ([[0, 0, 0], [0, 1.0, 2], [0, 2, 2]], "row 1, entry 1: 1.0 is not an integer"),
         ([[0, True, 0], [1, 1, 2], [0, 2, 2]], "row 0, entry 1: True is not an integer"),
+        # within a row its entries come before its asymmetries with the rows above
+        ([[0, 0, 0], [0, 1, 2], [1, 2, 9]], "row 2, entry 2: value 9 outside 0..2"),
     ])
     def test_each_refusal_names_its_position(self, rows, message):
         with pytest.raises(StructureError) as caught:

@@ -1,6 +1,7 @@
 """Table and decomposition documents, structured reports, golden regression."""
 
 import json
+from collections import OrderedDict, namedtuple
 from enum import IntEnum
 
 import pytest
@@ -175,12 +176,18 @@ INNER_L3 = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 2, 3), (0, 3, 3, 3))
     ([(2, 3, -1), (3, 2, -1)], 2),  # -1
     ([(2, 1, 3)], 2),  # an asymmetric pair, edited in the lower triangle
     ([(0, 3, 1)], 3),  # edited in the upper triangle: reported at the later row
-    ([(2, 1, 3), (3, 0, 1)], 3),  # two asymmetries: entry 0 comes first, in the later row
+    ([(2, 1, 3), (3, 0, 1)], 2),  # two asymmetries: the earlier row comes first
+    # several faults: the first in reading order is reported, whatever its kind
+    ([(0, 1, 5), (2, 3, None)], 0),  # a range error above a short row
+    ([(1, 1, "x"), (3, 2, 1)], 1),  # a non-integer above an asymmetry
+    ([(1, 3, None), (2, 2, "x")], 1),  # a short row above a non-integer
+    ([(2, 1, 3), (3, 3, "x")], 2),  # an asymmetry above a non-integer
+    ([(1, 1, "x"), (3, 3, None)], 1),  # a non-integer above a short row
 ])
 def test_the_parser_and_optable_refuse_a_table_in_the_same_words(cells, row):
     rows = [list(r) for r in INNER_L3]
     for x, y, v in cells:
-        rows[x][y] = v
+        rows[x][y:y + 1] = [] if v is None else [v]  # None drops the entry
     with pytest.raises(StructureError) as built:
         OpTable(ChainScale(3), rows)
 
@@ -226,6 +233,17 @@ class Grade(IntEnum):
     TWO = 2
 
 
+Span = namedtuple("Span", "lo hi")
+
+
+class Rows(list):
+    pass
+
+
+class Word(str):
+    pass
+
+
 class TestStructuredDocs:
     def test_report_doc_shape(self):
         report = validate_uninorm(luk_upper(4, 2).table, 2)
@@ -254,8 +272,9 @@ class TestStructuredDocs:
         [[Grade.ONE, Grade.TWO], [1, 2], [1, Grade.TWO], Grade.ONE, {"k": Grade.TWO}],
         [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, [0.0, 0], [1.0, 1]],
         {"\u00e9": "\u00e9\u2028", "\ud800": ["\udfff", "\ud83d"], "\U0001f600": "\ud800x"},
+        {"a": Span(1, 2), "b": Rows([1, [2, 3], Rows()]), "c": OrderedDict(y=[{}], x=Word("w"))},
     ], ids=["row-at-two-depths", "bools-beside-ints", "int-enum", "special-floats",
-            "non-ascii-and-surrogates"])
+            "non-ascii-and-surrogates", "container-subclasses"])
     def test_json_writer_on_cases_hypothesis_rarely_draws(self, doc):
         assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -3,10 +3,12 @@ documented error or exit status, never in a traceback.
 
 The parsers may raise only ``ChainError`` subclasses, and every table they
 return through ``OpTable._built`` must pass ``OpTable``'s check, the same
-``_structural_violations`` the table parser raises from; ``main`` may only
-return, or exit through argparse, with a status from 0 to 3.  Inputs are
-valid documents and command lines with random edits.  Integers stay small,
-so no run builds a large table.
+``_structural_violations`` the table parser raises from.  A table document
+with faulty rows is refused at the line of the earliest row that a plain
+per-row reading in this file flags.  ``main`` may only return, or exit
+through argparse, with a status from 0 to 3.  Inputs are valid documents and
+command lines with random edits.  Integers stay small, so no run builds a
+large table.
 """
 
 import contextlib
@@ -23,13 +25,14 @@ from unichain import decompose
 from unichain.catalog import parse_family_spec
 from unichain.cli import main
 from unichain.core import _structural_violations
-from unichain.errors import ChainError
+from unichain.errors import ChainError, TableFormatError
 from unichain.formats import dump_decomposition, dump_table, parse_decomposition, parse_table
 
 FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
-TABLES = [dump_table(u) for u in (idem_min(2, 1), idem_min(3, 2), luk_upper(4, 2))]
+UNINORMS = (idem_min(2, 1), idem_min(3, 2), luk_upper(4, 2))
+TABLES = [dump_table(u) for u in UNINORMS]
 DECOMPOSITIONS = [
     dump_decomposition(decompose(u1, u2), u1.scale, u1.e, u2.e)
     for u1, u2 in ((idem_min(4, 2), idem_min(4, 1)), (idem_max(4, 2), idem_max(4, 3)))
@@ -47,6 +50,7 @@ TOKENS = [
 NAMES = ["min", "max", "luk", "drastic", "luk-tnorm", "LUK_TCONORM", "drastic-tconorm",
          "idemmin", "idemmax", "umin", "umax-of", "luk-upper", "product", ""]
 VALUES = ["0", "1", "2", "3", "4", "x", "", "²", "-1", " 2 "]
+ENTRIES = ["0", "1", "2", "3", "4", "5", "-1", "01", "+1", "1.5", "x", "\u0663"]
 
 
 @st.composite
@@ -70,6 +74,46 @@ def cell_edited(draw, bases):
         i = draw(st.sampled_from(range(1, len(parts), 2)))  # the numbers split out
         parts[i] = draw(st.sampled_from(["0", "1", "2", "3", "4", "5", "-1", "1.5"]))
     return "".join(parts)
+
+
+@st.composite
+def row_edited(draw):
+    """(n, a table document on L_n) with a sound header and up to three row
+    entries replaced, dropped or doubled, and comment lines between rows."""
+    u = draw(st.sampled_from(UNINORMS))
+    rows = [list(map(str, row)) for row in u.rows]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, len(row) - 1))
+        how = draw(st.sampled_from(["replace", "drop", "double"]))
+        if how == "replace":
+            row[i] = draw(st.sampled_from(ENTRIES))
+        elif how == "drop" and len(row) > 1:  # an empty line would be no row at all
+            del row[i]
+        else:
+            row.insert(i, row[i])
+    lines = [f"scale {u.n}", f"neutral {u.e}"]
+    for row in rows:
+        lines.extend(["# a note"] * draw(st.integers(0, 1)))
+        lines.append(" ".join(row))
+    return u.n, "\n".join(lines) + "\n"
+
+
+def first_wrong_line(text, n):
+    """The line of the first row, top to bottom, that is not n+1 ASCII
+    integers in 0..n agreeing with the rows above it; None if every row is."""
+    numbered = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+                if not line.startswith("#")][2:]
+    above = []
+    for y, (lineno, line) in enumerate(numbered):
+        words = line.split()
+        if len(words) != n + 1 or not all(re.fullmatch("-?[0-9]+", w) for w in words):
+            return lineno
+        row = [int(w) for w in words]
+        if not all(0 <= v <= n for v in row) or any(row[x] != above[x][y] for x in range(y)):
+            return lineno
+        above.append(row)
+    return None
 
 
 @st.composite
@@ -104,6 +148,18 @@ def test_parse_table_raises_only_chain_errors(text):
     except ChainError:
         return
     assert_well_formed(table)
+
+
+@FUZZ
+@given(row_edited())
+def test_parse_table_reports_the_earliest_wrong_row(case):
+    n, text = case
+    try:
+        parse_table(text)
+    except TableFormatError as err:
+        assert err.line == first_wrong_line(text, n), (text, err.message)
+    else:
+        assert first_wrong_line(text, n) is None, text
 
 
 @FUZZ
