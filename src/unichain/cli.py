@@ -208,6 +208,9 @@ def _cmd_scan(args) -> int:
         return "\n".join(blocks) + ("\n" if blocks else "")
 
     def doc():
+        # one table document per uninorm, shared by the hits that hold it
+        held = {id(u): u for hit in hits for u in (hit.u1, hit.u2)}
+        tables = {key: formats.table_doc(u) for key, u in held.items()}
         return {
             "format-version": formats.FORMAT_VERSION,
             "kind": "scan",
@@ -217,8 +220,8 @@ def _cmd_scan(args) -> int:
             "count": len(hits),
             "pairs": [
                 {
-                    "u1": formats.table_doc(hit.u1),
-                    "u2": formats.table_doc(hit.u2),
+                    "u1": tables[id(hit.u1)],
+                    "u2": tables[id(hit.u2)],
                     "necessity": None if hit.necessity is None else formats.report_doc(hit.necessity),
                     "decomposition": None if hit.decomposition is None else
                     formats.decomposition_doc(hit.decomposition, hit.u1.scale, hit.u1.e, hit.u2.e),

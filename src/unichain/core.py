@@ -43,7 +43,7 @@ class ChainScale:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise StructureError(f"chain resolution must be a positive integer, got {self.n!r}")
 
     @property
@@ -84,6 +84,14 @@ class OpTable:
         return cls(scale, tuple(tuple(op(x, y) for y in pts) for x in pts))
 
 
+def _refuse_non_integer_neutral(e) -> None:
+    """Refuse what ``_structural_violations`` refuses as a table entry: a bool
+    would pass ``0 <= e <= n`` as 0 or 1, and 1.0 as 1, but neither is a chain
+    index (both would be written as a neutral line ``parse_table`` refuses)."""
+    if not isinstance(e, int) or isinstance(e, bool):
+        raise StructureError(f"neutral index {e!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Uninorm:
     """An operation table together with its neutral element index.
@@ -99,6 +107,7 @@ class Uninorm:
 
     def __post_init__(self):
         n = self.table.scale.n
+        _refuse_non_integer_neutral(self.e)
         if not 0 <= self.e <= n:
             raise StructureError(f"neutral index {self.e} outside chain 0..{n}")
         # plain attributes, read by the pair loops on every pair; neither is

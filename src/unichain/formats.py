@@ -30,9 +30,12 @@ go through ``encode_basestring_ascii`` as in ``json.dumps``, ints through
 written as its base type, and any other value (floats, int subclasses) goes
 to ``json.dumps``.  A list of plain ints (bools fail that type test) is
 joined once per distinct row and indentation, in a cache local to one
-``to_json`` call.  A dictionary key that is not a string raises TypeError,
-from ``encode_basestring_ascii`` or ``sorted``.  The tests hold
-``json.dumps`` as its oracle.
+``to_json`` call: a list already written at that indentation is found by
+identity, and any other by value, so documents that share one list per
+distinct row (``enumerate``, ``scan``) build no key tuple per row.  A
+dictionary key that is not a string raises TypeError, from
+``encode_basestring_ascii`` or ``sorted``.  The tests hold ``json.dumps``
+as its oracle.
 """
 
 from __future__ import annotations
@@ -213,15 +216,23 @@ def to_json(doc: dict) -> str:
 def _write_json(value, newline: str, out: list, rows: dict) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(value, indent=2,
     sort_keys=True)`` writes it where ``newline`` starts each of its lines;
-    ``rows`` holds the text of each list of plain ints written so far."""
+    ``rows`` holds the text of each list of plain ints written so far: under
+    ``id(row)`` as ``(row, newline, text)``, for the indentation the list was
+    last written at, and under ``(tuple(row), newline)``, which equal rows
+    held in different lists share.  The id entry holds the list, so no other
+    list takes its id during the call; a bool row never reaches either key."""
     kind = type(value)
     if kind is list or kind is tuple:
-        if set(map(type, value)) == {int}:  # not bools: (True,) == (1,) would share a text
+        written = rows.get(id(value))
+        if written is not None and written[1] == newline:
+            out.append(written[2])
+        elif set(map(type, value)) == {int}:  # not bools: (True,) == (1,) would share a text
             key = (tuple(value), newline)
             text = rows.get(key)
             if text is None:
                 inner = newline + "  "
                 text = rows[key] = "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
+            rows[id(value)] = value, newline, text
             out.append(text)
         elif not value:
             out.append("[]")

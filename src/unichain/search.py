@@ -18,11 +18,15 @@ keeps an index from each value to the set cells holding it, pushing a cell
 free cell carries its upper bound and the values the task's filters admit,
 prepared once; a node reads only its lower bound.  The search is a plain
 recursion, one level per free cell, that appends each table to one list.
+Tables share their rows: each completed row goes through a dict local to one
+search, so a task's tables hold one tuple per distinct row between them
+rather than n + 1 tuples each.
 Orientation: x -> n - x maps the uninorms with neutral e onto those with
 neutral n - e (and the conjunctive ones onto the disjunctive ones), and the
 search is far cheaper from the high side: a task with e < n - e runs its
 dual's search, under the same pruning proof, then reflects each table,
-t'[x][y] = n - t[n-x][n-y], and sorts.
+t'[x][y] = n - t[n-x][n-y], and sorts; each distinct row is reflected once,
+so the reflected tables share rows too.
 Determinism: candidates are tried in ascending order, so the search's list
 is in lexicographic order of its row-major values, which a guard checks over
 the whole list before any reflection and before the first table is yielded.
@@ -47,9 +51,9 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
-from .core import ChainScale, OpTable, Uninorm
+from .core import ChainScale, OpTable, Uninorm, _refuse_non_integer_neutral
 from .distributivity import (
     ClassifyResult,
     Decomposition,
@@ -85,6 +89,7 @@ class EnumerationTask:
     conjunctive_only: bool = False
 
     def __post_init__(self):
+        _refuse_non_integer_neutral(self.e)
         if not 0 <= self.e <= self.scale.n:
             raise StructureError(f"neutral index {self.e} outside chain 0..{self.scale.n}")
 
@@ -182,12 +187,14 @@ def _assoc_ok_after(t, pos, x, y, n):
     return True
 
 
-def _search(t, pos, cells, i, n, stats, out):
+def _search(t, pos, cells, i, n, stats, out, interned):
     """Append to ``out`` every table that fills ``cells[i:]`` (from ``_cells``)
     within the pruning rules.  ``pos`` is ``_index(t)``, kept so while cells
-    are set and unset: each entry is pushed and popped in stack order."""
+    are set and unset: each entry is pushed and popped in stack order.
+    ``interned`` maps each distinct row tuple of the tables so far to itself, so
+    the tables share one tuple per distinct row."""
     if i == len(cells):
-        out.append(tuple(map(tuple, t)))
+        out.append(tuple([interned.setdefault(row, row) for row in map(tuple, t)]))
         return
     x, y, hi, admitted = cells[i]
     tx, ty = t[x], t[y]
@@ -203,7 +210,7 @@ def _search(t, pos, cells, i, n, stats, out):
         if mirrored:
             at.append((y, x))
         if _assoc_ok_after(t, pos, x, y, n):
-            _search(t, pos, cells, i + 1, n, stats, out)
+            _search(t, pos, cells, i + 1, n, stats, out, interned)
         at.pop()
         if mirrored:
             at.pop()
@@ -253,15 +260,15 @@ def enumerate_uninorms(task: EnumerationTask, *,
     if task.conjunctive_only and e == 0:
         return  # row 0 is the identity, so u(0, n) = n: nothing qualifies
     searched = n - e if e < n - e else e
-    t, tables = _neutral_table(n, searched), []
-    _search(t, _index(t), _cells(task, searched), 0, n, stats, tables)
+    t, tables, interned = _neutral_table(n, searched), [], {}
+    _search(t, _index(t), _cells(task, searched), 0, n, stats, tables, interned)
     for previous, rows in zip(tables, tables[1:]):
         if rows <= previous:
             raise InternalConsistencyError(
                 f"enumeration on L_{n} with e={searched} left lexicographic order at {rows}")
     if searched != e:
-        mirror = {row: tuple(n - v for v in reversed(row))  # each distinct row, reflected
-                  for row in set(chain.from_iterable(tables))}
+        # each distinct row, reflected once, so the reflected tables share rows too
+        mirror = {row: tuple(n - v for v in reversed(row)) for row in interned}
         tables = sorted(tuple(map(mirror.__getitem__, rows[::-1])) for rows in tables)
     for rows in tables:
         stats.emitted += 1

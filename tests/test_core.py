@@ -377,6 +377,19 @@ class TestCheckedConstructor:
         with pytest.raises(StructureError):
             ChainScale(0)
 
+    @pytest.mark.parametrize("flag", (True, False))
+    def test_a_bool_is_no_scale(self, flag):
+        # True would pass as 1 and equal ChainScale(1)
+        with pytest.raises(StructureError, match=f"got {flag}$"):
+            ChainScale(flag)
+
+    @pytest.mark.parametrize("flag", (True, False, 1.0))
+    def test_a_bool_or_float_is_no_neutral_element(self, flag):
+        # True would pass as 1, and render as "neutral": true and as
+        # "neutral True", which the parser refuses; 1.0 as "neutral 1.0"
+        with pytest.raises(StructureError, match=f"^neutral index {flag} is not an integer$"):
+            Uninorm(idem_min(2, 1).table, flag)
+
 
 class TestCheckReport:
     def test_verdict_must_match_violations(self):

@@ -244,6 +244,12 @@ class Word(str):
     pass
 
 
+def shared_rows():
+    """Four tables on L_2 over three row lists, each list shared by several tables."""
+    r0, r1, r2 = [0, 0, 0], [0, 1, 1], [0, 1, 2]
+    return {"tables": [[r0, r0, r0], [r0, r1, r1], [r0, r1, r2], [r0, r2, r2]]}
+
+
 class TestStructuredDocs:
     def test_report_doc_shape(self):
         report = validate_uninorm(luk_upper(4, 2).table, 2)
@@ -289,6 +295,25 @@ class TestStructuredDocs:
         text = to_json(doc)
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert text.count("true") == 2
+
+    @pytest.mark.parametrize("doc", [
+        (lambda r: {"a": r, "b": [r, [r]]})([1, 2]),
+        shared_rows(),
+        (lambda b, i: [b, i, b, [i, b], {"b": b, "i": i}])([True, True], [1, 1]),
+    ], ids=["one-list-at-two-depths", "one-list-in-many-tables",
+            "a-shared-bool-row-beside-its-int-twin"])
+    def test_json_writer_on_shared_lists(self, doc):
+        # the writer looks a shared list up by identity: the text must still
+        # follow the list's depth and its own entries
+        assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_a_shared_list_changed_between_two_calls_is_written_as_it_is_now(self):
+        doc = shared_rows()
+        first = to_json(doc)
+        doc["tables"][1][1][2] = 2  # row 1 of two tables, now equal to row 2 in value
+        second = to_json(doc)
+        assert second == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert second != first
 
     @pytest.mark.parametrize("doc", [{1: "a"}, {"a": {2: [0]}}, {None: 0}, {True: 0},
                                      {("a",): 0}, {1: 0, "b": 0}])

@@ -34,7 +34,7 @@ from unichain import (
 )
 from unichain import search
 from unichain.core import _structural_violations
-from unichain.errors import InternalConsistencyError, SearchLimitError
+from unichain.errors import InternalConsistencyError, SearchLimitError, StructureError
 from unichain.formats import certification_doc, render_certification, to_json
 from unichain.search import PairDivergence, SearchStats, _check_pairs
 
@@ -146,6 +146,11 @@ class TestEnumeration:
         with pytest.raises(SearchLimitError, match="max_n"):
             list(enumerate_uninorms(EnumerationTask(ChainScale(7), 3)))
 
+    @pytest.mark.parametrize("flag", (True, False, 1.0))
+    def test_a_bool_or_float_is_no_neutral_element(self, flag):
+        with pytest.raises(StructureError, match=f"^neutral index {flag} is not an integer$"):
+            EnumerationTask(ChainScale(3), flag)
+
     @pytest.mark.parametrize("n", (20, 19, 18, 16))
     def test_the_recursion_guard_refuses_exactly_what_would_not_fit(self, n):
         # min, the only idempotent t-norm on L_n, has n(n+1)/2 free cells
@@ -188,8 +193,8 @@ class TestEnumeration:
     def test_a_repeated_or_misordered_table_raises(self, monkeypatch, tamper, e):
         original = search._search
 
-        def tampered(t, pos, cells, i, n, stats, out):
-            original(t, pos, cells, i, n, stats, out)
+        def tampered(t, pos, cells, i, n, stats, out, interned):
+            original(t, pos, cells, i, n, stats, out, interned)
             if i > 0:  # the recursion calls the tampered search too
                 return
             assert len(out) > 2
@@ -213,8 +218,8 @@ class TestEnumeration:
         """Make the search put a copy of its table at-1 at index at."""
         original = search._search
 
-        def tampered(t, pos, cells, i, n, stats, out):
-            original(t, pos, cells, i, n, stats, out)
+        def tampered(t, pos, cells, i, n, stats, out, interned):
+            original(t, pos, cells, i, n, stats, out, interned)
             if i == 0:
                 out.insert(at, out[at - 1])
 
@@ -272,11 +277,11 @@ class TestEnumeration:
         original = search._search
         roots, depths = [], []
 
-        def spied(t, pos, cells, i, n_, stats, out):
+        def spied(t, pos, cells, i, n_, stats, out, interned):
             if i == 0:
                 roots.append([(x, y) for x, y, *_ in cells])
             depths.append(i)
-            original(t, pos, cells, i, n_, stats, out)
+            original(t, pos, cells, i, n_, stats, out, interned)
 
         monkeypatch.setattr(search, "_search", spied)
         for e in range(n + 1):
@@ -302,9 +307,19 @@ class TestEnumeration:
                     assert [c[3] for c in cells if c[:2] == (0, n)] == [(0,)]
                     assert [c[3] for c in dual if c[:2] == (0, n)] == [(n,)]
                 t, native = search._neutral_table(n, e), []
-                search._search(t, search._index(t), cells, 0, n, SearchStats(), native)
+                search._search(t, search._index(t), cells, 0, n, SearchStats(), native, {})
                 got = [u.rows for u in enumerate_uninorms(task)]
                 assert got == native, f"e={e} filters={flags}"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_tables_of_a_task_hold_one_tuple_per_distinct_row(self, n):
+        # native (e >= n - e) and reflected tasks alike, with every filter
+        # combination: equal rows are one object
+        for e in range(n + 1):
+            for flags in product((False, True), repeat=3):
+                rows = [row for u in enumerate_uninorms(EnumerationTask(ChainScale(n), e, *flags))
+                        for row in u.rows]
+                assert len(set(map(id, rows))) == len(set(rows)), f"e={e} filters={flags}"
 
 
 class TestPruningSafety:
