@@ -174,7 +174,9 @@ def _cmd_enumerate(args) -> int:
     tables = list(enumerate_uninorms(task, max_n=max_n, stats=stats))
 
     def doc():
-        # one list per distinct row, shared by the tables that hold it
+        # one list per distinct row, shared by the tables that hold it; lists, not
+        # the search's row tuples, because perfbench/selfcheck.py edits a cell of
+        # this document in place to test its output gate
         lists = {row: list(row) for row in {row for u in tables for row in u.rows}}
         return {
             "format-version": formats.FORMAT_VERSION,
@@ -208,9 +210,6 @@ def _cmd_scan(args) -> int:
         return "\n".join(blocks) + ("\n" if blocks else "")
 
     def doc():
-        # one table document per uninorm, shared by the hits that hold it
-        held = {id(u): u for hit in hits for u in (hit.u1, hit.u2)}
-        tables = {key: formats.table_doc(u) for key, u in held.items()}
         return {
             "format-version": formats.FORMAT_VERSION,
             "kind": "scan",
@@ -220,8 +219,8 @@ def _cmd_scan(args) -> int:
             "count": len(hits),
             "pairs": [
                 {
-                    "u1": tables[id(hit.u1)],
-                    "u2": tables[id(hit.u2)],
+                    "u1": formats.table_doc(hit.u1),
+                    "u2": formats.table_doc(hit.u2),
                     "necessity": None if hit.necessity is None else formats.report_doc(hit.necessity),
                     "decomposition": None if hit.decomposition is None else
                     formats.decomposition_doc(hit.decomposition, hit.u1.scale, hit.u1.e, hit.u2.e),

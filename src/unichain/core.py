@@ -243,12 +243,14 @@ def validate_uninorm(table: OpTable, e: int, *, verbose: bool = False) -> CheckR
     """Check the uninorm axioms for (table, e).
 
     Shape, range and symmetry are :class:`OpTable`'s own checks; an ``e``
-    outside the chain is reported as a ``structure`` violation.  The row
+    that is no integer raises StructureError, as :class:`Uninorm` does, and
+    one outside the chain is reported as a ``structure`` violation.  The row
     tuples are scanned for neutrality (ascending x), monotonicity (row x
     against row x + 1, row-major), then associativity ((x, y, z) with x <= z,
     lexicographic).  Only the first witness per law is kept unless
     ``verbose``, so the scan stops at the first associativity witness.
     """
+    _refuse_non_integer_neutral(e)
     log = WitnessLog(verbose)
     n = table.scale.n
     if not 0 <= e <= n:

@@ -28,11 +28,11 @@ The writer dispatches once on exact type, lists first: keys and str values
 go through ``encode_basestring_ascii`` as in ``json.dumps``, ints through
 ``str``, None and bools are literals, a list, tuple or dict subclass is
 written as its base type, and any other value (floats, int subclasses) goes
-to ``json.dumps``.  A list of plain ints (bools fail that type test) is
-joined once per distinct row and indentation, in a cache local to one
-``to_json`` call: a list already written at that indentation is found by
-identity, and any other by value, so documents that share one list per
-distinct row (``enumerate``, ``scan``) build no key tuple per row.  A
+to ``json.dumps``.  The builders put the program's own row tuples in their
+documents (a table's rows, a report's counts, a witness), and a list or
+tuple of plain ints (bools fail that type test) is joined once per object
+and indentation, in a cache keyed by identity and local to one ``to_json``
+call; so a row the search or a restriction holds once is rendered once.  A
 dictionary key that is not a string raises TypeError, from
 ``encode_basestring_ascii`` or ``sorted``.  The tests hold ``json.dumps``
 as its oracle.
@@ -216,22 +216,17 @@ def to_json(doc: dict) -> str:
 def _write_json(value, newline: str, out: list, rows: dict) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(value, indent=2,
     sort_keys=True)`` writes it where ``newline`` starts each of its lines;
-    ``rows`` holds the text of each list of plain ints written so far: under
-    ``id(row)`` as ``(row, newline, text)``, for the indentation the list was
-    last written at, and under ``(tuple(row), newline)``, which equal rows
-    held in different lists share.  The id entry holds the list, so no other
-    list takes its id during the call; a bool row never reaches either key."""
+    ``rows`` maps the id of each list or tuple of plain ints written so far to
+    ``(row, newline, text)``, for the indentation it was last written at.  The
+    entry holds the row, so no other object takes its id during the call."""
     kind = type(value)
     if kind is list or kind is tuple:
         written = rows.get(id(value))
         if written is not None and written[1] == newline:
             out.append(written[2])
-        elif set(map(type, value)) == {int}:  # not bools: (True,) == (1,) would share a text
-            key = (tuple(value), newline)
-            text = rows.get(key)
-            if text is None:
-                inner = newline + "  "
-                text = rows[key] = "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
+        elif set(map(type, value)) == {int}:  # not bools: they are written as true/false
+            inner = newline + "  "
+            text = "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
             rows[id(value)] = value, newline, text
             out.append(text)
         elif not value:
@@ -274,7 +269,7 @@ def _write_json(value, newline: str, out: list, rows: dict) -> None:
 def violation_doc(v: Violation) -> dict:
     return {
         "law": v.law,
-        "witness": list(v.witness),
+        "witness": v.witness,
         "lhs": v.lhs,
         "rhs": v.rhs,
         "subject": v.subject,
@@ -297,7 +292,7 @@ def table_doc(u: Uninorm) -> dict:
         "kind": "table",
         "scale": u.n,
         "neutral": u.e,
-        "rows": [list(row) for row in u.rows],
+        "rows": u.rows,
     }
 
 
@@ -334,10 +329,10 @@ def certification_doc(report: CertificationReport, *, include_timing: bool = Tru
         "format-version": FORMAT_VERSION,
         "kind": "certification",
         "scale": report.scale_n,
-        "uninorm-counts": [[e, c] for e, c in report.uninorm_counts],
+        "uninorm-counts": report.uninorm_counts,
         "pairs-checked": report.pairs_checked,
-        "pair-case-counts": [[case, c] for case, c in report.pair_case_counts],
-        "distributive-case-counts": [[case, c] for case, c in report.distributive_case_counts],
+        "pair-case-counts": report.pair_case_counts,
+        "distributive-case-counts": report.distributive_case_counts,
         "agreements": report.agreements,
         "divergences": [
             {
@@ -345,8 +340,8 @@ def certification_doc(report: CertificationReport, *, include_timing: bool = Tru
                 "case": d.case,
                 "conditions-verdict": d.conditions_verdict,
                 "exhaustive-verdict": d.exhaustive_verdict,
-                "u1-rows": [list(r) for r in d.u1_rows],
-                "u2-rows": [list(r) for r in d.u2_rows],
+                "u1-rows": d.u1_rows,
+                "u2-rows": d.u2_rows,
             }
             for d in report.divergences
         ],

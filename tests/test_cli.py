@@ -308,7 +308,7 @@ class TestCommands:
         # the counts per case are the exhaustive verdicts', which the flip leaves alone
         expected = json.loads((FIXTURES_DIR / "certify_l3.json").read_text(encoding="utf-8"))
         expected.update({"agreements": 483, "divergences": [planted]})
-        assert json.loads(out) == expected
+        assert structured(out) == expected  # the only document with u1-rows and u2-rows
 
     def test_decompose_compose_file_round_trip(self, capsys, tmp_path):
         dec_path = tmp_path / "d.txt"
@@ -468,6 +468,21 @@ def printing_commands(tmp_path):
         "scan": ["scan", "--n", "4", "--e1", "2", "--e2", "1"],
         "certify": ["certify", "--n", "3", "--no-timing"],
     }
+
+
+class TestStructuredBytes:
+    # enumerate has its own byte test above, and certify its goldens and planted divergences
+    @pytest.mark.parametrize("name", ["validate", "classify", "check", "decompose", "compose",
+                                      "scan"])
+    def test_each_document_is_written_as_the_json_module_writes_it(self, capsys, tmp_path,
+                                                                   name):
+        # the documents hold the program's row tuples, each rendered once by identity
+        code, out, _ = run(capsys, *printing_commands(tmp_path)[name], "--format", "structured")
+        assert code == 0
+        doc = structured(out)
+        if name == "scan":
+            assert doc["count"] == len(doc["pairs"]) > 1
+            assert all(p["necessity"] and p["decomposition"] for p in doc["pairs"])
 
 
 def refuse(name):

@@ -173,6 +173,13 @@ class TestValidateUninorm:
         assert laws_violated(report) == ("structure",)
         assert report.violations[0].detail == "neutral index outside chain 0..1"
 
+    @pytest.mark.parametrize("flag", (True, 1.0), ids=("bool", "float"))
+    def test_a_bool_or_float_neutral_is_refused(self, flag):
+        # True passed 0 <= e <= n and was validated as e = 1 (verdict true on
+        # this table); 1.0 escaped as a TypeError from indexing the rows
+        with pytest.raises(StructureError, match=f"^neutral index {flag} is not an integer$"):
+            validate_uninorm(idem_min(2, 1).table, flag)
+
     def test_verbose_collects_all_witnesses(self):
         table = table_of(mutate(idem_min(4, 2), 2, 3, 2))
         quiet = validate_uninorm(table, 2)
