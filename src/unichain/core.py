@@ -59,8 +59,9 @@ class OpTable:
     finds (shape, integer entries, range, symmetry) and keep the rows as tuples,
     so list and tuple rows give equal tables; :func:`validate_uninorm` checks
     the remaining axioms.  ``_built`` skips the check for tuple rows known well
-    formed: the search's by construction (tests hold it to that), the parser's
-    by the same checker.  ``distributive_pairs`` checks none of it again.
+    formed: the search's, a closed restriction's and ``compose``'s candidates'
+    by construction (tests hold them to that), the parser's by the same
+    checker.  ``distributive_pairs`` checks none of it again.
     """
 
     scale: ChainScale
@@ -322,8 +323,13 @@ def is_conjunctive(u: Uninorm) -> bool:
 
 
 def _restriction(u: Uninorm, lo: int, hi: int, new_e: int) -> Uninorm:
-    rows = tuple(tuple(v - lo for v in row[lo:hi + 1]) for row in u.rows[lo:hi + 1])
-    return Uninorm(OpTable(ChainScale(hi - lo), rows), new_e)
+    """u on [lo, hi]^2, shifted by -lo.  A diagonal block of a well-formed table can fail
+    only closure: a closed block skips ``OpTable``'s check, any other is refused by it."""
+    rows, m = tuple(row[lo:hi + 1] for row in u.rows[lo:hi + 1]), hi - lo
+    if lo:
+        rows = tuple(tuple([v - lo for v in row]) for row in rows)
+    closed = 0 <= min(map(min, rows)) and max(map(max, rows)) <= m
+    return Uninorm((OpTable._built if closed else OpTable)(ChainScale(m), rows), new_e)
 
 
 def underlying_tnorm(u: Uninorm) -> Uninorm:

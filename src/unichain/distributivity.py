@@ -609,7 +609,8 @@ def compose(d: Decomposition, scale: ChainScale, e1: int, e2: int):
     is filled canonically (min below e2 in the greater case, max above e2
     in the less case).  The cells outside the block are the same in both
     candidates, so they are computed once and shared by both tables; each
-    block is filled from its operation's rows.  Both candidates must pass
+    block is filled from its operation's rows.  Both candidates are well
+    formed by construction and skip ``OpTable``'s check, but must still pass
     full axiom validation, the case conditions and the exhaustive
     distributivity scan; an arbitrary selection map can break associativity,
     and a selection that picks the second argument at a point where the
@@ -652,11 +653,14 @@ def compose(d: Decomposition, scale: ChainScale, e1: int, e2: int):
                   for x in g.strip)
     columns = tuple(zip(*strip))
 
+    # n+1 rows of n+1 ints: a block entry is lo plus a value of an OpTable on L_m, so
+    # in lo..n; a strip entry is y or min/max, so in 0..n; and the strip's columns are
+    # the ends of the block rows, so the table is symmetric: no check is needed
     def assembled(block_op: Uninorm) -> OpTable:
-        block = [tuple(lo + v for v in row) for row in block_op.rows]
+        block = [tuple(map(lo.__add__, row)) for row in block_op.rows]
         if lo:  # greater case: the strip lies below the block
-            return OpTable(scale, strip + tuple(map(tuple.__add__, columns[lo:], block)))
-        return OpTable(scale, tuple(map(tuple.__add__, block, columns)) + strip)
+            return OpTable._built(scale, strip + tuple(map(tuple.__add__, columns[lo:], block)))
+        return OpTable._built(scale, tuple(map(tuple.__add__, block, columns)) + strip)
 
     table1, table2 = assembled(d.inner), assembled(d.boundary_op)
     for subject, table, e in (("u1", table1, e1), ("u2", table2, e2)):

@@ -11,10 +11,11 @@ Table document, bit-exact:
     0 1 3 3 4
     0 1 4 4 4
 
-``#`` starts a comment anywhere.  The parser only splits the n+1 row lines
-into numbers; ``core`` judges each row in reading order (its length, then
-each entry, then its symmetry with the rows above), so an error is raised at
-the earliest wrong row's line.
+Lines end at '\\n', '\\r\\n' or '\\r' only; ``#`` starts a comment anywhere.
+The parser only splits the n+1 row lines into numbers (a row of ASCII digits
+in one ``map(int, ...)``); ``core`` judges each row in reading order (its
+length, then each entry, then its symmetry with the rows above), so an error
+is raised at the earliest wrong row's line.
 A decomposition document carries a small header (case, scale, e1, e2),
 two embedded table blocks introduced by ``inner`` and ``boundary``, and a
 ``selection`` block of ``x y first|second`` lines.  A scale must lie in
@@ -50,13 +51,15 @@ from .errors import TableFormatError
 from .search import CertificationReport
 
 FORMAT_VERSION = 1
+_CASES = {case.value: case for case in TheoremCase}
+_PICKS = {pick.value: pick for pick in Pick}
 
 
 # --- table text format ------------------------------------------------------
 
 def dump_table(u: Uninorm) -> str:
     lines = [f"scale {u.n}", f"neutral {u.e}"]
-    lines.extend(" ".join(str(v) for v in row) for row in u.rows)
+    lines.extend(" ".join(map(str, row)) for row in u.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -66,7 +69,8 @@ class _Lines:
     def __init__(self, text: str, source: str):
         self.source = source
         self.items = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        # the breaks a file read with universal newlines holds; not splitlines()'s '\f' etc.
+        for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
             content = raw.split("#", 1)[0].strip()
             if content:
                 self.items.append((lineno, content))
@@ -124,7 +128,9 @@ def _read_table_block(lines: _Lines):
     rows, row_lines = [], []
     for x in range(n + 1):
         lineno, content = lines.next(f"row {x} of the table")
-        rows.append(tuple(map(_token, content.split())))
+        words = content.split()
+        digits = "".join(words)  # all ASCII digits: int() reads each word as _token does
+        rows.append(tuple(map(int if digits.isascii() and digits.isdigit() else _token, words)))
         row_lines.append(lineno)
     for violation in _structural_violations(rows, n):
         lines.error(violation.detail, row_lines[violation.witness[0]])
@@ -173,9 +179,8 @@ def parse_decomposition(text: str, source: str = "<input>"):
     parts = content.split()
     if len(parts) != 2 or parts[0] != "case":
         lines.error(f"expected 'case <name>', got {content!r}", lineno)
-    try:
-        case = TheoremCase(parts[1])
-    except ValueError:
+    case = _CASES.get(parts[1])
+    if case is None:
         lines.error(f"unknown case {parts[1]!r}", lineno)
     n = _read_keyword_int(lines, "scale")
     e1 = _read_keyword_int(lines, "e1", n)
@@ -194,9 +199,8 @@ def parse_decomposition(text: str, source: str = "<input>"):
         x, y = _token(parts[0]), _token(parts[1])
         if type(x) is not int or type(y) is not int:
             lines.error(f"selection coordinates must be integers, got {content!r}", lineno)
-        try:
-            pick = Pick(parts[2])
-        except ValueError:
+        pick = _PICKS.get(parts[2])
+        if pick is None:
             lines.error(f"selection choice must be 'first' or 'second', got {parts[2]!r}", lineno)
         selection.append((x, y, pick))
     d = Decomposition(case, Uninorm(inner_table, inner_e),

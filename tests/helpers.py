@@ -3,13 +3,16 @@
 The catalog families are built through ``catalog.from_string``, the same
 path the command line takes; ``dual`` lifts the raw-row oracle in
 ``oracles`` to a uninorm; ``random_symmetric`` draws a table that need not
-be a uninorm; ``flip_conditions`` plants one divergence.
+be a uninorm; ``flip_conditions`` plants one divergence;
+``assert_well_formed`` holds a table built through ``OpTable._built`` to
+the check that path skips.
 """
 
 from dataclasses import replace
 
 import oracles
 from unichain import ChainScale, CheckReport, OpTable, Uninorm, Violation, from_string
+from unichain.core import _structural_violations
 
 
 def idem_min(n, e):
@@ -52,6 +55,13 @@ def random_symmetric(rng, n):
         for y in range(x, n + 1):
             rows[x][y] = rows[y][x] = rng.randrange(n + 1)
     return tuple(map(tuple, rows))
+
+
+def assert_well_formed(table):
+    """``OpTable``'s own check, and tuple rows, on a table built through
+    ``_built``, which skips that check: the kernel relies on both unchecked."""
+    assert not list(_structural_violations(table.values, table.scale.n)), table
+    assert type(table.values) is tuple and all(type(row) is tuple for row in table.values)
 
 
 def laws_violated(report):

@@ -337,7 +337,8 @@ class TestUnderlyingOps:
             underlying_tconorm(min_tnorm(3))  # e = n
 
     # the plain constructor takes any symmetric table, so a square can leak
-    # out of its subchain; the restriction's structural check refuses it
+    # out of its subchain; a closed restriction skips OpTable's structural
+    # check, but one that leaks still takes it, and it refuses the block
     def test_a_lower_square_above_e_is_refused(self):
         rows = [[max(x, y) for y in range(5)] for x in range(5)]
         rows[0][1] = rows[1][0] = 3

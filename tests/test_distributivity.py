@@ -1,23 +1,46 @@
 """Distributivity checker, case conditions and dispatcher."""
 
+from functools import lru_cache
+from itertools import permutations
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from helpers import dual, idem_min, laws_violated, luk_upper, max_tconorm
+from helpers import (
+    assert_well_formed,
+    dual,
+    idem_min,
+    laws_violated,
+    luk_upper,
+    max_tconorm,
+    random_symmetric,
+)
 from unichain import (
     ChainScale,
+    Decomposition,
+    EnumerationTask,
+    OpTable,
+    Pick,
     TheoremCase,
+    Uninorm,
     check_distributivity,
     classify_and_check,
+    compose,
+    distributivity,
+    enumerate_uninorms,
     equal_neutral_conditions,
     from_string,
     greater_neutral_conditions,
     less_neutral_conditions,
     necessity_conditions,
+    scan_pairs,
     validate_uninorm,
 )
-from unichain.distributivity import _geometry, case_of
-from unichain.errors import ScaleMismatchError, WrongCaseError
+from unichain.distributivity import _geometry, _u1_share, _u2_share, case_of
+from unichain.errors import CompositionInvalid, ScaleMismatchError, WrongCaseError
 
 
 class TestChecker:
@@ -132,6 +155,89 @@ class TestClauseIiiInner:
                         report = validate_uninorm(inner.table, inner.e)
                         assert report.verdict, (u1.rows, e2, report.violations)
         assert closed == 8370
+
+
+@lru_cache(maxsize=None)
+def uninorms_on(m, e):
+    return tuple(enumerate_uninorms(EnumerationTask(ChainScale(m), e)))
+
+
+@st.composite
+def drawn_decompositions(draw):
+    """(d, scale, e1, e2) on L_3-L_6: an inner and a boundary of the right
+    scale and neutral, each a uninorm or any symmetric table, and a drawn
+    selection whose second picks stand only where compose takes one (beyond
+    the near range, at a point where the boundary is idempotent), so that
+    compose always assembles u1."""
+    n = draw(st.integers(3, 6))
+    e1, e2 = draw(st.sampled_from(list(permutations(range(1, n), 2))))
+    g = _geometry(n, e1, e2)
+    lo, m = g.block[0], len(g.block) - 1
+
+    def block(e):
+        if draw(st.booleans()):
+            return draw(st.sampled_from(uninorms_on(m, e)))
+        return Uninorm(OpTable(ChainScale(m), random_symmetric(draw(st.randoms()), m)), e)
+
+    inner, boundary = block(e1 - lo), block(e2 - lo)
+    picks = draw(st.lists(st.sampled_from(Pick), min_size=len(g.domain), max_size=len(g.domain)))
+    selection = tuple((x, y, pick if y not in g.near and boundary(y - lo, y - lo) == y - lo
+                       else Pick.FIRST) for (x, y), pick in zip(g.domain, picks))
+    return Decomposition(g.case, inner, boundary, selection), ChainScale(n), e1, e2
+
+
+def spy_on_validation(captured):
+    """``validate_uninorm`` that first keeps the table it is given."""
+    def validate(table, e, **kwargs):
+        captured.append(table)
+        return validate_uninorm(table, e, **kwargs)
+    return validate
+
+
+class TestBuiltTables:
+    """The restrictions and compose's candidates skip ``OpTable``'s check:
+    every one of them is held to it here."""
+
+    def test_every_share_restriction_is_well_formed_on_l1_to_l6(self, uninorms_by_e):
+        built = 0
+        for n in range(1, 7):
+            for e, us in uninorms_by_e(n).items():
+                for partner in range(n + 1):
+                    if partner == e:
+                        continue
+                    for u in us:
+                        for block in (_u2_share(u, partner, False)[-1], _u1_share(u, partner, False)[-1]):
+                            if block is not None:
+                                assert_well_formed(block.table)
+                                built += 1
+        assert built == 23824  # 4, 22, 114, 606, 3372 and 19706 on L_1-L_6
+
+    def test_compose_assembles_well_formed_tables_on_the_scan_blocks(self, monkeypatch):
+        captured, composed = [], 0
+        monkeypatch.setattr(distributivity, "validate_uninorm", spy_on_validation(captured))
+        for n in (3, 4, 5):
+            for e1, e2 in permutations(range(1, n), 2):
+                for hit in scan_pairs(ChainScale(n), e1, e2):
+                    # only u1's free corner is filled canonically, so u2 comes back
+                    _, u2 = compose(hit.decomposition, ChainScale(n), e1, e2)
+                    assert u2.rows == hit.u2.rows
+                    composed += 1
+        assert composed == 602 and len(captured) == 2 * composed  # 8, 72 and 522 hits
+        for table in captured:
+            assert_well_formed(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_decompositions())
+    def test_compose_assembles_well_formed_tables_from_drawn_blocks(self, case):
+        captured = []
+        with mock.patch.object(distributivity, "validate_uninorm", spy_on_validation(captured)):
+            try:
+                compose(*case)
+            except CompositionInvalid:
+                pass
+        assert captured  # u2 is validated only when u1 passes
+        for table in captured:
+            assert_well_formed(table)
 
 
 class TestLessNeutral:

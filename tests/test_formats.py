@@ -109,6 +109,25 @@ neutral 1
             parse_table(text)
         assert (err.value.message, err.value.line) == (message, line)
 
+    # str.splitlines() also breaks at these; a file read with universal newlines holds
+    # them as text, so a comment keeps them and the rows keep the line numbers cat -n shows
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                             ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"])
+    def test_only_newlines_break_lines(self, char):
+        text = f"# note{char} more\nscale 2\nneutral 1\n0 0 0\n0 1 2\n0 2 2\n"
+        table, e = parse_table(text)
+        assert e == 1 and table.values == ((0, 0, 0), (0, 1, 2), (0, 2, 2))
+        with pytest.raises(TableFormatError) as err:
+            parse_table(text.replace("0 2 2", "0 2 9"))
+        assert (err.value.message, err.value.line) == ("row 2, entry 2: value 9 outside 0..2", 6)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_carriage_returns_break_lines(self, newline):
+        text = "# note\nscale 2\nneutral 1\n0 0 0\n0 1 2\n0 2 9\n".replace("\n", newline)
+        with pytest.raises(TableFormatError) as err:
+            parse_table(text)
+        assert (err.value.message, err.value.line) == ("row 2, entry 2: value 9 outside 0..2", 6)
+
     def test_scale_above_the_input_limit_is_refused(self):
         with pytest.raises(SearchLimitError, match=f"^t.tbl:2: scale n={MAX_SCALE + 1} refused"):
             parse_table(f"# too large\nscale {MAX_SCALE + 1}\nneutral 0\n", source="t.tbl")

@@ -20,11 +20,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import idem_max, idem_min, luk_upper
+from helpers import assert_well_formed, idem_max, idem_min, luk_upper
 from unichain import decompose
 from unichain.catalog import parse_family_spec
 from unichain.cli import main
-from unichain.core import _structural_violations
 from unichain.errors import ChainError, TableFormatError
 from unichain.formats import dump_decomposition, dump_table, parse_decomposition, parse_table
 
@@ -130,14 +129,6 @@ def specs(draw, depth=1):
 
 def small_integers(text):
     return all(int(d) <= 64 for d in re.findall(r"\d+", text))
-
-
-def assert_well_formed(table):
-    """``OpTable``'s own check, and tuple rows, on a table the parser built
-    through ``_built`` after running that check: the kernel relies on both
-    unchecked."""
-    assert not list(_structural_violations(table.values, table.scale.n)), table
-    assert type(table.values) is tuple and all(type(row) is tuple for row in table.values)
 
 
 @FUZZ

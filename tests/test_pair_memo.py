@@ -139,18 +139,19 @@ def test_nothing_carries_over_between_runs(monkeypatch):
 @pytest.mark.parametrize("e1, e2", [(3, 1), (1, 3)], ids=["greater", "less"])
 def test_decompose_after_classification_builds_no_table(monkeypatch, uninorms_by_e, e1, e2):
     # the inner uninorm and the boundary are read from the shares the
-    # classification kept; a restriction built again would construct an OpTable
+    # classification kept; a restriction built again would call _restriction
     by_e = uninorms_by_e(4)
     u1, u2 = next((fresh(u1), fresh(u2)) for u1 in by_e[e1] for u2 in by_e[e2]
                   if classify_and_check(fresh(u1), fresh(u2)).verdict)
     built = []
-    original = OpTable.__init__
+    original = core._restriction
 
-    def counted(self, *args, **kwargs):
-        built.append(args)
-        original(self, *args, **kwargs)
+    def counted(*args):
+        built.append(args[1:])
+        return original(*args)
 
-    monkeypatch.setattr(OpTable, "__init__", counted)
+    monkeypatch.setattr(core, "_restriction", counted)
+    monkeypatch.setattr(distributivity, "_restriction", counted)
     decompose(fresh(u1), fresh(u2))
     assert built, "a fresh pair's classification restricts no table"
     built.clear()
