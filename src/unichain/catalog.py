@@ -175,8 +175,13 @@ class _Cursor:
         return self.text[start:self.pos].lower().replace("_", "-"), start
 
 
-def _parse_call(cur: _Cursor):
-    """Returns (normalized-name, int args, sub-spec calls keyed t/s, name position)."""
+def _parse_call(cur: _Cursor, values: tuple = ()):
+    """Returns (normalized-name, int args, sub-spec calls keyed t/s, name position).
+
+    ``values`` holds where each enclosing T=/S= value starts.  ``_build_sub``
+    refuses a sub-operation's own T=/S= once the spec is read; one level
+    deeper, the key is refused as it is read, so nesting costs no recursion.
+    """
     name, name_pos = cur.name()
     ints: dict[str, int] = {}
     subs: dict[str, tuple] = {}
@@ -202,8 +207,10 @@ def _parse_call(cur: _Cursor):
                     if key == "n":
                         refuse_large_scale(ints[key], f"spec {cur.text!r}")
                 elif key in ("t", "s"):
+                    if len(values) == 2:
+                        cur.error("nested T/S inside a sub-operation is not supported", values[0])
                     value_pos = cur.pos
-                    subs[key] = (_parse_call(cur), value_pos)
+                    subs[key] = (_parse_call(cur, (*values, value_pos)), value_pos)
                 else:
                     cur.error(f"unknown key {key!r} (expected n, e, T or S)", key_pos)
                 cur.skip_ws()

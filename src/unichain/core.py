@@ -14,7 +14,6 @@ before any table is built: the axiom check reads (n+1)^2 (n+2)/2 triples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -129,13 +128,6 @@ class Uninorm:
 
     def __call__(self, x: int, y: int) -> int:
         return self.rows[x][y]
-
-    @cached_property
-    def _latest(self) -> dict:
-        """name -> (arguments, value): the last value a function of that name
-        derived from this uninorm and ``arguments``, kept until a call with
-        other arguments.  Not a field, so equality, hash and repr ignore it."""
-        return {}
 
     @property
     def is_tnorm(self) -> bool:

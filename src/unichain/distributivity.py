@@ -110,21 +110,22 @@ def case_of(u1: Uninorm, u2: Uninorm) -> TheoremCase:
 
 
 def _kept_on_table(share):
-    """``share(u, *args)``, kept in ``u._latest`` while ``args`` repeat.
+    """``share(u, *args)``, kept in ``u.__dict__`` under the share's name while
+    ``args`` repeat.
 
-    A slot holds only the latest arguments (the partner's neutral, ``verbose``):
-    ``certify`` visits pairs u1-outer and e-major, so it is almost always hit,
-    and nothing outlasts the tables of one run.  The slot is keyed by the
-    function's name, so a classified uninorm stays picklable: pickle cannot
-    find a wrapped function under its module attribute.
+    A slot holds only the latest arguments (the partner's neutral, ``verbose``).
+    ``certify`` visits pairs u1-outer and e-major, so it is almost always hit;
+    ``scan`` classifies each hit and then decomposes it from the same shares.
+    The slot is not a field, so equality, hash and repr ignore it, and nothing
+    outlasts the tables of one run.
     """
     name = share.__name__
 
     @wraps(share)
     def kept(u: Uninorm, *args):
-        slot = u._latest.get(name)
+        slot = u.__dict__.get(name)
         if slot is None or slot[0] != args:
-            slot = u._latest[name] = (args, share(u, *args))
+            slot = u.__dict__[name] = (args, share(u, *args))
         return slot[1]
 
     return kept

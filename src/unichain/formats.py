@@ -15,7 +15,8 @@ Lines end at '\\n', '\\r\\n' or '\\r' only; ``#`` starts a comment anywhere.
 The parser only splits the n+1 row lines into numbers (a row of ASCII digits
 in one ``map(int, ...)``); ``core`` judges each row in reading order (its
 length, then each entry, then its symmetry with the rows above), so an error
-is raised at the earliest wrong row's line.
+is raised at the earliest wrong row's line.  A number too long for ``int()``
+is refused as its line is split, ahead of any fault in the rows above.
 A decomposition document carries a small header (case, scale, e1, e2),
 two embedded table blocks introduced by ``inner`` and ``boundary``, and a
 ``selection`` block of ``x y first|second`` lines.  A scale must lie in
@@ -42,6 +43,7 @@ as its oracle.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii
 
 from .core import (CheckReport, ChainScale, OpTable, Uninorm, Violation, _structural_violations,
@@ -98,13 +100,25 @@ def _token(text: str):
     return int(text) if text.isascii() and text.removeprefix("-").isdigit() else text
 
 
+def _refuse_long_number(lines: _Lines, lineno: int, words) -> None:
+    """Refuse at ``lineno`` the word of ``words`` whose ``int()`` raised ValueError:
+    one of more digits than ``int()`` reads (``sys.get_int_max_str_digits()``)."""
+    limit = sys.get_int_max_str_digits()
+    digits = next(d for d in (w.removeprefix("-") for w in words)
+                  if d.isascii() and d.isdigit() and len(d) > limit)
+    lines.error(f"number {digits[:8]}... has {len(digits)} digits; at most {limit} are read", lineno)
+
+
 def _read_keyword_int(lines: _Lines, keyword: str, n: int | None = None) -> int:
     """A '<keyword> <integer>' line: a scale in 1..MAX_SCALE, or an index in 0..n."""
     lineno, content = lines.next(f"'{keyword} <integer>'")
     parts = content.split()
     if len(parts) != 2 or parts[0] != keyword:
         lines.error(f"expected '{keyword} <integer>', got {content!r}", lineno)
-    value = _token(parts[1])
+    try:
+        value = _token(parts[1])
+    except ValueError:
+        _refuse_long_number(lines, lineno, parts[1:])
     if type(value) is not int:
         lines.error(f"{keyword} value {parts[1]!r} is not an integer", lineno)
     if n is None:
@@ -130,7 +144,10 @@ def _read_table_block(lines: _Lines):
         lineno, content = lines.next(f"row {x} of the table")
         words = content.split()
         digits = "".join(words)  # all ASCII digits: int() reads each word as _token does
-        rows.append(tuple(map(int if digits.isascii() and digits.isdigit() else _token, words)))
+        try:
+            rows.append(tuple(map(int if digits.isascii() and digits.isdigit() else _token, words)))
+        except ValueError:
+            _refuse_long_number(lines, lineno, words)
         row_lines.append(lineno)
     for violation in _structural_violations(rows, n):
         lines.error(violation.detail, row_lines[violation.witness[0]])
@@ -196,7 +213,10 @@ def parse_decomposition(text: str, source: str = "<input>"):
         parts = content.split()
         if len(parts) != 3:
             lines.error(f"selection line needs 'x y first|second', got {content!r}", lineno)
-        x, y = _token(parts[0]), _token(parts[1])
+        try:
+            x, y = _token(parts[0]), _token(parts[1])
+        except ValueError:
+            _refuse_long_number(lines, lineno, parts[:2])
         if type(x) is not int or type(y) is not int:
             lines.error(f"selection coordinates must be integers, got {content!r}", lineno)
         pick = _PICKS.get(parts[2])

@@ -162,10 +162,39 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}:") and "is not an integer" in err
 
+    @pytest.mark.parametrize("command, old, new, line", [
+        ("validate", "1 1\n", "1 LONG\n", 4),
+        ("validate", "scale 1", "scale LONG", 1),
+        ("validate", "neutral 0", "neutral LONG", 2),
+        ("compose", "0 1 first", "0 LONG first", 20),
+    ], ids=["row-entry", "scale", "neutral", "selection-coordinate"])
+    def test_a_number_longer_than_int_reads_is_status_two(self, capsys, tmp_path,
+                                                           command, old, new, line):
+        # 5,000 digits: int() refuses more than sys.get_int_max_str_digits(), 4,300 by default
+        if command == "validate":
+            text, option = "scale 1\nneutral 0\n0 1\n1 1\n", "--table"
+        else:
+            u1, u2 = idem_min(4, 2), idem_min(4, 1)
+            text, option = dump_decomposition(decompose(u1, u2), u1.scale, 2, 1), "--decomposition"
+        path = tmp_path / "long.txt"
+        path.write_text(text.replace(old, new.replace("LONG", "9" * 5000), 1))
+        code, out, err = run(capsys, command, option, str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}:{line}: number 99999999... has 5000 digits; "
+                       f"at most {sys.get_int_max_str_digits()} are read\n")
+
     def test_a_spec_digit_that_is_not_ascii_is_status_two(self, capsys):
         code, out, err = run(capsys, "classify", "--table", "idemmin(e=\u0661,n=\u0664)")
         assert code == 2 and out == ""
         assert err.startswith("error: expected an integer\n")
+
+    def test_a_spec_nested_past_the_recursion_limit_is_status_two(self, capsys):
+        # the grammar builds one level of sub-operation; deeper nesting is refused
+        # as it is read, at the top-level T= value, not after 1,200 recursive calls
+        spec = "umin(T=" * 1200 + "min" + ")" * 1200
+        code, out, err = run(capsys, "classify", "--table", spec)
+        assert code == 2 and out == ""
+        assert err == f"error: nested T/S inside a sub-operation is not supported\n  {spec}\n{' ' * 9}^\n"
 
     def test_input_scale_above_the_limit_is_status_three(self, capsys, tmp_path):
         path = tmp_path / "large.tbl"

@@ -1,5 +1,6 @@
 """Distributivity checker, case conditions and dispatcher."""
 
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from unittest import mock
@@ -327,6 +328,47 @@ class TestNecessityBattery:
     def test_wrong_case(self):
         with pytest.raises(WrongCaseError):
             necessity_conditions(idem_min(4, 2), idem_min(4, 2))
+
+
+class TestRedundantClauses:
+    def test_local_internality_is_implied_by_clause_i_on_l1_to_l4(self, uninorms_by_e):
+        """u2's local internality on A(e2) has no witness that clause i lacks.
+
+        In the unequal cases A(e2) = {x < e2 < y} lies inside strip x block:
+        x in the strip [0, e2) and y in the block in the greater case; y in
+        the strip (e2, n] and x in the block in the less case, where the
+        region is mirrored.  There clause i requires u1 = u2 in {x, y}.  So
+        wherever u2 returns neither argument, clause i fails at the same
+        point: at (x, y) in the greater case, at (y, x) in the less case.
+        The necessity battery splits the strip's partners into near and far,
+        so such a point is a necessity-iii witness (strip x near, u2 = x) or
+        a necessity-iv one (strip x far, clause i's law).
+        """
+        batteries = (
+            ("hypothesis-local-internality", ("clause-i-agreement", "clause-i-choice")),
+            ("necessity-local-internality",
+             ("necessity-iii-", "necessity-iv-agreement", "necessity-iv-choice")),
+        )
+        pairs, implied = 0, Counter()
+        for n in range(1, 5):
+            by_e = uninorms_by_e(n)
+            for e1, e2 in permutations(by_e, 2):
+                conditions = greater_neutral_conditions if e1 > e2 else less_neutral_conditions
+                for u1 in by_e[e1]:
+                    for u2 in by_e[e2]:
+                        pairs += 1
+                        reports = (conditions(u1, u2, verbose=True),
+                                   necessity_conditions(u1, u2, verbose=True))
+                        for report, (law, clauses) in zip(reports, batteries):
+                            at = {v.witness for v in report.violations if v.law.startswith(clauses)}
+                            for v in report.violations:
+                                if v.law == law:
+                                    x, y = v.witness
+                                    assert ((x, y) if e1 > e2 else (y, x)) in at, (
+                                        u1.rows, e1, u2.rows, e2, law, v.witness)
+                                    implied[law] += 1
+        assert pairs == 7110
+        assert implied == {law: 150 for law, _ in batteries}
 
 
 # each entry meets tables on L_3 and L_4 whose neutrals, (e1, e2), fall in a
