@@ -9,6 +9,8 @@ uninorm stays between min and max.
 
 Tables read from outside the program are refused above ``MAX_SCALE``
 before any table is built: the axiom check reads (n+1)^2 (n+2)/2 triples.
+A law's check lists or generates its failing points, which ``_clause`` turns
+into violations, reading only the first unless every witness is asked for.
 """
 
 from __future__ import annotations
@@ -184,29 +186,13 @@ class CheckReport:
         return cls(tuple(violations))
 
 
-class WitnessLog:
-    """Collects violations, keeping only the first one per law unless verbose."""
-
-    def __init__(self, verbose: bool = False):
-        self.verbose = verbose
-        self._items: list[Violation] = []
-        self._laws_seen: set[str] = set()
-
-    def add(self, violation: Violation) -> None:
-        key = (violation.subject, violation.law)
-        if self.verbose or key not in self._laws_seen:
-            self._laws_seen.add(key)
-            self._items.append(violation)
-
-    def wants(self, law: str, subject: str = "") -> bool:
-        return self.verbose or (subject, law) not in self._laws_seen
-
-    @property
-    def violations(self) -> tuple:
-        return tuple(self._items)
-
-    def report(self) -> CheckReport:
-        return CheckReport.from_violations(self._items)
+def _clause(law: str, failures: Iterable, subject: str, verbose: bool, detail: str = "") -> tuple:
+    """One law's violations, one per failing ``(witness, lhs, rhs)`` in the order
+    ``failures`` yields them; only the first is read unless ``verbose``."""
+    if verbose:
+        return tuple(Violation(law, *failure, subject, detail) for failure in failures)
+    first = next(iter(failures), None)
+    return () if first is None else (Violation(law, *first, subject, detail),)
 
 
 def _structural_violations(values, n: int) -> Iterator[Violation]:
@@ -244,24 +230,15 @@ def validate_uninorm(table: OpTable, e: int, *, verbose: bool = False) -> CheckR
     ``verbose``, so the scan stops at the first associativity witness.
     """
     _refuse_non_integer_neutral(e)
-    log = WitnessLog(verbose)
     n = table.scale.n
     if not 0 <= e <= n:
-        log.add(Violation("structure", (e,), detail=f"neutral index outside chain 0..{n}"))
-        return log.report()
+        return CheckReport((Violation("structure", (e,), detail=f"neutral index outside chain 0..{n}"),))
 
-    rows = table.values
-    pts = range(n + 1)
-    for x, v in enumerate(rows[e]):
-        if v != x and log.wants("neutrality"):
-            log.add(Violation("neutrality", (x,), lhs=v, rhs=x))
-
-    for x in range(n):
-        row, below = rows[x], rows[x + 1]
-        for y in pts:
-            if row[y] > below[y] and log.wants("monotonicity"):
-                log.add(Violation("monotonicity", (x, x + 1, y), lhs=row[y], rhs=below[y]))
-
+    rows, pts = table.values, range(n + 1)
+    found = [*_clause("neutrality", (((x,), v, x) for x, v in enumerate(rows[e]) if v != x),
+                      "", verbose),
+             *_clause("monotonicity", (((x, x + 1, y), rows[x][y], rows[x + 1][y]) for x in range(n)
+                                       for y in pts if rows[x][y] > rows[x + 1][y]), "", verbose)]
     # (x*y)*z vs x*(y*z); swapping x and z yields the mirrored equation, so
     # the scan is restricted to x <= z
     for x in pts:
@@ -270,32 +247,33 @@ def validate_uninorm(table: OpTable, e: int, *, verbose: bool = False) -> CheckR
             ry, rxy = rows[y], rows[rx[y]]
             for z in zs:
                 if rxy[z] != rx[ry[z]]:
-                    log.add(Violation("associativity", (x, y, z), lhs=rxy[z], rhs=rx[ry[z]]))
+                    found.append(Violation("associativity", (x, y, z), lhs=rxy[z], rhs=rx[ry[z]]))
                     if not verbose:
-                        return log.report()
-    return log.report()
+                        return CheckReport.from_violations(found)
+    return CheckReport.from_violations(found)
 
 
-def _non_idempotent_points(u: Uninorm) -> list:
-    """The x with u(x, x) != x, ascending."""
-    return [x for x, row in enumerate(u.rows) if row[x] != x]
+def _idempotency_failures(u: Uninorm) -> list:
+    """The failing ((x,), u(x, x), x) of u(x, x) = x, ascending."""
+    return [((x,), row[x], x) for x, row in enumerate(u.rows) if row[x] != x]
 
 
-def _non_internal_points(u: Uninorm) -> list:
-    """The (x, y) of A(e), x < e < y, where u returns neither argument, in scan order."""
+def _internality_failures(u: Uninorm) -> list:
+    """The failing ((x, y), u(x, y), None) of local internality on A(e), x < e < y,
+    where u returns neither argument, in scan order."""
     e, n = u.e, u.n
-    return [(x, y) for x, row in enumerate(u.rows[:e]) for y in range(e + 1, n + 1)
+    return [((x, y), row[y], None) for x, row in enumerate(u.rows[:e]) for y in range(e + 1, n + 1)
             if row[y] not in (x, y)]
 
 
 def is_idempotent(u: Uninorm) -> bool:
     """True iff u(x, x) = x for every x."""
-    return not _non_idempotent_points(u)
+    return not _idempotency_failures(u)
 
 
 def is_locally_internal(u: Uninorm) -> bool:
     """True iff u(x, y) is one of its arguments everywhere on A(e)."""
-    return not _non_internal_points(u)
+    return not _internality_failures(u)
 
 
 def is_conjunctive(u: Uninorm) -> bool:

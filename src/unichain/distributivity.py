@@ -21,6 +21,9 @@ u2's hypotheses, clause-i side condition, boundary and clause ii half, and
 u1's clause ii half and clause-iii closure; in the equal case u2's
 idempotency.  Decompositions read u1's inner uninorm and u2's boundary from
 them, so each restriction is built once per table and partner.
+Each single-law clause is one ``core._clause`` call over its failing points.
+The pair path's two hot scans stay loops: the distributivity triples, and
+agreement with choice of an argument, which keeps each law's first violation.
 
 Index-range conventions used by the case predicates (all bounds inclusive
 unless marked strict):
@@ -66,12 +69,12 @@ from .core import (
     OpTable,
     Uninorm,
     Violation,
-    WitnessLog,
     underlying_tconorm,
     underlying_tnorm,
     validate_uninorm,
-    _non_idempotent_points,
-    _non_internal_points,
+    _clause,
+    _idempotency_failures,
+    _internality_failures,
     _restriction,
 )
 from .errors import (
@@ -230,42 +233,30 @@ def _endomorphisms(rows, seconds):
     return kept
 
 
-# One helper per clause shape, adding witnesses in scan order (the pair path's
-# hot loops, reading row tuples); a violation is built only where the log
-# keeps it
-def _on_square(log, u2, g, law):
-    """u2 = op on its square, x <= y."""
-    rows = u2.rows
-    for x, y, v in g.square:
-        w = rows[x][y]
-        if w != v and log.wants(law, "u2"):
-            log.add(Violation(law, (x, y), lhs=w, rhs=v, subject="u2"))
-
-
-def _agree_and_choose(log, u1, u2, xs, ys, agreement, choice, side_condition=""):
-    """u1 = u2 = x or y on xs x ys; with a ``side_condition``, u2 = y only if u2(y, y) = y."""
+def _agree_and_choose(u1, u2, xs, ys, verbose, agreement, choice, side_condition=""):
+    """u1 = u2 = x or y on xs x ys; with a ``side_condition``, u2 = y only if u2(y, y) = y.
+    The violations in scan order, only each law's first unless ``verbose``; a
+    violation is built only where it is kept."""
     rows1, rows2 = u1.rows, u2.rows
+    found, wanted = [], {agreement, choice, side_condition}
+
+    def keep(violation):
+        found.append(violation)
+        if not verbose:
+            wanted.discard(violation.law)
+
     for x in xs:
         row1, row2 = rows1[x], rows2[x]
         for y in ys:
             a, b = row1[y], row2[y]
             if a != b:
-                if log.wants(agreement):
-                    log.add(Violation(agreement, (x, y), lhs=a, rhs=b))
-            elif a != x and a != y and log.wants(choice):
-                log.add(Violation(choice, (x, y), lhs=a))
-            if side_condition and b == y and rows2[y][y] != y and log.wants(side_condition, "u2"):
-                log.add(Violation(side_condition, (x, y), lhs=rows2[y][y], rhs=y, subject="u2"))
-
-
-def _keeps_first(log, u, subject, law, xs, ys):
-    """u(x, y) = x on xs x ys."""
-    rows = u.rows
-    for x in xs:
-        row = rows[x]
-        for y in ys:
-            if row[y] != x and log.wants(law, subject):
-                log.add(Violation(law, (x, y), lhs=row[y], rhs=x, subject=subject))
+                if agreement in wanted:
+                    keep(Violation(agreement, (x, y), lhs=a, rhs=b))
+            elif a != x and a != y and choice in wanted:
+                keep(Violation(choice, (x, y), lhs=a))
+            if side_condition and b == y and rows2[y][y] != y and side_condition in wanted:
+                keep(Violation(side_condition, (x, y), lhs=rows2[y][y], rhs=y, subject="u2"))
+    return tuple(found)
 
 
 def equal_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
@@ -277,19 +268,14 @@ def equal_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False)
     _same_scale(u1, u2)
     if u1.e != u2.e:
         raise WrongCaseError(f"equal-neutral conditions need e1 = e2, got {u1.e} and {u2.e}")
-    idempotency = _idempotency_share(u2, verbose)
-    log = WitnessLog(verbose)
-    _agree_and_choose(log, u1, u2, range(u1.e), range(u1.e + 1, u1.n + 1),
-                      "agreement", "local-internality")
-    return CheckReport.from_violations(idempotency + log.violations)
+    return CheckReport.from_violations(_idempotency_share(u2, verbose) + _agree_and_choose(
+        u1, u2, range(u1.e), range(u1.e + 1, u1.n + 1), verbose, "agreement", "local-internality"))
 
 
 @_kept_on_table
 def _idempotency_share(u2: Uninorm, verbose: bool) -> tuple:
     """The equal case's clause that reads only u2: its idempotency violations."""
-    points = _non_idempotent_points(u2)
-    return tuple(Violation("idempotency", (x,), lhs=u2(x, x), rhs=x, subject="u2")
-                 for x in (points if verbose else points[:1]))
+    return _clause("idempotency", _idempotency_failures(u2), "u2", verbose)
 
 
 @dataclass(frozen=True)
@@ -358,33 +344,33 @@ def _geometry(n: int, e1: int, e2: int) -> _Geometry:
     )
 
 
+# The failing (witness, lhs, rhs) of the laws that both the case conditions
+# and the necessity battery read, in scan order
+def _off_square(u2: Uninorm, g: _Geometry):
+    """u2 = op on its square, x <= y."""
+    rows = u2.rows
+    return (((x, y), rows[x][y], v) for x, y, v in g.square if rows[x][y] != v)
+
+
+def _not_first(u: Uninorm, xs: range, ys: range):
+    """u(x, y) = x on xs x ys."""
+    rows = u.rows
+    return (((x, y), rows[x][y], x) for x in xs for y in ys if rows[x][y] != x)
+
+
 @_kept_on_table
 def _u2_share(u2: Uninorm, e1: int, verbose: bool):
     """The clauses that read only u2, partnered with neutral ``e1``: hypotheses,
     clause-i side condition, clause ii's u2 half, and the boundary on the block."""
     g, rows = _geometry(u2.n, e1, u2.e), u2.rows
-    log = WitnessLog(verbose)
-    _on_square(log, u2, g, f"hypothesis-{g.unit}")
-    for x, y in _non_internal_points(u2):
-        log.add(Violation("hypothesis-local-internality", (x, y), lhs=rows[x][y], subject="u2"))
-    hypotheses = log.violations
-
-    log = WitnessLog(verbose)
-    for x0 in g.strip:
-        row = rows[x0]
-        for y0 in g.far:
-            if row[y0] == y0 and rows[y0][y0] != y0:
-                log.add(Violation("clause-i-side-condition", (x0, y0),
-                                  lhs=rows[y0][y0], rhs=y0, subject="u2",
-                                  detail="second argument picked at a non-idempotent point"))
-    return hypotheses, log.violations, _clause_ii_half(u2, "u2", g, verbose), g.boundary(u2)
-
-
-def _clause_ii_half(u: Uninorm, subject: str, g: _Geometry, verbose: bool) -> tuple:
-    """Clause ii for one operation: op(x, y) = x across the near strip."""
-    log = WitnessLog(verbose)
-    _keeps_first(log, u, subject, f"clause-ii-{g.op.__name__}", g.strip, g.near)
-    return log.violations
+    hypotheses = (_clause(f"hypothesis-{g.unit}", _off_square(u2, g), "u2", verbose)
+                  + _clause("hypothesis-local-internality", _internality_failures(u2), "u2", verbose))
+    side_condition = _clause(
+        "clause-i-side-condition", (((x, y), rows[y][y], y) for x in g.strip for y in g.far
+                                    if rows[x][y] == y and rows[y][y] != y),
+        "u2", verbose, "second argument picked at a non-idempotent point")
+    clause_ii = _clause(f"clause-ii-{g.op.__name__}", _not_first(u2, g.strip, g.near), "u2", verbose)
+    return hypotheses, side_condition, clause_ii, g.boundary(u2)
 
 
 @_kept_on_table
@@ -398,16 +384,12 @@ def _u1_share(u1: Uninorm, e2: int, verbose: bool):
     it is a restriction; its neutral is e1 - lo because u1(e1, x) = x; and it
     is associative because every intermediate u1(x, y) stays in B.
     """
-    g = _geometry(u1.n, u1.e, e2)
-    log, lo, stop = WitnessLog(verbose), g.block[0], g.block.stop
-    for x in g.block:
-        row = u1.rows[x]
-        for y in range(x, stop):
-            if not lo <= row[y] < stop:
-                log.add(Violation("clause-iii-closure", (x, y), lhs=row[y], rhs=e2, subject="u1",
-                                  detail=g.leak))
-    leaks = log.violations
-    return _clause_ii_half(u1, "u1", g, verbose), leaks, None if leaks else g.inner(u1)
+    g, rows = _geometry(u1.n, u1.e, e2), u1.rows
+    clause_ii = _clause(f"clause-ii-{g.op.__name__}", _not_first(u1, g.strip, g.near), "u1", verbose)
+    leaks = _clause("clause-iii-closure", (((x, y), rows[x][y], e2) for x in g.block
+                                           for y in range(x, g.block.stop) if rows[x][y] not in g.block),
+                    "u1", verbose, g.leak)
+    return clause_ii, leaks, None if leaks else g.inner(u1)
 
 
 def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
@@ -416,15 +398,15 @@ def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
     u1_clause_ii, leaks, inner = _u1_share(u1, u2.e, verbose)
     # each clause keeps its own witnesses: no two clauses share a law, so
     # the lists are concatenated in clause order
-    log = WitnessLog(verbose)
-    _agree_and_choose(log, u1, u2, g.strip, g.block, "clause-i-agreement", "clause-i-choice")
+    clause_i = _agree_and_choose(u1, u2, g.strip, g.block, verbose,
+                                 "clause-i-agreement", "clause-i-choice")
     # clause ii's halves in scan order; the sort is stable, so at a point
     # where both fail, u1 comes before u2
     clause_ii = sorted(u1_clause_ii + u2_clause_ii, key=lambda v: v.witness)
     clause_iii = () if inner is None else _distributivity_violations(
         inner.rows, boundary.rows, verbose, "clause-iii-distributivity", g.subchain)
     return CheckReport.from_violations(
-        (*hypotheses, *log.violations, *side_condition, *clause_ii, *leaks, *clause_iii))
+        (*hypotheses, *clause_i, *side_condition, *clause_ii, *leaks, *clause_iii))
 
 
 def greater_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
@@ -472,16 +454,15 @@ def necessity_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> 
     if u1.e == u2.e:
         raise WrongCaseError("necessity batteries apply to pairs with e1 != e2")
     g = _geometry(u1.n, u1.e, u2.e)
-    log = WitnessLog(verbose)
-    _on_square(log, u2, g, f"necessity-i-{g.unit}")
+    op = g.op.__name__
     # on side x near, x <= e2 <= y (mirrored in the less case), so op(x, y) = x
-    _keeps_first(log, u1, "u1", f"necessity-ii-u1-{g.op.__name__}", g.side, g.near)
-    _keeps_first(log, u2, "u2", f"necessity-iii-u2-{g.op.__name__}", g.strip, g.near)
-    _agree_and_choose(log, u1, u2, g.strip, g.far, "necessity-iv-agreement",
-                      "necessity-iv-choice", "necessity-iv-side-condition")
-    for x, y in _non_internal_points(u2):
-        log.add(Violation("necessity-local-internality", (x, y), lhs=u2(x, y), subject="u2"))
-    return log.report()
+    return CheckReport.from_violations((
+        *_clause(f"necessity-i-{g.unit}", _off_square(u2, g), "u2", verbose),
+        *_clause(f"necessity-ii-u1-{op}", _not_first(u1, g.side, g.near), "u1", verbose),
+        *_clause(f"necessity-iii-u2-{op}", _not_first(u2, g.strip, g.near), "u2", verbose),
+        *_agree_and_choose(u1, u2, g.strip, g.far, verbose, "necessity-iv-agreement",
+                           "necessity-iv-choice", "necessity-iv-side-condition"),
+        *_clause("necessity-local-internality", _internality_failures(u2), "u2", verbose)))
 
 
 _CONDITIONS = {

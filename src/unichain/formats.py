@@ -21,7 +21,8 @@ A decomposition document carries a small header (case, scale, e1, e2),
 two embedded table blocks introduced by ``inner`` and ``boundary``, and a
 ``selection`` block of ``x y first|second`` lines.  A scale must lie in
 1..``core.MAX_SCALE`` (a larger one is refused) and neutral, e1, e2 in 0..scale.
-Every integer is ASCII digits after an optional '-'.
+Every integer is ASCII digits after an optional '-'.  The case is
+``greater-neutral`` or ``less-neutral``: equal neutrals have no blocks.
 
 Structured documents are written by ``to_json``, a small recursive writer
 whose output is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
@@ -199,6 +200,8 @@ def parse_decomposition(text: str, source: str = "<input>"):
     case = _CASES.get(parts[1])
     if case is None:
         lines.error(f"unknown case {parts[1]!r}", lineno)
+    if case is TheoremCase.EQUAL_NEUTRAL:
+        lines.error(f"case {parts[1]}: equal neutral elements admit no block decomposition", lineno)
     n = _read_keyword_int(lines, "scale")
     e1 = _read_keyword_int(lines, "e1", n)
     e2 = _read_keyword_int(lines, "e2", n)

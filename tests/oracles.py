@@ -295,6 +295,59 @@ def axiom_violations(rows, e, verbose):
     return log.items
 
 
+def necessity_violations(rows1, e1, rows2, e2, verbose):
+    """The necessity battery's violations for u1 = (rows1, e1) and u2 = (rows2, e2),
+    e1 != e2, as (law, witness, lhs, rhs, subject, detail) tuples.
+
+    Each battery is one loop over the pair reading u(x, y), and all of them add
+    to one log in battery order: u2 = min/max on its square; u1 and then u2
+    keep the first argument against the near range; on strip x far, point by
+    point, agreement, choice and the side condition; then u2's local
+    internality on A(e2).  The less case is the greater case reflected.
+    """
+    n = len(rows1) - 1
+
+    def u1(x, y):
+        return rows1[x][y]
+
+    def u2(x, y):
+        return rows2[x][y]
+
+    if e1 > e2:
+        side, strip, near, far = range(e2 + 1), range(e2), range(e2, e1 + 1), range(e1, n + 1)
+        op, unit = min, "tnorm-min"
+    else:
+        side, strip, near, far = range(e2, n + 1), range(e2 + 1, n + 1), range(e1, e2 + 1), range(e1 + 1)
+        op, unit = max, "tconorm-max"
+
+    log = _WitnessLog(verbose)
+    for x in side:
+        for y in side:
+            if x <= y and u2(x, y) != op(x, y):
+                log.add(f"necessity-i-{unit}", (x, y), u2(x, y), op(x, y), "u2")
+    for x in side:
+        for y in near:
+            if u1(x, y) != x:
+                log.add(f"necessity-ii-u1-{op.__name__}", (x, y), u1(x, y), x, "u1")
+    for x in strip:
+        for y in near:
+            if u2(x, y) != x:
+                log.add(f"necessity-iii-u2-{op.__name__}", (x, y), u2(x, y), x, "u2")
+    for x in strip:
+        for y in far:
+            if u1(x, y) != u2(x, y):
+                log.add("necessity-iv-agreement", (x, y), u1(x, y), u2(x, y))
+            elif u1(x, y) not in (x, y):
+                log.add("necessity-iv-choice", (x, y), u1(x, y))
+            if u2(x, y) == y and u2(y, y) != y:
+                log.add("necessity-iv-side-condition", (x, y), u2(y, y), y, "u2")
+    for x in range(e2):
+        for y in range(e2 + 1, n + 1):
+            if u2(x, y) not in (x, y):
+                log.add("necessity-local-internality", (x, y), u2(x, y), None, "u2")
+    return log.items
+
+
 def condition_violations(rows1, e1, rows2, e2, verbose):
     """The case conditions' violations for u1 = (rows1, e1) and u2 = (rows2, e2),
     as (law, witness, lhs, rhs, subject, detail) tuples.

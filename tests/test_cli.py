@@ -362,6 +362,16 @@ class TestCommands:
         assert code == 2 and out == ""
         assert err == f"error: {path}:3: e1 9 outside chain 0..4\n"
 
+    def test_compose_refuses_an_equal_neutral_case_at_its_line(self, capsys, tmp_path):
+        u1, u2 = idem_min(4, 2), idem_min(4, 1)
+        text = dump_decomposition(decompose(u1, u2), u1.scale, 2, 1)
+        path = tmp_path / "d.txt"
+        path.write_text(text.replace("case greater-neutral", "case equal-neutral", 1))
+        code, out, err = run(capsys, "compose", "--decomposition", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}:1: case equal-neutral: equal neutral elements admit "
+                       "no block decomposition\n")
+
     def test_compose_with_swapped_neutrals_is_rejected(self, capsys, tmp_path):
         u1, u2 = idem_min(4, 2), idem_min(4, 1)
         text = dump_decomposition(decompose(u1, u2), u1.scale, 1, 2)

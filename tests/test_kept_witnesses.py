@@ -7,6 +7,7 @@ a report must hold exactly the verbose report's first violation for each
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -76,6 +77,57 @@ def test_random_symmetric_reports_keep_the_first_violation_of_each_law(n):
                     u1, u2 = Uninorm(t1, e1), Uninorm(t2, e2)
                     full = check(u1, u2, verbose=True)
                     assert check(u1, u2).violations == first_per_law(full), (u1, u2)
+
+
+def assert_necessity_matches_the_oracle(u1, u2, verbose):
+    want = tuple(Violation(*v) for v in
+                 oracles.necessity_violations(u1.rows, u1.e, u2.rows, u2.e, verbose))
+    assert necessity_conditions(u1, u2, verbose=verbose).violations == want, (u1, u2, verbose)
+
+
+def test_every_unequal_l4_necessity_report_equals_the_oracle(all_pairs):
+    for verbose in (False, True):
+        for u1, u2 in all_pairs(4):
+            if u1.e != u2.e:
+                assert_necessity_matches_the_oracle(u1, u2, verbose)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_random_symmetric_necessity_reports_equal_the_oracle(n):
+    # tables that are not uninorms fail the choice, which no uninorm pair on L_4 does
+    rng = random.Random(20261020 + n)
+    tables = [table_of(random_symmetric(rng, n)) for _ in range(4)]
+    for t1, t2 in product(tables, repeat=2):
+        for e1, e2 in product(range(n + 1), repeat=2):
+            if e1 != e2:
+                for verbose in (False, True):
+                    assert_necessity_matches_the_oracle(Uninorm(t1, e1), Uninorm(t2, e2), verbose)
+
+
+def test_the_l5_pairs_failing_clause_i_choice_equal_the_oracle(uninorms_by_e):
+    # no unequal pair on L_4 fails the choice of clause i: the 48 of L_5
+    # are the pairs on whose strip x block u1 and u2 return one value that
+    # is neither argument, which takes a u2 that is not locally internal
+    n, by_e, pairs = 5, uninorms_by_e(5), []
+    for e2, u2s in by_e.items():
+        for u2 in u2s:
+            if all(u2(x, y) in (x, y) for x in range(e2) for y in range(e2 + 1, n + 1)):
+                continue
+            for e1 in set(by_e) - {e2}:
+                if e1 > e2:
+                    strip, block = range(e2), range(e2, n + 1)
+                else:
+                    strip, block = range(e2 + 1, n + 1), range(e2 + 1)
+                pairs.extend((u1, u2) for u1 in by_e[e1]
+                             if any(u1(x, y) == u2(x, y) not in (x, y) for x in strip for y in block))
+    assert len(pairs) == 48
+    for u1, u2 in pairs:
+        for verbose in (False, True):
+            want = tuple(Violation(*v) for v in
+                         oracles.condition_violations(u1.rows, u1.e, u2.rows, u2.e, verbose))
+            got = classify_and_check(u1, u2, verbose=verbose).conditions.violations
+            assert "clause-i-choice" in {v.law for v in got}
+            assert got == want, (u1.rows, u1.e, u2.rows, u2.e, verbose)
 
 
 def clause_ii_ties(violations):
