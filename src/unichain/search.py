@@ -3,14 +3,18 @@ experiment comparing the structural case conditions against brute-force
 distributivity over the full pair space.
 
 The search fills the upper triangle of the table in a fixed traversal
-(increasing x, then y >= x), with the neutral row propagated first.
-Monotonicity prunes a candidate cell immediately via its neighbour bounds;
-associativity is pruned incrementally, at each new cell (x, y), by three
-triple checks that cover every triple whose four lookups it determined:
-(y, x, c) with the new cell as first lookup, and (a, b, y) with ab = x and
-(a, b, x) with ab = y with it as outer lookup.  The table is symmetric, so
-(a, b, c) and (c, b, a) share a verdict, and (x, y, c) follows from triples
-checked here or at earlier nodes (the proof is at ``_assoc_ok_after``).
+(increasing x, then y >= x).  It starts from the neutral row and the cells
+the bounds force in every uninorm (Fodor, Yager and Rybalov, 1997):
+u(0, y) = 0 for y < e, the t-norm's annihilator, and u(x, n) = n for x > e,
+the t-conorm's.  That leaves n(n - 1)/2 free cells for every e, and below e
+column n admits only u(x, n) in [x, e) or n.  Monotonicity prunes a
+candidate cell immediately via its neighbour bounds; associativity is
+pruned incrementally, at each new cell (x, y), by three triple checks that
+cover every triple whose four lookups it determined: (y, x, c) with the
+new cell as first lookup, and (a, b, y) with ab = x and (a, b, x) with
+ab = y with it as outer lookup.  The table is symmetric, so (a, b, c) and
+(c, b, a) share a verdict, and (x, y, c) follows from triples checked here
+or at earlier nodes (the proof is at ``_assoc_ok_after``).
 Where the new cell is the outer lookup t[ab][c], ab must equal one of its
 coordinates, so the check reads only the cells that hold x or y: the search
 keeps an index from each value to the set cells holding it, pushing a cell
@@ -95,14 +99,22 @@ class EnumerationTask:
 
 
 def _free_cells(n: int, e: int):
-    return [(x, y) for x in range(n + 1) for y in range(x, n + 1) if x != e and y != e]
+    """The cells (x, y), x <= y, that ``_neutral_table`` leaves unset: the
+    search fills n(n - 1)/2 of them for every e."""
+    t = _neutral_table(n, e)
+    return [(x, y) for x in range(n + 1) for y in range(x, n + 1) if t[x][y] < 0]
 
 
 def _neutral_table(n: int, e: int):
+    """The search's root: row e, u(0, y) = 0 for y < e and u(x, n) = n for
+    x > e, mirrors included; -1 elsewhere."""
     t = [[-1] * (n + 1) for _ in range(n + 1)]
     for y in range(n + 1):
-        t[e][y] = y
-        t[y][e] = y
+        t[e][y] = t[y][e] = y
+    for y in range(e):
+        t[0][y] = t[y][0] = 0
+    for x in range(e + 1, n + 1):
+        t[x][n] = t[n][x] = n
     return t
 
 
@@ -110,13 +122,17 @@ def _cells(task: EnumerationTask, e: int):
     """``task``'s free cells with neutral ``e`` as ``(x, y, hi, admitted)``: the
     static monotone bound, and None or the ascending values the filters leave.
     Off the diagonal and with both ends in A(e), (0, n) admits the conjunctive
-    bottom alone: 0, or n in the dual, as u(0, n) = 0 reflects to u(0, n) = n."""
+    bottom alone: 0, or n in the dual, as u(0, n) = 0 reflects to u(0, n) = n.
+    Column n admits only [x, e) and n at (x, n), x < e: a = u(x, n) gives
+    u(a, n) = u(x, u(n, n)) = a, so a >= e gives a = u(a, n) >= u(e, n) = n.
+    Each filter's values there already lie in that set."""
     n = task.scale.n
     bottom = 0 if e == task.e else n
     return [(x, y, x if y < e else y if x < e else n,
              (bottom,) if task.conjunctive_only and (x, y) == (0, n) else
              (x,) if task.idempotent_only and x == y else
-             (x, y) if task.locally_internal_only and x < e < y else None)
+             (x, y) if task.locally_internal_only and x < e < y else
+             (*range(x, e), n) if y == n and x < e else None)
             for x, y in _free_cells(n, e)]
 
 
@@ -134,9 +150,12 @@ def _index(t):
 def _assoc_ok_after(t, pos, x, y, n):
     # The triples whose four lookups became determined with cell (x, y),
     # x <= y, at a node of ``_search``.  There the cells before (x, y) in the
-    # traversal are set within their monotone bounds, so the set cells are
-    # monotone, and every triple determined before passed at an earlier node:
-    # a triple that reads the new cell is the only kind left to check.
+    # traversal are set within their monotone bounds, and the cells preset at
+    # the root hold 0 in row 0 and n in column n, so the set cells are
+    # monotone.  The preset cells hold in every uninorm with neutral e, and
+    # one exists, so the triples they determine hold; every other triple
+    # determined before passed at an earlier node: a triple that reads the
+    # new cell is the only kind left.
     #
     # Cells are set in pairs (-1 included), so t is symmetric and the mirror
     # (c, b, a) of a triple reads t[c][b] = t[b][c] and t[b][a] = t[a][b] with
@@ -145,18 +164,23 @@ def _assoc_ok_after(t, pos, x, y, n):
     # (ab, c), which leaves four kinds: (x, y, c) and (y, x, c), then (a, b, y)
     # with ab = x and (a, b, x) with ab = y.  The first needs no check of its
     # own: at x = y it is the second, and for x < y:
-    # - t[y][c] is set only for c <= x and c = e.  At c = x both sides read
-    #   t[v][x] = t[x][v], and at c = e both read v.  So let c < x, and
-    #   w = t[y][c], z = t[x][c], both set.
-    # - If w = y, (x, y, c) says t[v][c] = v, the same equation as
-    #   (c, y, x): the ab = y case.
-    # - Otherwise, where (x, y, c) is determined, z <= x: if z > x, cell
-    #   (c, x) escaped the bound t[e][x] = x, so c > e, and then
-    #   w >= t[y][e] = y by monotonicity: w > y and t[x][w] is unset.  So
-    #   t[y][z] is set and (y, x, c) is checked here.  (y, c, x) reads
-    #   t[y][c], t[c][x], t[w][x] and t[y][z], all set; only t[y][z] can be
-    #   the new cell, at z = x, where (y, c, x) is the mirror of (x, c, y):
-    #   the ab = x case.  Otherwise it passed at an earlier node.
+    # - t[y][c] is set only for c <= x, c = e, and the preset cells holding
+    #   n: c = n for y > e, and c > e for y = n.  At c = x both sides read
+    #   t[v][x] = t[x][v], and at c = e both read v.  Otherwise let
+    #   w = t[y][c].
+    # - If w = y (y = n among them), (x, y, c) says t[v][c] = v, the same
+    #   equation as (c, y, x): the ab = y case.
+    # - If w > y (c = n among them), t[x][w] is set only at w = n with x > e,
+    #   and there both sides read the absorbing n: t[x][n] = n, and
+    #   v >= t[e][y] = y makes t[v][c] = n, preset for c = n and, for c < x,
+    #   in the set row c at least t[c][y] = n.
+    # - Otherwise c < x and w < y; let z = t[x][c], set.  z <= x: if z > x,
+    #   cell (c, x) escaped the bound t[e][x] = x, so c > e, and then
+    #   w >= t[y][e] = y by monotonicity.  So t[y][z] is set and (y, x, c)
+    #   is checked here.  (y, c, x) reads t[y][c], t[c][x], t[w][x] and
+    #   t[y][z], all set; only t[y][z] can be the new cell, at z = x, where
+    #   (y, c, x) is the mirror of (x, c, y): the ab = x case.  Otherwise it
+    #   passed at an earlier node.
     # - By symmetry x(yc) = (yc)x = y(cx) = y(xc) = (yx)c = (xy)c: (y, x, c)
     #   and (y, c, x) give (x, y, c).
     # A triple (a, b, c) passes when a lookup is unset (-1) or t[ab][c]
@@ -220,14 +244,14 @@ def _search(t, pos, cells, i, n, stats, out, interned):
 def _refuse_above(what: str, n: int, max_n: int) -> None:
     """Scales above ``max_n`` need a deliberate override: the search space
     grows too fast.  Whatever ``max_n``, ``_search`` must fit on the stack
-    above the caller: it recurses once per free cell, n(n+1)/2 of them, so it
-    runs cells + 1 levels deep.  The guard tries that depth rather than
-    counting frames, since what a stack has left under the limit depends on
-    the C calls between its frames as well."""
+    above the caller: it recurses once per free cell, n(n-1)/2 of them for
+    every e (``_free_cells``), so it runs cells + 1 levels deep.  The guard
+    tries that depth rather than counting frames, since what a stack has left
+    under the limit depends on the C calls between its frames as well."""
     if n > max_n:
         raise SearchLimitError(f"{what} on L_{n} refused: limit is n <= {max_n}; "
                                f"pass max_n={n} (--max-n {n}) to override")
-    cells, limit = n * (n + 1) // 2, sys.getrecursionlimit()
+    cells, limit = n * (n - 1) // 2, sys.getrecursionlimit()
     levels = cells + 1
     if levels >= limit or not _stack_takes(levels):
         raise SearchLimitError(f"{what} on L_{n} refused: its search recurses once per "

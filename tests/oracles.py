@@ -170,6 +170,19 @@ def naive_uninorms(n, e):
     return out
 
 
+def backtracked_uninorms(n, e):
+    """The tables of ``naive_uninorms``, in its order, by backtracking: each
+    cell outside row e takes every value, and a partial table is dropped as
+    soon as its set cells break monotonicity or associativity."""
+    t = [[-1] * (n + 1) for _ in range(n + 1)]
+    for y in range(n + 1):
+        t[e][y] = t[y][e] = y
+    out = []
+    _backtrack(t, [(x, y) for x in range(n + 1) for y in range(x, n + 1) if e not in (x, y)],
+               lambda x, y: range(n + 1), out)
+    return out
+
+
 def _monotone_at(t, x, y):
     """Cell (x, y) of a partial table (-1 = unset) is in order with each set
     neighbour in its row and column."""

@@ -112,7 +112,7 @@ class TestExitContract:
     ], ids=["enumerate", "scan", "certify"])
     def test_a_search_past_the_recursion_limit_is_status_three(self, capsys, monkeypatch,
                                                                argv, n):
-        # L_46 has 1,081 free cells, one recursion level each; a refusal
+        # L_46 has 1,035 free cells, one recursion level each; a refusal
         # comes before the free cells are listed
         def no_cells(n, e):
             raise AssertionError(f"free cells of L_{n} listed before the refusal")

@@ -272,8 +272,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_one_search_from_the_root_runs_cells_plus_one_deep(self, monkeypatch, n):
         # the depth _refuse_above tries: one root call over every free cell,
-        # n(n+1)/2 of them, and a leaf call per table one level below the last;
-        # the search runs with the greater of e and n - e
+        # n(n-1)/2 of them for every e, and a leaf call per table one level
+        # below the last; the search runs with the greater of e and n - e
         original = search._search
         roots, depths = [], []
 
@@ -289,7 +289,7 @@ class TestEnumeration:
             depths.clear()
             emitted = len(list(enumerate_uninorms(EnumerationTask(ChainScale(n), e))))
             assert roots == [search._free_cells(n, max(e, n - e))]
-            assert len(roots[0]) == n * (n + 1) // 2
+            assert len(roots[0]) == len(search._free_cells(n, e)) == n * (n - 1) // 2
             assert emitted and max(depths) == len(roots[0])
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -376,6 +376,26 @@ class TestPruningSafety:
         task = EnumerationTask(ChainScale(3), 0, conjunctive_only=True)
         assert list(enumerate_uninorms(task)) == []
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_uninorm_holds_the_cells_the_search_presets(self, n):
+        # the annihilator of the t-norm, u(0, y) = 0 for y <= e, and of the
+        # t-conorm, u(x, n) = n for x >= e (Fodor, Yager and Rybalov, 1997),
+        # and u(x, n) in [x, e) or n for x < e, on tables built from the
+        # axioms alone; on L_4, naive_uninorms would take minutes
+        for e in range(n + 1):
+            tables = oracles.backtracked_uninorms(n, e)
+            assert tables and (n == 4 or tables == oracles.naive_uninorms(n, e))
+            root = search._neutral_table(n, e)
+            admitted = {(x, y): values for x, y, _, values in
+                        search._cells(EnumerationTask(ChainScale(n), e), e)}
+            for rows in tables:
+                assert all(rows[0][y] == 0 for y in range(e + 1))
+                assert all(rows[x][n] == n for x in range(e, n + 1))
+                assert all(x <= rows[x][n] < e or rows[x][n] == n for x in range(e))
+                assert all(v in (-1, rows[x][y]) for x, row in enumerate(root)
+                           for y, v in enumerate(row)), (rows, e)
+                assert all(rows[x][n] in admitted[x, n] for x in range(e) if e < n), (rows, e)
+
     def test_every_task_through_l5_matches_its_pin(self):
         pins = json.loads((FIXTURES_DIR / "enumeration_l5.json").read_text(encoding="utf-8"))
         assert enumeration_pins(range(1, 6)) == pins
@@ -448,7 +468,7 @@ class TestPruningSafety:
         pins = enumeration_pins(range(1, 6))
         fixture = FIXTURES_DIR / "enumeration_l5.json"
         assert pins == json.loads(fixture.read_text(encoding="utf-8"))
-        assert sum(verdicts.values()) == 10318
+        assert sum(verdicts.values()) == 7793
         assert verdicts[True] and verdicts[False], verdicts
 
     def test_at_every_search_node_the_index_holds_the_set_cells(self, monkeypatch):
@@ -465,7 +485,7 @@ class TestPruningSafety:
         pins = enumeration_pins(range(1, 6))
         fixture = FIXTURES_DIR / "enumeration_l5.json"
         assert pins == json.loads(fixture.read_text(encoding="utf-8"))
-        assert len(nodes) == 10318
+        assert len(nodes) == 7793
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_a_symmetric_table_checks_each_triple_and_its_mirror_alike(self, n):
