@@ -29,9 +29,6 @@ from .distributivity import (
     classify_and_check,
     compose,
     decompose,
-    equal_neutral_conditions,
-    greater_neutral_conditions,
-    less_neutral_conditions,
     necessity_conditions,
 )
 from .search import (
@@ -67,9 +64,6 @@ __all__ = [
     "classify_and_check",
     "compose",
     "decompose",
-    "equal_neutral_conditions",
-    "greater_neutral_conditions",
-    "less_neutral_conditions",
     "necessity_conditions",
     "CertificationReport",
     "EnumerationTask",

@@ -2,9 +2,11 @@
 
 Exit status contract: 0 when the computed verdict is true (or the command
 succeeded), 1 when a law or condition fails (still a successful
-computation), 2 on usage or parse errors, 3 when a resource limit refuses
-the request.  Reports go to the output path or stdout; a one-line human
-summary always goes to stderr, so pipelines stay clean.
+computation) or the structural conditions, a necessity battery and the
+exhaustive scan disagree on a pair (a theorem divergence, which every
+command names on stderr), 2 on usage or parse errors, 3 when a resource
+limit refuses the request.  Reports go to the output path or stdout; a
+one-line human summary always goes to stderr, so pipelines stay clean.
 
 Operands for --u1/--u2/--table are either a path to a table document or a
 compact family spec such as ``idemmin(e=2,n=4)``; see the README for the
@@ -52,6 +54,12 @@ EXIT_LIMIT = 3
 
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _say_divergence(command: str, what: str = "the structural conditions and the exhaustive "
+                    "scan disagree on this pair") -> None:
+    _say(f"{command}: THEOREM DIVERGENCE - {what}; this is the most important possible "
+         "finding, please report it")
 
 
 def _emit(args, text_body, doc) -> None:
@@ -128,12 +136,10 @@ def _cmd_check(args) -> int:
     result = classify_and_check(u1, u2, verbose=args.verbose)
     _emit(args, lambda: formats.render_pair_check(result), lambda: formats.pair_check_doc(result))
     if not result.agreement:
-        _say("check: THEOREM DIVERGENCE - the structural conditions and the "
-             "exhaustive scan disagree on this pair; this is the most important "
-             "possible finding, please report it")
+        _say_divergence("check")
     _say(f"check: distributive={result.exhaustive.verdict} case={result.case.value} "
          f"agreement={result.agreement}")
-    return EXIT_OK if result.exhaustive.verdict else EXIT_FALSE
+    return EXIT_OK if result.exhaustive.verdict and result.agreement else EXIT_FALSE
 
 
 def _cmd_decompose(args) -> int:
@@ -231,12 +237,13 @@ def _cmd_scan(args) -> int:
 
     _emit(args, text_body, doc)
     rejected = sum(not hit.classification.agreement for hit in hits)
-    if rejected:
-        _say(f"scan: THEOREM DIVERGENCE - the structural conditions reject {rejected} of the "
-             f"{len(hits)} distributive pairs; this is the most important possible finding, "
-             "please report it")
+    unmet = sum(not (hit.necessity is None or hit.necessity.verdict) for hit in hits)
+    for count, route in ((rejected, "the structural conditions reject"),
+                         (unmet, "the necessity battery rejects")):
+        if count:
+            _say_divergence("scan", f"{route} {count} of the {len(hits)} distributive pairs")
     _say(f"scan: {len(hits)} distributive pairs on L_{args.n} with e1={args.e1}, e2={args.e2}")
-    return EXIT_FALSE if rejected else EXIT_OK
+    return EXIT_FALSE if rejected or unmet else EXIT_OK
 
 
 def _cmd_certify(args) -> int:
@@ -328,12 +335,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{exc.subject} fails the uninorm axioms:\n")
         sys.stderr.write(formats.render_report(exc.report))
         return EXIT_FALSE
-    except NotDistributiveError as exc:
-        sys.stderr.write("decompose refused: pair is not distributive\n")
-        sys.stderr.write(formats.render_report(exc.report))
-        return EXIT_FALSE
-    except CompositionInvalid as exc:
-        sys.stderr.write(f"compose rejected: {exc}\n")
+    except (NotDistributiveError, CompositionInvalid) as exc:
+        if any(v.law == "theorem-divergence" for v in exc.report.violations):
+            _say_divergence(args.command)
+        refused = "refused" if isinstance(exc, NotDistributiveError) else "rejected"
+        sys.stderr.write(f"{args.command} {refused}: {exc}\n")
         sys.stderr.write(formats.render_report(exc.report))
         return EXIT_FALSE
     except SpecSyntaxError as exc:

@@ -11,10 +11,10 @@ gives each distinct row the bitset of the u2 it is an endomorphism of in
 about (n+1)^3/2 big-int operations, however many u2 there are, and a u1's
 hits are the AND over its rows.  It checks no structure: that is ``OpTable``'s.
 The pair scan reads its hits from it before any report.
-The three ``*_conditions`` predicates evaluate the structural
-characterization for the matching order of neutral elements (e1 = e2,
-e1 > e2, e1 < e2); ``classify_and_check`` runs both routes and flags any
-disagreement as a theorem divergence, a reportable finding, never dropped.
+``classify_and_check`` picks the case from the neutral elements (e1 = e2,
+e1 > e2, e1 < e2), runs its structural conditions through ``_CONDITIONS``,
+where the unequal cases share one body, and the exhaustive scan; any
+disagreement is a theorem divergence, a reportable finding, never dropped.
 Each clause that reads only one table is a share, kept on the uninorm once
 per table and partner neutral by ``_kept_on_table``: in the unequal cases
 u2's hypotheses, clause-i side condition, boundary and clause ii half, and
@@ -25,7 +25,7 @@ Each single-law clause is one ``core._clause`` call over its failing points.
 The pair path's two hot scans stay loops: the distributivity triples, and
 agreement with choice of an argument, which keeps each law's first violation.
 
-Index-range conventions used by the case predicates (all bounds inclusive
+Index-range conventions used by the case conditions (all bounds inclusive
 unless marked strict):
 
     equal (e1 = e2 = e):  off-diagonal region = {x < e < y} and mirror
@@ -259,15 +259,12 @@ def _agree_and_choose(u1, u2, xs, ys, verbose, agreement, choice, side_condition
     return tuple(found)
 
 
-def equal_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
+def _equal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
     """Structural conditions for distributivity when e1 = e2.
 
     u2 must be idempotent, and on the off-diagonal region both operations
     must agree and return one of their arguments.
     """
-    _same_scale(u1, u2)
-    if u1.e != u2.e:
-        raise WrongCaseError(f"equal-neutral conditions need e1 = e2, got {u1.e} and {u2.e}")
     return CheckReport.from_violations(_idempotency_share(u2, verbose) + _agree_and_choose(
         u1, u2, range(u1.e), range(u1.e + 1, u1.n + 1), verbose, "agreement", "local-internality"))
 
@@ -393,6 +390,13 @@ def _u1_share(u1: Uninorm, e2: int, verbose: bool):
 
 
 def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
+    """Structural conditions when e1 != e2: drawn for e1 > e2, reflected for
+    e1 < e2 (see ``_Geometry``).  u2's hypothesis class (underlying t-norm =
+    min, locally internal) is checked, not assumed, so the conditions are
+    total on the case: pairs outside it fail with ``hypothesis-*``
+    violations.  Boundary neutrals degenerate gracefully: empty strips are
+    vacuous, and for e2 = 0 (e2 = n reflected) the block is the whole table.
+    """
     g = _geometry(u1.n, u1.e, u2.e)
     hypotheses, side_condition, u2_clause_ii, boundary = _u2_share(u2, u1.e, verbose)
     u1_clause_ii, leaks, inner = _u1_share(u1, u2.e, verbose)
@@ -407,39 +411,6 @@ def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
         inner.rows, boundary.rows, verbose, "clause-iii-distributivity", g.subchain)
     return CheckReport.from_violations(
         (*hypotheses, *clause_i, *side_condition, *clause_ii, *leaks, *clause_iii))
-
-
-def greater_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
-    """Structural conditions for distributivity when e1 > e2.
-
-    u1 and u2 must be uninorms: tables from outside the program go through
-    :meth:`Uninorm.checked` first.  Clause iii relies on it, since a closed
-    block of a uninorm is a uninorm and is not validated again.
-    The hypothesis class of u2 (underlying t-norm = min, locally internal)
-    is checked rather than assumed, so the predicate is total on the case;
-    pairs outside the class fail with ``hypothesis-*`` violations.
-    Boundary neutral elements degenerate gracefully: empty strips are
-    vacuous and for e2 = 0 the inner block is the whole table.
-    """
-    _same_scale(u1, u2)
-    if u1.e <= u2.e:
-        raise WrongCaseError(f"greater-neutral conditions need e1 > e2, got {u1.e} and {u2.e}")
-    return _unequal_conditions(u1, u2, verbose)
-
-
-def less_neutral_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
-    """Structural conditions for distributivity when e1 < e2.
-
-    The greater case reflected: u2 must have underlying t-conorm = max and
-    be locally internal, both operations agree (returning an argument)
-    below e2, equal max on the middle strip, and the lower block of u1
-    forms an inner uninorm distributing over the underlying t-norm of u2.
-    u1 and u2 must be uninorms, as for :func:`greater_neutral_conditions`.
-    """
-    _same_scale(u1, u2)
-    if u1.e >= u2.e:
-        raise WrongCaseError(f"less-neutral conditions need e1 < e2, got {u1.e} and {u2.e}")
-    return _unequal_conditions(u1, u2, verbose)
 
 
 def necessity_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> CheckReport:
@@ -465,10 +436,11 @@ def necessity_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> 
         *_clause("necessity-local-internality", _internality_failures(u2), "u2", verbose)))
 
 
+# read only by classify_and_check: a wrapper installed per entry sees each case apart
 _CONDITIONS = {
-    TheoremCase.EQUAL_NEUTRAL: equal_neutral_conditions,
-    TheoremCase.GREATER_NEUTRAL: greater_neutral_conditions,
-    TheoremCase.LESS_NEUTRAL: less_neutral_conditions,
+    TheoremCase.EQUAL_NEUTRAL: _equal_conditions,
+    TheoremCase.GREATER_NEUTRAL: _unequal_conditions,
+    TheoremCase.LESS_NEUTRAL: _unequal_conditions,
 }
 
 
@@ -505,11 +477,21 @@ class ClassifyResult:
 
 
 def classify_and_check(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> ClassifyResult:
-    """Pick the case from (e1, e2), run its conditions and the exhaustive scan."""
+    """Pick the case from (e1, e2), run its conditions and the exhaustive scan.
+
+    u1 and u2 must be uninorms (tables from outside the program go through
+    :meth:`Uninorm.checked`): clause iii takes a closed block of u1 as a
+    uninorm without validating it.
+    """
     case = case_of(u1, u2)
-    conditions = _CONDITIONS[case](u1, u2, verbose=verbose)
-    exhaustive = check_distributivity(u1, u2, verbose=verbose)
-    return ClassifyResult(case, conditions, exhaustive)
+    return ClassifyResult(case, _CONDITIONS[case](u1, u2, verbose),
+                          check_distributivity(u1, u2, verbose=verbose))
+
+
+def _failing(result: ClassifyResult) -> CheckReport:
+    """Both routes' violations, the theorem divergence first when they disagree."""
+    lead = () if result.agreement else (result.divergence(),)
+    return CheckReport.from_violations(lead + result.conditions.violations + result.exhaustive.violations)
 
 
 @dataclass(frozen=True)
@@ -544,21 +526,20 @@ class Decomposition:
 def decompose(u1: Uninorm, u2: Uninorm) -> Decomposition:
     """Split a distributive pair with unequal proper neutrals into its blocks.
 
-    Refuses non-distributive pairs (and pairs where the structural
-    conditions disagree with the exhaustive scan) with the failing clauses;
-    pairs with equal or boundary neutral elements have no block structure
-    and raise :class:`WrongCaseError`.
+    Refuses non-distributive pairs with the failing clauses, and pairs where
+    the structural conditions disagree with the exhaustive scan with the
+    theorem divergence first; pairs with equal or boundary neutral elements
+    have no block structure and raise :class:`WrongCaseError`.
     """
     result = classify_and_check(u1, u2)
     if not (result.conditions.verdict and result.exhaustive.verdict):
-        failing = result.conditions.violations + result.exhaustive.violations
-        raise NotDistributiveError(CheckReport.from_violations(failing))
+        raise NotDistributiveError(_failing(result), "pair is not distributive" if result.agreement
+                                   else "the two routes disagree: theorem divergence")
     if result.case is TheoremCase.EQUAL_NEUTRAL:
         raise WrongCaseError("equal neutral elements admit no block decomposition")
     if not _proper_unequal(u1.n, u1.e, u2.e):
-        raise WrongCaseError(
-            f"decomposition needs proper neutral elements, got e1={u1.e}, e2={u2.e} on L_{u1.n}"
-        )
+        raise WrongCaseError(f"decomposition needs proper neutral elements, got e1={u1.e}, "
+                             f"e2={u2.e} on L_{u1.n}")
     return _decompose_checked(u1, u2, result.case)
 
 
@@ -652,12 +633,11 @@ def compose(d: Decomposition, scale: ChainScale, e1: int, e2: int):
             raise CompositionInvalid(CheckReport.from_violations(tagged),
                                      f"assembled {subject} fails the uninorm axioms")
     cand1, cand2 = Uninorm(table1, e1), Uninorm(table2, e2)
-    conditions = _CONDITIONS[g.case](cand1, cand2)
-    if not conditions.verdict:
-        raise CompositionInvalid(conditions, "assembled pair fails the case conditions")
-    exhaustive = check_distributivity(cand1, cand2)
-    if not exhaustive.verdict:
-        raise CompositionInvalid(exhaustive,
-                                 "assembled pair passes the case conditions but fails the "
-                                 "exhaustive scan: theorem divergence")
+    result = classify_and_check(cand1, cand2)
+    if not result.agreement:
+        passes, fails = ("passes", "fails") if result.conditions.verdict else ("fails", "passes")
+        raise CompositionInvalid(_failing(result), f"assembled pair {passes} the case conditions "
+                                 f"but {fails} the exhaustive scan: theorem divergence")
+    if not result.verdict:
+        raise CompositionInvalid(result.conditions, "assembled pair fails the case conditions")
     return cand1, cand2

@@ -52,7 +52,7 @@ class EmptyRestrictionError(DomainError):
 
 
 class WrongCaseError(DomainError):
-    """A case-specific predicate was called with the wrong neutral-element order."""
+    """A case-specific check or decomposition met the wrong neutral-element order."""
 
 
 class ConstructionError(ChainError, ValueError):

@@ -3,7 +3,8 @@
 The catalog families are built through ``catalog.from_string``, the same
 path the command line takes; ``dual`` lifts the raw-row oracle in
 ``oracles`` to a uninorm; ``random_symmetric`` draws a table that need not
-be a uninorm; ``flip_conditions`` plants one divergence;
+be a uninorm; ``case_conditions`` runs a pair's case conditions alone;
+``flip_conditions`` plants one divergence;
 ``assert_well_formed`` holds a table built through ``OpTable._built`` to
 the check that path skips.
 """
@@ -11,7 +12,7 @@ the check that path skips.
 from dataclasses import replace
 
 import oracles
-from unichain import ChainScale, CheckReport, OpTable, Uninorm, Violation, from_string
+from unichain import ChainScale, CheckReport, OpTable, Uninorm, Violation, distributivity, from_string
 from unichain.core import _structural_violations
 
 
@@ -67,6 +68,12 @@ def assert_well_formed(table):
 def laws_violated(report):
     """The laws of a report's violations, each once, in order of appearance."""
     return tuple(dict.fromkeys(v.law for v in report.violations))
+
+
+def case_conditions(u1, u2, verbose=False):
+    """The case conditions' report on (u1, u2), through the dispatch that
+    ``classify_and_check`` reads, without the exhaustive scan."""
+    return distributivity._CONDITIONS[distributivity.case_of(u1, u2)](u1, u2, verbose)
 
 
 def flip_conditions(monkeypatch, module, u1, u2):

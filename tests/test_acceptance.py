@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from conftest import FIXTURES_DIR
-from helpers import dual, max_tconorm, min_tnorm, table_of
+from helpers import case_conditions, dual, max_tconorm, min_tnorm, table_of
 from unichain import (
     ChainScale,
     EnumerationTask,
@@ -25,9 +25,6 @@ from unichain import (
     compose,
     decompose,
     enumerate_uninorms,
-    equal_neutral_conditions,
-    greater_neutral_conditions,
-    less_neutral_conditions,
     make,
     necessity_conditions,
     validate_uninorm,
@@ -132,7 +129,7 @@ def test_criterion_2_equal_neutral_iff(announce, uninorms_by_e):
                 for u1 in by_e[e]:
                     for u2 in by_e[e]:
                         pairs += 1
-                        conditions = equal_neutral_conditions(u1, u2).verdict
+                        conditions = case_conditions(u1, u2).verdict
                         exhaustive = check_distributivity(u1, u2).verdict
                         assert conditions == exhaustive, (
                             f"divergence at e={e}:\nu1={u1.rows}\nu2={u2.rows}")
@@ -149,12 +146,10 @@ def test_criterion_3_unequal_neutral_iff(announce, uninorms_by_e):
                 for e2 in range(n + 1):
                     if e1 == e2:
                         continue
-                    predicate = (greater_neutral_conditions if e1 > e2
-                                 else less_neutral_conditions)
                     for u1 in by_e[e1]:
                         for u2 in by_e[e2]:
                             pairs += 1
-                            conditions = predicate(u1, u2).verdict
+                            conditions = case_conditions(u1, u2).verdict
                             exhaustive = check_distributivity(u1, u2).verdict
                             if conditions != exhaustive:
                                 divergences.append((u1, u2, conditions, exhaustive))
@@ -226,8 +221,7 @@ def test_criterion_6_duality_transport(announce, all_pairs):
             assert (check_distributivity(u1, u2).verdict
                     == check_distributivity(d1, d2).verdict)
             if u1.e < u2.e:
-                assert (less_neutral_conditions(u1, u2).verdict
-                        == greater_neutral_conditions(d1, d2).verdict)
+                assert case_conditions(u1, u2).verdict == case_conditions(d1, d2).verdict
 
 
 def test_criterion_7_enumeration_oracle_equivalence(announce):

@@ -14,9 +14,12 @@ from conftest import FIXTURES_DIR
 from helpers import flip_conditions, idem_min, luk_upper
 from unichain import (
     ChainScale,
+    CheckReport,
+    Violation,
     classify_and_check,
     cli,
     decompose,
+    distributivity,
     formats,
     from_string,
     scan_pairs,
@@ -28,6 +31,8 @@ from unichain.core import MAX_SCALE
 from unichain.formats import dump_decomposition, dump_table, parse_table
 
 SRC = Path(cli.__file__).resolve().parents[1]
+DIVERGENCE = ("{}: THEOREM DIVERGENCE - {}; this is the most important possible finding, "
+              "please report it\n")
 
 
 def run(capsys, *argv):
@@ -51,6 +56,15 @@ class TestExitContract:
         assert ("  theorem-divergence at () (case equal-neutral: conditions say True, "
                 "exhaustive scan says False)\n") in out
         assert "check: THEOREM DIVERGENCE - the structural conditions" in err
+
+    def test_a_divergence_on_a_distributive_pair_is_status_one(self, capsys, monkeypatch):
+        flip_conditions(monkeypatch, cli, idem_min(4, 2), idem_min(4, 2))
+        code, out, err = run(capsys, "check", "--u1", "idemmin(e=2,n=4)", "--u2", "idemmin(e=2,n=4)")
+        assert code == 1
+        assert out.startswith("distributive: true; case: equal-neutral; THEOREM DIVERGENCE\n")
+        assert err == (DIVERGENCE.format("check", "the structural conditions and the exhaustive "
+                                         "scan disagree on this pair")
+                       + "check: distributive=True case=equal-neutral agreement=False\n")
 
     def test_check_failing_pair_gets_status_one_and_witness(self, capsys):
         code, out, err = run(capsys, "check", "--u1", "luk-upper(e=2,n=4)", "--u2", "luk-upper(e=2,n=4)")
@@ -407,6 +421,59 @@ class TestCommands:
         assert code == 1
         assert "not distributive" in err
 
+    def test_decompose_names_a_divergence_on_a_distributive_pair(self, capsys, monkeypatch):
+        flip_conditions(monkeypatch, distributivity, idem_min(4, 2), idem_min(4, 1))
+        code, out, err = run(capsys, "decompose", "--u1", "idemmin(e=2,n=4)",
+                             "--u2", "idemmin(e=1,n=4)")
+        assert code == 1 and out == ""
+        assert err == (DIVERGENCE.format("decompose", "the structural conditions and the "
+                                         "exhaustive scan disagree on this pair")
+                       + "decompose refused: the two routes disagree: theorem divergence\n"
+                       "verdict: false\n"
+                       "  theorem-divergence at () (case greater-neutral: conditions say False, "
+                       "exhaustive scan says True)\n  planted-divergence at ()\n")
+
+    def test_compose_names_a_divergence_on_a_distributive_pair(self, capsys, monkeypatch,
+                                                               tmp_path):
+        u1, u2 = idem_min(4, 2), idem_min(4, 1)
+        path = tmp_path / "d.txt"
+        path.write_text(dump_decomposition(decompose(u1, u2), u1.scale, 2, 1))
+        flip_conditions(monkeypatch, distributivity, u1, u2)
+        code, out, err = run(capsys, "compose", "--decomposition", str(path))
+        assert code == 1 and out == ""
+        assert err == (DIVERGENCE.format("compose", "the structural conditions and the "
+                                         "exhaustive scan disagree on this pair")
+                       + "compose rejected: assembled pair fails the case conditions but "
+                       "passes the exhaustive scan: theorem divergence\nverdict: false\n"
+                       "  theorem-divergence at () (case greater-neutral: conditions say False, "
+                       "exhaustive scan says True)\n  planted-divergence at ()\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_scan_names_a_hit_failing_its_necessity_battery(self, capsys, monkeypatch, fmt):
+        argv = ("scan", "--n", "3", "--e1", "2", "--e2", "1", "--format", fmt)
+        code, clean_out, clean_err = run(capsys, *argv)
+        assert code == 0
+        first = scan_pairs(ChainScale(3), 2, 1)[0]
+        battery = search.necessity_conditions
+        planted = CheckReport.from_violations([Violation("planted-necessity", ())])
+
+        def failing(u1, u2, **kwargs):
+            report = battery(u1, u2, **kwargs)
+            return planted if (u1.rows, u2.rows) == (first.u1.rows, first.u2.rows) else report
+
+        monkeypatch.setattr(search, "necessity_conditions", failing)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == DIVERGENCE.format("scan", "the necessity battery rejects 1 of the 4 "
+                                        "distributive pairs") + clean_err
+        if fmt == "text":  # the text output holds no battery
+            assert out == clean_out
+        else:
+            doc, clean_doc = json.loads(out), json.loads(clean_out)
+            assert doc["pairs"][0]["necessity"]["violations"][0]["law"] == "planted-necessity"
+            clean_doc["pairs"][0]["necessity"] = doc["pairs"][0]["necessity"]
+            assert doc == clean_doc
+
     def test_out_file_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "u.tbl"
         code, _, _ = run(capsys, "enumerate", "--n", "2", "--e", "2", "--out", str(out_path))
@@ -594,7 +661,8 @@ class TestStartUp:
 
 
 class TestReadme:
-    """README's command table names each subcommand's own options."""
+    """README's command table names each subcommand's own options, and its
+    library example runs."""
 
     README = Path(__file__).parents[1] / "README.md"
     SHARED = {"-h", "--help", "--format", "--out", "--max-n"}
@@ -614,6 +682,13 @@ class TestReadme:
         for name, parser in self.subparsers().items():
             options = {o for a in parser._actions for o in a.option_strings} - self.SHARED
             assert rows.get(name) == options, name
+
+    def test_every_python_block_runs(self):
+        blocks = re.findall(r"^```python\n(.*?)^```", self.README.read_text(encoding="utf-8"),
+                            re.M | re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, str(self.README), "exec"), {})
 
     def test_the_max_n_sentence_names_the_limited_commands(self):
         text = " ".join(self.README.read_text(encoding="utf-8").split())

@@ -3,7 +3,8 @@
 import pytest
 
 import oracles
-from helpers import dual, idem_max, idem_min, luk_upper, max_tconorm, min_tnorm, table_of
+from helpers import (case_conditions, dual, idem_max, idem_min, luk_upper, max_tconorm, min_tnorm,
+                     table_of)
 from unichain import (
     ChainScale,
     Decomposition,
@@ -13,7 +14,6 @@ from unichain import (
     check_distributivity,
     compose,
     decompose,
-    greater_neutral_conditions,
     validate_uninorm,
 )
 from unichain.catalog import make, FamilySpec
@@ -66,7 +66,7 @@ class TestDecompose:
         u1 = Uninorm(table_of(rows), 3)
         u2 = idem_min(3, 2)
         assert oracles.distributes(u1.rows, u2.rows)
-        assert greater_neutral_conditions(u1, u2).verdict
+        assert case_conditions(u1, u2).verdict
         with pytest.raises(WrongCaseError):
             decompose(u1, u2)
 

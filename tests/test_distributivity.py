@@ -1,5 +1,6 @@
 """Distributivity checker, case conditions and dispatcher."""
 
+import json
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import FIXTURES_DIR
 from helpers import (
     assert_well_formed,
+    case_conditions,
     dual,
     idem_min,
     laws_violated,
@@ -27,15 +30,14 @@ from unichain import (
     Pick,
     TheoremCase,
     Uninorm,
+    certify,
     check_distributivity,
     classify_and_check,
     compose,
+    decompose,
     distributivity,
     enumerate_uninorms,
-    equal_neutral_conditions,
     from_string,
-    greater_neutral_conditions,
-    less_neutral_conditions,
     necessity_conditions,
     scan_pairs,
     validate_uninorm,
@@ -84,22 +86,18 @@ class TestChecker:
 class TestEqualNeutral:
     def test_idem_min_pair(self):
         u = idem_min(4, 2)
-        assert equal_neutral_conditions(u, u).verdict
+        assert case_conditions(u, u).verdict
 
     def test_luk_upper_fails_idempotency_clause(self):
-        report = equal_neutral_conditions(idem_min(4, 2), luk_upper(4, 2))
+        report = case_conditions(idem_min(4, 2), luk_upper(4, 2))
         assert not report.verdict
         assert "idempotency" in laws_violated(report)
-
-    def test_wrong_case(self):
-        with pytest.raises(WrongCaseError):
-            equal_neutral_conditions(idem_min(4, 2), idem_min(4, 1))
 
     def test_iff_on_l3(self, all_pairs):
         for u1, u2 in all_pairs(3):
             if u1.e != u2.e:
                 continue
-            assert equal_neutral_conditions(u1, u2).verdict == oracles.distributes(
+            assert case_conditions(u1, u2).verdict == oracles.distributes(
                 u1.rows, u2.rows
             )
 
@@ -110,7 +108,7 @@ class TestGreaterNeutral:
         # (idem_min(4,2), idem_min(4,1)); both routes must accept it
         u1, u2 = idem_min(4, 2), idem_min(4, 1)
         assert oracles.distributes(u1.rows, u2.rows)
-        assert greater_neutral_conditions(u1, u2).verdict
+        assert case_conditions(u1, u2).verdict
         assert check_distributivity(u1, u2).verdict
 
     def test_clause_iii_failure(self):
@@ -118,7 +116,7 @@ class TestGreaterNeutral:
         # u1 does not distribute over it
         u1, u2 = idem_min(4, 2), luk_upper(4, 1)
         assert not oracles.distributes(u1.rows, u2.rows)
-        report = greater_neutral_conditions(u1, u2)
+        report = case_conditions(u1, u2)
         assert not report.verdict
         assert "clause-iii-distributivity" in laws_violated(report)
         assert not check_distributivity(u1, u2).verdict
@@ -127,13 +125,9 @@ class TestGreaterNeutral:
         for u1, u2 in all_pairs(3):
             if u1.e <= u2.e:
                 continue
-            assert greater_neutral_conditions(u1, u2).verdict == oracles.distributes(
+            assert case_conditions(u1, u2).verdict == oracles.distributes(
                 u1.rows, u2.rows
             )
-
-    def test_wrong_case(self):
-        with pytest.raises(WrongCaseError):
-            greater_neutral_conditions(idem_min(4, 1), idem_min(4, 2))
 
 
 class TestClauseIiiInner:
@@ -244,31 +238,27 @@ class TestBuiltTables:
 class TestLessNeutral:
     def test_dual_of_composed_pair(self):
         u1, u2 = dual(idem_min(4, 2)), dual(idem_min(4, 1))
-        assert less_neutral_conditions(u1, u2).verdict
+        assert case_conditions(u1, u2).verdict
         assert check_distributivity(u1, u2).verdict
-
-    def test_wrong_case(self):
-        with pytest.raises(WrongCaseError, match="less-neutral conditions need e1 < e2, got 2 and 1"):
-            less_neutral_conditions(idem_min(4, 2), idem_min(4, 1))
 
     def test_dual_of_failing_pair_fails(self):
         u1, u2 = dual(idem_min(4, 2)), dual(luk_upper(4, 1))
-        assert not less_neutral_conditions(u1, u2).verdict
+        assert not case_conditions(u1, u2).verdict
         assert not check_distributivity(u1, u2).verdict
 
     def test_matches_greater_under_duality_on_l3(self, all_pairs):
         for u1, u2 in all_pairs(3):
             if u1.e >= u2.e:
                 continue
-            direct = less_neutral_conditions(u1, u2).verdict
-            mirrored = greater_neutral_conditions(dual(u1), dual(u2)).verdict
+            direct = case_conditions(u1, u2).verdict
+            mirrored = case_conditions(dual(u1), dual(u2)).verdict
             assert direct == mirrored
 
     def test_iff_on_l3(self, all_pairs):
         for u1, u2 in all_pairs(3):
             if u1.e >= u2.e:
                 continue
-            assert less_neutral_conditions(u1, u2).verdict == oracles.distributes(
+            assert case_conditions(u1, u2).verdict == oracles.distributes(
                 u1.rows, u2.rows
             )
 
@@ -289,6 +279,29 @@ class TestClassifyAndCheck:
             result = classify_and_check(u1, u2)
             assert result.agreement, (u1.rows, u2.rows, result.case)
             assert result.divergence() is None
+
+    def test_the_dispatch_keeps_each_case_apart(self, monkeypatch):
+        # each entry of the dispatch counted on its own, and each function's
+        # module name bound to its last case's wrapper, as the benchmark's
+        # tracer does: a call by name, not through the dispatch, is counted
+        # under another case or under none
+        calls = Counter()
+        for case, conditions in list(distributivity._CONDITIONS.items()):
+            def counted(*args, case=case, conditions=conditions):
+                calls[case.value] += 1
+                return conditions(*args)
+
+            monkeypatch.setitem(distributivity._CONDITIONS, case, counted)
+            monkeypatch.setattr(distributivity, conditions.__name__, counted)
+        certify(ChainScale(3))
+        golden = json.loads((FIXTURES_DIR / "certify_l3.json").read_text(encoding="utf-8"))
+        assert calls == dict(golden["pair-case-counts"])
+        assert sum(calls.values()) == 484
+        u1, u2 = idem_min(4, 2), idem_min(4, 1)
+        d = decompose(u1, u2)
+        calls.clear()
+        compose(d, u1.scale, u1.e, u2.e)
+        assert calls == {"greater-neutral": 1}
 
     def test_divergence_record_shape(self):
         from unichain import CheckReport, ClassifyResult, Violation
@@ -353,11 +366,10 @@ class TestRedundantClauses:
         for n in range(1, 5):
             by_e = uninorms_by_e(n)
             for e1, e2 in permutations(by_e, 2):
-                conditions = greater_neutral_conditions if e1 > e2 else less_neutral_conditions
                 for u1 in by_e[e1]:
                     for u2 in by_e[e2]:
                         pairs += 1
-                        reports = (conditions(u1, u2, verbose=True),
+                        reports = (case_conditions(u1, u2, verbose=True),
                                    necessity_conditions(u1, u2, verbose=True))
                         for report, (law, clauses) in zip(reports, batteries):
                             at = {v.witness for v in report.violations if v.law.startswith(clauses)}
@@ -377,9 +389,6 @@ PAIR_ENTRIES = [
     (case_of, 1, 1),
     (check_distributivity, 1, 1),
     (classify_and_check, 1, 1),
-    (equal_neutral_conditions, 1, 2),
-    (greater_neutral_conditions, 1, 2),
-    (less_neutral_conditions, 2, 1),
     (necessity_conditions, 1, 1),
 ]
 

@@ -12,13 +12,12 @@ from itertools import product
 import pytest
 
 import oracles
-from helpers import random_symmetric, table_of
+from helpers import case_conditions, random_symmetric, table_of
 from unichain import (
     Uninorm,
     Violation,
     check_distributivity,
     classify_and_check,
-    equal_neutral_conditions,
     necessity_conditions,
 )
 
@@ -73,7 +72,7 @@ def test_random_symmetric_reports_keep_the_first_violation_of_each_law(n):
         for t2 in tables:
             for e1 in range(n + 1):
                 for e2 in range(n + 1):
-                    check = equal_neutral_conditions if e1 == e2 else necessity_conditions
+                    check = case_conditions if e1 == e2 else necessity_conditions
                     u1, u2 = Uninorm(t1, e1), Uninorm(t2, e2)
                     full = check(u1, u2, verbose=True)
                     assert check(u1, u2).violations == first_per_law(full), (u1, u2)

@@ -153,8 +153,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", (20, 19, 18, 16))
     def test_the_recursion_guard_refuses_exactly_what_would_not_fit(self, n):
-        # min, the only idempotent t-norm on L_n, has n(n+1)/2 free cells
-        # (210 on L_20): at the smallest recursion limit the guard accepts
+        # min, the only idempotent t-norm on L_n, has n(n-1)/2 free cells
+        # (190 on L_20): at the smallest recursion limit the guard accepts
         # the search finishes, and one below it is refused, never a
         # RecursionError.  pytest's own stack, C calls included, sits below
         # the search.

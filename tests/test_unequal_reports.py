@@ -12,12 +12,8 @@ import json
 import pytest
 
 from conftest import FIXTURES_DIR
-from unichain import (
-    equal_neutral_conditions,
-    greater_neutral_conditions,
-    less_neutral_conditions,
-    necessity_conditions,
-)
+from helpers import case_conditions
+from unichain import necessity_conditions
 
 # SHA-256 of the verbose reports over all unequal pairs, in canonical pair order
 VERBOSE_DIGESTS = {
@@ -50,15 +46,14 @@ def equal_pairs(by_e):
 
 
 def report_lines(u1, u2, verbose):
-    conditions = greater_neutral_conditions if u1.e > u2.e else less_neutral_conditions
     return (
-        [v.describe() for v in conditions(u1, u2, verbose=verbose).violations],
+        [v.describe() for v in case_conditions(u1, u2, verbose=verbose).violations],
         [v.describe() for v in necessity_conditions(u1, u2, verbose=verbose).violations],
     )
 
 
 def equal_lines(u1, u2, verbose):
-    return [v.describe() for v in equal_neutral_conditions(u1, u2, verbose=verbose).violations]
+    return [v.describe() for v in case_conditions(u1, u2, verbose=verbose).violations]
 
 
 def test_first_witness_reports_on_l3_match_the_fixture(uninorms_by_e):
