@@ -251,6 +251,9 @@ def _cmd_certify(args) -> int:
     report = certify(ChainScale(args.n), max_n=max_n)
     _emit(args, lambda: formats.render_certification(report),
           lambda: formats.certification_doc(report, include_timing=not args.no_timing))
+    if report.divergences:
+        _say_divergence("certify", "the structural conditions and the exhaustive scan disagree "
+                        f"on {len(report.divergences)} of the {report.pairs_checked} pairs")
     _say(f"certify: L_{args.n} pairs={report.pairs_checked} "
          f"divergences={len(report.divergences)}")
     return EXIT_OK if not report.divergences else EXIT_FALSE

@@ -14,17 +14,21 @@ cover every triple whose four lookups it determined: (y, x, c) with the
 new cell as first lookup, and (a, b, y) with ab = x and (a, b, x) with
 ab = y with it as outer lookup.  The table is symmetric, so (a, b, c) and
 (c, b, a) share a verdict, and (x, y, c) follows from triples checked here
-or at earlier nodes (the proof is at ``_assoc_ok_after``).
-Where the new cell is the outer lookup t[ab][c], ab must equal one of its
-coordinates, so the check reads only the cells that hold x or y: the search
-keeps an index from each value to the set cells holding it, pushing a cell
-(and its mirror) when it sets it and popping it when it unsets it.  Each
-free cell carries its upper bound and the values the task's filters admit,
-prepared once; a node reads only its lower bound.  The search is a plain
-recursion, one level per free cell, that appends each table to one list.
-Tables share their rows: each completed row goes through a dict local to one
-search, so a task's tables hold one tuple per distinct row between them
-rather than n + 1 tuples each.
+or at earlier nodes (the proof is in ``_search``, whose loop over a cell's
+values runs the checks).  With the new cell as first lookup, the check reads
+only the columns c where t[x][c] is set.  Where the new cell is the outer
+lookup t[ab][c], ab must equal one of its coordinates, so the check reads
+only the cells that hold x or y: the search keeps an index from each value
+to the set cells holding it, pushing a cell (and its mirror) when it sets it
+and popping it when it unsets it.  Each free cell carries, prepared once, its
+upper bound, the values the task's filters admit, the columns of its row x
+that are set once it is, and the rows it completes; a node reads only its
+lower bound.  The search is a plain recursion, one level per free cell plus
+a leaf level, that appends each table to one list.  Tables share their rows:
+a value that passes builds the rows its cell completes, once, through a dict
+local to one search (the rows no free cell touches go through it at the
+root), and a leaf appends the completed rows as one tuple, so a task's tables
+hold one tuple per distinct row between them and no leaf builds a row.
 Orientation: x -> n - x maps the uninorms with neutral e onto those with
 neutral n - e (and the conjunctive ones onto the disjunctive ones), and the
 search is far cheaper from the high side: a task with e < n - e runs its
@@ -119,8 +123,10 @@ def _neutral_table(n: int, e: int):
 
 
 def _cells(task: EnumerationTask, e: int):
-    """``task``'s free cells with neutral ``e`` as ``(x, y, hi, admitted)``: the
-    static monotone bound, and None or the ascending values the filters leave.
+    """``task``'s free cells with neutral ``e`` as ``(x, y, hi, admitted,
+    columns, finishes)``: the static monotone bound; None or the ascending
+    values the filters leave; the columns c with t[x][c] set once the cell is
+    (root presets, earlier cells and mirrors); and the rows it completes.
     Off the diagonal and with both ends in A(e), (0, n) admits the conjunctive
     bottom alone: 0, or n in the dual, as u(0, n) = 0 reflects to u(0, n) = n.
     Column n admits only [x, e) and n at (x, n), x < e: a = u(x, n) gives
@@ -128,12 +134,17 @@ def _cells(task: EnumerationTask, e: int):
     Each filter's values there already lie in that set."""
     n = task.scale.n
     bottom = 0 if e == task.e else n
-    return [(x, y, x if y < e else y if x < e else n,
-             (bottom,) if task.conjunctive_only and (x, y) == (0, n) else
-             (x,) if task.idempotent_only and x == y else
-             (x, y) if task.locally_internal_only and x < e < y else
-             (*range(x, e), n) if y == n and x < e else None)
-            for x, y in _free_cells(n, e)]
+    t, cells = _neutral_table(n, e), []
+    for x, y in _free_cells(n, e):
+        t[x][y] = t[y][x] = x  # set: only which cells are set matters here
+        cells.append((x, y, x if y < e else y if x < e else n,
+                      (bottom,) if task.conjunctive_only and (x, y) == (0, n) else
+                      (x,) if task.idempotent_only and x == y else
+                      (x, y) if task.locally_internal_only and x < e < y else
+                      (*range(x, e), n) if y == n and x < e else None,
+                      tuple(c for c, w in enumerate(t[x]) if w >= 0),
+                      tuple(r for r in {x, y} if -1 not in t[r])))
+    return cells
 
 
 def _index(t):
@@ -147,15 +158,30 @@ def _index(t):
     return pos
 
 
-def _assoc_ok_after(t, pos, x, y, n):
+def _search(t, pos, cells, i, stats, out, done, interned):
+    """Append to ``out`` every table that fills ``cells[i:]`` (from ``_cells``)
+    within the pruning rules.  ``pos`` is ``_index(t)``, kept so while cells
+    are set and unset: each entry is pushed and popped in stack order.
+    ``done[r]`` is row r's tuple once a set cell completes it, and
+    ``interned`` maps each distinct row tuple so far to itself, so the tables
+    share one tuple per distinct row."""
+    if i == len(cells):
+        out.append(tuple(done))
+        return
+    x, y, hi, admitted, columns, finishes = cells[i]
+    tx, ty = t[x], t[y]
+    mirrored = x != y
+    # the monotone lower bound: the set cells above and left of (x, y)
+    lo = max(t[x - 1][y] if x else 0, tx[y - 1] if y else 0)
+    values = range(lo, hi + 1) if admitted is None else [v for v in admitted if lo <= v <= hi]
+    stats.nodes_expanded += len(values)
     # The triples whose four lookups became determined with cell (x, y),
-    # x <= y, at a node of ``_search``.  There the cells before (x, y) in the
-    # traversal are set within their monotone bounds, and the cells preset at
-    # the root hold 0 in row 0 and n in column n, so the set cells are
-    # monotone.  The preset cells hold in every uninorm with neutral e, and
-    # one exists, so the triples they determine hold; every other triple
-    # determined before passed at an earlier node: a triple that reads the
-    # new cell is the only kind left.
+    # x <= y.  Here the cells before (x, y) in the traversal are set within
+    # their monotone bounds, and the cells preset at the root hold 0 in row 0
+    # and n in column n, so the set cells are monotone.  The preset cells
+    # hold in every uninorm with neutral e, and one exists, so the triples
+    # they determine hold; every other triple determined before passed at an
+    # earlier node: a triple that reads the new cell is the only kind left.
     #
     # Cells are set in pairs (-1 included), so t is symmetric and the mirror
     # (c, b, a) of a triple reads t[c][b] = t[b][c] and t[b][a] = t[a][b] with
@@ -185,59 +211,43 @@ def _assoc_ok_after(t, pos, x, y, n):
     #   and (y, c, x) give (x, y, c).
     # A triple (a, b, c) passes when a lookup is unset (-1) or t[ab][c]
     # equals t[a][bc].
-    v = t[x][y]
-    tv, tx, ty = t[v], t[x], t[y]
-    # the new cell as ab: triple (y, x, c), left side t[v][c]
-    for c in range(n + 1):
-        left = tv[c]
-        if left < 0:
-            continue
-        bc = tx[c]
-        if bc >= 0 and 0 <= ty[bc] != left:
-            return False
-    # the new cell as the outer lookup t[ab][c]: triples (a, b, y) with
-    # ab = x and (a, b, x) with ab = y, both with left side v.  ``pos``
-    # indexes the set cells by value, so only the cells holding x or y are
-    # read.
-    for a, b in pos[x]:
-        bc = ty[b]  # t[b][y], by symmetry
-        if bc >= 0 and 0 <= t[a][bc] != v:
-            return False
-    if y != x:
-        for a, b in pos[y]:
-            bc = tx[b]
-            if bc >= 0 and 0 <= t[a][bc] != v:
-                return False
-    return True
-
-
-def _search(t, pos, cells, i, n, stats, out, interned):
-    """Append to ``out`` every table that fills ``cells[i:]`` (from ``_cells``)
-    within the pruning rules.  ``pos`` is ``_index(t)``, kept so while cells
-    are set and unset: each entry is pushed and popped in stack order.
-    ``interned`` maps each distinct row tuple of the tables so far to itself, so
-    the tables share one tuple per distinct row."""
-    if i == len(cells):
-        out.append(tuple([interned.setdefault(row, row) for row in map(tuple, t)]))
-        return
-    x, y, hi, admitted = cells[i]
-    tx, ty = t[x], t[y]
-    mirrored = x != y
-    # the monotone lower bound: the set cells above and left of (x, y)
-    lo = max(t[x - 1][y] if x else 0, tx[y - 1] if y else 0)
-    values = range(lo, hi + 1) if admitted is None else [v for v in admitted if lo <= v <= hi]
-    stats.nodes_expanded += len(values)
     for v in values:
         tx[y] = ty[x] = v
-        at = pos[v]
-        at.append((x, y))
-        if mirrored:
-            at.append((y, x))
-        if _assoc_ok_after(t, pos, x, y, n):
-            _search(t, pos, cells, i + 1, n, stats, out, interned)
-        at.pop()
-        if mirrored:
+        tv = t[v]
+        # the new cell as ab: triple (y, x, c), left side t[v][c]; with
+        # t[x][c] unset it passes, so only the set ``columns`` are read
+        for c in columns:
+            left = tv[c]
+            if left >= 0:
+                bc = tx[c]
+                if bc >= 0 and 0 <= ty[bc] != left:
+                    break
+        else:
+            at = pos[v]
+            at.append((x, y))
+            if mirrored:
+                at.append((y, x))
+            # the new cell as the outer lookup t[ab][c]: triples (a, b, y) with
+            # ab = x and (a, b, x) with ab = y, both with left side v.  ``pos``
+            # indexes the set cells by value, so only the cells holding x or y
+            # are read.
+            for a, b in pos[x]:
+                bc = ty[b]  # t[b][y], by symmetry
+                if bc >= 0 and 0 <= t[a][bc] != v:
+                    break
+            else:
+                for a, b in (pos[y] if mirrored else ()):
+                    bc = tx[b]
+                    if bc >= 0 and 0 <= t[a][bc] != v:
+                        break
+                else:
+                    for r in finishes:
+                        row = tuple(t[r])
+                        done[r] = interned.setdefault(row, row)
+                    _search(t, pos, cells, i + 1, stats, out, done, interned)
             at.pop()
+            if mirrored:
+                at.pop()
     tx[y] = ty[x] = -1
 
 
@@ -285,7 +295,9 @@ def enumerate_uninorms(task: EnumerationTask, *,
         return  # row 0 is the identity, so u(0, n) = n: nothing qualifies
     searched = n - e if e < n - e else e
     t, tables, interned = _neutral_table(n, searched), [], {}
-    _search(t, _index(t), _cells(task, searched), 0, n, stats, tables, interned)
+    # the rows no free cell touches are complete at the root
+    done = [interned.setdefault(row, row) if -1 not in row else None for row in map(tuple, t)]
+    _search(t, _index(t), _cells(task, searched), 0, stats, tables, done, interned)
     for previous, rows in zip(tables, tables[1:]):
         if rows <= previous:
             raise InternalConsistencyError(

@@ -4,7 +4,8 @@ The catalog families are built through ``catalog.from_string``, the same
 path the command line takes; ``dual`` lifts the raw-row oracle in
 ``oracles`` to a uninorm; ``random_symmetric`` draws a table that need not
 be a uninorm; ``case_conditions`` runs a pair's case conditions alone;
-``flip_conditions`` plants one divergence;
+``flip_conditions`` plants one divergence; ``oracle_checked_search``
+holds every node of the pruned search to the brute-force oracle;
 ``assert_well_formed`` holds a table built through ``OpTable._built`` to
 the check that path skips.
 """
@@ -90,3 +91,36 @@ def flip_conditions(monkeypatch, module, u1, u2):
         return result
 
     monkeypatch.setattr(module, "classify_and_check", classify)
+
+
+def oracle_checked_search(original, verdicts):
+    """A stand-in for ``search._search`` that runs ``original`` and holds each
+    node to the brute-force oracle: every value the node tries, within its
+    bounds and filters, gets ``oracles.assoc_ok_after``'s verdict (appended to
+    ``verdicts``), and the node's child calls must be exactly the values it
+    passes, in order.  The stand-in must replace ``search._search``, so that
+    the recursion runs through it as well."""
+    passed = []
+
+    def checked(t, pos, cells, i, stats, out, done, interned):
+        if i:  # a child call: the parent's value passed its pruning
+            x, y = cells[i - 1][:2]
+            passed[-1].append(t[x][y])
+        if i == len(cells):
+            original(t, pos, cells, i, stats, out, done, interned)
+            return
+        x, y, hi, admitted = cells[i][:4]
+        lo = max(t[x - 1][y] if x else 0, t[x][y - 1] if y else 0)
+        expected = []
+        for v in range(lo, hi + 1):
+            if admitted is None or v in admitted:
+                t[x][y] = t[y][x] = v
+                verdicts.append(oracles.assoc_ok_after(t, x, y))
+                if verdicts[-1]:
+                    expected.append(v)
+        t[x][y] = t[y][x] = -1
+        passed.append([])
+        original(t, pos, cells, i, stats, out, done, interned)
+        assert passed.pop() == expected, (t, x, y)
+
+    return checked

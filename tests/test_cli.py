@@ -347,7 +347,10 @@ class TestCommands:
         code, out, err = run(capsys, "certify", "--n", "3", "--format", "structured",
                              "--no-timing")
         assert code == 1
-        assert err == "certify: L_3 pairs=484 divergences=1\n"
+        assert err == ("certify: THEOREM DIVERGENCE - the structural conditions and the exhaustive "
+                       "scan disagree on 1 of the 484 pairs; this is the most important possible "
+                       "finding, please report it\n"
+                       "certify: L_3 pairs=484 divergences=1\n")
         # the counts per case are the exhaustive verdicts', which the flip leaves alone
         expected = json.loads((FIXTURES_DIR / "certify_l3.json").read_text(encoding="utf-8"))
         expected.update({"agreements": 483, "divergences": [planted]})

@@ -19,7 +19,7 @@ import oracles
 import structure_oracle_check
 import unichain
 from conftest import FIXTURES_DIR
-from helpers import flip_conditions
+from helpers import flip_conditions, oracle_checked_search
 from unichain import (
     ChainScale,
     EnumerationTask,
@@ -193,8 +193,8 @@ class TestEnumeration:
     def test_a_repeated_or_misordered_table_raises(self, monkeypatch, tamper, e):
         original = search._search
 
-        def tampered(t, pos, cells, i, n, stats, out, interned):
-            original(t, pos, cells, i, n, stats, out, interned)
+        def tampered(t, pos, cells, i, stats, out, done, interned):
+            original(t, pos, cells, i, stats, out, done, interned)
             if i > 0:  # the recursion calls the tampered search too
                 return
             assert len(out) > 2
@@ -218,8 +218,8 @@ class TestEnumeration:
         """Make the search put a copy of its table at-1 at index at."""
         original = search._search
 
-        def tampered(t, pos, cells, i, n, stats, out, interned):
-            original(t, pos, cells, i, n, stats, out, interned)
+        def tampered(t, pos, cells, i, stats, out, done, interned):
+            original(t, pos, cells, i, stats, out, done, interned)
             if i == 0:
                 out.insert(at, out[at - 1])
 
@@ -277,11 +277,11 @@ class TestEnumeration:
         original = search._search
         roots, depths = [], []
 
-        def spied(t, pos, cells, i, n_, stats, out, interned):
+        def spied(t, pos, cells, i, stats, out, done, interned):
             if i == 0:
                 roots.append([(x, y) for x, y, *_ in cells])
             depths.append(i)
-            original(t, pos, cells, i, n_, stats, out, interned)
+            original(t, pos, cells, i, stats, out, done, interned)
 
         monkeypatch.setattr(search, "_search", spied)
         for e in range(n + 1):
@@ -307,7 +307,8 @@ class TestEnumeration:
                     assert [c[3] for c in cells if c[:2] == (0, n)] == [(0,)]
                     assert [c[3] for c in dual if c[:2] == (0, n)] == [(n,)]
                 t, native = search._neutral_table(n, e), []
-                search._search(t, search._index(t), cells, 0, n, SearchStats(), native, {})
+                done = [tuple(row) if -1 not in row else None for row in t]
+                search._search(t, search._index(t), cells, 0, SearchStats(), native, done, {})
                 got = [u.rows for u in enumerate_uninorms(task)]
                 assert got == native, f"e={e} filters={flags}"
 
@@ -386,7 +387,7 @@ class TestPruningSafety:
             tables = oracles.backtracked_uninorms(n, e)
             assert tables and (n == 4 or tables == oracles.naive_uninorms(n, e))
             root = search._neutral_table(n, e)
-            admitted = {(x, y): values for x, y, _, values in
+            admitted = {(x, y): values for x, y, _, values, *_ in
                         search._cells(EnumerationTask(ChainScale(n), e), e)}
             for rows in tables:
                 assert all(rows[0][y] == 0 for y in range(e + 1))
@@ -432,7 +433,9 @@ class TestPruningSafety:
     def test_the_pruning_rejects_only_what_the_oracle_rejects(self, n):
         # on any partial table the pruning checks a subset of the triples
         # that read the new cell; that it checks enough is a property of the
-        # search's nodes, tested below
+        # search's nodes, tested below.  Each draw is a one-cell search that
+        # reads every column and admits one value at or above the cell's
+        # monotone lower bound.
         rng = random.Random(20261019 + n)
         pts = range(n + 1)
         verdicts = Counter()
@@ -446,46 +449,72 @@ class TestPruningSafety:
             for x in pts:
                 for y in range(x, n + 1):
                     saved = t[x][y]
-                    t[x][y] = t[y][x] = rng.randrange(n + 1)
-                    verdict = search._assoc_ok_after(t, value_index(t), x, y, n)
+                    t[x][y] = t[y][x] = -1
+                    lo = max(0, t[x - 1][y] if x else 0, t[x][y - 1] if y else 0)
+                    v, stats, out = rng.randrange(lo, n + 1), SearchStats(), []
+                    cell = (x, y, n, (v,), tuple(pts), ())
+                    search._search(t, value_index(t), [cell], 0, stats, out, [None] * (n + 1), {})
+                    assert stats.nodes_expanded == 1 and t[x][y] == t[y][x] == -1
+                    t[x][y] = t[y][x] = v
+                    verdict = bool(out)
                     assert verdict or not oracles.assoc_ok_after(t, x, y), (t, x, y)
                     verdicts[verdict] += 1
                     t[x][y] = t[y][x] = saved
         assert verdicts[True] and verdicts[False], verdicts
 
     def test_at_every_search_node_the_pruning_equals_the_oracle(self, monkeypatch):
-        # every node of every task on L_1-L_5, every e and filter combination
-        pruning = search._assoc_ok_after
-        verdicts = Counter()
-
-        def checked(t, pos, x, y, n):
-            verdict = pruning(t, pos, x, y, n)
-            assert verdict == oracles.assoc_ok_after(t, x, y), (t, x, y)
-            verdicts[verdict] += 1
-            return verdict
-
-        monkeypatch.setattr(search, "_assoc_ok_after", checked)
+        # every value tried at every node of every task on L_1-L_5, every e
+        # and filter combination: the node's child calls are exactly the
+        # values the oracle passes
+        verdicts = []
+        monkeypatch.setattr(search, "_search", oracle_checked_search(search._search, verdicts))
         pins = enumeration_pins(range(1, 6))
         fixture = FIXTURES_DIR / "enumeration_l5.json"
         assert pins == json.loads(fixture.read_text(encoding="utf-8"))
-        assert sum(verdicts.values()) == 7793
-        assert verdicts[True] and verdicts[False], verdicts
+        assert len(verdicts) == sum(pin["nodes-expanded"] for pin in pins.values()) == 7793
+        assert True in verdicts and False in verdicts
 
     def test_at_every_search_node_the_index_holds_the_set_cells(self, monkeypatch):
-        # every node of every task on L_1-L_5, every e and filter combination
-        pruning = search._assoc_ok_after
-        nodes = []
+        # every call of every task on L_1-L_5, every e and filter combination:
+        # the index on entry and on return, and at a leaf the completed rows
+        original = search._search
+        calls = []
 
-        def checked(t, pos, x, y, n):
-            assert [sorted(cells) for cells in pos] == value_index(t), (t, pos)
-            nodes.append((x, y))
-            return pruning(t, pos, x, y, n)
+        def checked(t, pos, cells, i, stats, out, done, interned):
+            assert [sorted(at) for at in pos] == value_index(t), (t, pos)
+            if i == len(cells):
+                assert done == [tuple(row) for row in t], (t, done)
+                assert all(interned[row] is row for row in done)
+            original(t, pos, cells, i, stats, out, done, interned)
+            assert [sorted(at) for at in pos] == value_index(t), (t, pos)
+            calls.append(i)
 
-        monkeypatch.setattr(search, "_assoc_ok_after", checked)
+        monkeypatch.setattr(search, "_search", checked)
         pins = enumeration_pins(range(1, 6))
         fixture = FIXTURES_DIR / "enumeration_l5.json"
         assert pins == json.loads(fixture.read_text(encoding="utf-8"))
-        assert len(nodes) == 7793
+        assert len(calls) == 6083
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_each_cell_carries_the_columns_it_reads_and_the_rows_it_completes(self, n):
+        # an independent walk of the root table, for every searched neutral
+        # element and filter combination: cell i reads row x's set columns
+        # once cells[:i + 1] are set, and every row is completed exactly once,
+        # at the root or by the cell that sets its last unset entry
+        for e, flags in product(range(n + 1), product((False, True), repeat=3)):
+            task = EnumerationTask(ChainScale(n), e, *flags)
+            for searched in sorted({e, n - e}):
+                cells = search._cells(task, searched)
+                root = search._neutral_table(n, searched)
+                completed = [r for r, row in enumerate(root) if -1 not in row]
+                for i, (x, y, _, _, columns, finishes) in enumerate(cells):
+                    t = [row[:] for row in root]
+                    for a, b, *_ in cells[:i + 1]:
+                        t[a][b] = t[b][a] = 0
+                    assert columns == tuple(c for c in range(n + 1) if t[x][c] != -1), (e, x, y)
+                    completed += finishes
+                    assert sorted(completed) == [r for r, row in enumerate(t) if -1 not in row]
+                assert sorted(completed) == list(range(n + 1)), (e, flags)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_a_symmetric_table_checks_each_triple_and_its_mirror_alike(self, n):
