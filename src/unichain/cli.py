@@ -124,8 +124,8 @@ def _cmd_classify(args) -> int:
         "idempotent": is_idempotent(u),
         "locally-internal": is_locally_internal(u),
     }
-    _emit(args, lambda: "".join(f"{key}: {value}\n" for key, value in fields.items()),
-          lambda: {"format-version": formats.FORMAT_VERSION, "kind": "classification", **fields})
+    _emit(args, lambda: formats.render_classification(fields),
+          lambda: formats.classification_doc(fields))
     _say(f"classify: {kind} on L_{u.n} with e={u.e}")
     return EXIT_OK
 
@@ -157,13 +157,7 @@ def _cmd_compose(args) -> int:
     d, scale, e1, e2 = formats.parse_decomposition(_read_document(args.decomposition),
                                                    source=args.decomposition)
     u1, u2 = compose(d, scale, e1, e2)
-    _emit(args, lambda: f"# u1\n{formats.dump_table(u1)}\n# u2\n{formats.dump_table(u2)}",
-          lambda: {
-              "format-version": formats.FORMAT_VERSION,
-              "kind": "pair",
-              "u1": formats.table_doc(u1),
-              "u2": formats.table_doc(u2),
-          })
+    _emit(args, lambda: formats.render_pair(u1, u2), lambda: formats.pair_doc(u1, u2))
     _say(f"compose: assembled a distributive pair on L_{scale.n} with e1={e1}, e2={e2}")
     return EXIT_OK
 
@@ -178,64 +172,18 @@ def _cmd_enumerate(args) -> int:
     max_n = args.max_n if args.max_n is not None else DEFAULT_ENUMERATION_LIMIT
     stats = SearchStats()
     tables = list(enumerate_uninorms(task, max_n=max_n, stats=stats))
-
-    def doc():
-        # one list per distinct row, shared by the tables that hold it; lists, not
-        # the search's row tuples, because perfbench/selfcheck.py edits a cell of
-        # this document in place to test its output gate
-        lists = {row: list(row) for row in {row for u in tables for row in u.rows}}
-        return {
-            "format-version": formats.FORMAT_VERSION,
-            "kind": "enumeration",
-            "scale": args.n,
-            "neutral": args.e,
-            "count": len(tables),
-            "tables": [list(map(lists.__getitem__, u.rows)) for u in tables],
-        }
-
-    _emit(args, lambda: "".join(f"# {i + 1} of {len(tables)}\n{formats.dump_table(u)}\n"
-                                for i, u in enumerate(tables)), doc)
+    _emit(args, lambda: formats.render_enumeration(tables),
+          lambda: formats.enumeration_doc(args.n, args.e, tables))
     _say(f"enumerate: {len(tables)} uninorms on L_{args.n} with e={args.e}, "
          f"{stats.nodes_expanded} nodes expanded")
     return EXIT_OK
 
 
 def _cmd_scan(args) -> int:
-    max_n = args.max_n if args.max_n is not None else DEFAULT_CERTIFY_LIMIT
+    max_n = args.max_n if args.max_n is not None else DEFAULT_ENUMERATION_LIMIT
     hits = scan_pairs(ChainScale(args.n), args.e1, args.e2, max_n=max_n)
-
-    def text_body():
-        blocks = []
-        for i, hit in enumerate(hits):
-            blocks.append(f"# pair {i + 1} of {len(hits)}\n# u1\n{formats.dump_table(hit.u1)}"
-                          f"\n# u2\n{formats.dump_table(hit.u2)}")
-            if hit.decomposition is not None:
-                blocks.append("# decomposition\n"
-                              + formats.dump_decomposition(hit.decomposition, hit.u1.scale,
-                                                           hit.u1.e, hit.u2.e))
-        return "\n".join(blocks) + ("\n" if blocks else "")
-
-    def doc():
-        return {
-            "format-version": formats.FORMAT_VERSION,
-            "kind": "scan",
-            "scale": args.n,
-            "e1": args.e1,
-            "e2": args.e2,
-            "count": len(hits),
-            "pairs": [
-                {
-                    "u1": formats.table_doc(hit.u1),
-                    "u2": formats.table_doc(hit.u2),
-                    "necessity": None if hit.necessity is None else formats.report_doc(hit.necessity),
-                    "decomposition": None if hit.decomposition is None else
-                    formats.decomposition_doc(hit.decomposition, hit.u1.scale, hit.u1.e, hit.u2.e),
-                }
-                for hit in hits
-            ],
-        }
-
-    _emit(args, text_body, doc)
+    _emit(args, lambda: formats.render_scan(hits),
+          lambda: formats.scan_doc(args.n, args.e1, args.e2, hits))
     rejected = sum(not hit.classification.agreement for hit in hits)
     unmet = sum(not (hit.necessity is None or hit.necessity.verdict) for hit in hits)
     for count, route in ((rejected, "the structural conditions reject"),

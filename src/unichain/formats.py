@@ -1,5 +1,6 @@
-"""Stable file formats: table documents, decomposition documents, and the
-structured (JSON) report form shared by the CLI.
+"""Every document unichain writes: the table and decomposition text formats,
+each command's structured (JSON) document and text report, and the JSON
+writer.  One helper sets the ``format-version`` and ``kind`` of each document.
 
 Table document, bit-exact:
 
@@ -293,6 +294,13 @@ def _write_json(value, newline: str, out: list, rows: dict) -> None:
         out.append(json.dumps(value))
 
 
+def _header(doc: dict, kind: str) -> dict:
+    """``doc``, with the ``format-version`` and ``kind`` keys set on it."""
+    doc["format-version"] = FORMAT_VERSION
+    doc["kind"] = kind
+    return doc
+
+
 def violation_doc(v: Violation) -> dict:
     return {
         "law": v.law,
@@ -305,56 +313,72 @@ def violation_doc(v: Violation) -> dict:
 
 
 def report_doc(report: CheckReport) -> dict:
-    return {
-        "format-version": FORMAT_VERSION,
-        "kind": "check-report",
-        "verdict": report.verdict,
-        "violations": [violation_doc(v) for v in report.violations],
-    }
+    violations = [violation_doc(v) for v in report.violations]
+    return _header({"verdict": report.verdict, "violations": violations}, "check-report")
 
 
 def table_doc(u: Uninorm) -> dict:
-    return {
-        "format-version": FORMAT_VERSION,
-        "kind": "table",
-        "scale": u.n,
-        "neutral": u.e,
-        "rows": u.rows,
-    }
+    return _header({"scale": u.n, "neutral": u.e, "rows": u.rows}, "table")
+
+
+def classification_doc(fields: dict) -> dict:
+    return _header(dict(fields), "classification")
+
+
+def pair_doc(u1: Uninorm, u2: Uninorm) -> dict:
+    return _header({"u1": table_doc(u1), "u2": table_doc(u2)}, "pair")
 
 
 def pair_check_doc(result: ClassifyResult) -> dict:
     divergence = result.divergence()
-    return {
-        "format-version": FORMAT_VERSION,
-        "kind": "pair-check",
+    return _header({
         "case": result.case.value,
         "distributive": result.exhaustive.verdict,
         "conditions": report_doc(result.conditions),
         "exhaustive": report_doc(result.exhaustive),
         "agreement": result.agreement,
         "divergence": None if divergence is None else violation_doc(divergence),
-    }
+    }, "pair-check")
 
 
 def decomposition_doc(d: Decomposition, scale: ChainScale, e1: int, e2: int) -> dict:
-    return {
-        "format-version": FORMAT_VERSION,
-        "kind": "decomposition",
-        "case": d.case.value,
-        "scale": scale.n,
-        "e1": e1,
-        "e2": e2,
+    return _header({
+        "case": d.case.value, "scale": scale.n, "e1": e1, "e2": e2,
         "inner": table_doc(d.inner),
         "boundary": table_doc(d.boundary_op),
         "selection": [[x, y, pick.value] for x, y, pick in d.selection],
-    }
+    }, "decomposition")
+
+
+def enumeration_doc(n: int, e: int, tables: list) -> dict:
+    # one list per distinct row, shared by the tables that hold it; lists, not
+    # the search's row tuples, because perfbench/selfcheck.py edits a cell of
+    # this document in place to test its output gate
+    lists = {row: list(row) for row in {row for u in tables for row in u.rows}}
+    return _header({
+        "scale": n, "neutral": e, "count": len(tables),
+        "tables": [list(map(lists.__getitem__, u.rows)) for u in tables],
+    }, "enumeration")
+
+
+def scan_doc(n: int, e1: int, e2: int, hits: list) -> dict:
+    return _header({
+        "scale": n, "e1": e1, "e2": e2, "count": len(hits),
+        "pairs": [
+            {
+                "u1": table_doc(hit.u1),
+                "u2": table_doc(hit.u2),
+                "necessity": None if hit.necessity is None else report_doc(hit.necessity),
+                "decomposition": None if hit.decomposition is None else
+                decomposition_doc(hit.decomposition, hit.u1.scale, hit.u1.e, hit.u2.e),
+            }
+            for hit in hits
+        ],
+    }, "scan")
 
 
 def certification_doc(report: CertificationReport, *, include_timing: bool = True) -> dict:
-    doc = {
-        "format-version": FORMAT_VERSION,
-        "kind": "certification",
+    doc = _header({
         "scale": report.scale_n,
         "uninorm-counts": report.uninorm_counts,
         "pairs-checked": report.pairs_checked,
@@ -374,7 +398,7 @@ def certification_doc(report: CertificationReport, *, include_timing: bool = Tru
         ],
         "nodes-expanded": report.nodes_expanded,
         "partial": False,  # format version 1 keeps the key; the goldens pin it
-    }
+    }, "certification")
     if include_timing:
         doc["wall-time-s"] = report.wall_time_s
     return doc
@@ -386,6 +410,14 @@ def render_report(report: CheckReport) -> str:
     lines = [f"verdict: {'true' if report.verdict else 'false'}"]
     lines.extend(f"  {v.describe()}" for v in report.violations)
     return "\n".join(lines) + "\n"
+
+
+def render_classification(fields: dict) -> str:
+    return "".join(f"{key}: {value}\n" for key, value in fields.items())
+
+
+def render_pair(u1: Uninorm, u2: Uninorm) -> str:
+    return f"# u1\n{dump_table(u1)}\n# u2\n{dump_table(u2)}"
 
 
 def render_pair_check(result: ClassifyResult) -> str:
@@ -402,6 +434,20 @@ def render_pair_check(result: ClassifyResult) -> str:
     if divergence is not None:
         lines.append(f"  {divergence.describe()}")
     return "\n".join(lines) + "\n"
+
+
+def render_enumeration(tables: list) -> str:
+    return "".join(f"# {i + 1} of {len(tables)}\n{dump_table(u)}\n" for i, u in enumerate(tables))
+
+
+def render_scan(hits: list) -> str:
+    blocks = []
+    for i, hit in enumerate(hits):
+        blocks.append(f"# pair {i + 1} of {len(hits)}\n{render_pair(hit.u1, hit.u2)}")
+        if hit.decomposition is not None:
+            blocks.append("# decomposition\n" + dump_decomposition(hit.decomposition, hit.u1.scale,
+                                                                   hit.u1.e, hit.u2.e))
+    return "\n".join(blocks) + ("\n" if blocks else "")
 
 
 def render_certification(report: CertificationReport) -> str:

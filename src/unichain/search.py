@@ -434,7 +434,7 @@ class PairHit:
 
 
 def scan_pairs(scale: ChainScale, e1: int, e2: int, *,
-               max_n: int = DEFAULT_CERTIFY_LIMIT) -> list:
+               max_n: int = DEFAULT_ENUMERATION_LIMIT) -> list:
     """All distributive pairs (u1 with neutral e1, u2 with neutral e2).
 
     The hits are the index pairs ``distributive_pairs`` returns for the two

@@ -101,3 +101,44 @@ def test_the_import_scan_reads_aliases_dotted_names_and_nested_imports(tmp_path)
     module.write_text("from __future__ import annotations\nimport os.path\n"
                       "from x import y as z\ndef f():\n    import json\n", encoding="utf-8")
     assert imported_names(module) == {"os", "z", "json"}
+
+
+HEADER_KEYS = {"format-version", "kind"}
+
+
+def header_writes(path: Path) -> list:
+    """Each place a module reads ``FORMAT_VERSION`` or writes a document's
+    ``format-version`` or ``kind`` key (in a dict display or by a subscript
+    store), as (top-level definition it lies in, what it does)."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load) \
+                    and getattr(node, "id", getattr(node, "attr", None)) == "FORMAT_VERSION":
+                found.append((owner, "reads FORMAT_VERSION"))
+            elif isinstance(node, ast.Dict):
+                found.extend((owner, f"displays {key.value!r}") for key in node.keys
+                             if isinstance(key, ast.Constant) and key.value in HEADER_KEYS)
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.slice, ast.Constant) and node.slice.value in HEADER_KEYS:
+                found.append((owner, f"sets {node.slice.value!r}"))
+    return found
+
+
+def test_one_helper_in_formats_writes_every_document_header():
+    writes = {path.stem: sorted(header_writes(path)) for path in PACKAGE.glob("*.py")}
+    assert {stem: found for stem, found in writes.items() if found} == {"formats": [
+        ("_header", "reads FORMAT_VERSION"), ("_header", "sets 'format-version'"),
+        ("_header", "sets 'kind'"),
+    ]}
+
+
+def test_the_header_scan_sees_reads_displays_and_stores(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import formats\nV = formats.FORMAT_VERSION\n"
+                      "def f(d):\n    d['kind'] = 'x'\n    return {'format-version': V, 'kind': 'y'}\n"
+                      "def g():\n    return {'kinds': FORMAT_VERSION}\n", encoding="utf-8")
+    assert sorted(header_writes(module)) == [
+        ("<module>", "reads FORMAT_VERSION"), ("f", "displays 'format-version'"),
+        ("f", "displays 'kind'"), ("f", "sets 'kind'"), ("g", "reads FORMAT_VERSION")]

@@ -102,7 +102,7 @@ class TestExitContract:
 
     @pytest.mark.parametrize("argv, what, limit", [
         (("enumerate", "--n", "7", "--e", "3"), "enumeration", 6),
-        (("scan", "--n", "6", "--e1", "1", "--e2", "1"), "pair scan", 5),
+        (("scan", "--n", "7", "--e1", "1", "--e2", "1"), "pair scan", 6),
         (("certify", "--n", "6"), "certification", 5),
     ], ids=["enumerate", "scan", "certify"])
     def test_a_limit_refusal_names_the_option(self, capsys, argv, what, limit):

@@ -23,6 +23,7 @@ from unichain.core import MAX_SCALE
 from unichain.errors import SearchLimitError, StructureError, TableFormatError
 from unichain.formats import (
     certification_doc,
+    classification_doc,
     dump_decomposition,
     dump_table,
     parse_decomposition,
@@ -283,6 +284,12 @@ class TestStructuredDocs:
         doc = report_doc(report)
         assert doc["kind"] == "check-report" and doc["format-version"] == 1
         assert doc["verdict"] is True
+
+    def test_classification_doc_leaves_its_fields_as_they_are(self):
+        fields = {"scale": 2, "neutral": 1}
+        doc = classification_doc(fields)
+        assert fields == {"scale": 2, "neutral": 1}
+        assert doc == {**fields, "format-version": 1, "kind": "classification"}
 
     def test_table_doc_matches_rows(self):
         u = idem_min(3, 1)
