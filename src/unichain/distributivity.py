@@ -17,10 +17,10 @@ where the unequal cases share one body, and the exhaustive scan; any
 disagreement is a theorem divergence, a reportable finding, never dropped.
 Each clause that reads only one table is a share, kept on the uninorm once
 per table and partner neutral by ``_kept_on_table``: in the unequal cases
-u2's hypotheses, clause-i side condition, boundary and clause ii half, and
-u1's clause ii half and clause-iii closure; in the equal case u2's
-idempotency.  Decompositions read u1's inner uninorm and u2's boundary from
-them, so each restriction is built once per table and partner.
+u2's hypotheses, clause-i side condition and clause ii half, and u1's
+clause ii half and clause-iii closure; in the equal case u2's idempotency.
+Clause iii reads the full tables, so no verdict builds a restriction; a
+decomposition builds u1's inner uninorm and u2's boundary for its own pair.
 Each single-law clause is one ``core._clause`` call over its failing points.
 The pair path's two hot scans stay loops: the distributivity triples, and
 agreement with choice of an argument, which keeps each law's first violation.
@@ -117,8 +117,7 @@ def _kept_on_table(share):
     ``args`` repeat.
 
     A slot holds only the latest arguments (the partner's neutral, ``verbose``).
-    ``certify`` visits pairs u1-outer and e-major, so it is almost always hit;
-    ``scan`` classifies each hit and then decomposes it from the same shares.
+    ``certify`` visits pairs u1-outer and e-major, so it is almost always hit.
     The slot is not a field, so equality, hash and repr ignore it, and nothing
     outlasts the tables of one run.
     """
@@ -143,22 +142,23 @@ def check_distributivity(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> 
     """
     _same_scale(u1, u2)
     return CheckReport.from_violations(
-        _distributivity_violations(u1.rows, u2.rows, verbose, "distributivity"))
+        _distributivity_violations(u1.rows, u2.rows, u1.scale.points, verbose, "distributivity"))
 
 
-def _distributivity_violations(a, b, verbose: bool, law: str, detail: str = "") -> list:
-    """The failing triples of "rows ``a`` distribute over rows ``b``", as
-    ``law`` violations in scan order; only the first unless ``verbose``."""
-    pts = range(len(a))
-    found = []
+def _distributivity_violations(a, b, pts: range, verbose: bool, law: str, detail: str = "") -> list:
+    """The failing triples of "rows ``a`` distribute over rows ``b``" on ``pts``, where both
+    are closed, as ``law`` violations in scan order with witnesses and values shifted by
+    -pts[0]; only the first unless ``verbose``."""
+    lo, stop, found = pts[0], pts.stop, []
     for x in pts:
         ax = a[x]
         for y in pts:
             by, b_axy = b[y], b[ax[y]]
-            for z in pts[y:]:
+            for z in range(y, stop):
                 lhs, rhs = ax[by[z]], b_axy[ax[z]]
                 if lhs != rhs:
-                    found.append(Violation(law, (x, y, z), lhs=lhs, rhs=rhs, detail=detail))
+                    found.append(Violation(law, (x - lo, y - lo, z - lo), lhs=lhs - lo, rhs=rhs - lo,
+                                           detail=detail))
                     if not verbose:
                         return found
     return found
@@ -285,7 +285,7 @@ class _Geometry:
     """
 
     case: TheoremCase
-    block: range            # u1's block [lo, hi] holds e1; clause iii restricts u1 to it
+    block: range            # u1's block [lo, hi] holds e1; clause iii reads u1 and u2 on it
     side: range             # u2's min/max square is side x side
     strip: range            # the points outside the block
     near: range             # y from e2 to e1
@@ -308,7 +308,12 @@ class _Geometry:
         """The off-diagonal strip a decomposition's selection covers."""
         return tuple((x, y) for x in self.strip for y in self.block)
 
-    def inner(self, u1: Uninorm) -> Uninorm:  # u1 on the block, shifted by -lo
+    def inner(self, u1: Uninorm) -> Uninorm:
+        """u1 on the block B, shifted by -lo: a uninorm with no validation of its own
+        when u1(B x B) lies in B.  It takes values in 0..m by closure; it is
+        commutative and monotone because it is a restriction; its neutral is e1 - lo
+        because u1(e1, x) = x; and it is associative because every intermediate
+        u1(x, y) stays in B."""
         return _restriction(u1, self.block[0], self.block[-1], u1.e - self.block[0])
 
 
@@ -358,7 +363,7 @@ def _not_first(u: Uninorm, xs: range, ys: range):
 @_kept_on_table
 def _u2_share(u2: Uninorm, e1: int, verbose: bool):
     """The clauses that read only u2, partnered with neutral ``e1``: hypotheses,
-    clause-i side condition, clause ii's u2 half, and the boundary on the block."""
+    clause-i side condition and clause ii's u2 half."""
     g, rows = _geometry(u2.n, e1, u2.e), u2.rows
     hypotheses = (_clause(f"hypothesis-{g.unit}", _off_square(u2, g), "u2", verbose)
                   + _clause("hypothesis-local-internality", _internality_failures(u2), "u2", verbose))
@@ -367,26 +372,19 @@ def _u2_share(u2: Uninorm, e1: int, verbose: bool):
                                     if rows[x][y] == y and rows[y][y] != y),
         "u2", verbose, "second argument picked at a non-idempotent point")
     clause_ii = _clause(f"clause-ii-{g.op.__name__}", _not_first(u2, g.strip, g.near), "u2", verbose)
-    return hypotheses, side_condition, clause_ii, g.boundary(u2)
+    return hypotheses, side_condition, clause_ii
 
 
 @_kept_on_table
 def _u1_share(u1: Uninorm, e2: int, verbose: bool):
-    """The clauses that read only u1: clause ii's u1 half; clause iii's
-    closure violations, and the inner uninorm when there are none (else None).
-
-    The inner uninorm needs no validation of its own.  Let B be the block,
-    which holds e1, and let u1(B x B) lie in B.  Then u1 on B shifted by -lo
-    takes values in 0..m by closure; it is commutative and monotone because
-    it is a restriction; its neutral is e1 - lo because u1(e1, x) = x; and it
-    is associative because every intermediate u1(x, y) stays in B.
-    """
+    """The clauses that read only u1: clause ii's u1 half and clause iii's
+    closure violations."""
     g, rows = _geometry(u1.n, u1.e, e2), u1.rows
     clause_ii = _clause(f"clause-ii-{g.op.__name__}", _not_first(u1, g.strip, g.near), "u1", verbose)
     leaks = _clause("clause-iii-closure", (((x, y), rows[x][y], e2) for x in g.block
                                            for y in range(x, g.block.stop) if rows[x][y] not in g.block),
                     "u1", verbose, g.leak)
-    return clause_ii, leaks, None if leaks else g.inner(u1)
+    return clause_ii, leaks
 
 
 def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
@@ -398,8 +396,8 @@ def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
     vacuous, and for e2 = 0 (e2 = n reflected) the block is the whole table.
     """
     g = _geometry(u1.n, u1.e, u2.e)
-    hypotheses, side_condition, u2_clause_ii, boundary = _u2_share(u2, u1.e, verbose)
-    u1_clause_ii, leaks, inner = _u1_share(u1, u2.e, verbose)
+    hypotheses, side_condition, u2_clause_ii = _u2_share(u2, u1.e, verbose)
+    u1_clause_ii, leaks = _u1_share(u1, u2.e, verbose)
     # each clause keeps its own witnesses: no two clauses share a law, so
     # the lists are concatenated in clause order
     clause_i = _agree_and_choose(u1, u2, g.strip, g.block, verbose,
@@ -407,8 +405,9 @@ def _unequal_conditions(u1: Uninorm, u2: Uninorm, verbose: bool) -> CheckReport:
     # clause ii's halves in scan order; the sort is stable, so at a point
     # where both fail, u1 comes before u2
     clause_ii = sorted(u1_clause_ii + u2_clause_ii, key=lambda v: v.witness)
-    clause_iii = () if inner is None else _distributivity_violations(
-        inner.rows, boundary.rows, verbose, "clause-iii-distributivity", g.subchain)
+    # with closure, inner(u1) over boundary(u2) is the law on the block, shifted by -lo
+    clause_iii = () if leaks else _distributivity_violations(
+        u1.rows, u2.rows, g.block, verbose, "clause-iii-distributivity", g.subchain)
     return CheckReport.from_violations(
         (*hypotheses, *clause_i, *side_condition, *clause_ii, *leaks, *clause_iii))
 
@@ -480,7 +479,7 @@ def classify_and_check(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> Cl
     """Pick the case from (e1, e2), run its conditions and the exhaustive scan.
 
     u1 and u2 must be uninorms (tables from outside the program go through
-    :meth:`Uninorm.checked`): clause iii takes a closed block of u1 as a
+    :meth:`Uninorm.checked`): clause iii reads a closed block of u1 as a
     uninorm without validating it.
     """
     case = case_of(u1, u2)
@@ -545,13 +544,10 @@ def decompose(u1: Uninorm, u2: Uninorm) -> Decomposition:
 
 def _decompose_checked(u1: Uninorm, u2: Uninorm, case: TheoremCase) -> Decomposition:
     """The blocks of a pair its caller has classified as distributive under
-    ``case``, with proper unequal neutrals; nothing is re-checked, and the
-    inner uninorm and the boundary are that classification's shares."""
-    g = _geometry(u1.n, u1.e, u2.e)
-    boundary, inner = _u2_share(u2, u1.e, False)[-1], _u1_share(u1, u2.e, False)[-1]
-    rows = u1.rows
+    ``case``, with proper unequal neutrals; nothing is re-checked."""
+    g, rows = _geometry(u1.n, u1.e, u2.e), u1.rows
     selection = tuple((x, y, Pick.FIRST if rows[x][y] == x else Pick.SECOND) for x, y in g.domain)
-    return Decomposition(case, inner, boundary, selection)
+    return Decomposition(case, g.inner(u1), g.boundary(u2), selection)
 
 
 def _reject(law: str, witness: tuple, message: str, **kw) -> CompositionInvalid:

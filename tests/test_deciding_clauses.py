@@ -7,8 +7,12 @@ unequal-case conditions, the equal-case conditions and the necessity
 battery) these tests pin how many pairs fail each law and on how many it is
 the only failing law.  A law that fails somewhere but never alone is
 redundant here: no pair fails only such laws, so dropping all of them at
-once would change no verdict on L_1-L_4.  The reports keep every clause.
+once would change no verdict on L_1-L_4.  Per chain, they also pin the
+minimal sets of laws that meet every failing report: the laws that alone
+decide every verdict of the conditions.  The reports keep every clause.
 """
+
+from itertools import combinations
 
 import pytest
 
@@ -51,11 +55,26 @@ def merged(law: str) -> str:
     return law
 
 
-def failing_laws(uninorms_by_e, battery):
-    """The merged failing laws of each pair the battery judges, on L_1-L_4."""
+UNEQUAL_DECIDING = {"clause-i-agreement", "clause-iii-closure", "clause-iii-distributivity",
+                    "hypothesis-tnorm-min"}
+
+# (battery, n) -> the minimal sets of laws that meet every failing report on L_n
+DECIDING = {
+    ("unequal-conditions", 2): [{"clause-i-agreement", "clause-iii-closure", "clause-iii-distributivity"},
+                                {"clause-ii-min", "clause-iii-closure", "clause-iii-distributivity"}],
+    ("unequal-conditions", 3): [UNEQUAL_DECIDING],
+    ("unequal-conditions", 4): [UNEQUAL_DECIDING],
+    ("equal-conditions", 2): [{"agreement", "idempotency"}],
+    ("equal-conditions", 3): [{"agreement", "idempotency"}],
+    ("equal-conditions", 4): [{"agreement", "idempotency"}],
+}
+
+
+def failing_laws(uninorms_by_e, battery, scales=SCALES):
+    """The merged failing laws of each pair the battery judges, on ``scales``."""
     report = necessity_conditions if battery == "necessity" else case_conditions
     equal = battery == "equal-conditions"
-    for n in SCALES:
+    for n in scales:
         by_e = uninorms_by_e(n)
         for e1, firsts in by_e.items():
             for e2, seconds in by_e.items():
@@ -76,6 +95,24 @@ def test_each_law_fails_and_decides_as_pinned(uninorms_by_e, battery):
     # no pair fails only laws that never fail alone
     redundant = {law for law, (_, only) in laws.items() if not only}
     assert not [r for r in reports if r and r <= redundant]
+
+
+def minimal_deciding_sets(reports):
+    """The minimal sets of laws that meet every failing report, smallest first."""
+    failing = {r for r in reports if r}
+    laws, found = sorted(set().union(*failing)), []
+    for size in range(len(laws) + 1):
+        for chosen in map(set, combinations(laws, size)):
+            if all(r & chosen for r in failing) and not any(kept <= chosen for kept in found):
+                found.append(chosen)
+    return found
+
+
+@pytest.mark.parametrize("battery, n", sorted(DECIDING))
+def test_the_deciding_laws_are_pinned(uninorms_by_e, battery, n):
+    # both clause-iii laws are in every minimal set: neither follows from the others
+    deciding = minimal_deciding_sets(failing_laws(uninorms_by_e, battery, [n]))
+    assert deciding == DECIDING[battery, n]
 
 
 def test_a_mirror_merges_with_its_law():

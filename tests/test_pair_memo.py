@@ -10,7 +10,16 @@ import random
 
 import pytest
 
-from unichain import ChainScale, OpTable, Uninorm, certify, classify_and_check, decompose
+from unichain import (
+    ChainScale,
+    OpTable,
+    Uninorm,
+    certify,
+    classify_and_check,
+    compose,
+    decompose,
+    scan_pairs,
+)
 from unichain import core, distributivity
 
 
@@ -117,47 +126,61 @@ def test_the_memo_is_invisible(uninorms_by_e):
         assert restored == u and hash(restored) == hash(u)
 
 
-def test_nothing_carries_over_between_runs(monkeypatch):
-    calls = []
-    original = core._restriction
-
-    def counted(*args):
-        calls.append(args[1:])
-        return original(*args)
-
-    monkeypatch.setattr(core, "_restriction", counted)
-    monkeypatch.setattr(distributivity, "_restriction", counted)
-    counts = []
-    for _ in range(2):
-        calls.clear()
-        certify(ChainScale(3))
-        counts.append(len(calls))
-    assert counts[0] > 0
-    assert counts[0] == counts[1]
-
-
-@pytest.mark.parametrize("e1, e2", [(3, 1), (1, 3)], ids=["greater", "less"])
-def test_decompose_after_classification_builds_no_table(monkeypatch, uninorms_by_e, e1, e2):
-    # the inner uninorm and the boundary are read from the shares the
-    # classification kept; a restriction built again would call _restriction
-    by_e = uninorms_by_e(4)
-    u1, u2 = next((fresh(u1), fresh(u2)) for u1 in by_e[e1] for u2 in by_e[e2]
-                  if classify_and_check(fresh(u1), fresh(u2)).verdict)
+def count_restrictions(monkeypatch):
+    """The (table, lo, hi, neutral) of every ``_restriction`` built from now on."""
     built = []
     original = core._restriction
 
     def counted(*args):
-        built.append(args[1:])
+        built.append(args)
         return original(*args)
 
     monkeypatch.setattr(core, "_restriction", counted)
     monkeypatch.setattr(distributivity, "_restriction", counted)
-    decompose(fresh(u1), fresh(u2))
-    assert built, "a fresh pair's classification restricts no table"
-    built.clear()
-    classify_and_check(u1, u2)
-    assert built
-    built.clear()
-    d = decompose(u1, u2)
+    return built
+
+
+def test_nothing_carries_over_between_runs(monkeypatch):
+    # a share kept from the first run would spare the second some clauses;
+    # and no verdict of certify restricts a table
+    clauses = []
+    original = distributivity._clause
+
+    def counted(*args, **kwargs):
+        clauses.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(distributivity, "_clause", counted)
+    built = count_restrictions(monkeypatch)
+    counts = []
+    for _ in range(2):
+        clauses.clear()
+        certify(ChainScale(3))
+        counts.append(len(clauses))
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
     assert built == []
+
+
+@pytest.mark.parametrize("e1, e2", [(3, 1), (1, 3)], ids=["greater", "less"])
+def test_only_a_decomposition_restricts_a_table(monkeypatch, uninorms_by_e, e1, e2):
+    # clause iii reads the full tables, so a classification builds no
+    # restriction; a decomposition builds two on the block, u1's inner
+    # uninorm and u2's boundary, and compose's candidate check none
+    by_e = uninorms_by_e(4)
+    u1, u2 = next((fresh(u1), fresh(u2)) for u1 in by_e[e1] for u2 in by_e[e2]
+                  if classify_and_check(fresh(u1), fresh(u2)).verdict)
+    block = distributivity._geometry(4, e1, e2).block
+    lo, hi = block[0], block[-1]
+    built = count_restrictions(monkeypatch)
+    for verbose in (False, True):
+        assert classify_and_check(u1, u2, verbose=verbose).verdict
+    assert built == []
+    d = decompose(u1, u2)
+    assert built == [(u1, lo, hi, e1 - lo), (u2, lo, hi, e2 - lo)]
     assert d == decompose(fresh(u1), fresh(u2))
+    built.clear()
+    assert compose(d, ChainScale(4), e1, e2)[1] == u2
+    assert built == []
+    hits = list(scan_pairs(ChainScale(4), e1, e2))
+    assert hits and len(built) == 2 * len(hits)
