@@ -18,6 +18,7 @@ grammar and the file formats.  Every command takes --format and --out;
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -169,9 +170,8 @@ def _cmd_enumerate(args) -> int:
         locally_internal_only=args.locally_internal_only,
         conjunctive_only=args.conjunctive_only,
     )
-    max_n = args.max_n if args.max_n is not None else DEFAULT_ENUMERATION_LIMIT
     stats = SearchStats()
-    tables = list(enumerate_uninorms(task, max_n=max_n, stats=stats))
+    tables = list(enumerate_uninorms(task, max_n=args.max_n, stats=stats))
     _emit(args, lambda: formats.render_enumeration(tables),
           lambda: formats.enumeration_doc(args.n, args.e, tables))
     _say(f"enumerate: {len(tables)} uninorms on L_{args.n} with e={args.e}, "
@@ -180,8 +180,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    max_n = args.max_n if args.max_n is not None else DEFAULT_ENUMERATION_LIMIT
-    hits = scan_pairs(ChainScale(args.n), args.e1, args.e2, max_n=max_n)
+    hits = scan_pairs(ChainScale(args.n), args.e1, args.e2, max_n=args.max_n)
     _emit(args, lambda: formats.render_scan(hits),
           lambda: formats.scan_doc(args.n, args.e1, args.e2, hits))
     rejected = sum(not hit.classification.agreement for hit in hits)
@@ -195,8 +194,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    max_n = args.max_n if args.max_n is not None else DEFAULT_CERTIFY_LIMIT
-    report = certify(ChainScale(args.n), max_n=max_n)
+    report = certify(ChainScale(args.n), max_n=args.max_n)
     _emit(args, lambda: formats.render_certification(report),
           lambda: formats.certification_doc(report, include_timing=not args.no_timing))
     if report.divergences:
@@ -207,7 +205,9 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if not report.divergences else EXIT_FALSE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process: ``main`` parses every call with it."""
     parser = argparse.ArgumentParser(
         prog="unichain",
         description="Exact uninorm toolkit on finite chains: validate, classify, "
@@ -220,9 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     verbose = argparse.ArgumentParser(add_help=False)
     verbose.add_argument("--verbose", action="store_true",
                          help="collect every witness instead of the first per law")
-    limited = argparse.ArgumentParser(add_help=False)
-    limited.add_argument("--max-n", type=int, default=None,
-                         help="override the hard scale limit")
+
+    def add_max_n(p, default):
+        p.add_argument("--max-n", type=int, default=default,
+                       help="override the hard scale limit (default %(default)s)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -251,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decomposition", required=True, help="decomposition file")
     p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("enumerate", parents=[common, limited], help="enumerate uninorms")
+    p = sub.add_parser("enumerate", parents=[common], help="enumerate uninorms")
+    add_max_n(p, DEFAULT_ENUMERATION_LIMIT)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--idempotent-only", action="store_true", help="keep u(x, x) = x for all x")
@@ -261,15 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
                    "t-norms with --e n, none with --e 0 (classify: conjunctive needs 0 < e < n)")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("scan", parents=[common, limited],
+    p = sub.add_parser("scan", parents=[common],
                        help="all distributive pairs for a neutral-element pair")
+    add_max_n(p, DEFAULT_ENUMERATION_LIMIT)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e1", type=int, required=True)
     p.add_argument("--e2", type=int, required=True)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("certify", parents=[common, limited],
+    p = sub.add_parser("certify", parents=[common],
                        help="compare both distributivity routes over the full pair space")
+    add_max_n(p, DEFAULT_CERTIFY_LIMIT)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--no-timing", action="store_true",
                    help="omit the wall-time field from structured output")
@@ -278,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidUninormError as exc:

@@ -5,25 +5,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles and helpers modules
 
-from unichain import ChainScale, EnumerationTask, enumerate_uninorms
+import helpers
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="session")
 def uninorms_by_e():
-    """Every uninorm for every neutral element, cached per scale for the session."""
-    cache = {}
-
-    def get(n):
-        if n not in cache:
-            cache[n] = {
-                e: tuple(enumerate_uninorms(EnumerationTask(ChainScale(n), e)))
-                for e in range(n + 1)
-            }
-        return cache[n]
-
-    return get
+    """Every uninorm for every neutral element, cached per chain: ``helpers.uninorms_by_e``."""
+    return helpers.uninorms_by_e
 
 
 @pytest.fixture(scope="session")

@@ -4,17 +4,22 @@ The catalog families are built through ``catalog.from_string``, the same
 path the command line takes; ``dual`` lifts the raw-row oracle in
 ``oracles`` to a uninorm; ``random_symmetric`` draws a table that need not
 be a uninorm; ``case_conditions`` runs a pair's case conditions alone;
-``flip_conditions`` plants one divergence; ``oracle_checked_search``
-holds every node of the pruned search to the brute-force oracle;
+``flip_conditions`` plants one divergence;
 ``assert_well_formed`` holds a table built through ``OpTable._built`` to
-the check that path skips.
+the check that path skips; ``uninorms_by_e`` enumerates a chain once per
+process.  Each scale check below it takes its chain (or tasks) and returns
+its counts: tier-1 calls it on small chains, CI on the next one.
 """
 
 from dataclasses import replace
+from functools import cache
+from itertools import permutations
 
 import oracles
-from unichain import ChainScale, CheckReport, OpTable, Uninorm, Violation, distributivity, from_string
+from unichain import ChainScale, CheckReport, EnumerationTask, OpTable, Uninorm, Violation
+from unichain import distributivity, enumerate_uninorms, from_string, search
 from unichain.core import _structural_violations
+from unichain.distributivity import _distributivity_violations, _geometry, distributive_pairs
 
 
 def idem_min(n, e):
@@ -93,14 +98,27 @@ def flip_conditions(monkeypatch, module, u1, u2):
     monkeypatch.setattr(module, "classify_and_check", classify)
 
 
-def oracle_checked_search(original, verdicts):
-    """A stand-in for ``search._search`` that runs ``original`` and holds each
-    node to the brute-force oracle: every value the node tries, within its
-    bounds and filters, gets ``oracles.assoc_ok_after``'s verdict (appended to
-    ``verdicts``), and the node's child calls must be exactly the values it
-    passes, in order.  The stand-in must replace ``search._search``, so that
-    the recursion runs through it as well."""
-    passed = []
+@cache
+def uninorms_by_e(n):
+    """Every uninorm on L_n, one tuple per neutral element, enumerated once per process."""
+    return {e: tuple(enumerate_uninorms(EnumerationTask(ChainScale(n), e), max_n=n))
+            for e in range(n + 1)}
+
+
+def closed_on_block(u1, g):
+    """Whether u1 maps its block under ``g`` into itself: clause iii's closure."""
+    return all(u1(x, y) in g.block for x in g.block for y in g.block)
+
+
+def oracle_checked_tasks(tasks):
+    """Enumerate each task with every node of the search held to the
+    brute-force oracle; return the oracle's verdicts, one per value tried,
+    and each task's ``SearchStats``.  A stand-in replaces ``search._search``,
+    so that the recursion runs through it as well: every value a node tries,
+    within its bounds and filters, gets ``oracles.assoc_ok_after``'s verdict,
+    and the node's child calls must be exactly the values it passes, in
+    order."""
+    original, verdicts, passed, per_task = search._search, [], [], []
 
     def checked(t, pos, cells, i, stats, out, done, interned):
         if i:  # a child call: the parent's value passed its pruning
@@ -123,4 +141,91 @@ def oracle_checked_search(original, verdicts):
         original(t, pos, cells, i, stats, out, done, interned)
         assert passed.pop() == expected, (t, x, y)
 
-    return checked
+    search._search = checked
+    try:
+        for task in tasks:
+            per_task.append(search.SearchStats())
+            list(enumerate_uninorms(task, max_n=task.scale.n, stats=per_task[-1]))
+    finally:
+        search._search = original
+    return verdicts, per_task
+
+
+def block_restrictions(n):
+    """Hold every block restriction of L_n to ``assert_well_formed``: each
+    uninorm's boundary as u2 against every other neutral element, and its
+    inner uninorm as u1 where it is closed on the block.  Return how many
+    were built."""
+    built = 0
+    for e, us in uninorms_by_e(n).items():
+        for partner in range(n + 1):
+            if partner == e:
+                continue
+            as_u2, as_u1 = _geometry(n, partner, e), _geometry(n, e, partner)
+            for u in us:
+                blocks = [as_u2.boundary(u)]
+                if closed_on_block(u, as_u1):
+                    blocks.append(as_u1.inner(u))
+                for block in blocks:
+                    assert_well_formed(block.table)
+                    built += 1
+    return built
+
+
+def clause_iii_against_restrictions(n):
+    """Clause iii scans the law on the block of the full tables; the
+    reference scans the inner uninorm over the boundary on their whole
+    chain.  Compare their verbose witnesses on every pair of L_n whose u1 is
+    closed on its block; return the pairs compared, their witnesses, and the
+    rows (u1, u2) of each pair where the two differ."""
+    law, compared, witnesses, differ = "clause-iii-distributivity", 0, 0, []
+    by_e = uninorms_by_e(n)
+    for e1, e2 in permutations(by_e, 2):
+        g = _geometry(n, e1, e2)
+        boundaries = [(u2, g.boundary(u2).rows) for u2 in by_e[e2]]
+        for u1 in by_e[e1]:
+            if not closed_on_block(u1, g):
+                continue
+            inner = g.inner(u1).rows
+            for u2, boundary in boundaries:
+                got = _distributivity_violations(u1.rows, u2.rows, g.block, True, law, g.subchain)
+                if got != _distributivity_violations(inner, boundary, range(len(inner)), True, law,
+                                                     g.subchain):
+                    differ.append((u1.rows, u2.rows))
+                compared += 1
+                witnesses += len(got)
+    return compared, witnesses, differ
+
+
+def t_count(k):
+    """T(k), the t-conorms on L_k: the e = 0 enumeration count, with T(0) = 1."""
+    return len(uninorms_by_e(k)[0]) if k else 1
+
+
+def boundary_blocks(n):
+    """Hold the blocks (e1, e2) of L_n whose u1 is a t-conorm (e1 = 0) or a
+    t-norm (e1 = n) to their closed form, as sets of the hits that
+    ``distributive_pairs`` finds; return each block's hit count.
+
+    For 0 < e2 < n, a t-conorm S distributes over a u2 of neutral e2 exactly
+    when u2 is ``idemmax`` and S(x, y) = max(x, y) whenever x <= e2 <= y:
+    T(e2)·T(n - e2) hits.  Block (n, e2) is its dual, with ``idemmin`` and
+    min.  In blocks (0, 0), (0, n), (n, 0) and (n, n) every u1 distributes
+    over one u2, max or min: T(n) hits."""
+    by_e, counts = uninorms_by_e(n), {}
+    for e1, fixed, idem in ((0, max, idem_max), (n, min, idem_min)):
+        firsts = by_e[e1]
+        for e2, seconds in by_e.items():
+            if 0 < e2 < n:
+                u2, expected = idem(n, e2), t_count(e2) * t_count(n - e2)
+                kept = [i for i, u1 in enumerate(firsts)
+                        if all(u1(x, y) == fixed(x, y) for x in range(e2 + 1) for y in range(e2, n + 1))]
+            else:
+                u2, expected = max_tconorm(n) if e2 == 0 else min_tnorm(n), t_count(n)
+                kept = range(len(firsts))
+            at = [u.rows for u in seconds].index(u2.rows)
+            hits = distributive_pairs([u.table for u in firsts], [u.table for u in seconds])
+            assert set(hits) == {(i, at) for i in kept}, (n, e1, e2)
+            assert len(hits) == expected, (n, e1, e2, len(hits), expected)
+            counts[e1, e2] = len(hits)
+    return counts

@@ -662,6 +662,18 @@ class TestStartUp:
                               env={**os.environ, "PYTHONPATH": str(SRC)})
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
+    def test_two_calls_build_one_parser(self, capsys):
+        # the command tree is built at the first call, not at the import, and then kept
+        script = "import unichain.cli\nprint(unichain.cli.build_parser.cache_info().misses)\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert run(capsys, "classify", "--table", "min(n=2)")[0] == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
 
 class TestReadme:
     """README's command table names each subcommand's own options, and its

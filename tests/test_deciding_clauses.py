@@ -9,14 +9,16 @@ the only failing law.  A law that fails somewhere but never alone is
 redundant here: no pair fails only such laws, so dropping all of them at
 once would change no verdict on L_1-L_4.  Per chain, they also pin the
 minimal sets of laws that meet every failing report: the laws that alone
-decide every verdict of the conditions.  The reports keep every clause.
+decide every verdict of the conditions.  CI pins those of L_5 through the
+same ``minimal_deciding_sets(failing_laws(...))``.  The reports keep every
+clause.
 """
 
 from itertools import combinations
 
 import pytest
 
-from helpers import case_conditions
+from helpers import case_conditions, uninorms_by_e
 from unichain import necessity_conditions
 
 SCALES = range(1, 5)
@@ -58,7 +60,8 @@ def merged(law: str) -> str:
 UNEQUAL_DECIDING = {"clause-i-agreement", "clause-iii-closure", "clause-iii-distributivity",
                     "hypothesis-tnorm-min"}
 
-# (battery, n) -> the minimal sets of laws that meet every failing report on L_n
+# (battery, n) -> the minimal sets of laws that meet every failing report on L_n; tier-1
+# checks L_2-L_4 and CI L_5
 DECIDING = {
     ("unequal-conditions", 2): [{"clause-i-agreement", "clause-iii-closure", "clause-iii-distributivity"},
                                 {"clause-ii-min", "clause-iii-closure", "clause-iii-distributivity"}],
@@ -67,10 +70,12 @@ DECIDING = {
     ("equal-conditions", 2): [{"agreement", "idempotency"}],
     ("equal-conditions", 3): [{"agreement", "idempotency"}],
     ("equal-conditions", 4): [{"agreement", "idempotency"}],
+    ("unequal-conditions", 5): [UNEQUAL_DECIDING],
+    ("equal-conditions", 5): [{"agreement", "idempotency"}],
 }
 
 
-def failing_laws(uninorms_by_e, battery, scales=SCALES):
+def failing_laws(battery, scales=SCALES):
     """The merged failing laws of each pair the battery judges, on ``scales``."""
     report = necessity_conditions if battery == "necessity" else case_conditions
     equal = battery == "equal-conditions"
@@ -85,9 +90,9 @@ def failing_laws(uninorms_by_e, battery, scales=SCALES):
 
 
 @pytest.mark.parametrize("battery", sorted(BATTERIES))
-def test_each_law_fails_and_decides_as_pinned(uninorms_by_e, battery):
+def test_each_law_fails_and_decides_as_pinned(battery):
     pairs, laws = BATTERIES[battery]
-    reports = list(failing_laws(uninorms_by_e, battery))
+    reports = list(failing_laws(battery))
     fails = {law: sum(law in r for r in reports) for law in set().union(*reports)}
     alone = {law: sum(r == {law} for r in reports) for law in fails}
     assert len(reports) == pairs
@@ -108,10 +113,10 @@ def minimal_deciding_sets(reports):
     return found
 
 
-@pytest.mark.parametrize("battery, n", sorted(DECIDING))
-def test_the_deciding_laws_are_pinned(uninorms_by_e, battery, n):
+@pytest.mark.parametrize("battery, n", sorted(key for key in DECIDING if key[1] in SCALES))
+def test_the_deciding_laws_are_pinned(battery, n):
     # both clause-iii laws are in every minimal set: neither follows from the others
-    deciding = minimal_deciding_sets(failing_laws(uninorms_by_e, battery, [n]))
+    deciding = minimal_deciding_sets(failing_laws(battery, [n]))
     assert deciding == DECIDING[battery, n]
 
 

@@ -2,7 +2,6 @@
 
 import json
 from collections import Counter
-from functools import lru_cache
 from itertools import permutations
 from unittest import mock
 
@@ -14,18 +13,21 @@ import oracles
 from conftest import FIXTURES_DIR
 from helpers import (
     assert_well_formed,
+    block_restrictions,
     case_conditions,
+    clause_iii_against_restrictions,
+    closed_on_block,
     dual,
     idem_min,
     laws_violated,
     luk_upper,
     max_tconorm,
     random_symmetric,
+    uninorms_by_e,
 )
 from unichain import (
     ChainScale,
     Decomposition,
-    EnumerationTask,
     OpTable,
     Pick,
     TheoremCase,
@@ -36,13 +38,12 @@ from unichain import (
     compose,
     decompose,
     distributivity,
-    enumerate_uninorms,
     from_string,
     necessity_conditions,
     scan_pairs,
     validate_uninorm,
 )
-from unichain.distributivity import _distributivity_violations, _geometry, case_of
+from unichain.distributivity import _geometry, case_of
 from unichain.errors import CompositionInvalid, ScaleMismatchError, WrongCaseError
 
 
@@ -130,11 +131,6 @@ class TestGreaterNeutral:
             )
 
 
-def closed_on_block(u1, g):
-    """Whether u1 maps its block under ``g`` into itself: clause iii's closure."""
-    return all(u1(x, y) in g.block for x in g.block for y in g.block)
-
-
 class TestClauseIiiInner:
     def test_every_closed_block_is_a_uninorm_on_l1_to_l6(self, uninorms_by_e):
         # clause iii takes u1 on a closed block as its inner uninorm without
@@ -156,33 +152,12 @@ class TestClauseIiiInner:
                         assert report.verdict, (u1.rows, e2, report.violations)
         assert closed == 8370
 
-    def test_the_full_table_scan_equals_the_restrictions_on_l1_to_l4(self, uninorms_by_e):
-        # clause iii scans the law on the block of the full tables; the reference
-        # scans the inner uninorm over the boundary on their whole chain
-        law, compared, witnesses = "clause-iii-distributivity", [], 0
-        for n in range(1, 5):
-            by_e, pairs = uninorms_by_e(n), 0
-            for e1, e2 in permutations(by_e, 2):
-                g = _geometry(n, e1, e2)
-                boundaries = [(u2, g.boundary(u2).rows) for u2 in by_e[e2]]
-                for u1 in by_e[e1]:
-                    if not closed_on_block(u1, g):
-                        continue
-                    inner = g.inner(u1).rows
-                    for u2, boundary in boundaries:
-                        got = _distributivity_violations(u1.rows, u2.rows, g.block, True, law, g.subchain)
-                        assert got == _distributivity_violations(
-                            inner, boundary, range(len(inner)), True, law, g.subchain), (u1.rows, u2.rows)
-                        pairs += 1
-                        witnesses += len(got)
-            compared.append(pairs)
-        assert compared == [2, 20, 272, 4650]
-        assert witnesses == 30300
-
-
-@lru_cache(maxsize=None)
-def uninorms_on(m, e):
-    return tuple(enumerate_uninorms(EnumerationTask(ChainScale(m), e)))
+    def test_the_full_table_scan_equals_the_restrictions_on_l1_to_l4(self):
+        # CI runs the same function on L_5
+        compared = [clause_iii_against_restrictions(n) for n in range(1, 5)]
+        assert [pairs for pairs, _, _ in compared] == [2, 20, 272, 4650]
+        assert sum(witnesses for _, witnesses, _ in compared) == 30300
+        assert not [differ for _, _, differ in compared if differ]
 
 
 @st.composite
@@ -199,7 +174,7 @@ def drawn_decompositions(draw):
 
     def block(e):
         if draw(st.booleans()):
-            return draw(st.sampled_from(uninorms_on(m, e)))
+            return draw(st.sampled_from(uninorms_by_e(m)[e]))
         return Uninorm(OpTable(ChainScale(m), random_symmetric(draw(st.randoms()), m)), e)
 
     inner, boundary = block(e1 - lo), block(e2 - lo)
@@ -221,24 +196,10 @@ class TestBuiltTables:
     """The restrictions and compose's candidates skip ``OpTable``'s check:
     every one of them is held to it here."""
 
-    def test_every_block_restriction_is_well_formed_on_l1_to_l6(self, uninorms_by_e):
-        # u as u2 and as u1 against every partner neutral: its boundary, and its
-        # inner uninorm where it is closed on the block
-        built = 0
-        for n in range(1, 7):
-            for e, us in uninorms_by_e(n).items():
-                for partner in range(n + 1):
-                    if partner == e:
-                        continue
-                    as_u2, as_u1 = _geometry(n, partner, e), _geometry(n, e, partner)
-                    for u in us:
-                        blocks = [as_u2.boundary(u)]
-                        if closed_on_block(u, as_u1):
-                            blocks.append(as_u1.inner(u))
-                        for block in blocks:
-                            assert_well_formed(block.table)
-                            built += 1
-        assert built == 23824  # 4, 22, 114, 606, 3372 and 19706 on L_1-L_6
+    def test_every_block_restriction_is_well_formed_on_l1_to_l6(self):
+        # CI runs the same function on L_7
+        assert [block_restrictions(n) for n in range(1, 7)] == [4, 22, 114, 606, 3372, 19706]
+
 
     def test_compose_assembles_well_formed_tables_on_the_scan_blocks(self, monkeypatch):
         captured, composed = [], 0
