@@ -7,10 +7,13 @@ be a uninorm; ``case_conditions`` runs a pair's case conditions alone;
 ``flip_conditions`` plants one divergence;
 ``assert_well_formed`` holds a table built through ``OpTable._built`` to
 the check that path skips; ``uninorms_by_e`` enumerates a chain once per
-process.  Each scale check below it takes its chain (or tasks) and returns
-its counts: tier-1 calls it on small chains, CI on the next one.
+process.  The scale checks below it run on small chains in tier-1 and on
+the next one in CI: ``oracle_checked_search`` holds every node of the
+pruned search to the brute-force oracle while its block runs, and each of
+the others takes its chain and returns its counts.
 """
 
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import cache
 from itertools import permutations
@@ -110,15 +113,15 @@ def closed_on_block(u1, g):
     return all(u1(x, y) in g.block for x in g.block for y in g.block)
 
 
-def oracle_checked_tasks(tasks):
-    """Enumerate each task with every node of the search held to the
-    brute-force oracle; return the oracle's verdicts, one per value tried,
-    and each task's ``SearchStats``.  A stand-in replaces ``search._search``,
-    so that the recursion runs through it as well: every value a node tries,
-    within its bounds and filters, gets ``oracles.assoc_ok_after``'s verdict,
-    and the node's child calls must be exactly the values it passes, in
-    order."""
-    original, verdicts, passed, per_task = search._search, [], [], []
+@contextmanager
+def oracle_checked_search():
+    """Within the block, hold every node of the search to the brute-force
+    oracle, and yield the oracle's verdicts, one per value tried.  A stand-in
+    replaces ``search._search``, so that the recursion runs through it as
+    well: every value a node tries, within its bounds and filters, gets
+    ``oracles.assoc_ok_after``'s verdict, and the node's child calls must be
+    exactly the values it passes, in order."""
+    original, verdicts, passed = search._search, [], []
 
     def checked(t, pos, cells, i, stats, out, done, interned):
         if i:  # a child call: the parent's value passed its pruning
@@ -143,12 +146,9 @@ def oracle_checked_tasks(tasks):
 
     search._search = checked
     try:
-        for task in tasks:
-            per_task.append(search.SearchStats())
-            list(enumerate_uninorms(task, max_n=task.scale.n, stats=per_task[-1]))
+        yield verdicts
     finally:
         search._search = original
-    return verdicts, per_task
 
 
 def block_restrictions(n):

@@ -65,7 +65,7 @@ class TestChecker:
         assert (lhs, rhs) == (report.violations[0].lhs, report.violations[0].rhs)
         assert lhs != rhs
 
-    def test_everything_distributes_over_max(self, uninorms_by_e):
+    def test_everything_distributes_over_max(self):
         top = max_tconorm(4)
         for us in uninorms_by_e(4).values():
             for u in us:
@@ -75,7 +75,7 @@ class TestChecker:
         for u1, u2 in all_pairs(3):
             assert check_distributivity(u1, u2).verdict == oracles.distributes(u1.rows, u2.rows)
 
-    def test_swap_invariance_and_witness_order(self, uninorms_by_e):
+    def test_swap_invariance_and_witness_order(self):
         # witnesses are y <= z triples in lexicographic order
         u = luk_upper(4, 2)
         report = check_distributivity(u, u, verbose=True)
@@ -132,7 +132,7 @@ class TestGreaterNeutral:
 
 
 class TestClauseIiiInner:
-    def test_every_closed_block_is_a_uninorm_on_l1_to_l6(self, uninorms_by_e):
+    def test_every_closed_block_is_a_uninorm_on_l1_to_l6(self):
         # clause iii takes u1 on a closed block as its inner uninorm without
         # validating it; check that claim over every closed (u1, e2)
         closed = 0
@@ -338,7 +338,7 @@ class TestNecessityBattery:
 
 
 class TestRedundantClauses:
-    def test_local_internality_is_implied_by_clause_i_on_l1_to_l4(self, uninorms_by_e):
+    def test_local_internality_is_implied_by_clause_i_on_l1_to_l4(self):
         """u2's local internality on A(e2) has no witness that clause i lacks.
 
         In the unequal cases A(e2) = {x < e2 < y} lies inside strip x block:

@@ -19,7 +19,7 @@ import oracles
 import structure_oracle_check
 import unichain
 from conftest import FIXTURES_DIR
-from helpers import flip_conditions, oracle_checked_tasks
+from helpers import flip_conditions, oracle_checked_search
 from unichain import (
     ChainScale,
     EnumerationTask,
@@ -464,15 +464,13 @@ class TestPruningSafety:
 
     def test_at_every_search_node_the_pruning_equals_the_oracle(self):
         # every value tried at every node of every task on L_1-L_5, every e
-        # and filter combination, in the pins' order: the node's child calls
-        # are exactly the values the oracle passes.  CI runs it on L_6
-        verdicts, stats = oracle_checked_tasks([
-            EnumerationTask(ChainScale(n), e, *flags)
-            for n in range(1, 6) for e in range(n + 1) for flags in product((False, True), repeat=3)])
-        pins = json.loads((FIXTURES_DIR / "enumeration_l5.json").read_text(encoding="utf-8"))
-        assert [(s.nodes_expanded, s.emitted) for s in stats] == [
-            (pin["nodes-expanded"], pin["emitted"]) for pin in pins.values()]
-        assert len(verdicts) == sum(s.nodes_expanded for s in stats) == 7793
+        # and filter combination: the node's child calls are exactly the
+        # values the oracle passes.  CI runs it on L_6
+        with oracle_checked_search() as verdicts:
+            pins = enumeration_pins(range(1, 6))
+        fixture = FIXTURES_DIR / "enumeration_l5.json"
+        assert pins == json.loads(fixture.read_text(encoding="utf-8"))
+        assert len(verdicts) == sum(pin["nodes-expanded"] for pin in pins.values()) == 7793
         assert True in verdicts and False in verdicts
 
     def test_at_every_search_node_the_index_holds_the_set_cells(self, monkeypatch):
