@@ -7,16 +7,19 @@ be a uninorm; ``case_conditions`` runs a pair's case conditions alone;
 ``flip_conditions`` plants one divergence;
 ``assert_well_formed`` holds a table built through ``OpTable._built`` to
 the check that path skips; ``uninorms_by_e`` enumerates a chain once per
-process.  The scale checks below it run on small chains in tier-1 and on
-the next one in CI: ``oracle_checked_search`` holds every node of the
-pruned search to the brute-force oracle while its block runs, and each of
-the others takes its chain and returns its counts.
+process, and ``all_pairs`` lists its ordered pairs.  The scale checks below
+them run on small chains in tier-1 and on the next one in CI:
+``oracle_checked_search`` holds every node of the pruned search to the
+brute-force oracle while its block runs, and each of the others takes its
+chain and returns its counts.
 """
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import cache
 from itertools import permutations
+from math import comb, prod
 
 import oracles
 from unichain import ChainScale, CheckReport, EnumerationTask, OpTable, Uninorm, Violation
@@ -108,6 +111,13 @@ def uninorms_by_e(n):
             for e in range(n + 1)}
 
 
+@cache
+def all_pairs(n):
+    """All ordered uninorm pairs on L_n, flattened in canonical order."""
+    by_e = uninorms_by_e(n)
+    return tuple((u1, u2) for e1 in by_e for u1 in by_e[e1] for e2 in by_e for u2 in by_e[e2])
+
+
 def closed_on_block(u1, g):
     """Whether u1 maps its block under ``g`` into itself: clause iii's closure."""
     return all(u1(x, y) in g.block for x in g.block for y in g.block)
@@ -149,6 +159,30 @@ def oracle_checked_search():
         yield verdicts
     finally:
         search._search = original
+
+
+def oracle_checked_enumeration(n):
+    """Enumerate every task of L_n, unfiltered and conjunctive-only, within
+    ``oracle_checked_search``; assert that the oracle judged every node and
+    passed and refused a value somewhere, and return the nodes expanded."""
+    stats = search.SearchStats()
+    with oracle_checked_search() as verdicts:
+        for conjunctive in (False, True):
+            for e in range(n + 1):
+                task = EnumerationTask(ChainScale(n), e, conjunctive_only=conjunctive)
+                list(enumerate_uninorms(task, max_n=n, stats=stats))
+    assert len(verdicts) == stats.nodes_expanded and True in verdicts and False in verdicts, n
+    return stats.nodes_expanded
+
+
+def held_tables(n):
+    """Hold every table of L_n at once, through ``uninorms_by_e``, and
+    assert that each neutral element's tables share one tuple per distinct
+    row; return the table count of each e."""
+    for e, us in uninorms_by_e(n).items():
+        rows = [row for u in us for row in u.rows]
+        assert len(set(map(id, rows))) == len(set(rows)), f"e={e}: equal rows held apart"
+    return [len(us) for us in uninorms_by_e(n).values()]
 
 
 def block_restrictions(n):
@@ -197,9 +231,14 @@ def clause_iii_against_restrictions(n):
     return compared, witnesses, differ
 
 
+# T(8)-T(10), the e = 0 enumeration counts of L_8-L_10, carried so that no test enumerates those chains
+CARRIED_T = {8: 13775, 9: 86417, 10: 590489}
+
+
 def t_count(k):
-    """T(k), the t-conorms on L_k: the e = 0 enumeration count, with T(0) = 1."""
-    return len(uninorms_by_e(k)[0]) if k else 1
+    """T(k), the t-conorms on L_k: the e = 0 enumeration count, with T(0) = 1,
+    and the carried count beyond L_7."""
+    return CARRIED_T.get(k) or (len(uninorms_by_e(k)[0]) if k else 1)
 
 
 def boundary_blocks(n):
@@ -228,4 +267,38 @@ def boundary_blocks(n):
             assert set(hits) == {(i, at) for i in kept}, (n, e1, e2)
             assert len(hits) == expected, (n, e1, e2, len(hits), expected)
             counts[e1, e2] = len(hits)
+    return counts
+
+
+def threshold(u):
+    """t(x) = max{y >= e : u(x, y) = x} for each x in [0, e], u of neutral e."""
+    return tuple(max(y for y in range(u.e, u.n + 1) if u(x, y) == x) for x in range(u.e + 1))
+
+
+def equal_fibre_size(n, t):
+    """The equal case's closed form: the number of u1 that distribute over
+    the idempotent uninorm of threshold t on L_n, with neutral e = len(t) - 1.
+    [0, e] is cut at 0, e and every x in 1..e-1 where t steps down, [e, n] at
+    e, n and every value of t strictly inside (e, n); the form is the product
+    of T(b - a) over consecutive cuts a < b of each side."""
+    e = len(t) - 1
+    lower = sorted({0, e, *(x for x in range(1, e) if t[x] < t[x - 1])})
+    upper = sorted({e, n, *(y for y in t if e < y < n)})
+    return prod(t_count(b - a) for cuts in (lower, upper) for a, b in zip(cuts, cuts[1:]))
+
+
+def equal_blocks(n):
+    """Hold each block (e, e) of L_n to the equal case's closed form: the u2
+    with a hit in ``distributive_pairs`` are exactly the C(n, e) idempotent
+    uninorms of neutral e, and the fibre of each (the u1 that distribute over
+    it) has ``equal_fibre_size`` members.  Return each block's hit count."""
+    counts = []
+    for e, us in uninorms_by_e(n).items():
+        tables = [u.table for u in us]
+        fibres = Counter(i2 for _, i2 in distributive_pairs(tables, tables))
+        idempotent = {i for i, u in enumerate(us) if all(u(x, x) == x for x in range(n + 1))}
+        assert fibres.keys() == idempotent and len(idempotent) == comb(n, e), (n, e)
+        for i2, size in fibres.items():
+            assert size == equal_fibre_size(n, threshold(us[i2])), (n, e, us[i2].rows, size)
+        counts.append(fibres.total())
     return counts

@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from conftest import FIXTURES_DIR
-from helpers import case_conditions, dual, max_tconorm, min_tnorm, table_of
+from helpers import all_pairs, case_conditions, dual, max_tconorm, min_tnorm, table_of, uninorms_by_e
 from unichain import (
     ChainScale,
     EnumerationTask,
@@ -120,7 +120,7 @@ def test_criterion_1_axiom_suite(announce):
                                 assert rows[rows[a][b]][c] != rows[a][rows[b][c]]
 
 
-def test_criterion_2_equal_neutral_iff(announce, uninorms_by_e):
+def test_criterion_2_equal_neutral_iff(announce):
     with criterion(announce, 2, "equal-neutral conditions iff exhaustive check on L_2, L_3"):
         for n in (2, 3):
             by_e = uninorms_by_e(n)
@@ -136,7 +136,7 @@ def test_criterion_2_equal_neutral_iff(announce, uninorms_by_e):
             assert pairs > 0
 
 
-def test_criterion_3_unequal_neutral_iff(announce, uninorms_by_e):
+def test_criterion_3_unequal_neutral_iff(announce):
     with criterion(announce, 3, "greater/less-neutral conditions iff exhaustive check on L_3, L_4"):
         for n in (3, 4):
             by_e = uninorms_by_e(n)
@@ -162,7 +162,7 @@ def test_criterion_3_unequal_neutral_iff(announce, uninorms_by_e):
             assert pairs > 0
 
 
-def test_criterion_4_necessity_batteries(announce, uninorms_by_e):
+def test_criterion_4_necessity_batteries(announce):
     with criterion(announce, 4, "necessity batteries hold on every distributive unequal pair"):
         checked = 0
         for n in (3, 4):
@@ -184,7 +184,7 @@ def test_criterion_4_necessity_batteries(announce, uninorms_by_e):
         assert checked > 0
 
 
-def test_criterion_5_round_trip_and_refusals(announce, uninorms_by_e):
+def test_criterion_5_round_trip_and_refusals(announce):
     with criterion(announce, 5, "decompose/compose round trip on L_3, refusal of the rest"):
         by_e = uninorms_by_e(3)
         round_trips = 0
@@ -214,7 +214,7 @@ def test_criterion_5_round_trip_and_refusals(announce, uninorms_by_e):
         assert round_trips == 8 and refusals > 0
 
 
-def test_criterion_6_duality_transport(announce, all_pairs):
+def test_criterion_6_duality_transport(announce):
     with criterion(announce, 6, "duality transports verdicts and case conditions on L_3"):
         for u1, u2 in all_pairs(3):
             d1, d2 = dual(u1), dual(u2)
@@ -236,7 +236,7 @@ def test_criterion_7_enumeration_oracle_equivalence(announce):
         assert len(list(enumerate_uninorms(EnumerationTask(ChainScale(1), 0)))) == 1
 
 
-def test_criterion_8_universal_max_min(announce, uninorms_by_e):
+def test_criterion_8_universal_max_min(announce):
     with criterion(announce, 8, "every uninorm distributes over max (e=0) and min (e=n)"):
         top = max_tconorm(3)
         bottom = min_tnorm(3)

@@ -1,16 +1,14 @@
 """The column-wise distributivity kernel on ``OpTable`` stacks against
 independent oracles and against the row-by-row form it replaced, its hits
-against pins (L_5-L_7) and against duality, and the scan that takes its hits
-from it."""
+against duality, and the scan that takes its hits from it.  Its hits are
+pinned in ``test_pins.py``."""
 
-import json
 import random
 
 import pytest
 
-import hit_pins
 import oracles
-from helpers import random_symmetric, table_of
+from helpers import random_symmetric, table_of, uninorms_by_e
 from unichain import ChainScale, OpTable, check_distributivity, decompose, scan_pairs
 from unichain import distributivity, search
 from unichain.distributivity import distributive_pairs
@@ -67,7 +65,7 @@ B = ((2, 0, 0), (1, 1, 2), (0, 0, 2))
 
 
 class TestKernel:
-    def test_matches_the_oracle_on_every_l3_uninorm_pair(self, uninorms_by_e):
+    def test_matches_the_oracle_on_every_l3_uninorm_pair(self):
         by_e = uninorms_by_e(3)
         for e1 in by_e:
             for e2 in by_e:
@@ -90,7 +88,7 @@ class TestKernel:
         as_lists = [OpTable(ChainScale(n), [list(row) for row in t]) for t in firsts]
         assert distributive_pairs(as_lists, tables(seconds)) == want
 
-    def test_matches_the_per_pair_checker_on_all_l4_pairs(self, uninorms_by_e):
+    def test_matches_the_per_pair_checker_on_all_l4_pairs(self):
         everything = [u for us in uninorms_by_e(4).values() for u in us]
         want = [(i, j) for i, u1 in enumerate(everything) for j, u2 in enumerate(everything)
                 if check_distributivity(u1, u2).verdict]
@@ -121,7 +119,7 @@ class TestKernel:
         rows = sorted(set(A))
         assert distributivity._endomorphisms(rows, [B]) == [1] * len(rows)
 
-    def test_empty_and_mismatched_stacks(self, uninorms_by_e):
+    def test_empty_and_mismatched_stacks(self):
         us, others = uninorms_by_e(3)[1], uninorms_by_e(2)[1]
         assert pairs_of([], us) == []
         assert pairs_of(us, []) == []
@@ -237,69 +235,9 @@ class TestOneClassificationPerHit:
         assert calls == [(hit.u1.rows, hit.u2.rows) for hit in hits]
 
 
-# distributive pairs per block of L_7, e1 rows against e2 columns, as both the
-# numpy kernel (378 s of CPU) and the row kernel found them before the pins
-L7_BLOCK_COUNTS = [
-    [2386, 451, 188, 132, 132, 188, 451, 2386],
-    [12249, 1214, 444, 296, 312, 464, 1136, 5926],
-    [8174, 2157, 772, 432, 402, 588, 1407, 7007],
-    [6996, 1617, 845, 629, 526, 660, 1475, 6937],
-    [6937, 1475, 660, 526, 629, 845, 1617, 6996],
-    [7007, 1407, 588, 402, 432, 772, 2157, 8174],
-    [5926, 1136, 464, 312, 296, 444, 1214, 12249],
-    [2386, 451, 188, 132, 132, 188, 451, 2386],
-]
-
-
-class TestHitPins:
-    @pytest.mark.parametrize("n", [5, 6, 7])
-    def test_the_hits_match_their_pins(self, n):
-        pinned = hit_pins.fixture_path(n).read_text(encoding="utf-8")
-        assert hit_pins.render(hit_pins.pins(n)) == pinned
-
-    def test_a_hit_moved_inside_its_block_is_caught(self, monkeypatch):
-        calls = []
-        by_e = hit_pins.tables_by_e(5)
-        start = len(by_e[0]) + len(by_e[1])  # where the e1 = 2 firsts begin in each call
-
-        def moved(firsts, seconds):
-            out = distributive_pairs(firsts, seconds)
-            calls.append(len(seconds))
-            if len(calls) == 2:  # the e2 = 1 call, which holds block (2, 1)
-                hits = set(out)
-                cells = [(i, j) for i in range(start, start + len(by_e[2]))
-                         for j in range(len(seconds))]
-                hit = next(c for c in cells if c in hits)
-                miss = next(c for c in cells if c not in hits)
-                out = sorted(hits - {hit} | {miss})  # the block's first hit swapped for its first miss
-            return out
-
-        monkeypatch.setattr(hit_pins, "distributive_pairs", moved)
-        pinned = json.loads(hit_pins.fixture_path(5).read_text(encoding="utf-8"))
-        differ = hit_pins.differing_blocks(pinned, hit_pins.pins(5))
-        assert differ == ["block e1=2 e2=1: pinned 67 hits, computed 67"]
-        assert calls == [len(seconds) for seconds in by_e]  # one kernel call per second stack
-
-    @pytest.mark.parametrize("argv", [[], ["5", "--wrte"], ["five"], ["5", "--wr"]])
-    def test_a_bad_call_prints_the_usage_and_exits_2(self, capsys, argv):
-        with pytest.raises(SystemExit) as caught:
-            hit_pins.main(argv)
-        assert caught.value.code == 2
-        assert capsys.readouterr().err.startswith("usage: hit_pins.py")
-
-    def test_the_l7_pins_hold_the_cross_checked_counts(self):
-        pinned = json.loads(hit_pins.fixture_path(7).read_text(encoding="utf-8"))
-        counts = {(b["e1"], b["e2"]): b["hits"] for b in pinned["blocks"]}
-        assert counts == {(e1, e2): c for e1, row in enumerate(L7_BLOCK_COUNTS)
-                          for e2, c in enumerate(row)}
-        by_case = [sum(c for (e1, e2), c in counts.items() if test(e1, e2)) for test in
-                   (int.__eq__, int.__gt__, int.__lt__)]
-        assert by_case == [10002, 63978, 63978]
-
-
 class TestDuality:
     @pytest.mark.parametrize("n", range(2, 6))
-    def test_each_block_reflects_onto_its_dual_block(self, uninorms_by_e, n):
+    def test_each_block_reflects_onto_its_dual_block(self, n):
         # x -> n - x maps a pair (u1, u2) that distributes onto (u1', u2'),
         # u' reflected, with neutrals n - e1 and n - e2: hit by hit, not only in total
         by_e = [uninorms_by_e(n)[e] for e in range(n + 1)]

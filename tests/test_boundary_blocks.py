@@ -9,25 +9,15 @@ sets on L_2-L_6, and CI on L_7.  Its rows e1 = 0 are the hit pins' of L_5-L_7
 and the L_8 and L_9 grid rows carried in ROADMAP.
 """
 
-import json
-
 import pytest
 
-from conftest import FIXTURES_DIR
+import pins
 from helpers import boundary_blocks, t_count
-
-# T(8) and T(9), the e = 0 enumeration counts of L_8 and L_9, which tier-1 does not enumerate
-CARRIED_T = {8: 13775, 9: 86417}
-
-
-def t(k):
-    """T(k): ``t_count`` up to L_7, the carried count above."""
-    return CARRIED_T.get(k) or t_count(k)
 
 
 def row(n):
     """The closed form's hit counts of blocks (0, 0) to (0, n)."""
-    return [t(n) if e2 in (0, n) else t(e2) * t(n - e2) for e2 in range(n + 1)]
+    return [t_count(n) if e2 in (0, n) else t_count(e2) * t_count(n - e2) for e2 in range(n + 1)]
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -37,8 +27,8 @@ def test_the_boundary_blocks_have_their_closed_form(n):
 
 @pytest.mark.parametrize("n", range(5, 8))
 def test_the_form_gives_the_hit_pins(n):
-    pinned = json.loads((FIXTURES_DIR / f"hits_l{n}.json").read_text(encoding="utf-8"))
-    assert [block["hits"] for block in pinned["blocks"] if block["e1"] == 0] == row(n)
+    counts = pins.hit_counts(f"hits_l{n}")
+    assert [counts[0, e2] for e2 in range(n + 1)] == row(n)
 
 
 def test_the_form_gives_the_carried_l8_and_l9_rows():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES_DIR
-from helpers import flip_conditions, idem_min, luk_upper
+from helpers import flip_conditions, idem_min, luk_upper, uninorms_by_e
 from unichain import (
     ChainScale,
     CheckReport,
@@ -338,8 +338,7 @@ class TestCommands:
          "u2-rows": [[0, 0, 0, 3], [0, 0, 1, 3], [0, 1, 2, 3], [3, 3, 3, 3]]},
     ], ids=["conditions-accept-a-non-distributive-pair",
             "conditions-reject-a-distributive-pair"])
-    def test_certify_structured_reports_a_planted_divergence(self, capsys, monkeypatch,
-                                                             uninorms_by_e, planted):
+    def test_certify_structured_reports_a_planted_divergence(self, capsys, monkeypatch, planted):
         by_e = uninorms_by_e(3)
         u1 = by_e[planted["e1"]][planted["index1"]]
         u2 = by_e[planted["e2"]][planted["index2"]]

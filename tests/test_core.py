@@ -17,6 +17,7 @@ from helpers import (
     min_tnorm,
     random_symmetric,
     table_of,
+    uninorms_by_e,
 )
 from unichain import (
     ChainScale,
@@ -188,7 +189,7 @@ class TestValidateUninorm:
         laws = set(v.law for v in loud.violations)
         assert laws >= set(v.law for v in quiet.violations)
 
-    def test_witness_replay(self, uninorms_by_e):
+    def test_witness_replay(self):
         # every reported witness must reproduce its violation on the inputs
         base = idem_min(3, 1)
         for x in range(4):
@@ -217,7 +218,7 @@ def assert_matches_the_axiom_oracle(rows, e):
 
 
 class TestValidateAgainstTheOracle:
-    def test_every_l4_uninorm_under_every_neutral(self, uninorms_by_e):
+    def test_every_l4_uninorm_under_every_neutral(self):
         for us in uninorms_by_e(4).values():
             for u in us:
                 for e in range(5):
@@ -283,7 +284,7 @@ class TestPredicates:
 
 
 class TestDual:
-    def test_involution_and_symmetry(self, uninorms_by_e):
+    def test_involution_and_symmetry(self):
         for e, us in uninorms_by_e(3).items():
             for u in us:
                 d = dual(u)
@@ -318,7 +319,7 @@ class TestUnderlyingOps:
             tuple(min(x, y) for y in range(3)) for x in range(3)
         )
 
-    def test_restrictions_validate_over_enumeration(self, uninorms_by_e):
+    def test_restrictions_validate_over_enumeration(self):
         for e, us in uninorms_by_e(3).items():
             for u in us:
                 if e >= 1:
@@ -353,7 +354,7 @@ class TestUnderlyingOps:
             underlying_tconorm(Uninorm(table_of(rows), 2))
         assert str(caught.value) == "row 1, entry 2: value -1 outside 0..2"
 
-    def test_internality_on_region_is_a_consequence(self, uninorms_by_e):
+    def test_internality_on_region_is_a_consequence(self):
         for n in (3, 4):
             for e, us in uninorms_by_e(n).items():
                 for u in us:

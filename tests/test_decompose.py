@@ -3,8 +3,8 @@
 import pytest
 
 import oracles
-from helpers import (case_conditions, dual, idem_max, idem_min, luk_upper, max_tconorm, min_tnorm,
-                     table_of)
+from helpers import (all_pairs, case_conditions, dual, idem_max, idem_min, luk_upper, max_tconorm,
+                     min_tnorm, table_of)
 from unichain import (
     ChainScale,
     Decomposition,
@@ -72,7 +72,7 @@ class TestDecompose:
 
 
 class TestRoundTrip:
-    def test_round_trip_on_l3(self, all_pairs):
+    def test_round_trip_on_l3(self):
         seen = 0
         for u1, u2 in all_pairs(3):
             e1, e2, n = u1.e, u2.e, u1.n

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import FIXTURES_DIR
 from helpers import (
+    all_pairs,
     assert_well_formed,
     block_restrictions,
     case_conditions,
@@ -71,7 +72,7 @@ class TestChecker:
             for u in us:
                 assert check_distributivity(u, top).verdict
 
-    def test_agrees_with_oracle_on_all_l3_pairs(self, all_pairs):
+    def test_agrees_with_oracle_on_all_l3_pairs(self):
         for u1, u2 in all_pairs(3):
             assert check_distributivity(u1, u2).verdict == oracles.distributes(u1.rows, u2.rows)
 
@@ -94,7 +95,7 @@ class TestEqualNeutral:
         assert not report.verdict
         assert "idempotency" in laws_violated(report)
 
-    def test_iff_on_l3(self, all_pairs):
+    def test_iff_on_l3(self):
         for u1, u2 in all_pairs(3):
             if u1.e != u2.e:
                 continue
@@ -122,7 +123,7 @@ class TestGreaterNeutral:
         assert "clause-iii-distributivity" in laws_violated(report)
         assert not check_distributivity(u1, u2).verdict
 
-    def test_iff_on_l3(self, all_pairs):
+    def test_iff_on_l3(self):
         for u1, u2 in all_pairs(3):
             if u1.e <= u2.e:
                 continue
@@ -240,7 +241,7 @@ class TestLessNeutral:
         assert not case_conditions(u1, u2).verdict
         assert not check_distributivity(u1, u2).verdict
 
-    def test_matches_greater_under_duality_on_l3(self, all_pairs):
+    def test_matches_greater_under_duality_on_l3(self):
         for u1, u2 in all_pairs(3):
             if u1.e >= u2.e:
                 continue
@@ -248,7 +249,7 @@ class TestLessNeutral:
             mirrored = case_conditions(dual(u1), dual(u2)).verdict
             assert direct == mirrored
 
-    def test_iff_on_l3(self, all_pairs):
+    def test_iff_on_l3(self):
         for u1, u2 in all_pairs(3):
             if u1.e >= u2.e:
                 continue
@@ -268,7 +269,7 @@ class TestClassifyAndCheck:
         result = classify_and_check(idem_min(4, 1), idem_min(4, 2))
         assert result.case is TheoremCase.LESS_NEUTRAL
 
-    def test_agreement_everywhere_on_l3(self, all_pairs):
+    def test_agreement_everywhere_on_l3(self):
         for u1, u2 in all_pairs(3):
             result = classify_and_check(u1, u2)
             assert result.agreement, (u1.rows, u2.rows, result.case)
@@ -310,7 +311,7 @@ class TestClassifyAndCheck:
 
 
 class TestNecessityBattery:
-    def test_holds_on_every_distributive_unequal_pair_on_l3(self, all_pairs):
+    def test_holds_on_every_distributive_unequal_pair_on_l3(self):
         seen = 0
         for u1, u2 in all_pairs(3):
             if u1.e == u2.e or not oracles.distributes(u1.rows, u2.rows):

@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 import oracles
-from helpers import case_conditions, random_symmetric, table_of
+from helpers import all_pairs, case_conditions, random_symmetric, table_of, uninorms_by_e
 from unichain import (
     Uninorm,
     Violation,
@@ -38,7 +38,7 @@ def assert_scan_matches_the_oracle(u1, u2):
 
 
 class TestExhaustiveScan:
-    def test_every_l4_pair(self, all_pairs):
+    def test_every_l4_pair(self):
         for u1, u2 in all_pairs(4):
             assert_scan_matches_the_oracle(u1, u2)
 
@@ -51,7 +51,7 @@ class TestExhaustiveScan:
                 assert_scan_matches_the_oracle(u1, u2)
 
 
-def test_every_l4_report_keeps_the_first_violation_of_each_law(all_pairs):
+def test_every_l4_report_keeps_the_first_violation_of_each_law():
     # classify_and_check's conditions report is the report of the pair's case predicate
     for u1, u2 in all_pairs(4):
         full, kept = classify_and_check(u1, u2, verbose=True), classify_and_check(u1, u2)
@@ -84,7 +84,7 @@ def assert_necessity_matches_the_oracle(u1, u2, verbose):
     assert necessity_conditions(u1, u2, verbose=verbose).violations == want, (u1, u2, verbose)
 
 
-def test_every_unequal_l4_necessity_report_equals_the_oracle(all_pairs):
+def test_every_unequal_l4_necessity_report_equals_the_oracle():
     for verbose in (False, True):
         for u1, u2 in all_pairs(4):
             if u1.e != u2.e:
@@ -103,7 +103,7 @@ def test_random_symmetric_necessity_reports_equal_the_oracle(n):
                     assert_necessity_matches_the_oracle(Uninorm(t1, e1), Uninorm(t2, e2), verbose)
 
 
-def test_the_l5_pairs_failing_clause_i_choice_equal_the_oracle(uninorms_by_e):
+def test_the_l5_pairs_failing_clause_i_choice_equal_the_oracle():
     # no unequal pair on L_4 fails the choice of clause i: the 48 of L_5
     # are the pairs on whose strip x block u1 and u2 return one value that
     # is neither argument, which takes a u2 that is not locally internal
@@ -138,7 +138,7 @@ def clause_ii_ties(violations):
     return [p for p, subjects in points.items() if subjects == {"u1", "u2"}]
 
 
-def test_every_l4_conditions_report_equals_the_per_pair_loops(all_pairs):
+def test_every_l4_conditions_report_equals_the_per_pair_loops():
     # the shares split clause ii into a u1 half and a u2 half and merge them
     # per pair; a pair failing both at one point pins the order of the merge
     # (on L_4 only verbose reports keep such a point)

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from helpers import all_pairs, uninorms_by_e
 from unichain import (
     ChainScale,
     OpTable,
@@ -47,7 +48,7 @@ def firsts(by_e):
     return {e: us[0] for e, us in by_e.items()}
 
 
-def test_shuffled_l4_pairs_match_fresh_copies(all_pairs):
+def test_shuffled_l4_pairs_match_fresh_copies():
     rng = random.Random(20261018)
     pairs = list(all_pairs(4))
     rng.shuffle(pairs)
@@ -58,7 +59,7 @@ def test_shuffled_l4_pairs_match_fresh_copies(all_pairs):
             u1.rows, u1.e, u2.rows, u2.e, verbose)
 
 
-def test_one_table_alternating_partners_and_verbosity(uninorms_by_e):
+def test_one_table_alternating_partners_and_verbosity():
     # this u1 (e = 1) has a clause-iii share that changes with e2 and with
     # verbose, and as u2 a hypothesis and side-condition share that changes
     # with e1 (within one case too) and with verbose.  The first sweep meets
@@ -74,7 +75,7 @@ def test_one_table_alternating_partners_and_verbosity(uninorms_by_e):
                                      for pair in ((u, partner), (partner, u))])
 
 
-def test_u1_clause_ii_share_follows_e2(uninorms_by_e):
+def test_u1_clause_ii_share_follows_e2():
     # u1's half of clause ii fails against one e2 and holds against another
     # in the same case; a share that ignored e2 would carry one verdict over
     # to the other
@@ -90,7 +91,7 @@ def test_u1_clause_ii_share_follows_e2(uninorms_by_e):
                                      for p in (pa, pb)])
 
 
-def test_u2_clause_ii_share_follows_e1(uninorms_by_e):
+def test_u2_clause_ii_share_follows_e1():
     # the same for u2's half across the partner's e1, within one case
     by_e = uninorms_by_e(4)
     partner = firsts(by_e)
@@ -103,7 +104,7 @@ def test_u2_clause_ii_share_follows_e1(uninorms_by_e):
                                      for p in (pa, pb)])
 
 
-def test_equal_case_idempotency_share_follows_verbose(uninorms_by_e):
+def test_equal_case_idempotency_share_follows_verbose():
     # a u2 with several non-idempotent points: the verbose report keeps them
     # all, the quiet one only the first
     by_e = uninorms_by_e(4)
@@ -113,7 +114,7 @@ def test_equal_case_idempotency_share_follows_verbose(uninorms_by_e):
     assert_calls_match_fresh_copies([(u1, u2, v) for _ in range(2) for v in (False, True)])
 
 
-def test_the_memo_is_invisible(uninorms_by_e):
+def test_the_memo_is_invisible():
     by_e = uninorms_by_e(4)
     u1, u2 = by_e[3][0], by_e[1][16]
     classify_and_check(u1, u2, verbose=True)
@@ -163,7 +164,7 @@ def test_nothing_carries_over_between_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("e1, e2", [(3, 1), (1, 3)], ids=["greater", "less"])
-def test_only_a_decomposition_restricts_a_table(monkeypatch, uninorms_by_e, e1, e2):
+def test_only_a_decomposition_restricts_a_table(monkeypatch, e1, e2):
     # clause iii reads the full tables, so a classification builds no
     # restriction; a decomposition builds two on the block, u1's inner
     # uninorm and u2's boundary, and compose's candidate check none

@@ -19,7 +19,8 @@ import oracles
 import structure_oracle_check
 import unichain
 from conftest import FIXTURES_DIR
-from helpers import flip_conditions, oracle_checked_search
+from helpers import (flip_conditions, held_tables, oracle_checked_enumeration, oracle_checked_search,
+                     uninorms_by_e)
 from unichain import (
     ChainScale,
     EnumerationTask,
@@ -122,7 +123,7 @@ class TestEnumeration:
         assert modules and not any(m.split(".")[0] == "unichain" for m in modules), modules
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_soundness(self, n, uninorms_by_e):
+    def test_soundness(self, n):
         # the search's tables skip OpTable's structural check: this is that
         # check, the exact-int entries the parser also guarantees, and the axioms
         for e, us in uninorms_by_e(n).items():
@@ -138,7 +139,7 @@ class TestEnumeration:
         assert first == second
         assert first == sorted(first)  # lexicographic stream
 
-    def test_no_duplicates(self, uninorms_by_e):
+    def test_no_duplicates(self):
         for e, us in uninorms_by_e(4).items():
             assert len(us) == len(rows_set(us))
 
@@ -322,6 +323,10 @@ class TestEnumeration:
                         for row in u.rows]
                 assert len(set(map(id, rows))) == len(set(rows)), f"e={e} filters={flags}"
 
+    def test_every_l7_table_held_at_once_holds_one_tuple_per_distinct_row(self):
+        # CI holds L_9 the same way, under a memory bound
+        assert held_tables(7) == [2386, 1538, 1034, 859, 859, 1034, 1538, 2386]
+
 
 class TestPruningSafety:
     @pytest.mark.parametrize("e", range(4))
@@ -344,7 +349,7 @@ class TestPruningSafety:
             got = [u.rows for u in enumerate_uninorms(task)]
             assert got == expected, f"e={e} filters={(idempotent, internal, conjunctive)}"
 
-    def test_filters_select_the_right_tables(self, uninorms_by_e):
+    def test_filters_select_the_right_tables(self):
         everything = uninorms_by_e(3)[1]
         idem = list(enumerate_uninorms(EnumerationTask(ChainScale(3), 1, idempotent_only=True)))
         assert rows_set(idem) == set(u.rows for u in everything if is_idempotent(u))
@@ -473,6 +478,10 @@ class TestPruningSafety:
         assert len(verdicts) == sum(pin["nodes-expanded"] for pin in pins.values()) == 7793
         assert True in verdicts and False in verdicts
 
+    def test_at_every_node_of_every_l5_task_the_pruning_equals_the_oracle(self):
+        # the unfiltered and conjunctive-only tasks, as CI runs them on L_6
+        assert oracle_checked_enumeration(5) == 3120
+
     def test_at_every_search_node_the_index_holds_the_set_cells(self, monkeypatch):
         # every call of every task on L_1-L_5, every e and filter combination:
         # the index on entry and on return, and at a leaf the completed rows
@@ -599,7 +608,7 @@ class TestCertify:
         assert report.pairs_checked == 36
 
     @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_the_pairs_are_checked_in_the_canonical_order(self, monkeypatch, uninorms_by_e, n):
+    def test_the_pairs_are_checked_in_the_canonical_order(self, monkeypatch, n):
         # one process walks (e1, i1, e2, i2) lexicographically, each pair once
         by_e = uninorms_by_e(n)
         position = {u.rows: (e, i) for e, us in by_e.items() for i, u in enumerate(us)}
@@ -655,7 +664,7 @@ class TestDivergenceReporting:
         return [(e, i, u) for e, us in sorted(by_e.items()) for i, u in enumerate(us)]
 
     @pytest.fixture
-    def flipped(self, monkeypatch, uninorms_by_e):
+    def flipped(self, monkeypatch):
         by_e = uninorms_by_e(3)
         expected = self.plant(monkeypatch, by_e, self.E1, self.I1, self.E2, self.I2,
                               "greater-neutral")
@@ -663,7 +672,7 @@ class TestDivergenceReporting:
         return self.listed(by_e), expected
 
     @pytest.mark.parametrize("name", PAIRS)
-    def test_the_pair_loop_reports_the_flipped_pair(self, monkeypatch, uninorms_by_e, name):
+    def test_the_pair_loop_reports_the_flipped_pair(self, monkeypatch, name):
         uninorms = self.listed(uninorms_by_e(3))
         unflipped, clean = _check_pairs(uninorms)
         assert clean == []
@@ -673,8 +682,7 @@ class TestDivergenceReporting:
         assert tally == unflipped  # the tally counts the exhaustive verdicts
         assert sum(tally.values()) == 484
 
-    def test_flipped_pairs_are_reported_in_the_canonical_order(self, monkeypatch,
-                                                               uninorms_by_e):
+    def test_flipped_pairs_are_reported_in_the_canonical_order(self, monkeypatch):
         by_e = uninorms_by_e(3)
         planted = [self.plant(monkeypatch, by_e, *pair)
                    for pair in reversed(list(self.PAIRS.values()))]

@@ -18,6 +18,7 @@ from itertools import product
 
 import pytest
 
+from helpers import uninorms_by_e
 from unichain import ChainScale, OpTable, validate_uninorm
 from unichain.distributivity import distributive_pairs
 
@@ -29,7 +30,7 @@ def case(e1, e2):
 
 
 @pytest.fixture(scope="module")
-def hits(uninorms_by_e):
+def hits():
     """(e1, e2, u1) for every distributive pair (u1, u2) on L_5."""
     by_e = uninorms_by_e(N)
     return [(e1, e2, by_e[e1][i1]) for e1, e2 in product(range(N + 1), repeat=2)

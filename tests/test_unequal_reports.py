@@ -12,7 +12,7 @@ import json
 import pytest
 
 from conftest import FIXTURES_DIR
-from helpers import case_conditions
+from helpers import case_conditions, uninorms_by_e
 from unichain import necessity_conditions
 
 # SHA-256 of the verbose reports over all unequal pairs, in canonical pair order
@@ -56,7 +56,7 @@ def equal_lines(u1, u2, verbose):
     return [v.describe() for v in case_conditions(u1, u2, verbose=verbose).violations]
 
 
-def test_first_witness_reports_on_l3_match_the_fixture(uninorms_by_e):
+def test_first_witness_reports_on_l3_match_the_fixture():
     golden = json.loads((FIXTURES_DIR / "unequal_reports_l3.json").read_text(encoding="utf-8"))
     assert len(golden) == 362
     for entry, (key, u1, u2) in zip(golden, unequal_pairs(uninorms_by_e(3)), strict=True):
@@ -67,7 +67,7 @@ def test_first_witness_reports_on_l3_match_the_fixture(uninorms_by_e):
 
 
 @pytest.mark.parametrize("n", sorted(VERBOSE_DIGESTS))
-def test_verbose_reports_match_the_digest(uninorms_by_e, n):
+def test_verbose_reports_match_the_digest(n):
     digest = hashlib.sha256()
     passing = 0
     for key, u1, u2 in unequal_pairs(uninorms_by_e(n)):
@@ -82,7 +82,7 @@ def test_verbose_reports_match_the_digest(uninorms_by_e, n):
     assert passing == PASSING_PAIRS[n]
 
 
-def test_first_witness_equal_reports_on_l3_match_the_fixture(uninorms_by_e):
+def test_first_witness_equal_reports_on_l3_match_the_fixture():
     golden = json.loads((FIXTURES_DIR / "equal_reports_l3.json").read_text(encoding="utf-8"))
     assert len(golden) == 122
     for entry, (key, u1, u2) in zip(golden, equal_pairs(uninorms_by_e(3)), strict=True):
@@ -91,7 +91,7 @@ def test_first_witness_equal_reports_on_l3_match_the_fixture(uninorms_by_e):
 
 
 @pytest.mark.parametrize("n", sorted(EQUAL_VERBOSE_DIGESTS))
-def test_verbose_equal_reports_match_the_digest(uninorms_by_e, n):
+def test_verbose_equal_reports_match_the_digest(n):
     digest = hashlib.sha256()
     for key, u1, u2 in equal_pairs(uninorms_by_e(n)):
         digest.update(("pair %d,%d,%d,%d\n" % key).encode())

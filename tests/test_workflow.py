@@ -1,5 +1,6 @@
-"""The CI workflow's steps call test helpers and scripts by name: a helper
-or script renamed away fails tier-1 at once, not on the next push.
+"""The CI workflow's steps call test helpers, scripts and pin fixtures by
+name: a helper, script or fixture renamed away fails tier-1 at once, not on
+the next push.
 
 The workflow is read as text (CI installs no YAML parser); its comment
 lines are skipped.  Each step's ``from <module> import <names>`` must sit
@@ -20,7 +21,7 @@ def step_lines():
 
 def test_every_import_a_step_runs_resolves():
     imports = [m for line in step_lines() for m in re.finditer(r"\bfrom ([\w.]+) import ([\w ,]+)", line)]
-    assert {m[1] for m in imports} >= {"helpers", "test_deciding_clauses", "unichain"}
+    assert {m[1] for m in imports} >= {"helpers", "test_deciding_clauses"}
     for m in imports:
         assert not m[2].rstrip().endswith(","), f"{m[0]!r}: its names go on past the line"
         exec(m[0], {})  # with src and tests on the path, as the steps run
@@ -30,3 +31,9 @@ def test_every_script_a_step_runs_exists():
     scripts = {path for line in step_lines() for path in re.findall(r"\btests/\w+\.py\b", line)}
     assert "tests/structure_oracle_check.py" in scripts
     assert all((ROOT / path).is_file() for path in scripts), scripts
+
+
+def test_every_fixture_a_step_pins_exists():
+    names = {name for line in step_lines() for name in re.findall(r"\btests/pins\.py (\S+)", line)}
+    assert {"enumeration_l7", "enumeration_l8", "enumeration_l8_conjunctive", "scan_l6"} <= names
+    assert all((ROOT / "tests" / "fixtures" / f"{name}.sha256").is_file() for name in names), names
