@@ -246,7 +246,9 @@ def _write_json(value, newline: str, out: list, rows: dict) -> None:
     sort_keys=True)`` writes it where ``newline`` starts each of its lines;
     ``rows`` maps the id of each list or tuple of plain ints written so far to
     ``(row, newline, text)``, for the indentation it was last written at.  The
-    entry holds the row, so no other object takes its id during the call."""
+    entry holds the row, so no other object takes its id during the call.  A
+    list's item whose text the cache holds at the item's indentation is
+    appended from it, without a call."""
     kind = type(value)
     if kind is list or kind is tuple:
         written = rows.get(id(value))
@@ -265,7 +267,11 @@ def _write_json(value, newline: str, out: list, rows: dict) -> None:
             for v in value:
                 out.append(separator)
                 separator = "," + inner
-                _write_json(v, inner, out, rows)
+                written = rows.get(id(v))
+                if written is not None and written[1] == inner:
+                    out.append(written[2])
+                else:
+                    _write_json(v, inner, out, rows)
             out.append(newline + "]")
     elif kind is str:
         out.append(encode_basestring_ascii(value))

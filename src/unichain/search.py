@@ -20,10 +20,13 @@ only the columns c where t[x][c] is set.  Where the new cell is the outer
 lookup t[ab][c], ab must equal one of its coordinates, so the check reads
 only the cells that hold x or y: the search keeps an index from each value
 to the set cells holding it, pushing a cell (and its mirror) when it sets it
-and popping it when it unsets it.  Each free cell carries, prepared once, its
-upper bound, the values the task's filters admit, the columns of its row x
-that are set once it is, and the rows it completes; a node reads only its
-lower bound.  The search is a plain recursion, one level per free cell plus
+and popping it when it unsets it.  Neither reads a lookup whose two sides
+are equal for every value the cell can take: columns e and y, column 0 below
+e and column n above it, and the index leaves out row and column e.  Each
+free cell carries, prepared once, its upper bound, the values the task's
+filters admit, the columns of its row x that are set once it is and whose
+check can fail, and the rows it completes; a node reads only its lower
+bound.  The search is a plain recursion, one level per free cell plus
 a leaf level, that appends each table to one list.  Tables share their rows:
 a value that passes builds the rows its cell completes, once, through a dict
 local to one search (the rows no free cell touches go through it at the
@@ -126,7 +129,9 @@ def _cells(task: EnumerationTask, e: int):
     """``task``'s free cells with neutral ``e`` as ``(x, y, hi, admitted,
     columns, finishes)``: the static monotone bound; None or the ascending
     values the filters leave; the columns c with t[x][c] set once the cell is
-    (root presets, earlier cells and mirrors); and the rows it completes.
+    (root presets, earlier cells and mirrors), less c = e, c = y, c = 0 for
+    y < e and c = n for x > e, whose checks cannot fail; and the rows it
+    completes.
     Off the diagonal and with both ends in A(e), (0, n) admits the conjunctive
     bottom alone: 0, or n in the dual, as u(0, n) = 0 reflects to u(0, n) = n.
     Column n admits only [x, e) and n at (x, n), x < e: a = u(x, n) gives
@@ -137,31 +142,34 @@ def _cells(task: EnumerationTask, e: int):
     t, cells = _neutral_table(n, e), []
     for x, y in _free_cells(n, e):
         t[x][y] = t[y][x] = x  # set: only which cells are set matters here
+        skipped = {e, y, *((0,) if y < e else ()), *((n,) if x > e else ())}
         cells.append((x, y, x if y < e else y if x < e else n,
                       (bottom,) if task.conjunctive_only and (x, y) == (0, n) else
                       (x,) if task.idempotent_only and x == y else
                       (x, y) if task.locally_internal_only and x < e < y else
                       (*range(x, e), n) if y == n and x < e else None,
-                      tuple(c for c, w in enumerate(t[x]) if w >= 0),
+                      tuple(c for c, w in enumerate(t[x]) if w >= 0 and c not in skipped),
                       tuple(r for r in {x, y} if -1 not in t[r])))
     return cells
 
 
-def _index(t):
+def _index(t, e):
     """``pos[w]``: the set cells (a, b) of ``t`` with t[a][b] = w, for every
-    value w, mirrors included."""
+    value w, mirrors included, outside row and column ``e``, the neutral
+    element searched: the checks that read those cells cannot fail."""
     pos = [[] for _ in t]
     for a, row in enumerate(t):
         for b, w in enumerate(row):
-            if w >= 0:
+            if w >= 0 and e not in (a, b):
                 pos[w].append((a, b))
     return pos
 
 
 def _search(t, pos, cells, i, stats, out, done, interned):
     """Append to ``out`` every table that fills ``cells[i:]`` (from ``_cells``)
-    within the pruning rules.  ``pos`` is ``_index(t)``, kept so while cells
-    are set and unset: each entry is pushed and popped in stack order.
+    within the pruning rules.  ``pos`` is ``_index(t, e)``, e the neutral
+    element searched, kept so while cells are set and unset: each entry is
+    pushed and popped in stack order (no free cell lies in row or column e).
     ``done[r]`` is row r's tuple once a set cell completes it, and
     ``interned`` maps each distinct row tuple so far to itself, so the tables
     share one tuple per distinct row."""
@@ -203,12 +211,22 @@ def _search(t, pos, cells, i, stats, out, done, interned):
     # - Otherwise c < x and w < y; let z = t[x][c], set.  z <= x: if z > x,
     #   cell (c, x) escaped the bound t[e][x] = x, so c > e, and then
     #   w >= t[y][e] = y by monotonicity.  So t[y][z] is set and (y, x, c)
-    #   is checked here.  (y, c, x) reads t[y][c], t[c][x], t[w][x] and
-    #   t[y][z], all set; only t[y][z] can be the new cell, at z = x, where
-    #   (y, c, x) is the mirror of (x, c, y): the ab = x case.  Otherwise it
-    #   passed at an earlier node.
+    #   holds here: checked, or of a kind below.  (y, c, x) reads t[y][c],
+    #   t[c][x], t[w][x] and t[y][z], all set; only t[y][z] can be the new
+    #   cell, at z = x, where (y, c, x) is the mirror of (x, c, y): the ab = x
+    #   case.  Otherwise it passed at an earlier node.
     # - By symmetry x(yc) = (yc)x = y(cx) = y(xc) = (yx)c = (xy)c: (y, x, c)
     #   and (y, c, x) give (x, y, c).
+    # Five kinds of lookup read equal sides for every value v the cell can
+    # take, so ``_cells`` leaves them out of ``columns`` and ``_index`` out
+    # of ``pos``:
+    # - c = e: t[v][e] = v, and t[y][t[x][e]] = t[y][x] = v.
+    # - c = y: t[v][y], and t[y][t[x][y]] = t[y][v], the same cell's mirror.
+    # - c = 0 for y < e: v <= x < e, so t[v][0] = 0 = t[y][t[x][0]], preset.
+    # - c = n for x > e: v >= t[e][y] = y > e (monotone), so t[v][n] = n =
+    #   t[y][t[x][n]], preset.
+    # - a cell of row or column e in ``pos``: (e, b, c) with t[e][b] = b reads
+    #   t[b][c] on both sides, and (a, e, c) with t[a][e] = a reads t[a][c].
     # A triple (a, b, c) passes when a lookup is unset (-1) or t[ab][c]
     # equals t[a][bc].
     for v in values:
@@ -297,7 +315,7 @@ def enumerate_uninorms(task: EnumerationTask, *,
     t, tables, interned = _neutral_table(n, searched), [], {}
     # the rows no free cell touches are complete at the root
     done = [interned.setdefault(row, row) if -1 not in row else None for row in map(tuple, t)]
-    _search(t, _index(t), _cells(task, searched), 0, stats, tables, done, interned)
+    _search(t, _index(t, searched), _cells(task, searched), 0, stats, tables, done, interned)
     for previous, rows in zip(tables, tables[1:]):
         if rows <= previous:
             raise InternalConsistencyError(

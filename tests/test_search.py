@@ -44,14 +44,40 @@ def rows_set(uninorms):
     return set(u.rows for u in uninorms)
 
 
-def value_index(t):
-    """The set cells (a, b) of ``t`` by value, mirrors included, sorted."""
+def value_index(t, e=None):
+    """The set cells (a, b) of ``t`` by value, mirrors included, sorted, outside
+    row and column ``e`` when one is given."""
     pos = [[] for _ in t]
     for a, row in enumerate(t):
         for b, w in enumerate(row):
-            if w >= 0:
+            if w >= 0 and e not in (a, b):
                 pos[w].append((a, b))
     return pos
+
+
+def lookup(t, a, b):
+    """t[a][b] where both arguments are values: the value where the cell is
+    set, the cell itself, as a set of coordinates, where it is not.  None
+    where an argument is not a value: nothing is known of that lookup."""
+    if type(a) is not int or type(b) is not int:
+        return None
+    return t[a][b] if t[a][b] >= 0 else frozenset((a, b))
+
+
+def sure_to_pass(root, x, y, c, e):
+    """Whether the triple (y, x, c) reads two known and equal sides for every
+    value the new cell (x, y) can take in a uninorm with neutral e, knowing
+    only the root's presets and that cell: [0, x] below e, [x, y] across it
+    and [y, n] above it.  An unset cell is known as itself on both sides."""
+    n = len(root) - 1
+    values = range(x + 1) if y < e else range(x, y + 1) if x < e else range(y, n + 1)
+    for v in values:
+        t = [row[:] for row in root]
+        t[x][y] = t[y][x] = v
+        left, right = lookup(t, v, c), lookup(t, y, lookup(t, x, c))
+        if left is None or left != right:
+            return False
+    return True
 
 
 FILTERS = ("idempotent", "locally-internal", "conjunctive")
@@ -309,7 +335,7 @@ class TestEnumeration:
                     assert [c[3] for c in dual if c[:2] == (0, n)] == [(n,)]
                 t, native = search._neutral_table(n, e), []
                 done = [tuple(row) if -1 not in row else None for row in t]
-                search._search(t, search._index(t), cells, 0, SearchStats(), native, done, {})
+                search._search(t, search._index(t, e), cells, 0, SearchStats(), native, done, {})
                 got = [u.rows for u in enumerate_uninorms(task)]
                 assert got == native, f"e={e} filters={flags}"
 
@@ -484,17 +510,20 @@ class TestPruningSafety:
 
     def test_at_every_search_node_the_index_holds_the_set_cells(self, monkeypatch):
         # every call of every task on L_1-L_5, every e and filter combination:
-        # the index on entry and on return, and at a leaf the completed rows
+        # the index on entry and on return, outside row and column e, and at a
+        # leaf the completed rows
         original = search._search
         calls = []
 
         def checked(t, pos, cells, i, stats, out, done, interned):
-            assert [sorted(at) for at in pos] == value_index(t), (t, pos)
+            # the neutral row is the one row that reads 0..n, as t[r][e] = r
+            e = t.index(list(range(len(t))))
+            assert [sorted(at) for at in pos] == value_index(t, e), (t, pos)
             if i == len(cells):
                 assert done == [tuple(row) for row in t], (t, done)
                 assert all(interned[row] is row for row in done)
             original(t, pos, cells, i, stats, out, done, interned)
-            assert [sorted(at) for at in pos] == value_index(t), (t, pos)
+            assert [sorted(at) for at in pos] == value_index(t, e), (t, pos)
             calls.append(i)
 
         monkeypatch.setattr(search, "_search", checked)
@@ -507,8 +536,9 @@ class TestPruningSafety:
     def test_each_cell_carries_the_columns_it_reads_and_the_rows_it_completes(self, n):
         # an independent walk of the root table, for every searched neutral
         # element and filter combination: cell i reads row x's set columns
-        # once cells[:i + 1] are set, and every row is completed exactly once,
-        # at the root or by the cell that sets its last unset entry
+        # once cells[:i + 1] are set, less those whose triple cannot fail, and
+        # every row is completed exactly once, at the root or by the cell
+        # that sets its last unset entry
         for e, flags in product(range(n + 1), product((False, True), repeat=3)):
             task = EnumerationTask(ChainScale(n), e, *flags)
             for searched in sorted({e, n - e}):
@@ -519,7 +549,9 @@ class TestPruningSafety:
                     t = [row[:] for row in root]
                     for a, b, *_ in cells[:i + 1]:
                         t[a][b] = t[b][a] = 0
-                    assert columns == tuple(c for c in range(n + 1) if t[x][c] != -1), (e, x, y)
+                    assert columns == tuple(
+                        c for c in range(n + 1)
+                        if t[x][c] != -1 and not sure_to_pass(root, x, y, c, searched)), (e, x, y)
                     completed += finishes
                     assert sorted(completed) == [r for r, row in enumerate(t) if -1 not in row]
                 assert sorted(completed) == list(range(n + 1)), (e, flags)
