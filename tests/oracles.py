@@ -35,17 +35,6 @@ def associative_holds(rows):
     return True
 
 
-def find_assoc_defect(rows):
-    """First triple (a, b, c) where associativity fails, or None."""
-    n = len(rows) - 1
-    for a in range(n + 1):
-        for b in range(n + 1):
-            for c in range(n + 1):
-                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                    return (a, b, c)
-    return None
-
-
 def distributes(rows1, rows2):
     """Plain triple loop for u1(x, u2(y,z)) == u2(u1(x,y), u1(x,z))."""
     n = len(rows1) - 1

@@ -8,8 +8,8 @@ search yields (the search builds its tables without ``OpTable``'s check).
 Prints one line per neutral element with both table counts, the CPU seconds
 of each side and of the checks, then each table that fails a check, and
 exits 1 if any list of tables differs or any table fails.  A call without
-a scale prints the usage and exits 2.  Tier-1 calls ``main`` for L_1
-through L_6.
+a scale, or with a scale below 1, prints the usage and exits 2.  Tier-1
+calls ``main`` for L_1 through L_6.
 """
 
 import argparse
@@ -54,4 +54,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(prog="structure_oracle_check.py", description=(
         "Compare the search with the structure-theorem oracle on L_n."))
     parser.add_argument("n", type=int, help="the chain L_n")
-    raise SystemExit(main(parser.parse_args().n))
+    n = parser.parse_args().n
+    if n < 1:
+        parser.error(f"not a chain: L_{n}")
+    raise SystemExit(main(n))

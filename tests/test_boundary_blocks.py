@@ -27,8 +27,8 @@ def test_the_boundary_blocks_have_their_closed_form(n):
 
 @pytest.mark.parametrize("n", range(5, 8))
 def test_the_form_gives_the_hit_pins(n):
-    counts = pins.hit_counts(f"hits_l{n}")
-    assert [counts[0, e2] for e2 in range(n + 1)] == row(n)
+    counts = pins.counts(f"hits_l{n}", "hits")
+    assert [counts[f"e1=0 e2={e2}"] for e2 in range(n + 1)] == row(n)
 
 
 def test_the_form_gives_the_carried_l8_and_l9_rows():

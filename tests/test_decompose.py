@@ -1,8 +1,14 @@
-"""Block decomposition and composition of distributive pairs."""
+"""Block decomposition and composition of distributive pairs.
+
+``tests/pins.py roundtrip_l<n>`` pins every decomposition ``scan`` emits on
+L_3-L_5 through the text format and back into ``compose``; the L_5 totals
+are read from its fixture here.
+"""
 
 import pytest
 
 import oracles
+import pins
 from helpers import (all_pairs, case_conditions, dual, idem_max, idem_min, luk_upper, max_tconorm,
                      min_tnorm, table_of)
 from unichain import (
@@ -96,6 +102,12 @@ class TestRoundTrip:
         assert d.inner.e == u1.e
         r1, r2 = compose(d, u1.scale, u1.e, u2.e)
         assert r1.rows == u1.rows and r2.rows == u2.rows
+
+    def test_l5_totals(self):
+        # ``tests/pins.py roundtrip_l5`` pins each block's text round trip
+        composed, identical = (pins.counts("roundtrip_l5", field) for field in ("composed", "identical"))
+        assert len(composed) == len(identical) == 12
+        assert (sum(composed.values()), sum(identical.values())) == (522, 424)
 
 
 # Each block and each pick passes compose's own checks, but this inner (from an

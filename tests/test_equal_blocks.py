@@ -37,8 +37,8 @@ def test_the_equal_blocks_have_their_closed_form(n):
 
 @pytest.mark.parametrize("n", range(5, 8))
 def test_the_summed_form_gives_the_hit_pins(n):
-    counts = pins.hit_counts(f"hits_l{n}")
-    assert [counts[e, e] for e in range(n + 1)] == predicted(n)
+    counts = pins.counts(f"hits_l{n}", "hits")
+    assert [counts[f"e1={e} e2={e}"] for e in range(n + 1)] == predicted(n)
 
 
 def test_the_summed_form_gives_the_equal_case_totals():

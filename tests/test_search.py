@@ -1,8 +1,12 @@
-"""Enumeration correctness, pruning safety, certification."""
+"""Enumeration correctness, pruning safety, certification.
+
+Every enumeration task of L_1-L_7 is pinned by ``tests/pins.py tasks_l<n>``
+and compared in ``test_pins.py``.  Here the node-by-node checks compute
+``tasks_l1``-``tasks_l5`` again under their stand-ins for ``search._search``,
+and the self-dual test reads the pinned node and table counts.
+"""
 
 import ast
-import hashlib
-import json
 import os
 import random
 import re
@@ -16,9 +20,9 @@ from pathlib import Path
 import pytest
 
 import oracles
+import pins
 import structure_oracle_check
 import unichain
-from conftest import FIXTURES_DIR
 from helpers import (flip_conditions, held_tables, oracle_checked_enumeration, oracle_checked_search,
                      uninorms_by_e)
 from unichain import (
@@ -80,35 +84,13 @@ def sure_to_pass(root, x, y, c, e):
     return True
 
 
-FILTERS = ("idempotent", "locally-internal", "conjunctive")
-
-
-def enumeration_pins(scales, *, filtered_only=False):
-    """For every scale in ``scales``, neutral element and filter combination:
-    the SHA-256 of the enumerated rows, the nodes expanded and the tables
-    emitted.  ``tests/fixtures/enumeration_l5.json`` holds
-    ``enumeration_pins(range(1, 6))`` and ``enumeration_l6.json``
-    ``enumeration_pins([6])``.  With ``filtered_only``, only the tasks with a
-    filter, and no node counts: ``enumeration_l7_filtered.json`` holds
-    ``enumeration_pins([7], filtered_only=True)``."""
-    pins = {}
-    for n in scales:
-        for e in range(n + 1):
-            for flags in product((False, True), repeat=3):
-                if filtered_only and not any(flags):
-                    continue
-                stats = SearchStats()
-                task = EnumerationTask(ChainScale(n), e, *flags)
-                rows = [u.rows for u in enumerate_uninorms(task, max_n=n, stats=stats)]
-                chosen = "+".join(f for f, on in zip(FILTERS, flags) if on) or "none"
-                pin = pins[f"n={n} e={e} filters={chosen}"] = {
-                    "rows-sha256": hashlib.sha256(repr(rows).encode()).hexdigest(),
-                    "nodes-expanded": stats.nodes_expanded,
-                    "emitted": stats.emitted,
-                }
-                if filtered_only:
-                    del pin["nodes-expanded"]
-    return pins
+def assert_the_task_pins_hold_through_l5() -> int:
+    """Compute ``tests/pins.py tasks_l1``-``tasks_l5`` now, assert that they
+    equal their fixtures, and return the nodes they pin as expanded."""
+    names = [f"tasks_l{n}" for n in range(1, 6)]
+    for name in names:
+        assert "".join(pins.compute(name)) == pins.pinned(name), name
+    return sum(sum(pins.counts(name, "nodes").values()) for name in names)
 
 
 class TestEnumeration:
@@ -133,9 +115,10 @@ class TestEnumeration:
     def test_matches_the_structure_theorem_oracle(self, n):
         assert structure_oracle_check.main(n) == 0  # on L_7 it runs in CI
 
-    def test_a_call_without_a_scale_prints_the_usage_and_exits_2(self):
+    @pytest.mark.parametrize("argv", [[], ["0"], ["-1"]])
+    def test_a_call_without_a_scale_prints_the_usage_and_exits_2(self, argv):
         src = Path(unichain.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-B", structure_oracle_check.__file__],
+        proc = subprocess.run([sys.executable, "-B", structure_oracle_check.__file__, *argv],
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 2
@@ -428,37 +411,20 @@ class TestPruningSafety:
                            for y, v in enumerate(row)), (rows, e)
                 assert all(rows[x][n] in admitted[x, n] for x in range(e) if e < n), (rows, e)
 
-    def test_every_task_through_l5_matches_its_pin(self):
-        pins = json.loads((FIXTURES_DIR / "enumeration_l5.json").read_text(encoding="utf-8"))
-        assert enumeration_pins(range(1, 6)) == pins
-
-    def test_every_task_on_l6_matches_its_pin(self):
-        pins = json.loads((FIXTURES_DIR / "enumeration_l6.json").read_text(encoding="utf-8"))
-        assert enumeration_pins([6]) == pins
-
-    def test_every_filtered_task_on_l7_matches_its_pin(self):
-        # about 0.7 s of CPU: the 56 tasks with a filter, tables and counts only
-        fixture = FIXTURES_DIR / "enumeration_l7_filtered.json"
-        pins = json.loads(fixture.read_text(encoding="utf-8"))
-        assert len(pins) == 56
-        assert enumeration_pins([7], filtered_only=True) == pins
-
     def test_the_self_dual_pins_are_palindromic_in_e(self):
         # a task with e < n - e runs the search of neutral n - e, and the
         # idempotent and locally-internal filters are self-dual: its node and
-        # table counts are those of n - e
-        pins = {}
-        for name in ("enumeration_l5.json", "enumeration_l6.json"):
-            pins.update(json.loads((FIXTURES_DIR / name).read_text(encoding="utf-8")))
+        # table counts are those of n - e (``tests/pins.py tasks_l<n>``)
         checked = 0
-        for key, pin in pins.items():
-            n, e, chosen = re.fullmatch(r"n=(\d+) e=(\d+) filters=(.*)", key).groups()
-            if "conjunctive" not in chosen:
-                mirror = pins[f"n={n} e={int(n) - int(e)} filters={chosen}"]
-                assert (pin["nodes-expanded"], pin["emitted"]) == (
-                    mirror["nodes-expanded"], mirror["emitted"]), key
-                checked += 1
-        assert checked == len(pins) // 2
+        for n in range(1, 8):
+            pinned = [pins.counts(f"tasks_l{n}", field) for field in ("nodes", "emitted")]
+            for key in pinned[0]:
+                e, chosen = re.fullmatch(r"e=(\d+) filters=(.*)", key).groups()
+                if "conjunctive" not in chosen:
+                    mirror = f"e={n - int(e)} filters={chosen}"
+                    assert [c[key] for c in pinned] == [c[mirror] for c in pinned], (n, key)
+                    checked += 1
+        assert checked == sum(4 * (n + 1) for n in range(1, 8))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_the_pruning_rejects_only_what_the_oracle_rejects(self, n):
@@ -498,10 +464,8 @@ class TestPruningSafety:
         # and filter combination: the node's child calls are exactly the
         # values the oracle passes.  CI runs it on L_6
         with oracle_checked_search() as verdicts:
-            pins = enumeration_pins(range(1, 6))
-        fixture = FIXTURES_DIR / "enumeration_l5.json"
-        assert pins == json.loads(fixture.read_text(encoding="utf-8"))
-        assert len(verdicts) == sum(pin["nodes-expanded"] for pin in pins.values()) == 7793
+            nodes = assert_the_task_pins_hold_through_l5()
+        assert len(verdicts) == nodes == 7793
         assert True in verdicts and False in verdicts
 
     def test_at_every_node_of_every_l5_task_the_pruning_equals_the_oracle(self):
@@ -527,9 +491,7 @@ class TestPruningSafety:
             calls.append(i)
 
         monkeypatch.setattr(search, "_search", checked)
-        pins = enumeration_pins(range(1, 6))
-        fixture = FIXTURES_DIR / "enumeration_l5.json"
-        assert pins == json.loads(fixture.read_text(encoding="utf-8"))
+        assert_the_task_pins_hold_through_l5()
         assert len(calls) == 6083
 
     @pytest.mark.parametrize("n", range(1, 8))
