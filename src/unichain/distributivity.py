@@ -18,9 +18,11 @@ disagreement is a theorem divergence, a reportable finding, never dropped.
 Each clause that reads only one table is a share, kept on the uninorm once
 per table and partner neutral by ``_kept_on_table``: in the unequal cases
 u2's hypotheses, clause-i side condition and clause ii half, and u1's
-clause ii half and clause-iii closure; in the equal case u2's idempotency.
-Clause iii reads the full tables, so no verdict builds a restriction; a
-decomposition builds u1's inner uninorm and u2's boundary for its own pair.
+clause ii half and clause-iii closure; in the equal case u2's idempotency;
+in the necessity battery u2's clauses i and iii and local internality, and
+u1's clause ii, so only clause iv reads the pair.  Clause iii reads the full
+tables, so no verdict builds a restriction; a decomposition's blocks are
+shares too, u1's inner uninorm and selection and u2's boundary.
 Each single-law clause is one ``core._clause`` call over its failing points.
 The pair path's two hot scans stay loops: the distributivity triples, and
 agreement with choice of an argument, which keeps each law's first violation.
@@ -117,9 +119,11 @@ def _kept_on_table(share):
     ``args`` repeat.
 
     A slot holds only the latest arguments (the partner's neutral, ``verbose``).
-    ``certify`` visits pairs u1-outer and e-major, so it is almost always hit.
-    The slot is not a field, so equality, hash and repr ignore it, and nothing
-    outlasts the tables of one run.
+    ``certify`` visits pairs u1-outer and e-major, and ``scan_pairs`` reads the
+    hits of one (e1, e2) block u1-outer, so both almost always hit: a scan
+    builds each table's necessity clauses and decomposition blocks once, not
+    once per hit.  The slot is not a field, so equality, hash and repr ignore
+    it, and nothing outlasts the tables of one run.
     """
     name = share.__name__
 
@@ -424,15 +428,30 @@ def necessity_conditions(u1: Uninorm, u2: Uninorm, *, verbose: bool = False) -> 
     if u1.e == u2.e:
         raise WrongCaseError("necessity batteries apply to pairs with e1 != e2")
     g = _geometry(u1.n, u1.e, u2.e)
-    op = g.op.__name__
-    # on side x near, x <= e2 <= y (mirrored in the less case), so op(x, y) = x
+    clause_i, clause_iii, internality = _u2_necessity_share(u2, u1.e, verbose)
     return CheckReport.from_violations((
-        *_clause(f"necessity-i-{g.unit}", _off_square(u2, g), "u2", verbose),
-        *_clause(f"necessity-ii-u1-{op}", _not_first(u1, g.side, g.near), "u1", verbose),
-        *_clause(f"necessity-iii-u2-{op}", _not_first(u2, g.strip, g.near), "u2", verbose),
+        *clause_i, *_u1_necessity_share(u1, u2.e, verbose), *clause_iii,
         *_agree_and_choose(u1, u2, g.strip, g.far, verbose, "necessity-iv-agreement",
                            "necessity-iv-choice", "necessity-iv-side-condition"),
-        *_clause("necessity-local-internality", _internality_failures(u2), "u2", verbose)))
+        *internality))
+
+
+@_kept_on_table
+def _u2_necessity_share(u2: Uninorm, e1: int, verbose: bool) -> tuple:
+    """The necessity clauses that read only u2, partnered with neutral ``e1``:
+    i, iii and local internality."""
+    g = _geometry(u2.n, e1, u2.e)
+    return (_clause(f"necessity-i-{g.unit}", _off_square(u2, g), "u2", verbose),
+            _clause(f"necessity-iii-u2-{g.op.__name__}", _not_first(u2, g.strip, g.near), "u2", verbose),
+            _clause("necessity-local-internality", _internality_failures(u2), "u2", verbose))
+
+
+@_kept_on_table
+def _u1_necessity_share(u1: Uninorm, e2: int, verbose: bool) -> tuple:
+    """The necessity clause that reads only u1: ii, on side x near, where
+    x <= e2 <= y (mirrored in the less case), so op(x, y) = x."""
+    g = _geometry(u1.n, u1.e, e2)
+    return _clause(f"necessity-ii-u1-{g.op.__name__}", _not_first(u1, g.side, g.near), "u1", verbose)
 
 
 # read only by classify_and_check: a wrapper installed per entry sees each case apart
@@ -545,9 +564,23 @@ def decompose(u1: Uninorm, u2: Uninorm) -> Decomposition:
 def _decompose_checked(u1: Uninorm, u2: Uninorm, case: TheoremCase) -> Decomposition:
     """The blocks of a pair its caller has classified as distributive under
     ``case``, with proper unequal neutrals; nothing is re-checked."""
-    g, rows = _geometry(u1.n, u1.e, u2.e), u1.rows
+    inner, selection = _inner_share(u1, u2.e)
+    return Decomposition(case, inner, _boundary_share(u2, u1.e), selection)
+
+
+@_kept_on_table
+def _inner_share(u1: Uninorm, e2: int) -> tuple:
+    """u1's decomposition blocks against neutral ``e2``: its inner uninorm and
+    the argument it picks on the off-diagonal strip."""
+    g, rows = _geometry(u1.n, u1.e, e2), u1.rows
     selection = tuple((x, y, Pick.FIRST if rows[x][y] == x else Pick.SECOND) for x, y in g.domain)
-    return Decomposition(case, g.inner(u1), g.boundary(u2), selection)
+    return g.inner(u1), selection
+
+
+@_kept_on_table
+def _boundary_share(u2: Uninorm, e1: int) -> Uninorm:
+    """u2's decomposition block against neutral ``e1``: its boundary operation."""
+    return _geometry(u2.n, e1, u2.e).boundary(u2)
 
 
 def _reject(law: str, witness: tuple, message: str, **kw) -> CompositionInvalid:

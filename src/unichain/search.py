@@ -54,6 +54,8 @@ it is an endomorphism of; a u1's hits are the AND over its rows) and runs
 the per-pair evidence path on the hits only: one classification each, the
 necessity battery, and the decomposition built from that classification; a
 hit the per-pair scan rejects is an internal inconsistency, never dropped.
+The evidence reads each table's one-table clauses and blocks from the shares
+kept on it, so a block's hits build them once per distinct u1 and u2.
 """
 
 from __future__ import annotations

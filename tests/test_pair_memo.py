@@ -19,6 +19,7 @@ from unichain import (
     classify_and_check,
     compose,
     decompose,
+    necessity_conditions,
     scan_pairs,
 )
 from unichain import core, distributivity
@@ -114,13 +115,58 @@ def test_equal_case_idempotency_share_follows_verbose():
     assert_calls_match_fresh_copies([(u1, u2, v) for _ in range(2) for v in (False, True)])
 
 
-def test_the_memo_is_invisible():
+@pytest.mark.parametrize("e, others", [(3, (1, 2)), (1, (2, 3))], ids=["greater", "less"])
+def test_one_table_necessity_alternating_partners_and_verbosity(e, others):
+    # u's necessity shares, ii as u1 and i, iii and local internality as u2,
+    # both change with the partner's neutral element within one case, and
+    # with verbose.  The first sweep changes the partner's neutral element
+    # from call to call at one verbosity; the second meets each partner
+    # quiet, then verbose.
     by_e = uninorms_by_e(4)
-    u1, u2 = by_e[3][0], by_e[1][16]
+    a, b = others
+    u = fresh(next(u for u in by_e[e] if all(
+        share.__wrapped__(u, a, True) != share.__wrapped__(u, b, True)
+        for share in (distributivity._u1_necessity_share, distributivity._u2_necessity_share))))
+    partners = [fresh(by_e[p][i]) for i in range(min(len(by_e[p]) for p in others)) for p in others]
+    calls = [(p, v) for v in (False, True) for p in partners]
+    calls += [(p, v) for p in partners for v in (False, True)]
+    for partner, verbose in calls:
+        for first, second in ((u, partner), (partner, u)):
+            shared = necessity_conditions(first, second, verbose=verbose)
+            assert shared == necessity_conditions(fresh(first), fresh(second), verbose=verbose), (
+                first.rows, first.e, second.rows, second.e, verbose)
+
+
+@pytest.mark.parametrize("e1, others", [(3, (1, 2)), (1, (2, 3))], ids=["greater", "less"])
+def test_u1_decomposition_share_follows_e2(e1, others):
+    # u1's inner uninorm and selection lie on a block that starts or ends at
+    # e2: a share that ignored e2 would hand one partner the other's blocks
+    by_e = uninorms_by_e(4)
+    u1, pa, pb = next((fresh(u1), fresh(pa), fresh(pb)) for u1 in by_e[e1]
+                      for pa in by_e[others[0]] for pb in by_e[others[1]]
+                      if classify_and_check(fresh(u1), fresh(pa)).verdict
+                      and classify_and_check(fresh(u1), fresh(pb)).verdict)
+    found = [decompose(u1, p) for _ in range(2) for p in (pa, pb)]
+    assert found == [decompose(fresh(u1), fresh(p)) for _ in range(2) for p in (pa, pb)]
+    assert found[0].inner != found[1].inner
+
+
+SLOTS = {"_u1_share", "_u2_share", "_u1_necessity_share", "_u2_necessity_share", "_inner_share",
+         "_boundary_share"}
+
+
+def test_the_memo_is_invisible():
+    # a pair distributive both ways, so each table holds every unequal share
+    by_e = uninorms_by_e(4)
+    u1, u2 = next((u1, u2) for u1 in by_e[1] for u2 in by_e[2]
+                  if classify_and_check(u1, u2).verdict and classify_and_check(u2, u1).verdict)
     classify_and_check(u1, u2, verbose=True)
-    classify_and_check(u2, u1)
+    necessity_conditions(u1, u2, verbose=True)
+    necessity_conditions(u2, u1)
+    decompose(u1, u2)
+    decompose(u2, u1)
     for u in (u1, u2):
-        assert {"_u1_share", "_u2_share"} <= vars(u).keys(), "classification left no memo to hide"
+        assert SLOTS <= vars(u).keys(), "the evidence path left no memo to hide"
         copy = fresh(u)
         assert u == copy and hash(u) == hash(copy) and repr(u) == repr(copy)
         restored = pickle.loads(pickle.dumps(u))
@@ -167,7 +213,8 @@ def test_nothing_carries_over_between_runs(monkeypatch):
 def test_only_a_decomposition_restricts_a_table(monkeypatch, e1, e2):
     # clause iii reads the full tables, so a classification builds no
     # restriction; a decomposition builds two on the block, u1's inner
-    # uninorm and u2's boundary, and compose's candidate check none
+    # uninorm and u2's boundary, and compose's candidate check none; both
+    # are shares, so a scan restricts each table among its hits once
     by_e = uninorms_by_e(4)
     u1, u2 = next((fresh(u1), fresh(u2)) for u1 in by_e[e1] for u2 in by_e[e2]
                   if classify_and_check(fresh(u1), fresh(u2)).verdict)
@@ -184,4 +231,6 @@ def test_only_a_decomposition_restricts_a_table(monkeypatch, e1, e2):
     assert compose(d, ChainScale(4), e1, e2)[1] == u2
     assert built == []
     hits = list(scan_pairs(ChainScale(4), e1, e2))
-    assert hits and len(built) == 2 * len(hits)
+    restricted = [id(u) for u, *_ in built]
+    assert hits and len(restricted) == len(set(restricted)) < 2 * len(hits)
+    assert set(restricted) == {id(h.u1) for h in hits} | {id(h.u2) for h in hits}

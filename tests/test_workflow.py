@@ -35,6 +35,6 @@ def test_every_script_a_step_runs_exists():
 
 def test_every_fixture_a_step_pins_exists():
     names = {name for line in step_lines() for name in re.findall(r"\btests/pins\.py (\S+)", line)}
-    assert {"enumeration_l7", "enumeration_l8", "enumeration_l8_conjunctive", "scan_l6", "text",
-            "catalog"} <= names
+    assert {"enumeration_l7", "enumeration_l8", "enumeration_l8_conjunctive", "scan_l6",
+            "roundtrip_l6", "reports_l5", "text", "catalog"} <= names
     assert all((ROOT / "tests" / "fixtures" / f"{name}.sha256").is_file() for name in names), names
